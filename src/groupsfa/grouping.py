@@ -7,10 +7,12 @@ Ward cost
 
 is merged, ties broken by the lexicographically smallest pair of cluster
 ids, where a cluster's id is its smallest member index. Costs are updated
-with the Lance-Williams recurrence; a full merge history is kept so the
-dendrogram can be cut at any K without re-clustering. Group labels are
-assigned 1..K by ascending smallest member index, which makes runs
-bit-reproducible.
+with the Lance-Williams recurrence, and the next merge is found from a
+per-cluster nearest-neighbour cache (Muellner 2011, arXiv:1109.2378)
+rather than a scan of all pairs: O(N^2) time in the typical case and
+8 N^2 bytes of costs. A full merge history is kept so the dendrogram can
+be cut at any K without re-clustering. Group labels are assigned 1..K by
+ascending smallest member index, which makes runs bit-reproducible.
 """
 
 import itertools
@@ -19,6 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+
+# Rows of the initial cost matrix computed per difference tensor, which
+# bounds that temporary at _COST_BLOCK_ROWS * N * d floats.
+_COST_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -97,41 +103,56 @@ def ward_distance(size_a, centroid_a, size_b, centroid_b):
 def _agglomerate(thetas):
     """Run the full merge sequence down to one cluster.
 
-    Cost matrix D is kept for active cluster slots only; slot index equals
-    cluster id (smallest member), so scanning the upper triangle in
-    row-major order realizes the lexicographic tie-break.
+    D holds the costs between active cluster slots, symmetric with an inf
+    diagonal; slot index equals cluster id (smallest member), and a merged
+    slot's row and column are set to inf. Each row caches its minimum
+    ``mn[c]`` and first argmin ``nn[c]``. By symmetry, the first row
+    attaining the global minimum of ``mn`` holds the lexicographically
+    smallest tied pair (a, nn[a]), so picking a merge scans N cached
+    minima instead of the N x N matrix. After a merge the Lance-Williams
+    costs are written into row and column a; a row adopts a when its new
+    cost is lower than the cached minimum, or equal to it with a smaller
+    id (Ward's reducibility rules the equality out in exact arithmetic,
+    not under rounding), and only row a and the rows whose neighbour was
+    a or b are rescanned. This is the generic algorithm of Muellner (2011,
+    arXiv:1109.2378): O(N^2) time in the typical case, O(N^3) at worst,
+    and 8 N^2 bytes for D, built in row blocks of ``_COST_BLOCK_ROWS``.
     """
     X = np.asarray(thetas, dtype=float)
     n = X.shape[0]
+    D = np.empty((n, n))
+    for lo in range(0, n, _COST_BLOCK_ROWS):
+        diff = X[lo : lo + _COST_BLOCK_ROWS, None, :] - X[None, :, :]
+        D[lo : lo + _COST_BLOCK_ROWS] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(D, np.inf)
+    nn = np.argmin(D, axis=1)
+    mn = D[np.arange(n), nn]
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-
-    diff = X[:, None, :] - X[None, :, :]
-    D = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
-    D[np.tril_indices(n, k=0)] = np.inf  # only the upper triangle is live
 
     merges = []
     for _ in range(n - 1):
-        flat = np.argmin(D)
-        a, b = divmod(int(flat), n)
-        cost = float(D[a, b])
+        a = int(np.argmin(mn))
+        b = int(nn[a])
+        cost = float(mn[a])
         merges.append((a, b, cost))
 
-        # Lance-Williams update of costs against every other active cluster
+        # Lance-Williams update of costs against every slot; entries of a,
+        # b and merged slots are inf and stay inf
         na, nb = sizes[a], sizes[b]
-        idx = np.flatnonzero(active)
-        idx = idx[(idx != a) & (idx != b)]
-        if idx.size:
-            nc = sizes[idx]
-            dac = np.where(idx < a, D[idx, a], D[a, idx])
-            dbc = np.where(idx < b, D[idx, b], D[b, idx])
-            dnew = ((na + nc) * dac + (nb + nc) * dbc - nc * cost) / (na + nb + nc)
-            D[np.minimum(idx, a), np.maximum(idx, a)] = dnew
-
-        sizes[a] = na + nb
-        active[b] = False
-        D[b, :] = np.inf
+        dnew = ((na + sizes) * D[a] + (nb + sizes) * D[b] - sizes * cost) / (na + nb + sizes)
+        D[a] = dnew
+        D[:, a] = dnew
+        D[b] = np.inf
         D[:, b] = np.inf
+        sizes[a] = na + nb
+        nn[b], mn[b] = -1, np.inf  # a merged slot is never stale, never adopts
+
+        stale = np.flatnonzero((nn == a) | (nn == b))  # includes a itself
+        adopt = (dnew < mn) | ((dnew == mn) & (a < nn))
+        nn[adopt] = a
+        mn[adopt] = dnew[adopt]
+        nn[stale] = np.argmin(D[stale], axis=1)
+        mn[stale] = D[stale, nn[stale]]
     return merges
 
 
@@ -141,10 +162,18 @@ def hac_cluster(thetas, K):
     Returns:
         (GroupAssignment, MergeHistory); the history covers the full merge
         sequence so any other K can be cut from it directly.
+
+    Raises:
+        InputError: thetas is not 2-D, holds NaN or inf, or K is outside
+        1..N.
     """
     X = np.asarray(thetas, dtype=float)
     if X.ndim != 2:
         raise InputError(f"thetas must be (N, d), got shape {X.shape}")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[:5].tolist()
+        raise InputError(f"thetas must be finite; rows {bad} hold NaN or inf")
     n = X.shape[0]
     if not 1 <= K <= n:
         raise InputError(f"K={K} outside 1..{n}")

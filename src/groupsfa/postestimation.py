@@ -116,18 +116,26 @@ def select_K(panel, thetas, K_max, lam):
     """Cluster, fit, and score every K = 1..K_max; pick the minimizer.
 
     Ties are broken toward the smaller K. The merge history is computed
-    once and cut at each K.
+    once and cut at each K. Cuts are nested, so a group recurs across K;
+    each distinct member set is fit once (2 K_max - 1 fits at most) and
+    its GroupFit shared by every record that holds it.
     """
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
     _, history = hac_cluster(np.asarray(thetas, dtype=float), 1)
+    group_fits = {}
     records = []
     for K in range(1, K_max + 1):
         assignment = history.cut(K)
         fits = []
         for k in range(1, K + 1):
             members = assignment.members(k)
-            fits.append(fit_group(panel, members, default_m_under(len(members), panel.T)))
+            key = members.tobytes()
+            if key not in group_fits:
+                group_fits[key] = fit_group(
+                    panel, members, default_m_under(len(members), panel.T)
+                )
+            fits.append(group_fits[key])
         records.append(KRecord(K=K, assignment=assignment, fits=fits, ic=ic_value(fits, lam, panel.T)))
     best = min(records, key=lambda r: (r.ic, r.K))
     return ICReport(lam=float(lam), records=records, selected_K=best.K)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import fcluster, linkage
 
 from groupsfa.errors import InputError
 from groupsfa.grouping import (
@@ -84,6 +87,107 @@ def test_merge_sequence_matches_brute_force(trial):
         np.testing.assert_array_equal(
             hist.cut(K).membership, brute_force_cut(n, oracle, K)
         )
+
+
+def _grid_inputs():
+    """240 inputs with entries in {0, 1, 2}, n in 3..8, d in 1..2.
+
+    They hold exact cost ties and duplicate rows, where only the
+    lexicographic tie rule decides the merge order.
+    """
+    rng = np.random.default_rng(200)
+    for _ in range(240):
+        n = int(rng.integers(3, 9))
+        yield rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
+
+
+# The one input of _grid_inputs() where Lance-Williams rounding splits an
+# exact tie differently from the oracle; see
+# test_rounding_can_split_an_exact_tie.
+_ROUNDING_SPLIT = np.array(
+    [[0, 1], [2, 1], [0, 2], [1, 2], [0, 2], [1, 2]], dtype=float
+)
+
+
+def _assert_matches_oracle(X):
+    n = len(X)
+    _, hist = hac_cluster(X, 1)
+    oracle = brute_force_agglomerate(X)
+    assert [m[:2] for m in hist.merges] == [m[:2] for m in oracle]
+    np.testing.assert_allclose(
+        [m[2] for m in hist.merges], [m[2] for m in oracle],
+        rtol=1e-12, atol=1e-12,
+    )
+    for K in range(1, n + 1):
+        np.testing.assert_array_equal(
+            hist.cut(K).membership, brute_force_cut(n, oracle, K)
+        )
+
+
+def test_ties_and_duplicates_follow_the_oracle_tie_rule():
+    duplicates = splits = 0
+    for X in _grid_inputs():
+        duplicates += len(np.unique(X, axis=0)) < len(X)
+        if np.array_equal(X, _ROUNDING_SPLIT):
+            splits += 1
+        else:
+            _assert_matches_oracle(X)
+    assert duplicates > 100
+    assert splits == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "exact costs of (0, 3) and (1, 3) are both 4/3 at the fourth merge; "
+    "the recurrence gives 1.3333333333333335 for (0, 3), so (1, 3) wins"
+))
+def test_rounding_can_split_an_exact_tie():
+    _assert_matches_oracle(_ROUNDING_SPLIT)
+
+
+def _first_occurrence_labels(labels):
+    """Relabel a partition 1, 2, ... in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    return rank[inverse]
+
+
+def test_large_n_costs_and_cuts_match_scipy_ward():
+    # scipy's Ward height h relates to the merge cost by cost = h^2 / 2
+    X = np.random.default_rng(11).normal(size=(400, 3))
+    _, hist = hac_cluster(X, 1)
+    Z = linkage(X, "ward")
+    np.testing.assert_allclose(
+        np.sort([m[2] for m in hist.merges]), np.sort(Z[:, 2] ** 2 / 2),
+        rtol=1e-9,
+    )
+    for K in range(1, 11):
+        scipy_labels = fcluster(Z, K, criterion="maxclust")
+        np.testing.assert_array_equal(
+            hist.cut(K).membership, _first_occurrence_labels(scipy_labels)
+        )
+
+
+def test_cost_memory_stays_below_three_n_squared_floats():
+    # the costs take 8 N^2 bytes; an N x N x d difference tensor would
+    # alone take 8 N^2 d
+    n, d = 1000, 4
+    X = np.random.default_rng(12).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        hac_cluster(X, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n * n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    X = np.random.default_rng(13).normal(size=(6, 2))
+    X[4, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        hac_cluster(X, 2)
 
 
 def test_history_cut_consistent_with_direct_clustering():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from groupsfa import postestimation
 from groupsfa.basis import basis_value, design_matrix, within_demean
 from groupsfa.dgp import generate
 from groupsfa.errors import DegenerateICError, InputError
 from groupsfa.estimation import default_m, fit_all
-from groupsfa.grouping import GroupAssignment, best_label_permutation
+from groupsfa.grouping import GroupAssignment, best_label_permutation, hac_cluster
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import (
     GroupFit,
@@ -137,6 +138,49 @@ def test_select_k_ties_toward_smaller():
     report = select_K(panel, th, 3, lam=0.0)
     best = min(report.records, key=lambda r: (r.ic, r.K))
     assert report.selected_K == best.K
+
+
+def test_select_k_fits_each_member_set_once(monkeypatch):
+    panel, _ = generate("dgp3u", 40, 40, seed=10)
+    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
+    K_max, lam = 4, default_lambda(panel.N, panel.T)
+
+    # the records without reuse: every group of every cut fit afresh
+    _, history = hac_cluster(th, 1)
+    expected = []
+    for K in range(1, K_max + 1):
+        assignment = history.cut(K)
+        fits = [
+            fit_group(panel, assignment.members(k),
+                      default_m_under(len(assignment.members(k)), panel.T))
+            for k in range(1, K + 1)
+        ]
+        expected.append((assignment, fits, ic_value(fits, lam, panel.T)))
+
+    calls = []
+
+    def counting_fit_group(panel_, members, m_under):
+        calls.append(tuple(int(i) for i in members))
+        return fit_group(panel_, members, m_under)
+
+    monkeypatch.setattr(postestimation, "fit_group", counting_fit_group)
+    report = select_K(panel, th, K_max, lam)
+
+    distinct = {tuple(int(i) for i in f.members) for _, fits, _ in expected for f in fits}
+    assert sorted(calls) == sorted(distinct)
+    assert len(calls) == 2 * K_max - 1
+    assert [r.K for r in report.records] == list(range(1, K_max + 1))
+    for record, (assignment, fits, ic) in zip(report.records, expected):
+        np.testing.assert_array_equal(
+            record.assignment.membership, assignment.membership
+        )
+        assert record.ic == ic
+        assert len(record.fits) == len(fits)
+        for got, want in zip(record.fits, fits):
+            np.testing.assert_array_equal(got.members, want.members)
+            np.testing.assert_array_equal(got.pi, want.pi)
+            assert got.sigma_v == want.sigma_v
+            assert got.m_under == want.m_under
 
 
 def test_frontier_eval_zero_and_constant_blocks():
