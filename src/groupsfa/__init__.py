@@ -8,7 +8,7 @@ maximum likelihood, choosing between a single half-normal law and a
 two-component mixture.
 """
 
-from ._kernels import NUMBA_ENABLED, backend_name, log_norm_cdf
+from ._kernels import log_norm_cdf
 from .basis import BasisSpec, basis_value, design_matrix, design_row, within_demean
 from .dgp import DESIGNS, centering_constant, generate, sample_half_normal
 from .errors import (

@@ -1,10 +1,8 @@
-"""Likelihood kernels: numba-compiled hot path with a pure-numpy fallback.
+"""Likelihood kernels: vectorized numpy over firms.
 
 The inefficiency MLE evaluates the panel log-likelihood thousands of times
-per fit, each evaluation a loop over firms. Those inner loops are compiled
-with numba when available; setting the environment variable
-``GROUPSFA_NO_NUMBA=1`` (or any nonempty value) selects the numpy fallback,
-which produces the same numbers to floating-point noise.
+per fit; each evaluation is a handful of numpy expressions over the firm
+axis.
 
 Per-firm sufficient statistics are the residual sum S_i = sum_t r_it and
 square sum Q_i = sum_t r_it^2 of the composite residuals r_it (outcome
@@ -24,204 +22,96 @@ The per-firm log density of the panel half-normal model is
 with z = -su * sum / (sv * sqrt(sv2 + T su2)). The constant is written out
 in full because model choice later compares likelihood levels across
 specifications.
+
+Its derivatives (Pitt & Lee 1981; Battese & Coelli 1988) use the inverse
+Mills ratio lambda(z) = phi(z) / Phi(z), computed as
+exp(-z^2/2 - log sqrt(2 pi) - log Phi(z)) so that it stays finite in both
+tails. With eta = log su2 and si2 = sv2 + T su2,
+
+    d/d alpha0 = (lambda + z) T su / (sv sqrt(si2)) + sum / sv2
+    d/d eta    = -T su2 / (2 si2) + (lambda + z) z sv2 / (2 si2).
 """
 
 import math
-import os
 
 import numpy as np
-from scipy.special import log_ndtr as _scipy_log_ndtr
+from scipy.special import log_ndtr
 
 LOG2 = math.log(2.0)
 LOG2PI = math.log(2.0 * math.pi)
 _HALF_LOG2PI = 0.5 * LOG2PI
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-_numba_requested = not os.environ.get("GROUPSFA_NO_NUMBA")
-NUMBA_ENABLED = False
-if _numba_requested:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):  # no-op decorator when numba is off
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# --- stable log of the standard normal CDF -------------------------------
-#
-# erfc covers z >= -37 without underflow; below that the classical
-# asymptotic expansion of Mills' ratio takes over. The numpy backend uses
-# scipy's log_ndtr directly.
-
-
-@njit(cache=True)
-def _log_ndtr_scalar(z):
-    if z >= 8.0:
-        # log(1 - Phi(-z)); Phi(-z) is tiny, log1p keeps full precision
-        return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
-    if z >= -37.0:
-        return math.log(0.5 * math.erfc(-z * _SQRT1_2))
-    zi = 1.0 / (z * z)
-    series = 1.0 + zi * (-1.0 + zi * (3.0 + zi * (-15.0 + zi * 105.0)))
-    return -0.5 * z * z - _HALF_LOG2PI - math.log(-z) + math.log(series)
-
-
-@njit(cache=True)
-def _log_ndtr_arr_nb(z):
-    out = np.empty_like(z)
-    for i in range(z.shape[0]):
-        out[i] = _log_ndtr_scalar(z[i])
-    return out
 
 
 def log_norm_cdf(z):
     """Elementwise log Phi(z), finite for any finite double argument."""
-    z = np.asarray(z, dtype=float)
-    if NUMBA_ENABLED:
-        return _log_ndtr_arr_nb(np.atleast_1d(z)).reshape(z.shape)
-    return _scipy_log_ndtr(z)
+    return log_ndtr(np.asarray(z, dtype=float))
 
 
-# --- per-firm log-likelihood terms ----------------------------------------
+def _as_stats(S, Q, sv2):
+    return (
+        np.ascontiguousarray(S, dtype=float),
+        np.ascontiguousarray(Q, dtype=float),
+        np.ascontiguousarray(sv2, dtype=float),
+    )
 
 
-@njit(cache=True)
-def _unique_terms_nb(S, Q, sv2, T, alpha0, su2):
-    n = S.shape[0]
-    out = np.empty(n)
-    su = math.sqrt(su2)
-    for i in range(n):
-        se = S[i] - T * alpha0
-        qe = Q[i] - 2.0 * alpha0 * S[i] + T * alpha0 * alpha0
-        si2 = sv2[i] + T * su2
-        z = -su * se / (math.sqrt(sv2[i]) * math.sqrt(si2))
-        out[i] = (
-            LOG2
-            - 0.5 * T * LOG2PI
-            - 0.5 * (T - 1) * math.log(sv2[i])
-            - 0.5 * math.log(si2)
-            + _log_ndtr_scalar(z)
-            + 0.5 * z * z
-            - qe / (2.0 * sv2[i])
-        )
-    return out
-
-
-def _unique_terms_np(S, Q, sv2, T, alpha0, su2):
+def _unique_parts(S, Q, sv2, T, alpha0, su2):
+    """Per-firm terms with the intermediates their derivatives reuse."""
     se = S - T * alpha0
     qe = Q - 2.0 * alpha0 * S + T * alpha0 * alpha0
     si2 = sv2 + T * su2
     z = -np.sqrt(su2) * se / (np.sqrt(sv2) * np.sqrt(si2))
-    return (
+    log_cdf = log_ndtr(z)
+    terms = (
         LOG2
         - 0.5 * T * LOG2PI
         - 0.5 * (T - 1) * np.log(sv2)
         - 0.5 * np.log(si2)
-        + _scipy_log_ndtr(z)
+        + log_cdf
         + 0.5 * z * z
         - qe / (2.0 * sv2)
     )
+    return terms, se, si2, z, log_cdf
 
 
-@njit(cache=True)
-def _unique_total_nb(S, Q, sv2, T, alpha0, su2):
-    terms = _unique_terms_nb(S, Q, sv2, T, alpha0, su2)
-    total = 0.0
-    for i in range(terms.shape[0]):
-        total += terms[i]
-    return total
+def log_mixture_terms(l1, l2, tau):
+    """Per-firm log(tau f_1) and log(tau f_1 + (1 - tau) f_2).
 
-
-@njit(cache=True)
-def _mixture_total_nb(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
-    l1 = _unique_terms_nb(S, Q, sv2, T, a1, su2_1)
-    l2 = _unique_terms_nb(S, Q, sv2, T, a2, su2_2)
-    lt1 = math.log(tau) if tau > 0.0 else -np.inf
-    lt2 = math.log1p(-tau) if tau < 1.0 else -np.inf
-    total = 0.0
-    for i in range(l1.shape[0]):
-        x = lt1 + l1[i]
-        y = lt2 + l2[i]
-        if x >= y:
-            hi, lo = x, y
-        else:
-            hi, lo = y, x
-        if hi == -np.inf:
-            total += -np.inf
-        else:
-            total += hi + math.log1p(math.exp(lo - hi))
-    return total
-
-
-def _mixture_total_np(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
-    l1 = _unique_terms_np(S, Q, sv2, T, a1, su2_1)
-    l2 = _unique_terms_np(S, Q, sv2, T, a2, su2_2)
+    ``l1`` and ``l2`` are the component log densities; the difference of
+    the two outputs is the log responsibility of component 1.
+    """
     with np.errstate(divide="ignore"):
-        lt1 = np.log(tau)
-        lt2 = np.log1p(-tau)
-    return float(np.sum(np.logaddexp(lt1 + l1, lt2 + l2)))
-
-
-# --- selected backend ------------------------------------------------------
+        x1 = np.log(tau) + l1
+        x2 = np.log1p(-tau) + l2
+    return x1, np.logaddexp(x1, x2)
 
 
 def loglik_unique_terms(S, Q, sv2, T, alpha0, sigma_u2):
     """Per-firm log-likelihood contributions of the single-law model."""
-    S = np.ascontiguousarray(S, dtype=float)
-    Q = np.ascontiguousarray(Q, dtype=float)
-    sv2 = np.ascontiguousarray(sv2, dtype=float)
-    if NUMBA_ENABLED:
-        return _unique_terms_nb(S, Q, sv2, T, alpha0, sigma_u2)
-    return _unique_terms_np(S, Q, sv2, T, alpha0, sigma_u2)
+    return _unique_parts(*_as_stats(S, Q, sv2), T, alpha0, sigma_u2)[0]
+
+
+def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
+    """Per-firm terms and their derivatives in alpha0 and eta = log sigma_u2.
+
+    Returns (terms, d_alpha0, d_eta); ``terms`` is the array
+    ``loglik_unique_terms`` returns, from the same code.
+    """
+    S, Q, sv2 = _as_stats(S, Q, sv2)
+    terms, se, si2, z, log_cdf = _unique_parts(S, Q, sv2, T, alpha0, sigma_u2)
+    mills = np.exp(-0.5 * z * z - _HALF_LOG2PI - log_cdf)
+    dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
+    d_alpha0 = dz * T * math.sqrt(sigma_u2) / (np.sqrt(sv2) * np.sqrt(si2)) + se / sv2
+    d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
+    return terms, d_alpha0, d_eta
 
 
 def loglik_unique_total(S, Q, sv2, T, alpha0, sigma_u2):
-    S = np.ascontiguousarray(S, dtype=float)
-    Q = np.ascontiguousarray(Q, dtype=float)
-    sv2 = np.ascontiguousarray(sv2, dtype=float)
-    if NUMBA_ENABLED:
-        return float(_unique_total_nb(S, Q, sv2, T, alpha0, sigma_u2))
-    return float(np.sum(_unique_terms_np(S, Q, sv2, T, alpha0, sigma_u2)))
+    return float(np.sum(loglik_unique_terms(S, Q, sv2, T, alpha0, sigma_u2)))
 
 
 def loglik_mixture_total(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
-    S = np.ascontiguousarray(S, dtype=float)
-    Q = np.ascontiguousarray(Q, dtype=float)
-    sv2 = np.ascontiguousarray(sv2, dtype=float)
-    if NUMBA_ENABLED:
-        return float(_mixture_total_nb(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2))
-    return _mixture_total_np(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2)
-
-
-# both backends exposed for the benchmark and parity tests
-numpy_backend = {
-    "unique_terms": _unique_terms_np,
-    "unique_total": lambda *a: float(np.sum(_unique_terms_np(*a))),
-    "mixture_total": _mixture_total_np,
-    "log_norm_cdf": _scipy_log_ndtr,
-}
-numba_backend = None
-if NUMBA_ENABLED:
-    numba_backend = {
-        "unique_terms": _unique_terms_nb,
-        "unique_total": lambda *a: float(_unique_total_nb(*a)),
-        "mixture_total": lambda *a: float(_mixture_total_nb(*a)),
-        "log_norm_cdf": lambda z: _log_ndtr_arr_nb(
-            np.ascontiguousarray(np.atleast_1d(z), dtype=float)
-        ),
-    }
+    S, Q, sv2 = _as_stats(S, Q, sv2)
+    l1 = _unique_parts(S, Q, sv2, T, a1, su2_1)[0]
+    l2 = _unique_parts(S, Q, sv2, T, a2, su2_2)[0]
+    return float(np.sum(log_mixture_terms(l1, l2, tau)[1]))

@@ -100,6 +100,7 @@ def ward_distance(size_a, centroid_a, size_b, centroid_b):
     return size_a * size_b / (size_a + size_b) * float(diff @ diff)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _agglomerate(thetas):
     """Run the full merge sequence down to one cluster.
 
@@ -117,6 +118,10 @@ def _agglomerate(thetas):
     a or b are rescanned. This is the generic algorithm of Muellner (2011,
     arXiv:1109.2378): O(N^2) time in the typical case, O(N^3) at worst,
     and 8 N^2 bytes for D, built in row blocks of ``_COST_BLOCK_ROWS``.
+
+    Raises:
+        InputError: an initial or merged cost overflows to inf or NaN
+        (finite features of magnitude near 1e154 or more).
     """
     X = np.asarray(thetas, dtype=float)
     n = X.shape[0]
@@ -124,6 +129,11 @@ def _agglomerate(thetas):
     for lo in range(0, n, _COST_BLOCK_ROWS):
         diff = X[lo : lo + _COST_BLOCK_ROWS, None, :] - X[None, :, :]
         D[lo : lo + _COST_BLOCK_ROWS] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+    if not np.isfinite(D).all():
+        raise InputError(
+            "Ward costs overflow: the initial squared distances between "
+            "feature rows are not finite in double precision"
+        )
     np.fill_diagonal(D, np.inf)
     nn = np.argmin(D, axis=1)
     mn = D[np.arange(n), nn]
@@ -153,6 +163,16 @@ def _agglomerate(thetas):
         mn[adopt] = dnew[adopt]
         nn[stale] = np.argmin(D[stale], axis=1)
         mn[stale] = D[stale, nn[stale]]
+
+    # A cost that overflows in an update stays inf or NaN through later
+    # updates until its two clusters merge, so it shows as a merge cost.
+    finite = np.isfinite([cost for _, _, cost in merges])
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise InputError(
+            f"Ward costs overflow: merge {first + 1} of {n - 1} has cost "
+            f"{merges[first][2]}, beyond double precision"
+        )
     return merges
 
 
@@ -164,8 +184,8 @@ def hac_cluster(thetas, K):
         sequence so any other K can be cut from it directly.
 
     Raises:
-        InputError: thetas is not 2-D, holds NaN or inf, or K is outside
-        1..N.
+        InputError: thetas is not 2-D, holds NaN or inf, its Ward costs
+        overflow, or K is outside 1..N.
     """
     X = np.asarray(thetas, dtype=float)
     if X.ndim != 2:

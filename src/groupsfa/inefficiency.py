@@ -8,9 +8,12 @@ maximizing the panel half-normal likelihood; the mixture model estimates
 comparison then chooses between them.
 
 Optimization runs on an unconstrained parameterization (log variance,
-logit mixing weight), a Nelder-Mead pass refined by BFGS. Standard errors
-come from a central-difference Hessian of the log-likelihood in the
-original parameterization.
+logit mixing weight). A coarse Nelder-Mead pass on the likelihood value
+chooses the basin, and BFGS with the exact gradient of the clipped
+objective polishes the point. The mixture gradient comes from the
+component gradients weighted by the firms' responsibilities. Standard
+errors come from a central-difference Hessian of the log-likelihood in
+the original parameterization.
 """
 
 import math
@@ -21,8 +24,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._kernels import (
+    log_mixture_terms,
     loglik_mixture_total,
     loglik_unique_terms,
+    loglik_unique_terms_grad,
     loglik_unique_total,
 )
 from .basis import design_matrix
@@ -169,17 +174,32 @@ def loglik_mixture_firm(
 # --- optimization ------------------------------------------------------------
 
 
-def _maximize(objective, x0, max_nm=2000, max_bfgs=200):
-    """Simplex search refined by quasi-Newton; returns the best point found."""
+def _maximize(objective, value_and_grad, x0, max_nm=2000, max_bfgs=200):
+    """Simplex search for the basin, polished by exact-gradient BFGS.
+
+    ``objective`` returns the log-likelihood and ``value_and_grad`` the
+    same value with its gradient. The Nelder-Mead pass stops at a coarse
+    tolerance (xatol 1e-4, fatol 1e-6): its job is to pick the local
+    optimum, which a gradient method started at ``x0`` does not always
+    reach on multimodal or boundary panels. BFGS then converges on the
+    exact gradient. Returns the better of the two points.
+    """
 
     def neg(x):
         return -objective(x)
 
+    def neg_value_and_grad(x):
+        value, grad = value_and_grad(x)
+        return -value, -grad
+
     nm = minimize(
         neg, x0, method="Nelder-Mead",
-        options=dict(xatol=1e-8, fatol=1e-10, maxiter=max_nm, maxfev=4 * max_nm),
+        options=dict(xatol=1e-4, fatol=1e-6, maxiter=max_nm, maxfev=4 * max_nm),
     )
-    bfgs = minimize(neg, nm.x, method="BFGS", options=dict(maxiter=max_bfgs))
+    bfgs = minimize(
+        neg_value_and_grad, nm.x, jac=True, method="BFGS",
+        options=dict(maxiter=max_bfgs),
+    )
     cand = bfgs if bfgs.fun <= nm.fun else nm
     grad_ok = (
         getattr(bfgs, "jac", None) is not None
@@ -193,22 +213,81 @@ def _maximize(objective, x0, max_nm=2000, max_bfgs=200):
     return cand.x, -float(cand.fun)
 
 
+def _clip_eta(eta):
+    """Clipped log variance and the derivative of the clip (0 or 1)."""
+    return min(max(eta, -_ETA_CLIP), _ETA_CLIP), float(abs(eta) <= _ETA_CLIP)
+
+
+def _unique_objectives(stats):
+    """Single-law log-likelihood in x = (alpha0, log sigma_u2), clipped.
+
+    Returns (objective, value_and_grad) for ``_maximize``.
+    """
+    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
+
+    def objective(x):
+        eta = _clip_eta(x[1])[0]
+        return loglik_unique_total(S, Q, sv2, T, x[0], math.exp(eta))
+
+    def value_and_grad(x):
+        eta, d_clip = _clip_eta(x[1])
+        terms, d_alpha0, d_eta = loglik_unique_terms_grad(
+            S, Q, sv2, T, x[0], math.exp(eta)
+        )
+        grad = np.array([np.sum(d_alpha0), d_clip * np.sum(d_eta)])
+        return float(np.sum(terms)), grad
+
+    return objective, value_and_grad
+
+
+def _mixture_objectives(stats):
+    """Mixture log-likelihood in x = (logit tau, alpha0_1, log sigma_u2_1,
+    alpha0_2, log sigma_u2_2), clipped.
+
+    Returns (objective, value_and_grad) for ``_maximize``. With
+    responsibilities w_j, d/dxi = sum(w_1 - tau) and d/dtheta_j =
+    sum(w_j dl_j/dtheta_j); a clipped coordinate has derivative 0.
+    """
+    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
+
+    def objective(x):
+        tau = _expit(x[0])
+        e1, e2 = _clip_eta(x[2])[0], _clip_eta(x[4])[0]
+        return loglik_mixture_total(
+            S, Q, sv2, T, tau, x[1], math.exp(e1), x[3], math.exp(e2)
+        )
+
+    def value_and_grad(x):
+        tau = _expit(x[0])
+        e1, d_clip1 = _clip_eta(x[2])
+        e2, d_clip2 = _clip_eta(x[4])
+        l1, da1, de1 = loglik_unique_terms_grad(S, Q, sv2, T, x[1], math.exp(e1))
+        l2, da2, de2 = loglik_unique_terms_grad(S, Q, sv2, T, x[3], math.exp(e2))
+        x1, lm = log_mixture_terms(l1, l2, tau)
+        w1 = np.exp(x1 - lm)
+        w2 = -np.expm1(x1 - lm)
+        grad = np.array([
+            float(abs(x[0]) <= _XI_CLIP) * np.sum(w1 - tau),
+            w1 @ da1,
+            d_clip1 * (w1 @ de1),
+            w2 @ da2,
+            d_clip2 * (w2 @ de2),
+        ])
+        return float(np.sum(lm)), grad
+
+    return objective, value_and_grad
+
+
 def fit_unique(panel, assignment, group_fits, stats=None, compute_se=True):
     """MLE of (alpha0, sigma_u2) under a single half-normal law."""
     if stats is None:
         stats = composite_residual_stats(panel, assignment, group_fits)
-    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
-
-    a = S / T
+    a = stats.S / stats.T
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
     su_init = max(sd_a / math.sqrt(_HN_VAR), 1e-3)
     x0 = np.array([float(np.mean(a)) + su_init * _HN_MEAN, 2.0 * math.log(su_init)])
 
-    def objective(x):
-        eta = min(max(x[1], -_ETA_CLIP), _ETA_CLIP)
-        return loglik_unique_total(S, Q, sv2, T, x[0], math.exp(eta))
-
-    x, loglik = _maximize(objective, x0)
+    x, loglik = _maximize(*_unique_objectives(stats), x0)
     eta_hat = float(np.clip(x[1], -_ETA_CLIP, _ETA_CLIP))
     if eta_hat < math.log(1e-8):
         warnings.warn(
@@ -276,26 +355,18 @@ def fit_mixture(
     """
     if stats is None:
         stats = composite_residual_stats(panel, assignment, group_fits)
-    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
     if unique_fit is None:
         unique_fit = fit_unique(panel, assignment, group_fits, stats=stats,
                                 compute_se=False)
-    a = S / T
+    a = stats.S / stats.T
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
 
-    def objective(x):
-        tau = _expit(x[0])
-        e1 = min(max(x[2], -_ETA_CLIP), _ETA_CLIP)
-        e2 = min(max(x[4], -_ETA_CLIP), _ETA_CLIP)
-        return loglik_mixture_total(
-            S, Q, sv2, T, tau, x[1], math.exp(e1), x[3], math.exp(e2)
-        )
-
+    objectives = _mixture_objectives(stats)
     best_x, best_ll = None, -np.inf
     failures = []
     for x0 in _mixture_starts(unique_fit, sd_a, seed):
         try:
-            x, ll = _maximize(objective, x0)
+            x, ll = _maximize(*objectives, x0)
         except ConvergenceError as exc:
             failures.append(exc)
             continue

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import HessianError, InputError
 from .estimation import default_m, fit_all
 from .inefficiency import (
@@ -223,7 +222,6 @@ def estimate_panel(
         "lambda": float(lam),
         "lambda_tilde": float(lam_tilde),
         "seed": int(seed),
-        "kernel_backend": _kernels.backend_name(),
     }
     return EstimateResult(
         m=m, k_max=k_max, lam=float(lam), lam_tilde=float(lam_tilde),

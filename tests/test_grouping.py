@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ def test_non_finite_features_rejected(bad):
     X[4, 1] = bad
     with pytest.raises(InputError, match="finite"):
         hac_cluster(X, 2)
+
+
+@pytest.mark.parametrize("X, where", [
+    # squared distances beyond the double range from the start
+    ([[0.0], [1e200], [2e200], [3.0]], "initial"),
+    # initial costs finite (8.45e307), the Lance-Williams update is not
+    ([[0.0], [0.0], [1.3e154]], "merge 2 of 2"),
+])
+def test_overflowing_ward_costs_rejected(X, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"Ward costs overflow.*{where}"):
+            hac_cluster(X, 2)
 
 
 def test_history_cut_consistent_with_direct_clustering():

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from groupsfa._kernels import (
+    loglik_unique_terms,
+    loglik_unique_terms_grad,
+    loglik_unique_total,
+)
 from groupsfa.dgp import sample_half_normal
 from groupsfa.errors import HessianError, InputError
 from groupsfa.grouping import GroupAssignment
 from groupsfa.inefficiency import (
     CompositeStats,
+    _mixture_objectives,
+    _unique_objectives,
     DegenerateMixtureWarning,
     composite_residual_stats,
     default_lambda_tilde,
@@ -120,8 +127,6 @@ def test_variance_validation():
 
 
 def _total_loglik(theta, S, Q, sv2, T):
-    from groupsfa._kernels import loglik_unique_total
-
     return loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])
 
 
@@ -144,6 +149,59 @@ def test_finite_difference_gradients_cross_check():
         g1 = (f(theta + h1 * e) - f(theta - h1 * e)) / (2 * h1)
         g2 = (f(theta + h2 * e) - f(theta - h2 * e)) / (2 * h2)
         assert g1 == pytest.approx(g2, rel=1e-5)
+
+    # the analytic per-firm derivatives in alpha0 and eta = log sigma_u2
+    # against central differences of the value kernel; the six large
+    # residual sums put z below -37 (log_ndtr's asymptotic branch) and
+    # above 8. Roundoff of a difference quotient grows with |term| / h.
+    se = np.concatenate([rng.normal(0, 8, size=n),
+                         [-3000.0, -400.0, -60.0, 60.0, 400.0, 3000.0]])
+    sv2 = rng.uniform(0.5, 2.0, size=len(se))
+    h = 1e-5
+    for alpha0, eta in ((0.3, -0.2), (-2.0, 1.5), (1.0, -6.0)):
+        S = se + T * alpha0
+        Q = S ** 2 / T + rng.uniform(5, 60, size=len(se))
+        su2 = math.exp(eta)
+        z = -math.sqrt(su2) * se / (np.sqrt(sv2) * np.sqrt(sv2 + T * su2))
+        assert z.min() < -37 and z.max() > 8
+        terms, d_alpha0, d_eta = loglik_unique_terms_grad(S, Q, sv2, T, alpha0, su2)
+        assert np.array_equal(terms, loglik_unique_terms(S, Q, sv2, T, alpha0, su2))
+
+        def ell(a, e):
+            return loglik_unique_terms(S, Q, sv2, T, a, math.exp(e))
+
+        fd_alpha0 = (ell(alpha0 + h, eta) - ell(alpha0 - h, eta)) / (2 * h)
+        fd_eta = (ell(alpha0, eta + h) - ell(alpha0, eta - h)) / (2 * h)
+        for grad, fd in ((d_alpha0, fd_alpha0), (d_eta, fd_eta)):
+            scale = 1.0 + np.abs(grad) + 1e-16 / h * np.abs(terms)
+            assert np.all(np.abs(grad - fd) <= 1e-5 * scale)
+
+    # the optimizers' clipped objectives: the value from value_and_grad is
+    # the value-only objective's, and the gradient matches central
+    # differences; a clipped coordinate (|eta| > 60, |xi| > 30) has 0
+    stats = CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=T)
+    cases = [
+        (_unique_objectives(stats), [
+            ([0.3, -0.2], []), ([1.0, 70.0], [1]), ([0.5, -70.0], [1]),
+        ]),
+        (_mixture_objectives(stats), [
+            ([0.4, 0.8, -0.5, -1.0, 0.7], []),
+            ([35.0, 0.8, -0.5, -1.0, 0.7], [0]),
+            ([-32.0, 1.5, 0.2, 0.6, -2.0], [0]),
+            ([-0.4, 0.8, 70.0, -1.0, -65.0], [2, 4]),
+        ]),
+    ]
+    for (objective, value_and_grad), points in cases:
+        for x, clipped in points:
+            x = np.array(x)
+            value, grad = value_and_grad(x)
+            assert value == objective(x)
+            for j in range(len(x)):
+                e = np.zeros(len(x))
+                e[j] = 1e-6 * max(1.0, abs(x[j]))
+                fd = (objective(x + e) - objective(x - e)) / (2 * e[j])
+                assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+                assert (grad[j] == 0.0) == (j in clipped)
 
 
 # --- standard errors ---------------------------------------------------------

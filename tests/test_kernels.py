@@ -22,60 +22,3 @@ def test_log_norm_cdf_extreme_arguments_finite():
 def test_log_norm_cdf_scalar_shape_preserved():
     assert np.ndim(_kernels.log_norm_cdf(0.0)) == 0
     assert _kernels.log_norm_cdf(0.0) == pytest.approx(np.log(0.5))
-
-
-@pytest.mark.skipif(_kernels.numba_backend is None, reason="numba not active")
-def test_backends_agree_on_unique_terms():
-    rng = np.random.default_rng(0)
-    n = 64
-    S = rng.normal(0, 50, size=n)
-    Q = S ** 2 / 8 + rng.uniform(1, 500, size=n)
-    sv2 = rng.uniform(0.2, 3.0, size=n)
-    for T in (4, 50, 1000):
-        for alpha0, su2 in ((0.0, 1.0), (-2.5, 0.04), (1.7, 9.0)):
-            a = _kernels.numba_backend["unique_terms"](S, Q, sv2, T, alpha0, su2)
-            b = _kernels.numpy_backend["unique_terms"](S, Q, sv2, T, alpha0, su2)
-            np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-9)
-
-
-@pytest.mark.skipif(_kernels.numba_backend is None, reason="numba not active")
-def test_backends_agree_on_mixture_total():
-    rng = np.random.default_rng(1)
-    n = 32
-    S = rng.normal(0, 30, size=n)
-    Q = S ** 2 / 6 + rng.uniform(1, 200, size=n)
-    sv2 = rng.uniform(0.3, 2.0, size=n)
-    for tau in (0.0, 0.27, 0.5, 0.93, 1.0):
-        a = _kernels.numba_backend["mixture_total"](
-            S, Q, sv2, 30, tau, 0.6, 0.5, -1.1, 2.0
-        )
-        b = _kernels.numpy_backend["mixture_total"](
-            S, Q, sv2, 30, tau, 0.6, 0.5, -1.1, 2.0
-        )
-        assert a == pytest.approx(b, rel=1e-11, abs=1e-8)
-
-
-def test_env_flag_selects_numpy_fallback():
-    import os
-    import subprocess
-    import sys
-
-    # the child must import the same groupsfa as this process, whether it
-    # is installed or found through PYTHONPATH
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p
-    )
-    env["GROUPSFA_NO_NUMBA"] = "1"
-    # without numba NUMBA_ENABLED is False whatever the flag says, so the
-    # child also reports whether the flag was read
-    code = (
-        "import groupsfa._kernels as k; "
-        "print(k.backend_name(), k.NUMBA_ENABLED, k._numba_requested)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["numpy", "False", "False"]

@@ -32,7 +32,6 @@ def test_estimate_panel_result_structure():
         "firm_intercepts",
     }
     assert d["meta"]["m"] == 2
-    assert d["meta"]["kernel_backend"] in ("numba", "numpy")
     assert len(d["membership"]) == 30
     assert len(d["groups"]) == res.selected_K
     assert set(d["group_selection"]["ic_by_k"]) == {"1", "2", "3", "4"}
@@ -115,3 +114,24 @@ def test_metadata_round_trips_tuning():
     assert meta["c_lambda"] == 1.5
     assert meta["c_tilde"] == 0.75
     assert meta["seed"] == 4
+
+
+# Unique and mixture log-likelihoods on (50, 30) panels, recorded with the
+# earlier optimizer (Nelder-Mead to xatol 1e-8, then finite-difference
+# BFGS). Gradient steps from the eight starts alone end lower on each of
+# these mixtures (by 2.8e-4 to 9.4e-4 relative), so they guard the simplex
+# pass that chooses the basin.
+_RECORDED_LOGLIKS = {
+    ("dgp2m", 0): (-2233.0814606093536, -2226.4561504915073),
+    ("dgp1u", 2): (-2290.9263964283678, -2287.605824674938),
+    ("dgp3m", 1): (-2640.9985129722822, -2638.706991094169),
+}
+
+
+@pytest.mark.parametrize("design, rep", sorted(_RECORDED_LOGLIKS))
+def test_mle_optima_no_worse_than_recorded(design, rep):
+    panel, _ = generate(design, 50, 30, seed=3, rep=rep)
+    res = estimate_panel(panel, k_max=4, seed=rep, compute_se=False)
+    fits = (res.unique_fit, res.mixture_fit)
+    for fit, recorded in zip(fits, _RECORDED_LOGLIKS[design, rep]):
+        assert fit.loglik >= recorded - 1e-9 * abs(recorded)
