@@ -9,7 +9,7 @@ two-component mixture.
 """
 
 from ._kernels import log_norm_cdf
-from .basis import BasisSpec, basis_value, design_matrix, design_row, within_demean
+from .basis import basis_value, design_matrix, design_row, within_demean
 from .dgp import DESIGNS, centering_constant, generate, sample_half_normal
 from .errors import (
     ConfigError,
@@ -27,7 +27,6 @@ from .grouping import (
     MergeHistory,
     classification_error,
     hac_cluster,
-    ward_distance,
 )
 from .inefficiency import (
     DegenerateMixtureWarning,

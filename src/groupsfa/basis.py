@@ -10,37 +10,11 @@ to integrate to zero) and one full basis block per regressor:
     [intercept? | B_1(tau)..B_{m-1}(tau) | x_1*B_0..B_{m-1} | ... | x_p*B_0..B_{m-1}]
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 
 SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Number of sieve terms and whether the leading constant term is kept.
-
-    With ``include_leading`` the emitted vector is (B_0, ..., B_{m-1});
-    without it, (B_1, ..., B_{m-1}), used for zero-mean intercept curves.
-    """
-
-    m: int
-    include_leading: bool = True
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InputError(f"basis needs m >= 1, got {self.m}")
-
-    @property
-    def length(self):
-        return self.m if self.include_leading else self.m - 1
-
-    def values(self, s):
-        start = 0 if self.include_leading else 1
-        return np.array([basis_value(j, s) for j in range(start, self.m)])
 
 
 def basis_value(j, s):

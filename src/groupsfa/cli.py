@@ -154,9 +154,6 @@ def build_parser():
     est.add_argument("--c-tilde", type=float, default=1.0)
     est.add_argument("--seed", type=int, default=0,
                      help="seed for the mixture multi-start jitter")
-    est.add_argument("--workers", type=int, default=1,
-                     help="accepted for interface parity; single-dataset "
-                          "estimation runs in-process")
     est.add_argument("--emit-curves", action="store_true")
     est.add_argument("--grid", type=int, default=101, help="curve grid size")
     est.set_defaults(func=_cmd_estimate)

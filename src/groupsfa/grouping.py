@@ -88,18 +88,6 @@ class MergeHistory:
         return GroupAssignment(K=K, membership=membership)
 
 
-def ward_distance(size_a, centroid_a, size_b, centroid_b):
-    """Ward merge cost between two clusters given sizes and centroids."""
-    ca = np.asarray(centroid_a, dtype=float)
-    cb = np.asarray(centroid_b, dtype=float)
-    if ca.shape != cb.shape:
-        raise InputError(f"centroid shapes differ: {ca.shape} vs {cb.shape}")
-    if size_a < 1 or size_b < 1:
-        raise InputError("cluster sizes must be >= 1")
-    diff = ca - cb
-    return size_a * size_b / (size_a + size_b) * float(diff @ diff)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _agglomerate(thetas):
     """Run the full merge sequence down to one cluster.

@@ -122,14 +122,12 @@ def composite_residual_stats(panel, assignment, group_fits):
     return CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=panel.T)
 
 
-def firm_intercepts(panel, assignment, group_fits, stats=None):
+def firm_intercepts(stats):
     """Per-firm time average of the composite residuals.
 
     Estimates the firm's level term alpha0 - u_i; used for initialization
     and reporting.
     """
-    if stats is None:
-        stats = composite_residual_stats(panel, assignment, group_fits)
     return stats.S / stats.T
 
 
@@ -278,11 +276,9 @@ def _mixture_objectives(stats):
     return objective, value_and_grad
 
 
-def fit_unique(panel, assignment, group_fits, stats=None, compute_se=True):
+def fit_unique(stats):
     """MLE of (alpha0, sigma_u2) under a single half-normal law."""
-    if stats is None:
-        stats = composite_residual_stats(panel, assignment, group_fits)
-    a = stats.S / stats.T
+    a = firm_intercepts(stats)
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
     su_init = max(sd_a / math.sqrt(_HN_VAR), 1e-3)
     x0 = np.array([float(np.mean(a)) + su_init * _HN_MEAN, 2.0 * math.log(su_init)])
@@ -293,10 +289,7 @@ def fit_unique(panel, assignment, group_fits, stats=None, compute_se=True):
         warnings.warn(
             "inefficiency variance collapsed toward zero", RuntimeWarning
         )
-    fit = UniqueFit(alpha0=float(x[0]), sigma_u2=math.exp(eta_hat), loglik=loglik)
-    if compute_se:
-        fit.se = unique_standard_errors(stats, fit)
-    return fit
+    return UniqueFit(alpha0=float(x[0]), sigma_u2=math.exp(eta_hat), loglik=loglik)
 
 
 def unique_standard_errors(stats, fit):
@@ -341,24 +334,17 @@ def _expit(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def fit_mixture(
-    panel, assignment, group_fits, stats=None, compute_se=True, seed=0,
-    unique_fit=None,
-):
+def fit_mixture(stats, unique_fit, seed=0):
     """MLE of the two-component mixture by multi-start optimization.
 
-    Eight starts by default: the single-law solution split by plus/minus
-    one standard deviation of the firm intercepts in both orderings,
-    crossed with mixing weights 0.3/0.5/0.7, the unperturbed solution, and
-    one seeded random draw. The best local optimum wins; components are
-    reported with tau >= 0.5 (ascending level on an exact tie).
+    Eight starts: the single-law solution ``unique_fit`` split by
+    plus/minus one standard deviation of the firm intercepts in both
+    orderings, crossed with mixing weights 0.3/0.5/0.7, the unperturbed
+    solution, and one seeded random draw. The best local optimum wins;
+    components are reported with tau >= 0.5 (ascending level on an exact
+    tie).
     """
-    if stats is None:
-        stats = composite_residual_stats(panel, assignment, group_fits)
-    if unique_fit is None:
-        unique_fit = fit_unique(panel, assignment, group_fits, stats=stats,
-                                compute_se=False)
-    a = stats.S / stats.T
+    a = firm_intercepts(stats)
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
 
     objectives = _mixture_objectives(stats)
@@ -389,13 +375,10 @@ def fit_mixture(
             f"mixture weight collapsed to a boundary (tau = {tau:.2e})",
             DegenerateMixtureWarning,
         )
-    fit = MixtureFit(
+    return MixtureFit(
         tau=float(tau), alpha0_1=comp1[0], sigma_u2_1=comp1[1],
         alpha0_2=comp2[0], sigma_u2_2=comp2[1], loglik=best_ll,
     )
-    if compute_se:
-        fit.se = mixture_standard_errors(stats, fit)
-    return fit
 
 
 def mixture_standard_errors(stats, fit):

@@ -1,9 +1,13 @@
 """Replication harness for the simulation designs.
 
-Each replication generates a panel, runs the pipeline, and records the
+Each replication generates a panel, runs the classification stages
+(individual fits, then clustering and the choice of K), then Steps 4-5
+through ``pipeline.fit_levels`` at the selected K, and records the
 selected group count, the classification error at the design's true group
 count, the chosen level/inefficiency model, and parameter errors aligned
-to the generating truth. Group labels are aligned by the permutation that
+to the generating truth. The parameter errors come from the fit at the
+true K, refit when the selected K differs (the unique law alone for a
+unique-law design). Group labels are aligned by the permutation that
 minimizes the classification error; mixture components by the smaller
 total parameter distance of the two orderings.
 
@@ -16,7 +20,8 @@ floating-point sums reproducible.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -24,19 +29,9 @@ from .dgp import DESIGNS, generate, _parse_design, _design_curves
 from .errors import ConfigError, InputError
 from .estimation import default_m, fit_all
 from .grouping import GroupAssignment, best_label_permutation
-from .inefficiency import (
-    composite_residual_stats,
-    default_lambda_tilde,
-    fit_mixture,
-    fit_unique,
-    step5_select,
-)
+from .inefficiency import composite_residual_stats, fit_unique
+from .pipeline import fit_levels
 from .postestimation import default_lambda, select_K
-
-_CONFIG_FIELDS = {
-    "design", "sizes", "replications", "c_lambda", "c_tilde",
-    "k_max", "seed", "workers", "stages",
-}
 
 
 @dataclass
@@ -64,25 +59,23 @@ class McConfig:
         self.sizes = [(int(n), int(t)) for n, t in self.sizes]
         if not self.sizes:
             raise ConfigError("sizes must be a nonempty list of (N, T) pairs")
-        base, _ = _parse_design(self.design)
-        k_true = len(_design_curves(base)[0])
-        if self.k_max < k_true:
+        if self.k_max < self.true_K:
             raise ConfigError(
-                f"k_max={self.k_max} below the design's group count {k_true}"
+                f"k_max={self.k_max} below the design's group count {self.true_K}"
             )
         if self.stages not in ("full", "classification"):
             raise ConfigError("stages must be 'full' or 'classification'")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
-    @property
+    @cached_property
     def true_K(self):
         base, _ = _parse_design(self.design)
         return len(_design_curves(base)[0])
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - _CONFIG_FIELDS
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"design", "sizes", "replications"} - set(d)
@@ -94,17 +87,7 @@ class McConfig:
             raise ConfigError(f"bad config value: {exc}") from exc
 
     def to_dict(self):
-        return {
-            "design": self.design,
-            "sizes": [list(s) for s in self.sizes],
-            "replications": self.replications,
-            "c_lambda": self.c_lambda,
-            "c_tilde": self.c_tilde,
-            "k_max": self.k_max,
-            "seed": self.seed,
-            "workers": self.workers,
-            "stages": self.stages,
-        }
+        return {**asdict(self), "sizes": [list(s) for s in self.sizes]}
 
 
 @dataclass
@@ -167,15 +150,9 @@ def run_replication(config, size, rep):
         mix_seed = int(
             np.random.SeedSequence(config.seed, spawn_key=(999, rep)).generate_state(1)[0]
         )
-        sel = report.selected
-        stats_sel = composite_residual_stats(panel, sel.assignment, sel.fits)
-        unique_sel = fit_unique(panel, sel.assignment, sel.fits,
-                                stats=stats_sel, compute_se=False)
-        mixture_sel = fit_mixture(panel, sel.assignment, sel.fits,
-                                  stats=stats_sel, compute_se=False,
-                                  seed=mix_seed, unique_fit=unique_sel)
-        choice = step5_select(unique_sel, mixture_sel,
-                              default_lambda_tilde(N, config.c_tilde))
+        _, unique, mixture, choice = fit_levels(
+            panel, report.selected, config.c_tilde, mix_seed
+        )
         rec.choice = choice.chosen
 
         stage = "scoring"
@@ -185,26 +162,22 @@ def run_replication(config, size, rep):
             if j <= truth.K:
                 rec.errors[f"sigma_v_{j}"] = fit.sigma_v - truth.sigma_v[j - 1]
         # level/inefficiency parameters of the design's own law, refit at
-        # the true K when the selected K differs
-        if truth.K == report.selected_K:
-            stats_true, unique_true, mixture_true = stats_sel, unique_sel, mixture_sel
-        else:
-            stats_true = composite_residual_stats(
-                panel, rec_true.assignment, rec_true.fits
-            )
-            unique_true = fit_unique(panel, rec_true.assignment, rec_true.fits,
-                                     stats=stats_true, compute_se=False)
-            mixture_true = (
-                fit_mixture(panel, rec_true.assignment, rec_true.fits,
-                            stats=stats_true, compute_se=False,
-                            seed=mix_seed, unique_fit=unique_true)
-                if truth.law.kind == "mixture" else None
-            )
+        # the true K when the selected K differs; a unique-law refit needs
+        # only the unique fit
+        refit = truth.K != report.selected_K
         if truth.law.kind == "unique":
-            rec.errors["alpha0"] = unique_true.alpha0 - truth.law.alpha0
-            rec.errors["sigma_u"] = math.sqrt(unique_true.sigma_u2) - truth.law.sigma_u
+            if refit:
+                unique = fit_unique(composite_residual_stats(
+                    panel, rec_true.assignment, rec_true.fits
+                ))
+            rec.errors["alpha0"] = unique.alpha0 - truth.law.alpha0
+            rec.errors["sigma_u"] = math.sqrt(unique.sigma_u2) - truth.law.sigma_u
         else:
-            rec.errors.update(_mixture_errors(mixture_true, truth.law))
+            if refit:
+                _, _, mixture, _ = fit_levels(
+                    panel, rec_true, config.c_tilde, mix_seed
+                )
+            rec.errors.update(_mixture_errors(mixture, truth.law))
     except Exception as exc:  # record, never propagate
         rec.failed = True
         rec.stage = stage
@@ -300,9 +273,6 @@ class MonteCarloReport:
             "config": cfg,
             "cells": [c.to_dict() for c in self.cells],
         }
-
-    def text_tables(self):
-        return format_report_text(self)
 
 
 def _replication_task(args):

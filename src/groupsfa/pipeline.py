@@ -5,6 +5,12 @@ defaults: m = floor(T^(1/5)) sieve terms for the per-firm stage,
 m = floor((Nk T)^(1/4.8)) for the pooled stage, penalty
 sqrt(NT) log(NT) / 2 for the group count and sqrt(N) log(N) / 8 for the
 mixture comparison, all scalable by constants.
+
+``fit_levels`` runs Steps 4, 4' and 5 (the two level/inefficiency MLEs and
+the penalized choice) on one partition; ``estimate_panel`` and the Monte
+Carlo harness both call it. Standard errors are computed only by
+``estimate_panel``, for the chosen model and, when its curvature allows,
+the runner-up.
 """
 
 from dataclasses import dataclass, field
@@ -162,15 +168,23 @@ class EstimateResult:
         return "\n".join(lines)
 
 
-def estimate_panel(
-    panel,
-    m=None,
-    k_max=4,
-    c_lambda=1.0,
-    c_tilde=1.0,
-    seed=0,
-    compute_se=True,
-):
+def fit_levels(panel, record, c_tilde, seed):
+    """Steps 4, 4' and 5 on one candidate partition.
+
+    Fits the single half-normal law and the two-component mixture to the
+    composite residuals of ``record`` (a ``KRecord``) and chooses between
+    them by penalized likelihood. Returns ``(stats, unique, mixture,
+    choice)``; the fits carry no standard errors.
+    """
+    stats = composite_residual_stats(panel, record.assignment, record.fits)
+    unique = fit_unique(stats)
+    mixture = fit_mixture(stats, unique, seed=seed)
+    choice = step5_select(unique, mixture,
+                          default_lambda_tilde(panel.N, c_tilde))
+    return stats, unique, mixture, choice
+
+
+def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
     """Run the full estimation pipeline on a balanced panel."""
     if panel.N < 2:
         raise InputError("estimation requires at least 2 firms")
@@ -189,26 +203,19 @@ def estimate_panel(
         [f.sigma_v / np.sqrt(2.0 * f.size * (panel.T - 1)) for f in group_fits]
     )
 
-    stats = composite_residual_stats(panel, assignment, group_fits)
-    unique = fit_unique(panel, assignment, group_fits, stats=stats,
-                        compute_se=False)
-    mixture = fit_mixture(panel, assignment, group_fits, stats=stats,
-                          compute_se=False, seed=seed, unique_fit=unique)
-    lam_tilde = default_lambda_tilde(panel.N, c_tilde)
-    choice = step5_select(unique, mixture, lam_tilde)
-    if compute_se:
-        # the chosen model must deliver standard errors; the runner-up is
-        # best effort (its curvature can be degenerate when it collapses)
-        for fit, se_fn in ((unique, unique_standard_errors),
-                           (mixture, mixture_standard_errors)):
-            chosen = (fit is unique) == (choice.chosen == "unique")
-            try:
-                fit.se = se_fn(stats, fit)
-            except HessianError:
-                if chosen:
-                    raise
-                fit.se = None
-    intercepts = firm_intercepts(panel, assignment, group_fits, stats=stats)
+    stats, unique, mixture, choice = fit_levels(panel, record, c_tilde, seed)
+    # the chosen model must deliver standard errors; the runner-up is
+    # best effort (its curvature can be degenerate when it collapses)
+    for fit, se_fn in ((unique, unique_standard_errors),
+                       (mixture, mixture_standard_errors)):
+        chosen = (fit is unique) == (choice.chosen == "unique")
+        try:
+            fit.se = se_fn(stats, fit)
+        except HessianError:
+            if chosen:
+                raise
+            fit.se = None
+    intercepts = firm_intercepts(stats)
 
     metadata = {
         "n_firms": panel.N,
@@ -220,11 +227,11 @@ def estimate_panel(
         "c_lambda": float(c_lambda),
         "c_tilde": float(c_tilde),
         "lambda": float(lam),
-        "lambda_tilde": float(lam_tilde),
+        "lambda_tilde": choice.lambda_tilde,
         "seed": int(seed),
     }
     return EstimateResult(
-        m=m, k_max=k_max, lam=float(lam), lam_tilde=float(lam_tilde),
+        m=m, k_max=k_max, lam=float(lam), lam_tilde=choice.lambda_tilde,
         ic_report=report, assignment=assignment, group_fits=group_fits,
         sigma_v_se=sigma_v_se, unique_fit=unique, mixture_fit=mixture,
         choice=choice, intercepts=intercepts, firm_ids=list(panel.firm_ids),

@@ -55,9 +55,6 @@ class ICReport:
     def selected(self):
         return self.records[self.selected_K - 1]
 
-    def ic_values(self):
-        return {r.K: r.ic for r in self.records}
-
 
 def default_m_under(Nk, T):
     """Pooled sieve length floor((Nk*T)^(1/4.8)), floored at 2."""
@@ -122,6 +119,10 @@ def select_K(panel, thetas, K_max, lam):
     """
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
+    if K_max > panel.N:
+        raise InputError(
+            f"K_max={K_max} exceeds the number of firms N={panel.N}"
+        )
     _, history = hac_cluster(np.asarray(thetas, dtype=float), 1)
     group_fits = {}
     records = []

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from groupsfa.basis import (
-    BasisSpec,
     basis_matrix,
     basis_value,
     design_matrix,
@@ -57,17 +56,6 @@ def test_grid_near_orthonormality():
     G = B.T @ B / T
     dev = np.abs(G - np.eye(m)).max()
     assert dev < 0.05
-
-
-def test_basis_spec_lengths():
-    assert BasisSpec(4).length == 4
-    assert BasisSpec(4, include_leading=False).length == 3
-    np.testing.assert_allclose(
-        BasisSpec(3, include_leading=False).values(0.5),
-        [basis_value(1, 0.5), basis_value(2, 0.5)],
-    )
-    with pytest.raises(InputError):
-        BasisSpec(0)
 
 
 def test_design_row_no_regressors():

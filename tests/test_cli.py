@@ -101,6 +101,15 @@ def test_estimate_unbalanced_is_input_error(tmp_path):
                  "--out-dir", str(tmp_path / "r")]) == 2
 
 
+def test_estimate_kmax_above_firm_count_is_input_error(tmp_path, capsys):
+    data = tmp_path / "three.csv"
+    _run(["simulate", "--design", "dgp1u", "--n", "3", "--t", "30",
+          "--seed", "6", "--out", str(data)])
+    assert _run(["estimate", "--input", str(data), "--kmax", "4",
+                 "--out-dir", str(tmp_path / "r")]) == 2
+    assert "K_max=4 exceeds the number of firms N=3" in capsys.readouterr().err
+
+
 def test_estimate_missing_file_is_input_error(tmp_path):
     assert _run(["estimate", "--input", str(tmp_path / "nope.csv"),
                  "--out-dir", str(tmp_path / "r")]) == 2

@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from groupsfa.errors import InputError
@@ -12,40 +10,9 @@ from groupsfa.grouping import (
     GroupAssignment,
     classification_error,
     hac_cluster,
-    ward_distance,
 )
 
 from oracles import brute_force_agglomerate, brute_force_cut
-
-
-def test_ward_distance_identical_singletons():
-    assert ward_distance(1, [1.0, 2.0], 1, [1.0, 2.0]) == 0.0
-
-
-def test_ward_distance_singleton_pair():
-    assert ward_distance(1, [0.0], 1, [2.0]) == pytest.approx(2.0)
-
-
-def test_ward_distance_unequal_sizes():
-    assert ward_distance(1, [0.0], 2, [3.0]) == pytest.approx(6.0)
-
-
-def test_ward_distance_dimension_mismatch():
-    with pytest.raises(InputError):
-        ward_distance(1, [0.0, 1.0], 1, [0.0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 9), st.integers(1, 9),
-    st.lists(st.floats(-50, 50), min_size=3, max_size=3),
-    st.lists(st.floats(-50, 50), min_size=3, max_size=3),
-)
-def test_ward_distance_symmetric_nonnegative(na, nb, ca, cb):
-    d_ab = ward_distance(na, ca, nb, cb)
-    d_ba = ward_distance(nb, cb, na, ca)
-    assert d_ab >= 0.0
-    assert d_ab == pytest.approx(d_ba, rel=1e-12, abs=1e-12)
 
 
 def test_k_equals_n_gives_singletons():

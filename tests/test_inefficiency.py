@@ -25,6 +25,7 @@ from groupsfa.inefficiency import (
     loglik_unique_firm,
     mle_standard_errors,
     step5_select,
+    unique_standard_errors,
 )
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import fit_group
@@ -244,21 +245,18 @@ def _stats_from_levels(levels, sigma_v, T, rng):
     return CompositeStats(S=S, Q=Q, sigma_v2=np.full(n, sigma_v ** 2), T=T)
 
 
-class _StatsOnly:
-    """Duck-typed stand-ins so the MLE can run on synthetic statistics."""
-
-
 def test_fit_unique_recovers_truth_within_mc_error():
     rng = np.random.default_rng(10)
     N, T = 200, 50
     alpha0, sigma_u, sigma_v = 0.5, 1.0, 1.0
     levels = alpha0 - sample_half_normal(sigma_u, rng, size=N)
     stats = _stats_from_levels(levels, sigma_v, T, rng)
-    fit = fit_unique(None, None, None, stats=stats, compute_se=True)
+    fit = fit_unique(stats)
     # 3 monte-carlo standard errors of the estimator at this sample size
     assert fit.alpha0 == pytest.approx(alpha0, abs=3 * 0.11)
     assert math.sqrt(fit.sigma_u2) == pytest.approx(sigma_u, abs=3 * 0.12)
-    assert fit.se is not None and np.all(fit.se > 0)
+    se = unique_standard_errors(stats, fit)
+    assert se is not None and np.all(se > 0)
 
 
 def test_fit_unique_envelope_direction():
@@ -268,7 +266,7 @@ def test_fit_unique_envelope_direction():
     N, T = 150, 40
     levels = 2.0 - sample_half_normal(3.0, rng, size=N)
     stats = _stats_from_levels(levels, 0.05, T, rng)
-    fit = fit_unique(None, None, None, stats=stats, compute_se=False)
+    fit = fit_unique(stats)
     a = stats.S / stats.T
     assert fit.alpha0 > a.max() - 0.05
     assert fit.alpha0 == pytest.approx(2.0, abs=0.3)
@@ -281,7 +279,7 @@ def test_fit_mixture_recovers_two_component_truth():
     levels = np.where(comp, 1.0 - sample_half_normal(0.75, rng, size=N),
                       -1.0 - sample_half_normal(1.25, rng, size=N))
     stats = _stats_from_levels(levels, 1.0, T, rng)
-    fit = fit_mixture(None, None, None, stats=stats, compute_se=False, seed=3)
+    fit = fit_mixture(stats, fit_unique(stats), seed=3)
     # canonical order has tau >= 0.5; align to truth by level distance
     cands = [
         (fit.tau, fit.alpha0_1, fit.sigma_u2_1, fit.alpha0_2, fit.sigma_u2_2),
@@ -300,9 +298,8 @@ def test_fit_mixture_canonical_order_and_loglik_dominates_unique():
     N, T = 120, 30
     levels = 0.5 - sample_half_normal(1.0, rng, size=N)
     stats = _stats_from_levels(levels, 1.0, T, rng)
-    uni = fit_unique(None, None, None, stats=stats, compute_se=False)
-    mix = fit_mixture(None, None, None, stats=stats, compute_se=False, seed=0,
-                      unique_fit=uni)
+    uni = fit_unique(stats)
+    mix = fit_mixture(stats, uni, seed=0)
     assert mix.tau >= 0.5
     assert mix.loglik >= uni.loglik - 1e-6
     # single-component truth: the extra parameters buy only a small gain
@@ -353,7 +350,7 @@ def test_firm_intercepts_noiseless_level():
     panel = _noiseless_panel(4, 30, 2.0)
     assignment = GroupAssignment(K=1, membership=np.ones(4, dtype=int))
     fits = [fit_group(panel, np.arange(4), m_under=2)]
-    vals = firm_intercepts(panel, assignment, fits)
+    vals = firm_intercepts(composite_residual_stats(panel, assignment, fits))
     np.testing.assert_allclose(vals, 2.0, atol=1e-8)
 
 
@@ -362,13 +359,13 @@ def test_firm_intercepts_shift_locality():
     panel, _ = _make_small_dgp_panel(rng)
     assignment = GroupAssignment(K=1, membership=np.ones(panel.N, dtype=int))
     fits = [fit_group(panel, np.arange(panel.N), m_under=2)]
-    base = firm_intercepts(panel, assignment, fits)
+    base = firm_intercepts(composite_residual_stats(panel, assignment, fits))
 
     y2 = panel.y.copy()
     y2[2] += 1.7
     shifted = PanelData(y=y2, x=panel.x)
     fits2 = [fit_group(shifted, np.arange(panel.N), m_under=2)]
-    moved = firm_intercepts(shifted, assignment, fits2)
+    moved = firm_intercepts(composite_residual_stats(shifted, assignment, fits2))
     # the pooled frontier shifts a little, but firm 2 moves by ~1.7 net
     assert moved[2] - base[2] == pytest.approx(1.7, abs=0.05)
 
@@ -389,7 +386,7 @@ def test_firm_intercept_clt_bound():
     th = np.vstack([f.theta for f in fits_ind])
     rep = select_K(panel, th, 2, default_lambda(panel.N, panel.T))
     rec = rep.records[1]
-    vals = firm_intercepts(panel, rec.assignment, rec.fits)
+    vals = firm_intercepts(composite_residual_stats(panel, rec.assignment, rec.fits))
     target = truth.law.alpha0 - truth.u
     sigma_firm = truth.sigma_v[truth.membership - 1]
     bound = 5 * sigma_firm / math.sqrt(panel.T)
@@ -416,10 +413,10 @@ def test_se_calibrated_against_monte_carlo_dispersion():
         rng = np.random.default_rng(3000 + rep)
         levels = 0.5 - sample_half_normal(1.0, rng, size=N)
         stats = _stats_from_levels(levels, 1.0, T, rng)
-        fit = fit_unique(None, None, None, stats=stats, compute_se=(rep == 0))
+        fit = fit_unique(stats)
         estimates.append(fit.alpha0)
         if rep == 0:
-            se_alpha = fit.se[0]
+            se_alpha = unique_standard_errors(stats, fit)[0]
     mc_sd = float(np.std(estimates, ddof=1))
     assert se_alpha == pytest.approx(mc_sd, rel=0.25)
 
@@ -437,8 +434,7 @@ def test_mixture_boundary_collapse_warns():
     # when it does, and is absent otherwise
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        fit = fit_mixture(None, None, None, stats=stats, compute_se=False,
-                          seed=11)
+        fit = fit_mixture(stats, fit_unique(stats), seed=11)
     degenerate = not (1e-4 <= fit.tau <= 1 - 1e-4)
     warned = any(issubclass(w.category, DegenerateMixtureWarning)
                  for w in caught)

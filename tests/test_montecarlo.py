@@ -57,6 +57,33 @@ def test_replication_classification_only_skips_mle():
     assert rec.choice is None and rec.errors == {}
 
 
+# Replications whose selected K (2 and 1) is not the design's true K (3),
+# so the level parameters are scored on the refit at the true K: a
+# mixture-law refit (dgp3m) and a unique-law refit (dgp3u). Each tuple is
+# (k_hat, cls_error, choice at the selected K, errors).
+_REFIT_RECORDS = {
+    "dgp3m": (2, 0.1, "mixture", {
+        "sigma_v_1": 0.08575621268384159, "sigma_v_2": 0.258408142808942,
+        "sigma_v_3": 0.4054441406203839, "tau": 0.058895485846597095,
+        "alpha0_1": -0.24981034646025357, "sigma_u_1": -0.11814682810827792,
+        "alpha0_2": -0.2030746797489138, "sigma_u_2": 0.19925889806440922,
+    }),
+    "dgp3u": (1, 0.14, "mixture", {
+        "sigma_v_1": 0.3631026523584462, "sigma_v_2": 0.48342889020202207,
+        "sigma_v_3": 0.18335263385046163, "alpha0": 0.14933512511998548,
+        "sigma_u": 0.1853625284530065,
+    }),
+}
+
+
+@pytest.mark.parametrize("design", sorted(_REFIT_RECORDS))
+def test_refit_at_true_k_pinned(design):
+    cfg = McConfig(design=design, sizes=[(50, 30)], replications=1, seed=3)
+    rec = run_replication(cfg, (50, 30), 0)
+    assert not rec.failed, rec.message
+    assert (rec.k_hat, rec.cls_error, rec.choice, rec.errors) == _REFIT_RECORDS[design]
+
+
 def test_aggregate_identical_errors():
     recs = [
         RepRecord(rep=i, N=10, T=20, k_hat=2, cls_error=0.0, choice="unique",

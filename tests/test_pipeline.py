@@ -11,8 +11,8 @@ from groupsfa.pipeline import estimate_panel
 
 def test_estimate_panel_deterministic():
     panel, _ = generate("dgp2u", 40, 50, seed=8)
-    r1 = estimate_panel(panel, seed=0, compute_se=False)
-    r2 = estimate_panel(panel, seed=0, compute_se=False)
+    r1 = estimate_panel(panel, seed=0)
+    r2 = estimate_panel(panel, seed=0)
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -21,6 +21,12 @@ def test_estimate_panel_requires_two_firms():
     one = PanelData(y=panel.y[:1], x=panel.x[:1])
     with pytest.raises(InputError):
         estimate_panel(one)
+
+
+def test_estimate_panel_rejects_kmax_above_firm_count():
+    panel, _ = generate("dgp1u", 3, 30, seed=9)
+    with pytest.raises(InputError, match="K_max=4 exceeds the number of firms N=3"):
+        estimate_panel(panel, k_max=4)
 
 
 def test_estimate_panel_result_structure():
@@ -107,7 +113,7 @@ def test_application_shaped_recovery(tmp_path):
 def test_metadata_round_trips_tuning():
     panel, _ = generate("dgp3u", 30, 50, seed=11)
     res = estimate_panel(panel, m=3, k_max=3, c_lambda=1.5, c_tilde=0.75,
-                         seed=4, compute_se=False)
+                         seed=4)
     meta = res.to_dict()["meta"]
     assert meta["m"] == 3
     assert meta["k_max"] == 3
@@ -131,7 +137,7 @@ _RECORDED_LOGLIKS = {
 @pytest.mark.parametrize("design, rep", sorted(_RECORDED_LOGLIKS))
 def test_mle_optima_no_worse_than_recorded(design, rep):
     panel, _ = generate(design, 50, 30, seed=3, rep=rep)
-    res = estimate_panel(panel, k_max=4, seed=rep, compute_se=False)
+    res = estimate_panel(panel, k_max=4, seed=rep)
     fits = (res.unique_fit, res.mixture_fit)
     for fit, recorded in zip(fits, _RECORDED_LOGLIKS[design, rep]):
         assert fit.loglik >= recorded - 1e-9 * abs(recorded)
