@@ -3,9 +3,10 @@
 The basis is B_0(s) = 1, B_j(s) = sqrt(2) cos(j pi s) for j >= 1, an
 orthonormal system on L2[0,1]. Time-varying coefficient curves are
 approximated by finite linear combinations of these functions evaluated on
-the scaled time grid tau_t = t/T. A design row stacks the time-varying
-intercept block (which drops B_0 because the intercept curve is normalized
-to integrate to zero) and one full basis block per regressor:
+the scaled time grid tau_t = t/T. A design row, built for one firm or for
+a stack of firms at once, stacks the time-varying intercept block (which
+drops B_0 because the intercept curve is normalized to integrate to zero)
+and one full basis block per regressor:
 
     [intercept? | B_1(tau)..B_{m-1}(tau) | x_1*B_0..B_{m-1} | ... | x_p*B_0..B_{m-1}]
 """
@@ -66,31 +67,30 @@ def design_row(x_it, t, T, m, with_intercept):
     return np.concatenate(parts)
 
 
-def design_matrix(x_firm, m, with_intercept):
-    """Stack design rows for one firm's full time series.
+def design_matrix(x, m, with_intercept):
+    """Stack design rows for one firm's time series, or for n firms'.
 
     Args:
-        x_firm: (T, p) regressor matrix for the firm (p may be 0).
+        x: (T, p) regressors of one firm, or (n, T, p) of n firms (p may be 0).
         m: number of sieve terms.
         with_intercept: prepend a constant column.
 
     Returns:
-        (T, cols) design matrix with the row layout of :func:`design_row`.
+        (T, cols) or (n, T, cols), rows laid out as in :func:`design_row`.
     """
-    x_firm = np.asarray(x_firm, dtype=float)
-    if x_firm.ndim != 2:
-        raise InputError(f"x_firm must be (T, p), got shape {x_firm.shape}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (2, 3):
+        raise InputError(f"x must be (T, p) or (n, T, p), got shape {x.shape}")
     if m < 2:
         raise InputError(f"design matrices need m >= 2, got {m}")
-    T, p = x_firm.shape
+    *lead, T, p = x.shape
     B = basis_matrix(T, m)
     blocks = []
     if with_intercept:
-        blocks.append(np.ones((T, 1)))
-    blocks.append(B[:, 1:])
-    for l in range(p):
-        blocks.append(x_firm[:, l : l + 1] * B)
-    return np.hstack(blocks)
+        blocks.append(np.ones((*lead, T, 1)))
+    blocks.append(np.broadcast_to(B[:, 1:], (*lead, T, m - 1)))
+    blocks.append((x[..., None] * B[:, None, :]).reshape(*lead, T, p * m))
+    return np.concatenate(blocks, axis=-1)
 
 
 def within_demean(series, axis=0):

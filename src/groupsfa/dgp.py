@@ -11,7 +11,7 @@ variant for the level term:
   drawn N(1, 0.5^2).
 
 Intercept curves are centered to integrate to zero over [0, 1]; centering
-constants are computed by quadrature at generation time. Two of the slope
+constants are computed by quadrature once per family. Two of the slope
 curves diverge at an endpoint of [0, 1], so frontier formulas evaluate on
 arguments clamped to [1e-3, 1 - 1e-3]; the clamp is recorded in the truth
 metadata. Every random draw comes from a counter-derived stream keyed by
@@ -19,8 +19,8 @@ metadata. Every random draw comes from a counter-derived stream keyed by
 regenerated in isolation and results do not depend on scheduling.
 """
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -68,8 +68,8 @@ class DgpTruth:
     K: int
     membership: np.ndarray
     sigma_v: np.ndarray
-    alpha_funcs: list
-    beta_funcs: list
+    alpha_funcs: tuple
+    beta_funcs: tuple
     law: object
     u: np.ndarray
     component: np.ndarray
@@ -108,39 +108,40 @@ def _centered(raw):
     return g
 
 
+@lru_cache(maxsize=None)
 def _design_curves(base):
-    """Clamped, centered frontier closures and noise levels per group."""
+    """Clamped, centered frontier closures and noise levels, cached as tuples."""
     if base == 1:
-        alphas = [
+        alphas = (
             _centered(lambda s: 3.0 * logistic_cdf(s, 0.5, 0.1)),
             _centered(
                 lambda s: 3.0 * (2 * s - 6 * s ** 2 + 4 * s ** 3 + logistic_cdf(s, 0.7, 0.05))
             ),
-        ]
-        betas = [
-            [_clamped(lambda s: 3.0 * (2 * s - 4 * s ** 2 + 2 * s ** 3 + logistic_cdf(s, 0.6, 0.1)))],
-            [_clamped(lambda s: 3.0 * (s - 3 * s ** 2 + 2 * s ** 3 + logistic_cdf(s, 0.7, 0.04)))],
-        ]
-        return alphas, betas, np.array([1.0, 1.0]), (1.0, 1.0)
+        )
+        betas = (
+            (_clamped(lambda s: 3.0 * (2 * s - 4 * s ** 2 + 2 * s ** 3 + logistic_cdf(s, 0.6, 0.1))),),
+            (_clamped(lambda s: 3.0 * (s - 3 * s ** 2 + 2 * s ** 3 + logistic_cdf(s, 0.7, 0.04))),),
+        )
+        return alphas, betas, (1.0, 1.0), (1.0, 1.0)
     if base == 2:
         alpha = _centered(lambda s: np.log(s) * np.sin(6 * s))
         beta = _clamped(lambda s: 7.0 * np.sin(5 * s) * np.exp(-5 * s))
-        return [alpha, alpha], [[beta], [beta]], np.array([0.5, 1.5]), (2.0, 0.75)
+        return (alpha, alpha), ((beta,), (beta,)), (0.5, 1.5), (2.0, 0.75)
     if base == 3:
-        alphas = [
+        alphas = (
             _centered(lambda s: -1.0 / (1.0 + 3.0 * s)),
             _centered(lambda s: -np.cos(4 * s)),
             _centered(lambda s: 5 * s ** 2 - s + 1.0),
-        ]
-        betas = [
-            [_clamped(lambda s: 2 * s ** 3), _clamped(lambda s: np.log(5 * s))],
-            [_clamped(lambda s: np.sin(4 * s)), _clamped(lambda s: np.log(s / (1.0 - s)))],
-            [
+        )
+        betas = (
+            (_clamped(lambda s: 2 * s ** 3), _clamped(lambda s: np.log(5 * s))),
+            (_clamped(lambda s: np.sin(4 * s)), _clamped(lambda s: np.log(s / (1.0 - s)))),
+            (
                 _clamped(lambda s: np.exp(-s) + np.sin(5 * s)),
                 _clamped(lambda s: -5.0 * np.sin(s) * np.cos(5 * s) + 1.0),
-            ],
-        ]
-        return alphas, betas, np.array([0.75, 1.25, 1.25]), (1.0, 0.5)
+            ),
+        )
+        return alphas, betas, (0.75, 1.25, 1.25), (1.0, 0.5)
     raise InputError(f"unknown design family {base}")
 
 
@@ -224,7 +225,7 @@ def generate(design, N, T, seed, rep=0):
 
     panel = PanelData(y=y, x=x)
     truth = DgpTruth(
-        design=design.lower(), K=K, membership=membership, sigma_v=sigma_v,
+        design=design.lower(), K=K, membership=membership, sigma_v=np.array(sigma_v),
         alpha_funcs=alphas, beta_funcs=betas, law=law, u=u, component=component,
     )
     return panel, truth

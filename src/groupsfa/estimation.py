@@ -3,7 +3,8 @@
 Each firm's outcome series is regressed on its sieve design with intercept.
 The slope block together with the residual standard deviation forms the
 feature vector used later for classification; the intercept estimates the
-firm's level term and is excluded from classification.
+firm's level term and is excluded from classification. One (N, T, cols)
+design serves all firms; each firm is solved on its own slice.
 """
 
 from dataclasses import dataclass
@@ -63,19 +64,10 @@ def _solve_ls(Z, y):
     return coef, y - Z @ coef
 
 
-def fit_firm(panel, i, m):
-    """OLS for firm i on the intercept-augmented sieve design."""
-    if not 0 <= i < panel.N:
-        raise InputError(f"firm index {i} outside 0..{panel.N - 1}")
-    T = panel.T
-    ncols = m * (panel.p + 1)
-    if T < ncols + 2:
-        raise InputError(
-            f"T={T} too small for m={m} with p={panel.p}: need T >= {ncols + 2}"
-        )
-    Z = design_matrix(panel.x[i], m, with_intercept=True)
-    coef, resid = _solve_ls(Z, panel.y[i])
-    sigma_v2 = float(resid @ resid) / (T - 1)
+def _fit_design(Z, y):
+    """OLS of one firm's series on its (T, cols) design, intercept first."""
+    coef, resid = _solve_ls(Z, y)
+    sigma_v2 = float(resid @ resid) / (len(y) - 1)
     return FirmEstimate(
         intercept_hat=float(coef[0]),
         pi_hat=coef[1:].copy(),
@@ -83,17 +75,31 @@ def fit_firm(panel, i, m):
     )
 
 
+def _check_length(panel, m):
+    ncols = m * (panel.p + 1)
+    if panel.T < ncols + 2:
+        raise InputError(
+            f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {ncols + 2}"
+        )
+
+
+def fit_firm(panel, i, m):
+    """OLS for firm i on the intercept-augmented sieve design."""
+    if not 0 <= i < panel.N:
+        raise InputError(f"firm index {i} outside 0..{panel.N - 1}")
+    _check_length(panel, m)
+    return _fit_design(design_matrix(panel.x[i], m, with_intercept=True), panel.y[i])
+
+
 def fit_all(panel, m):
     """Fit every firm; rank failures are aggregated with their firm labels."""
-    if panel.T < m * (panel.p + 1) + 2:
-        raise InputError(
-            f"T={panel.T} too small for m={m} with p={panel.p}"
-        )
+    _check_length(panel, m)
+    Z = design_matrix(panel.x, m, with_intercept=True)
     fits = []
     failures = []
     for i in range(panel.N):
         try:
-            fits.append(fit_firm(panel, i, m))
+            fits.append(_fit_design(Z[i], panel.y[i]))
         except RankDeficientError as exc:
             failures.append(f"firm {panel.firm_ids[i]}: {exc}")
     if failures:

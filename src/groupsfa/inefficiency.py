@@ -2,7 +2,8 @@
 
 After the frontiers are estimated, each firm's composite residuals
 r_it = y_it - z_it' pi_hat carry the level term and the one-sided
-inefficiency draw. The single-law model estimates (alpha0, sigma_u2) by
+inefficiency draw; their per-firm sums come from one (N_k, T, cols) design
+per group. The single-law model estimates (alpha0, sigma_u2) by
 maximizing the panel half-normal likelihood; the mixture model estimates
 (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2). A penalized likelihood
 comparison then chooses between them.
@@ -105,18 +106,16 @@ def composite_residual_stats(panel, assignment, group_fits):
     """Compute per-firm residual statistics under the fitted frontiers."""
     if assignment.N != panel.N:
         raise InputError("assignment does not match panel size")
-    S = np.full(panel.N, np.nan)
-    Q = np.full(panel.N, np.nan)
-    sv2 = np.full(panel.N, np.nan)
+    S, Q, sv2 = np.full((3, panel.N), np.nan)
     for k, fit in enumerate(group_fits, start=1):
         if not np.array_equal(fit.members, assignment.members(k)):
             raise InputError(f"group fit {k} does not match the assignment")
-        for i in fit.members:
-            Zi = design_matrix(panel.x[i], fit.m_under, with_intercept=False)
-            r = panel.y[i] - Zi @ fit.pi
-            S[i] = r.sum()
-            Q[i] = r @ r
-            sv2[i] = fit.sigma_v ** 2
+        mem = fit.members
+        Z = design_matrix(panel.x[mem], fit.m_under, with_intercept=False)
+        r = panel.y[mem] - Z @ fit.pi
+        S[mem] = r.sum(axis=1)
+        Q[mem] = [ri @ ri for ri in r]
+        sv2[mem] = fit.sigma_v ** 2
     if np.isnan(S).any():
         raise InputError("group fits do not cover every firm")
     return CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=panel.T)

@@ -1,7 +1,8 @@
 """Pooled within-group estimation and selection of the group count (Step 3).
 
 Within each candidate group the outcome and a longer sieve design are
-demeaned firm by firm over time, pooled, and fit by OLS. The pooled sieve
+demeaned firm by firm over time, pooled, and fit by OLS; the design is
+built once per group as an (N_k, T, cols) array. The pooled sieve
 length grows with the group's sample size. An information criterion
 
     IC(K) = sum_k { N_k T log(sigma_v_k) + N_k (T-1) } + lambda K
@@ -76,17 +77,10 @@ def fit_group(panel, members, m_under):
     members = np.asarray(sorted(members), dtype=int)
     if members.size == 0:
         raise InputError("cannot fit an empty group")
-    T = panel.T
-    rows = []
-    ys = []
-    for i in members:
-        Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
-        rows.append(within_demean(Zi, axis=0))
-        ys.append(within_demean(panel.y[i]))
-    Z = np.vstack(rows)
-    yv = np.concatenate(ys)
-    coef, resid = _solve_ls(Z, yv)
-    sigma_v2 = float(resid @ resid) / (members.size * (T - 1))
+    Z = within_demean(design_matrix(panel.x[members], m_under, False), axis=1)
+    yv = within_demean(panel.y[members], axis=1)
+    coef, resid = _solve_ls(Z.reshape(-1, Z.shape[-1]), yv.ravel())
+    sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))
     return GroupFit(
         members=members,
         pi=coef,

@@ -4,6 +4,13 @@ Everything here is deliberately slow and simple: normal equations solved
 in 50-digit arithmetic, likelihoods by adaptive quadrature or mpmath, and
 agglomeration that recomputes every pairwise cost from raw points at each
 step. None of it shares code with the library paths it checks.
+
+The one exception is the per-firm loops at the end. They build each
+firm's design on its own and stack the blocks, as the library did before
+it built all designs in one call, and they share the one-firm design and
+the SVD solve with the library. They judge only that the stacked path
+returns the same values bit for bit; the 50-digit oracle above judges
+accuracy.
 """
 
 import math
@@ -11,6 +18,10 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+
+from groupsfa.basis import design_matrix, within_demean
+from groupsfa.estimation import FirmEstimate, _solve_ls
+from groupsfa.postestimation import GroupFit
 
 
 def normal_equations_solve(Z, y, dps=50):
@@ -130,3 +141,50 @@ def brute_force_cut(n, merges, K):
     order = sorted(set(roots))
     label = {r: j + 1 for j, r in enumerate(order)}
     return np.array([label[r] for r in roots])
+
+
+# --- per-firm design loops ---------------------------------------------------
+
+
+def fit_all_loop(panel, m):
+    """Per-firm OLS, designing and solving one firm at a time."""
+    fits = []
+    for i in range(panel.N):
+        Z = design_matrix(panel.x[i], m, with_intercept=True)
+        coef, resid = _solve_ls(Z, panel.y[i])
+        fits.append(FirmEstimate(
+            intercept_hat=float(coef[0]),
+            pi_hat=coef[1:].copy(),
+            sigma_v_hat=float(np.sqrt(float(resid @ resid) / (panel.T - 1))),
+        ))
+    return fits
+
+
+def fit_group_loop(panel, members, m_under):
+    """Pooled within OLS from per-firm demeaned blocks stacked by vstack."""
+    members = np.asarray(sorted(members), dtype=int)
+    rows = []
+    ys = []
+    for i in members:
+        Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
+        rows.append(within_demean(Zi, axis=0))
+        ys.append(within_demean(panel.y[i]))
+    coef, resid = _solve_ls(np.vstack(rows), np.concatenate(ys))
+    sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))
+    return GroupFit(members=members, pi=coef, sigma_v=float(np.sqrt(sigma_v2)),
+                    m_under=m_under)
+
+
+def composite_stats_loop(panel, group_fits):
+    """Per-firm (S, Q, sigma_v2) of the composite residuals, firm by firm."""
+    S = np.full(panel.N, np.nan)
+    Q = np.full(panel.N, np.nan)
+    sv2 = np.full(panel.N, np.nan)
+    for fit in group_fits:
+        for i in fit.members:
+            Zi = design_matrix(panel.x[i], fit.m_under, with_intercept=False)
+            r = panel.y[i] - Zi @ fit.pi
+            S[i] = r.sum()
+            Q[i] = r @ r
+            sv2[i] = fit.sigma_v ** 2
+    return S, Q, sv2

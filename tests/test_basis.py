@@ -90,6 +90,22 @@ def test_design_matrix_stacks_rows():
         )
 
 
+@pytest.mark.parametrize("with_intercept", [False, True])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_design_matrix_on_a_stack_equals_per_firm_designs(p, with_intercept):
+    x = np.random.default_rng(p).normal(size=(5, 7, p))
+    Z = design_matrix(x, m=3, with_intercept=with_intercept)
+    per_firm = np.stack([design_matrix(xi, m=3, with_intercept=with_intercept) for xi in x])
+    assert Z.shape == (5, 7, int(with_intercept) + 2 + 3 * p)
+    np.testing.assert_array_equal(Z, per_firm)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 5, 7, 1)])
+def test_design_matrix_rejects_other_ranks(shape):
+    with pytest.raises(InputError, match=r"\(T, p\) or \(n, T, p\)"):
+        design_matrix(np.zeros(shape), m=3, with_intercept=True)
+
+
 def test_within_demean_constant_and_symmetric():
     np.testing.assert_allclose(within_demean([3.0, 3.0, 3.0]), [0, 0, 0])
     np.testing.assert_allclose(within_demean([1.0, 2.0, 3.0]), [-1, 0, 1])

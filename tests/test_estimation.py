@@ -7,7 +7,7 @@ from groupsfa.errors import InputError, RankDeficientError
 from groupsfa.estimation import default_m, fit_all, fit_firm
 from groupsfa.panel import PanelData
 
-from oracles import normal_equations_solve
+from oracles import fit_all_loop, normal_equations_solve
 
 
 def _panel_from_arrays(y, x):
@@ -123,6 +123,32 @@ def test_fit_all_two_noiseless_firms():
     for fit, pi in zip(fits, pis):
         np.testing.assert_allclose(fit.pi_hat, pi[1:], atol=1e-8)
         assert fit.sigma_v_hat == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
+def test_fit_all_equals_per_firm_loop(design):
+    panel, _ = generate(design, 100, 50, seed=3)
+    for m in (2, 3):
+        got = fit_all(panel, m)
+        want = fit_all_loop(panel, m)
+        assert len(got) == len(want) == panel.N
+        for g, w in zip(got, want):
+            assert g.intercept_hat == w.intercept_hat
+            np.testing.assert_array_equal(g.pi_hat, w.pi_hat)
+            assert g.sigma_v_hat == w.sigma_v_hat
+
+
+def test_fit_all_names_each_rank_deficient_firm():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(4, 30, 1))
+    x[[1, 3]] = 0.0  # x*B0 column identically zero for firms b and d
+    y = rng.normal(size=(4, 30))
+    panel = PanelData(y=y, x=x, firm_ids=["a", "b", "c", "d"])
+    with pytest.raises(RankDeficientError) as info:
+        fit_all(panel, 2)
+    message = str(info.value)
+    assert "firm b: " in message and "firm d: " in message
+    assert "firm a" not in message and "firm c" not in message
 
 
 def test_dgp2u_group_sigma_recovered_with_adequate_sieve():

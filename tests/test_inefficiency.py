@@ -8,8 +8,9 @@ from groupsfa._kernels import (
     loglik_unique_terms_grad,
     loglik_unique_total,
 )
-from groupsfa.dgp import sample_half_normal
+from groupsfa.dgp import generate, sample_half_normal
 from groupsfa.errors import HessianError, InputError
+from groupsfa.estimation import default_m, fit_all
 from groupsfa.grouping import GroupAssignment
 from groupsfa.inefficiency import (
     CompositeStats,
@@ -28,9 +29,10 @@ from groupsfa.inefficiency import (
     unique_standard_errors,
 )
 from groupsfa.panel import PanelData
-from groupsfa.postestimation import fit_group
+from groupsfa.postestimation import default_lambda, fit_group, select_K
 
 from oracles import (
+    composite_stats_loop,
     halfnormal_marginal_density,
     mixture_loglik_mpmath,
     unique_loglik_mpmath,
@@ -339,6 +341,19 @@ def test_default_lambda_tilde_values():
 # --- composite residuals and intercepts --------------------------------------
 
 
+@pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
+def test_composite_stats_equal_per_firm_loop(design):
+    panel, _ = generate(design, 100, 50, seed=3)
+    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
+    report = select_K(panel, th, 4, default_lambda(panel.N, panel.T))
+    for record in report.records:
+        stats = composite_residual_stats(panel, record.assignment, record.fits)
+        S, Q, sv2 = composite_stats_loop(panel, record.fits)
+        np.testing.assert_array_equal(stats.S, S)
+        np.testing.assert_array_equal(stats.Q, Q)
+        np.testing.assert_array_equal(stats.sigma_v2, sv2)
+
+
 def _noiseless_panel(N, T, level):
     rng = np.random.default_rng(14)
     x = rng.normal(size=(N, T, 1))
@@ -371,16 +386,10 @@ def test_firm_intercepts_shift_locality():
 
 
 def _make_small_dgp_panel(rng):
-    from groupsfa.dgp import generate
-
     return generate("dgp2u", 10, 60, seed=int(rng.integers(1 << 30)))
 
 
 def test_firm_intercept_clt_bound():
-    from groupsfa.dgp import generate
-    from groupsfa.estimation import default_m, fit_all
-    from groupsfa.postestimation import default_m_under, select_K, default_lambda
-
     panel, truth = generate("dgp2u", 60, 100, seed=21)
     fits_ind = fit_all(panel, default_m(panel.T))
     th = np.vstack([f.theta for f in fits_ind])

@@ -18,7 +18,7 @@ from groupsfa.postestimation import (
     select_K,
 )
 
-from oracles import normal_equations_solve
+from oracles import fit_group_loop, normal_equations_solve
 
 
 def test_default_m_under_values():
@@ -84,6 +84,21 @@ def test_fit_group_empty_rejected():
     panel, _ = generate("dgp1u", 4, 30, seed=3)
     with pytest.raises(InputError):
         fit_group(panel, [], 2)
+
+
+@pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
+def test_fit_group_equals_per_firm_loop(design):
+    panel, _ = generate(design, 100, 50, seed=3)
+    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
+    report = select_K(panel, th, 4, default_lambda(panel.N, panel.T))
+    fits = {id(f): f for r in report.records for f in r.fits}.values()
+    assert len(fits) == 7
+    for fit in fits:
+        want = fit_group_loop(panel, fit.members, fit.m_under)
+        np.testing.assert_array_equal(fit.members, want.members)
+        np.testing.assert_array_equal(fit.pi, want.pi)
+        assert fit.sigma_v == want.sigma_v
+        assert fit.m_under == want.m_under
 
 
 def test_ic_value_log_one_gives_dof_term():
