@@ -30,6 +30,14 @@ tails. With eta = log su2 and si2 = sv2 + T su2,
 
     d/d alpha0 = (lambda + z) T su / (sv sqrt(si2)) + sum / sv2
     d/d eta    = -T su2 / (2 si2) + (lambda + z) z sv2 / (2 si2).
+
+The two totals, ``loglik_unique_total`` and ``loglik_mixture_total``, also
+take length-R parameter vectors and return the R totals from one (R, N)
+evaluation: the optimizer's simplex sends the candidate points of all its
+starts through one call. The parameter-free prefix
+log 2 - (T/2) log(2 pi) - ((T-1)/2) log sv2 is computed once per call, and
+every row is computed by the same expressions as a one-point call, so it
+is bit for bit the value that call returns.
 """
 
 import math
@@ -55,23 +63,45 @@ def _as_stats(S, Q, sv2):
     )
 
 
-def _unique_parts(S, Q, sv2, T, alpha0, su2):
-    """Per-firm terms with the intermediates their derivatives reuse."""
+def _prefix(sv2, T):
+    """Per-firm part of the log density that no parameter enters."""
+    return LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2)
+
+
+def _unique_parts(S, Q, sv2, T, alpha0, su2, prefix):
+    """Per-firm terms with the intermediates their derivatives reuse.
+
+    ``alpha0`` and ``su2`` are scalars, or (R, 1) columns that broadcast
+    the terms to (R, N).
+    """
     se = S - T * alpha0
     qe = Q - 2.0 * alpha0 * S + T * alpha0 * alpha0
     si2 = sv2 + T * su2
     z = -np.sqrt(su2) * se / (np.sqrt(sv2) * np.sqrt(si2))
     log_cdf = log_ndtr(z)
-    terms = (
-        LOG2
-        - 0.5 * T * LOG2PI
-        - 0.5 * (T - 1) * np.log(sv2)
-        - 0.5 * np.log(si2)
-        + log_cdf
-        + 0.5 * z * z
-        - qe / (2.0 * sv2)
-    )
+    terms = prefix - 0.5 * np.log(si2) + log_cdf + 0.5 * z * z - qe / (2.0 * sv2)
     return terms, se, si2, z, log_cdf
+
+
+def _rows(*params):
+    """Parameters (scalars, or vectors of one length R) as (R, 1) float
+    columns, and whether any was a vector.
+
+    A single row comes back as plain floats, so a one-point evaluation
+    runs on (N,) arrays, without broadcasting.
+    """
+    arrays = [np.asarray(p, dtype=float) for p in params]
+    batched = any(a.ndim for a in arrays)
+    cols = [a.reshape(-1, 1) for a in arrays]
+    if len(cols[0]) == 1:
+        return [c.item() for c in cols], batched
+    return cols, batched
+
+
+def _totals(terms, batched):
+    """Row sums of the (R, N) or (N,) terms: the R totals, or one float."""
+    totals = terms.sum(axis=-1)
+    return np.atleast_1d(totals) if batched else float(totals)
 
 
 def log_mixture_terms(l1, l2, tau):
@@ -88,7 +118,8 @@ def log_mixture_terms(l1, l2, tau):
 
 def loglik_unique_terms(S, Q, sv2, T, alpha0, sigma_u2):
     """Per-firm log-likelihood contributions of the single-law model."""
-    return _unique_parts(*_as_stats(S, Q, sv2), T, alpha0, sigma_u2)[0]
+    S, Q, sv2 = _as_stats(S, Q, sv2)
+    return _unique_parts(S, Q, sv2, T, alpha0, sigma_u2, _prefix(sv2, T))[0]
 
 
 def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
@@ -98,7 +129,9 @@ def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
     ``loglik_unique_terms`` returns, from the same code.
     """
     S, Q, sv2 = _as_stats(S, Q, sv2)
-    terms, se, si2, z, log_cdf = _unique_parts(S, Q, sv2, T, alpha0, sigma_u2)
+    terms, se, si2, z, log_cdf = _unique_parts(
+        S, Q, sv2, T, alpha0, sigma_u2, _prefix(sv2, T)
+    )
     mills = np.exp(-0.5 * z * z - _HALF_LOG2PI - log_cdf)
     dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
     d_alpha0 = dz * T * math.sqrt(sigma_u2) / (np.sqrt(sv2) * np.sqrt(si2)) + se / sv2
@@ -107,11 +140,20 @@ def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
 
 
 def loglik_unique_total(S, Q, sv2, T, alpha0, sigma_u2):
-    return float(np.sum(loglik_unique_terms(S, Q, sv2, T, alpha0, sigma_u2)))
+    """Single-law log-likelihood: a float for scalar parameters, the R
+    totals for length-R vectors."""
+    S, Q, sv2 = _as_stats(S, Q, sv2)
+    (a, su2), batched = _rows(alpha0, sigma_u2)
+    terms = _unique_parts(S, Q, sv2, T, a, su2, _prefix(sv2, T))[0]
+    return _totals(terms, batched)
 
 
 def loglik_mixture_total(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
+    """Mixture log-likelihood: a float for scalar parameters, the R totals
+    for length-R vectors."""
     S, Q, sv2 = _as_stats(S, Q, sv2)
-    l1 = _unique_parts(S, Q, sv2, T, a1, su2_1)[0]
-    l2 = _unique_parts(S, Q, sv2, T, a2, su2_2)[0]
-    return float(np.sum(log_mixture_terms(l1, l2, tau)[1]))
+    (tau, a1, su2_1, a2, su2_2), batched = _rows(tau, a1, su2_1, a2, su2_2)
+    prefix = _prefix(sv2, T)
+    l1 = _unique_parts(S, Q, sv2, T, a1, su2_1, prefix)[0]
+    l2 = _unique_parts(S, Q, sv2, T, a2, su2_2, prefix)[0]
+    return _totals(log_mixture_terms(l1, l2, tau)[1], batched)

@@ -15,10 +15,10 @@ be cut at any K without re-clustering. Group labels are assigned 1..K by
 ascending smallest member index, which makes runs bit-reproducible.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
@@ -193,28 +193,37 @@ def best_label_permutation(assignment, truth):
     """Label permutation minimizing mismatches, with the mismatch count.
 
     The returned tuple ``perm`` maps assignment label k to truth label
-    perm[k-1] + 1. Matching is brute force over permutations (padding with
-    unused labels when the group counts differ), exact for the K <= 6
-    regime this pipeline runs in.
+    perm[k-1] + 1. Both partitions are padded with empty labels to one
+    count K, and ``perm`` maximizes the agreement sum_k A[k-1, perm[k-1]]
+    of the K x K count matrix A (``linear_sum_assignment``, exact for any
+    K). Of several optimal permutations the lexicographically first is
+    returned: labels are fixed in order, each to the lowest free truth
+    label with which the remaining labels can still reach the optimum.
     """
     if assignment.N != truth.N:
         raise InputError(
             f"partition sizes differ: {assignment.N} vs {truth.N}"
         )
-    if assignment.K > 6 or truth.K > 6:
-        raise InputError("permutation matching supports K <= 6 only")
-    k_pad = max(assignment.K, truth.K)
-    a = assignment.membership - 1
-    b = truth.membership - 1
-    best_perm, best = None, assignment.N + 1
-    for perm in itertools.permutations(range(k_pad)):
-        mapped = np.array(perm)[a]
-        wrong = int(np.sum(mapped != b))
-        if wrong < best:
-            best_perm, best = perm, wrong
-            if best == 0:
+    k = max(assignment.K, truth.K)
+    agree = np.bincount(
+        (assignment.membership - 1) * k + truth.membership - 1, minlength=k * k
+    ).reshape(k, k)
+
+    def most(rows, cols):
+        sub = agree[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        return int(sub[r, c].sum())
+
+    top = most(range(k), range(k))
+    perm, free, kept = [], list(range(k)), 0
+    for row in range(k):
+        for col in free:
+            rest = [c for c in free if c != col]
+            if kept + agree[row, col] + most(range(row + 1, k), rest) == top:
                 break
-    return best_perm, best
+        perm.append(col)
+        free, kept = rest, kept + int(agree[row, col])
+    return tuple(perm), assignment.N - top
 
 
 def classification_error(assignment, truth):

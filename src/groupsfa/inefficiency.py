@@ -11,10 +11,14 @@ comparison then chooses between them.
 Optimization runs on an unconstrained parameterization (log variance,
 logit mixing weight). A coarse Nelder-Mead pass on the likelihood value
 chooses the basin, and BFGS with the exact gradient of the clipped
-objective polishes the point. The mixture gradient comes from the
-component gradients weighted by the firms' responsibilities. Standard
-errors come from a central-difference Hessian of the log-likelihood in
-the original parameterization.
+objective polishes the point. The simplex pass runs every start of a fit
+in lockstep (``_simplex``): scipy's Nelder-Mead arithmetic per start, with
+the candidate points of all running starts evaluated in one batched
+kernel call per step. BFGS then runs per start through scipy's
+``minimize``. The mixture gradient comes from the component gradients
+weighted by the firms' responsibilities. Standard errors come from a
+central-difference Hessian of the log-likelihood in the original
+parameterization.
 """
 
 import math
@@ -22,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from ._kernels import (
     log_mixture_terms,
@@ -171,43 +175,164 @@ def loglik_mixture_firm(
 # --- optimization ------------------------------------------------------------
 
 
-def _maximize(objective, value_and_grad, x0, max_nm=2000, max_bfgs=200):
-    """Simplex search for the basin, polished by exact-gradient BFGS.
+# scipy's simplex coefficients (adaptive=False) and initial simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+# (xbar, worst) weights of the expansion, outside and inside contraction
+# points x = a xbar - b worst; a - (-b) w is exactly a + b w, so the inside
+# row gives scipy's (1 - psi) xbar + psi worst
+_STEPS = np.array([
+    [1 + _RHO * _CHI, _RHO * _CHI],
+    [1 + _PSI * _RHO, _PSI * _RHO],
+    [1 - _PSI, -_PSI],
+])
+_NM_MESSAGES = (
+    "Optimization terminated successfully.",
+    "Maximum number of function evaluations has been exceeded.",
+    "Maximum number of iterations has been exceeded.",
+)
 
-    ``objective`` returns the log-likelihood and ``value_and_grad`` the
-    same value with its gradient. The Nelder-Mead pass stops at a coarse
-    tolerance (xatol 1e-4, fatol 1e-6): its job is to pick the local
-    optimum, which a gradient method started at ``x0`` does not always
-    reach on multimodal or boundary panels. BFGS then converges on the
-    exact gradient. Returns the better of the two points.
+
+def _sort_vertices(sim, fsim):
+    """Order each start's vertices by value, with scipy's argsort."""
+    ind = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _simplex(f, starts, xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000):
+    """Nelder-Mead from every start at once, in lockstep.
+
+    ``f`` maps an (R, n) array of points to their R values. Per start,
+    this is the arithmetic of scipy 1.17's ``minimize(method="Nelder-Mead")``
+    with ``adaptive=False``: the same initial simplex, convergence test,
+    reflection, expansion, contractions, shrink, vertex sort and
+    maxiter/maxfev stops, so each start's x, fun, nit, nfev and success
+    equal scipy's. A step sends the candidate points of all starts still
+    running through one call of ``f``; the initial simplex and a shrink go
+    vertex by vertex, so no call holds more rows than there are starts.
+    Returns one ``OptimizeResult`` per start, in order.
     """
+    x0 = np.array(starts, dtype=float)
+    R, n = x0.shape
+    cols = np.arange(n)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, cols + 1, cols] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    fsim = np.full((R, n + 1), np.inf)
+    nfev = np.zeros(R, dtype=int)
+    for k in range(min(n + 1, maxfev)):
+        fsim[:, k] = f(sim[:, k])
+        nfev += 1
+    # scipy sorts once after the initial evaluations and once more before
+    # its loop; both are kept, so tied values end in scipy's order whether
+    # or not argsort returns a sorted row unchanged
+    sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))
+    nit = np.ones(R, dtype=int)
+    x, fun = np.empty((R, n)), np.empty(R)
+    final_nit, final_nfev = nit.copy(), nfev.copy()
 
-    def neg(x):
-        return -objective(x)
+    start = np.arange(R)  # the start each working row belongs to
+    while True:
+        stop = (nfev >= maxfev) | (nit >= maxiter)
+        # scipy's convergence test; the value half fails far more often,
+        # so the point half is computed only where it passed
+        flat = np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol
+        if flat.any():
+            stop |= flat & (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
+        if stop.any():
+            done = start[stop]
+            x[done], fun[done] = sim[stop, 0], np.min(fsim[stop], axis=1)
+            final_nit[done], final_nfev[done] = nit[stop], nfev[stop]
+            keep = ~stop
+            start, sim, fsim, nfev, nit = start[keep], sim[keep], fsim[keep], nfev[keep], nit[keep]
+        if not start.size:
+            break
+        xbar = np.add.reduce(sim[:, :-1], axis=1) / n
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = f(xr)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        # a start out of evaluations stops mid-step, as scipy's does: its
+        # vertices stay as they were and the step is not counted
+        cut = ~reflect & (nfev >= maxfev)
+        second = ~reflect & ~cut
+        w = _STEPS[np.where(expand, 0, np.where(outside, 1, 2))]
+        x2 = w[:, :1] * xbar - w[:, 1:] * worst
+        fx2 = np.full(len(fxr), np.nan)
+        if second.any():
+            fx2[second] = f(x2[second])
+            nfev += second
+        # which point, if any, replaces the worst vertex
+        take2 = second & np.where(
+            expand, fx2 < fxr, np.where(outside, fx2 <= fxr, fx2 < fsim[:, -1])
+        )
+        take_r = reflect | (expand & ~cut & ~take2)
+        sim[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        fsim[:, -1] = np.where(take2, fx2, np.where(take_r, fxr, fsim[:, -1]))
+        shrink = second & ~expand & ~take2
+        for j in range(1, n + 1):
+            if not shrink.any():
+                break
+            sim[shrink, j] = sim[shrink, 0] + _SIGMA * (sim[shrink, j] - sim[shrink, 0])
+            cut |= shrink & (nfev >= maxfev)
+            shrink &= nfev < maxfev
+            if shrink.any():
+                fsim[shrink, j] = f(sim[shrink, j])
+                nfev += shrink
+        nit += ~cut
+        sim, fsim = _sort_vertices(sim, fsim)
+
+    status = np.where(final_nfev >= maxfev, 1, np.where(final_nit >= maxiter, 2, 0))
+    return [
+        OptimizeResult(
+            x=x[r], fun=fun[r], nit=int(final_nit[r]), nfev=int(final_nfev[r]),
+            status=int(status[r]), success=status[r] == 0,
+            message=_NM_MESSAGES[status[r]],
+        )
+        for r in range(R)
+    ]
+
+
+def _maximize(objective, value_and_grad, starts, max_nm=2000, max_bfgs=200):
+    """Simplex search for each start's basin, polished by exact-gradient BFGS.
+
+    ``objective`` maps an (R, n) array of points to their R
+    log-likelihoods, and ``value_and_grad`` returns one point's value with
+    its gradient. The Nelder-Mead pass runs all starts in lockstep
+    (``_simplex``) and stops at a coarse tolerance (xatol 1e-4, fatol
+    1e-6): its job is to pick each start's local optimum, which a gradient
+    method started at the start does not always reach on multimodal or
+    boundary panels. BFGS then converges on the exact gradient, one start
+    at a time. Returns, per start in order, (x, loglik) of the better of
+    the two points, or a ``ConvergenceError`` where neither converged.
+    """
 
     def neg_value_and_grad(x):
         value, grad = value_and_grad(x)
         return -value, -grad
 
-    nm = minimize(
-        neg, x0, method="Nelder-Mead",
-        options=dict(xatol=1e-4, fatol=1e-6, maxiter=max_nm, maxfev=4 * max_nm),
-    )
-    bfgs = minimize(
-        neg_value_and_grad, nm.x, jac=True, method="BFGS",
-        options=dict(maxiter=max_bfgs),
-    )
-    cand = bfgs if bfgs.fun <= nm.fun else nm
-    grad_ok = (
-        getattr(bfgs, "jac", None) is not None
-        and np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
-    )
-    if not (nm.success or bfgs.success or grad_ok):
-        raise ConvergenceError(
-            f"likelihood maximization did not converge: {nm.message}; {bfgs.message}",
-            best_params=cand.x, best_value=-cand.fun,
+    out = []
+    for nm in _simplex(lambda X: -objective(X), starts, maxiter=max_nm, maxfev=4 * max_nm):
+        bfgs = minimize(
+            neg_value_and_grad, nm.x, jac=True, method="BFGS",
+            options=dict(maxiter=max_bfgs),
         )
-    return cand.x, -float(cand.fun)
+        cand = bfgs if bfgs.fun <= nm.fun else nm
+        grad_ok = (
+            getattr(bfgs, "jac", None) is not None
+            and np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
+        )
+        if nm.success or bfgs.success or grad_ok:
+            out.append((cand.x, -float(cand.fun)))
+        else:
+            out.append(ConvergenceError(
+                f"likelihood maximization did not converge: {nm.message}; {bfgs.message}",
+                best_params=cand.x, best_value=-cand.fun,
+            ))
+    return out
 
 
 def _clip_eta(eta):
@@ -215,16 +340,22 @@ def _clip_eta(eta):
     return min(max(eta, -_ETA_CLIP), _ETA_CLIP), float(abs(eta) <= _ETA_CLIP)
 
 
+def _variance(eta):
+    """Variance at a clipped log variance."""
+    return math.exp(_clip_eta(eta)[0])
+
+
 def _unique_objectives(stats):
     """Single-law log-likelihood in x = (alpha0, log sigma_u2), clipped.
 
-    Returns (objective, value_and_grad) for ``_maximize``.
+    Returns (objective, value_and_grad) for ``_maximize``; ``objective``
+    takes an (R, 2) array of points and returns their R values.
     """
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
-    def objective(x):
-        eta = _clip_eta(x[1])[0]
-        return loglik_unique_total(S, Q, sv2, T, x[0], math.exp(eta))
+    def objective(X):
+        alpha0, eta = X.T.tolist()
+        return loglik_unique_total(S, Q, sv2, T, alpha0, [_variance(e) for e in eta])
 
     def value_and_grad(x):
         eta, d_clip = _clip_eta(x[1])
@@ -241,17 +372,18 @@ def _mixture_objectives(stats):
     """Mixture log-likelihood in x = (logit tau, alpha0_1, log sigma_u2_1,
     alpha0_2, log sigma_u2_2), clipped.
 
-    Returns (objective, value_and_grad) for ``_maximize``. With
+    Returns (objective, value_and_grad) for ``_maximize``; ``objective``
+    takes an (R, 5) array of points and returns their R values. With
     responsibilities w_j, d/dxi = sum(w_1 - tau) and d/dtheta_j =
     sum(w_j dl_j/dtheta_j); a clipped coordinate has derivative 0.
     """
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
-    def objective(x):
-        tau = _expit(x[0])
-        e1, e2 = _clip_eta(x[2])[0], _clip_eta(x[4])[0]
+    def objective(X):
+        xi, a1, eta1, a2, eta2 = X.T.tolist()
         return loglik_mixture_total(
-            S, Q, sv2, T, tau, x[1], math.exp(e1), x[3], math.exp(e2)
+            S, Q, sv2, T, [_expit(v) for v in xi], a1, [_variance(e) for e in eta1],
+            a2, [_variance(e) for e in eta2],
         )
 
     def value_and_grad(x):
@@ -282,7 +414,10 @@ def fit_unique(stats):
     su_init = max(sd_a / math.sqrt(_HN_VAR), 1e-3)
     x0 = np.array([float(np.mean(a)) + su_init * _HN_MEAN, 2.0 * math.log(su_init)])
 
-    x, loglik = _maximize(*_unique_objectives(stats), x0)
+    (result,) = _maximize(*_unique_objectives(stats), [x0])
+    if isinstance(result, ConvergenceError):
+        raise result
+    x, loglik = result
     eta_hat = float(np.clip(x[1], -_ETA_CLIP, _ETA_CLIP))
     if eta_hat < math.log(1e-8):
         warnings.warn(
@@ -341,20 +476,21 @@ def fit_mixture(stats, unique_fit, seed=0):
     orderings, crossed with mixing weights 0.3/0.5/0.7, the unperturbed
     solution, and one seeded random draw. The best local optimum wins;
     components are reported with tau >= 0.5 (ascending level on an exact
-    tie).
+    tie). All eight run through one lockstep simplex, whose steps
+    evaluate the running starts' points in one kernel call, before each
+    is polished by BFGS.
     """
     a = firm_intercepts(stats)
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
 
-    objectives = _mixture_objectives(stats)
     best_x, best_ll = None, -np.inf
     failures = []
-    for x0 in _mixture_starts(unique_fit, sd_a, seed):
-        try:
-            x, ll = _maximize(*objectives, x0)
-        except ConvergenceError as exc:
-            failures.append(exc)
+    starts = _mixture_starts(unique_fit, sd_a, seed)
+    for result in _maximize(*_mixture_objectives(stats), starts):
+        if isinstance(result, ConvergenceError):
+            failures.append(result)
             continue
+        x, ll = result
         if ll > best_ll:
             best_x, best_ll = x, ll
     if best_x is None:

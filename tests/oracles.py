@@ -5,19 +5,28 @@ in 50-digit arithmetic, likelihoods by adaptive quadrature or mpmath, and
 agglomeration that recomputes every pairwise cost from raw points at each
 step. None of it shares code with the library paths it checks.
 
-The one exception is the per-firm loops at the end. They build each
-firm's design on its own and stack the blocks, as the library did before
-it built all designs in one call, and they share the one-firm design and
-the SVD solve with the library. They judge only that the stacked path
-returns the same values bit for bit; the 50-digit oracle above judges
-accuracy.
+The exceptions are the reference paths at the end, which judge only that
+a faster library path returns the same values bit for bit:
+
+* the per-firm loops build each firm's design on its own and stack the
+  blocks, as the library did before it built all designs in one call;
+  they share the one-firm design and the SVD solve with the library, and
+  the 50-digit oracle above judges accuracy;
+* scipy's Nelder-Mead, run one start at a time on the objective the
+  library's lockstep simplex minimizes;
+* the single-law per-firm terms and derivatives written out as one
+  expression per quantity, for the batched and the gradient kernels;
+* the brute-force label matching over all K! permutations.
 """
 
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
+from scipy.special import log_ndtr
 
 from groupsfa.basis import design_matrix, within_demean
 from groupsfa.estimation import FirmEstimate, _solve_ls
@@ -188,3 +197,60 @@ def composite_stats_loop(panel, group_fits):
             Q[i] = r @ r
             sv2[i] = fit.sigma_v ** 2
     return S, Q, sv2
+
+
+# --- scipy's simplex, per start ----------------------------------------------
+
+
+def nelder_mead_per_start(f, starts, **options):
+    """scipy's Nelder-Mead from each start on its own.
+
+    ``f`` maps an (R, n) array of points to R values, as the library's
+    lockstep simplex takes it; here every call holds one point.
+    """
+    return [
+        minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead", options=options)
+        for x0 in starts
+    ]
+
+
+# --- single-law terms, one point at a time -----------------------------------
+
+
+def unique_terms_grad_reference(S, Q, sv2, T, alpha0, sigma_u2):
+    """Per-firm terms and their derivatives in alpha0 and log sigma_u2.
+
+    The closed forms of the kernel module docstring, each written out as
+    one expression on (N,) arrays with float parameters.
+    """
+    log2pi = math.log(2.0 * math.pi)
+    se = S - T * alpha0
+    qe = Q - 2.0 * alpha0 * S + T * alpha0 * alpha0
+    si2 = sv2 + T * sigma_u2
+    z = -np.sqrt(sigma_u2) * se / (np.sqrt(sv2) * np.sqrt(si2))
+    log_cdf = log_ndtr(z)
+    terms = (
+        math.log(2.0) - 0.5 * T * log2pi - 0.5 * (T - 1) * np.log(sv2)
+        - 0.5 * np.log(si2) + log_cdf + 0.5 * z * z - qe / (2.0 * sv2)
+    )
+    dz = np.exp(-0.5 * z * z - 0.5 * log2pi - log_cdf) + z
+    d_alpha0 = dz * T * math.sqrt(sigma_u2) / (np.sqrt(sv2) * np.sqrt(si2)) + se / sv2
+    d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
+    return terms, d_alpha0, d_eta
+
+
+# --- label matching by enumeration -------------------------------------------
+
+
+def best_label_permutation_brute(assignment, truth):
+    """First permutation, in lexicographic order, with the fewest
+    mismatches, over all K! of them (labels padded to one count K)."""
+    k_pad = max(assignment.K, truth.K)
+    a = assignment.membership - 1
+    b = truth.membership - 1
+    best_perm, best = None, assignment.N + 1
+    for perm in itertools.permutations(range(k_pad)):
+        wrong = int(np.sum(np.array(perm)[a] != b))
+        if wrong < best:
+            best_perm, best = perm, wrong
+    return best_perm, best

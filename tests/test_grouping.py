@@ -8,11 +8,16 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from groupsfa.errors import InputError
 from groupsfa.grouping import (
     GroupAssignment,
+    best_label_permutation,
     classification_error,
     hac_cluster,
 )
 
-from oracles import brute_force_agglomerate, brute_force_cut
+from oracles import (
+    best_label_permutation_brute,
+    brute_force_agglomerate,
+    brute_force_cut,
+)
 
 
 def test_k_equals_n_gives_singletons():
@@ -239,6 +244,60 @@ def test_classification_error_different_group_counts():
     a = _assignment([1, 1, 1, 1])
     b = _assignment([1, 1, 2, 2])
     assert classification_error(a, b) == pytest.approx(0.5)
+
+
+def _random_partition(rng, n, k):
+    """n labels that use each of 1..k at least once."""
+    labels = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)])
+    return _assignment(rng.permutation(labels))
+
+
+def test_best_label_permutation_equals_brute_force():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        ka, kb = (int(k) for k in rng.integers(1, 7, size=2))
+        n = int(rng.integers(max(ka, kb), 3 * max(ka, kb) + 2))
+        a, b = _random_partition(rng, n, ka), _random_partition(rng, n, kb)
+        assert best_label_permutation(a, b) == best_label_permutation_brute(a, b)
+
+
+def test_best_label_permutation_ties_take_the_first_permutation():
+    # every permutation ties on these: the identity is the first
+    a = _assignment([1, 2, 3] * 3)
+    b = _assignment([1] * 3 + [2] * 3 + [3] * 3)
+    assert best_label_permutation(a, b) == ((0, 1, 2), 6)
+    assert best_label_permutation_brute(a, b) == ((0, 1, 2), 6)
+    # balanced blocks crossed with balanced blocks, and padded labels
+    rng = np.random.default_rng(12)
+    for k in range(2, 7):
+        for m in (1, 2):
+            base = np.repeat(np.arange(1, k + 1), m)
+            for _ in range(20):
+                a = _assignment(rng.permutation(base))
+                b = _assignment(rng.permutation(base))
+                assert best_label_permutation(a, b) == best_label_permutation_brute(a, b)
+            coarse = _assignment(np.minimum(base, 2))
+            assert best_label_permutation(coarse, _assignment(base)) == (
+                best_label_permutation_brute(coarse, _assignment(base))
+            )
+
+
+def test_best_label_permutation_beyond_six_groups():
+    rng = np.random.default_rng(13)
+    truth = _random_partition(rng, 40, 8)
+    planted = rng.permutation(8)
+    labels = planted[truth.membership - 1] + 1
+    labels[:5] = rng.integers(1, 9, size=5)
+    a = _assignment(labels)
+    perm, wrong = best_label_permutation(a, truth)
+    assert (perm, wrong) == best_label_permutation_brute(a, truth)
+    assert wrong <= 5
+    assert wrong == int(np.sum(np.array(perm)[a.membership - 1] != truth.membership - 1))
+    # 12 groups, labels shuffled without error
+    truth = _random_partition(rng, 60, 12)
+    shuffle = rng.permutation(12)
+    perm, wrong = best_label_permutation(_assignment(shuffle[truth.membership - 1] + 1), truth)
+    assert wrong == 0 and all(perm[shuffle[j]] == j for j in range(12))
 
 
 def test_classification_error_size_mismatch():

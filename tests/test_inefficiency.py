@@ -180,8 +180,9 @@ def test_finite_difference_gradients_cross_check():
             assert np.all(np.abs(grad - fd) <= 1e-5 * scale)
 
     # the optimizers' clipped objectives: the value from value_and_grad is
-    # the value-only objective's, and the gradient matches central
-    # differences; a clipped coordinate (|eta| > 60, |xi| > 30) has 0
+    # the value-only objective's (which takes a batch of points), and the
+    # gradient matches central differences; a clipped coordinate
+    # (|eta| > 60, |xi| > 30) has 0
     stats = CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=T)
     cases = [
         (_unique_objectives(stats), [
@@ -198,11 +199,12 @@ def test_finite_difference_gradients_cross_check():
         for x, clipped in points:
             x = np.array(x)
             value, grad = value_and_grad(x)
-            assert value == objective(x)
+            assert value == objective(x[None])[0]
             for j in range(len(x)):
                 e = np.zeros(len(x))
                 e[j] = 1e-6 * max(1.0, abs(x[j]))
-                fd = (objective(x + e) - objective(x - e)) / (2 * e[j])
+                f_hi, f_lo = objective(np.array([x + e, x - e]))
+                fd = (f_hi - f_lo) / (2 * e[j])
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
                 assert (grad[j] == 0.0) == (j in clipped)
 

@@ -1,0 +1,172 @@
+"""The lockstep simplex against scipy's Nelder-Mead, one start at a time.
+
+Every start's endpoint, value, evaluation and iteration counts and
+success flag must equal scipy's, on the likelihoods the estimator
+maximizes and on synthetic objectives that reach every step of the
+method: expansion, outside and inside contraction, shrink, ties in the
+vertex sort, and the maxiter and maxfev stops.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from groupsfa.dgp import generate
+from groupsfa.estimation import default_m, fit_all
+from groupsfa.inefficiency import (
+    _mixture_objectives,
+    _mixture_starts,
+    _simplex,
+    _unique_objectives,
+    composite_residual_stats,
+    firm_intercepts,
+    fit_unique,
+)
+from groupsfa.postestimation import default_lambda, select_K
+
+from oracles import nelder_mead_per_start
+
+MLE_OPTIONS = dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000)
+
+
+def assert_same_runs(mine, ref):
+    assert len(mine) == len(ref)
+    for m, r in zip(mine, ref):
+        assert np.array_equal(m.x, r.x)
+        assert m.fun == r.fun or (np.isnan(m.fun) and np.isnan(r.fun))
+        assert (m.nfev, m.nit, m.success) == (r.nfev, r.nit, r.success)
+
+
+def _selected_stats(design):
+    panel, _ = generate(design, 100, 50, seed=3)
+    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
+    report = select_K(panel, th, 4, default_lambda(panel.N, panel.T))
+    record = report.records[report.selected_K - 1]
+    return composite_residual_stats(panel, record.assignment, record.fits)
+
+
+@pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
+def test_lockstep_equals_scipy_on_the_likelihoods(design):
+    stats = _selected_stats(design)
+    unique = fit_unique(stats)
+    sd_a = float(np.std(firm_intercepts(stats), ddof=1))
+    starts = _mixture_starts(unique, sd_a, seed=0)
+    objective = _mixture_objectives(stats)[0]
+
+    def neg(X):
+        return -objective(X)
+
+    mine = _simplex(neg, starts, **MLE_OPTIONS)
+    assert_same_runs(mine, nelder_mead_per_start(neg, starts, **MLE_OPTIONS))
+    # the starts stop at different steps, so later calls hold fewer rows
+    assert len({r.nfev for r in mine}) > 1
+
+    objective = _unique_objectives(stats)[0]
+    x0 = np.array([unique.alpha0, np.log(unique.sigma_u2)])
+    starts = [x0 + d for d in ([0.0, 0.0], [0.5, -1.0], [-0.3, 2.0])]
+    mine = _simplex(neg, starts, **MLE_OPTIONS)
+    assert_same_runs(mine, nelder_mead_per_start(neg, starts, **MLE_OPTIONS))
+
+
+def _noise(levels, nan_every=0):
+    """A value from the bits of each point, one of ``levels`` integers, so
+    that ties are common; every ``nan_every``-th hash value is NaN."""
+
+    def f(X):
+        out = []
+        for x in X:
+            h = int.from_bytes(hashlib.blake2b(x.tobytes(), digest_size=4).digest(), "little")
+            out.append(np.nan if nan_every and h % nan_every == 0 else float(h % levels))
+        return np.array(out)
+
+    return f
+
+
+def _quadratic(X):
+    return np.sum((X - 1.0) ** 2 * np.arange(1, X.shape[1] + 1), axis=1)
+
+
+def _linear(X):
+    return X.sum(axis=1)
+
+
+def _staircase(X):
+    # downhill in steps, so an expansion often ties with its reflection
+    return np.floor(10.0 * X.sum(axis=1))
+
+
+def _abs_kink(X):
+    # a non-smooth valley, where the simplex contracts across the kink
+    return np.abs(X[:, 0] - 2.0 * X[:, 1]) + 1e-3 * np.sum(X * X, axis=1)
+
+
+STARTS = np.array([
+    [0.0, 0.0, 0.0],
+    [1.5, -2.0, 0.25],
+    [-3.0, 0.0, 7.0],
+    [1e-3, 50.0, -0.5],
+    [2.0, 2.0, 2.0],
+])
+
+
+@pytest.mark.parametrize("f,options", [
+    (_quadratic, dict(xatol=1e-8, fatol=1e-10, maxiter=2000, maxfev=8000)),
+    (_linear, dict(xatol=1e-4, fatol=1e-6, maxiter=40, maxfev=8000)),
+    (_linear, dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=23)),
+    (_staircase, dict(xatol=1e-4, fatol=1e-6, maxiter=300, maxfev=8000)),
+    (_abs_kink, dict(xatol=1e-10, fatol=1e-12, maxiter=400, maxfev=8000)),
+    (_noise(4), dict(xatol=1e-4, fatol=1e-6, maxiter=300, maxfev=8000)),
+    (_noise(3), dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=97)),
+    (_noise(50, nan_every=7), dict(xatol=1e-4, fatol=1e-6, maxiter=150, maxfev=8000)),
+], ids=["quadratic", "linear-maxiter", "linear-maxfev", "staircase", "kink", "ties",
+        "ties-maxfev", "nan"])
+def test_lockstep_equals_scipy_on_synthetic_objectives(f, options):
+    mine = _simplex(f, STARTS, **options)
+    assert_same_runs(mine, nelder_mead_per_start(f, STARTS, **options))
+
+
+@pytest.mark.parametrize("maxfev", range(1, 12))
+def test_lockstep_stops_on_maxfev_at_every_phase(maxfev):
+    # maxfev below n + 1 cuts the initial simplex; above it, the cut falls
+    # on a reflection, an expansion, a contraction or inside a shrink
+    for f in (_linear, _noise(3), _abs_kink):
+        options = dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=maxfev)
+        mine = _simplex(f, STARTS, **options)
+        assert_same_runs(mine, nelder_mead_per_start(f, STARTS, **options))
+        assert all(r.nfev == maxfev and not r.success for r in mine)
+
+
+def test_synthetic_objectives_reach_their_steps():
+    n = STARTS.shape[1]
+    # a shrink evaluates n points in one step, so an iteration count that
+    # cannot account for the evaluations shows that a shrink happened
+    for f in (_noise(4), _noise(50)):
+        runs = _simplex(f, STARTS, maxiter=300)
+        assert any(r.nfev > (n + 1) + 2 * (r.nit - 1) for r in runs)
+    # downhill along a line every step expands, and only the caps stop it
+    runs = _simplex(_linear, STARTS, maxiter=40)
+    assert all(r.status == 2 and r.nit == 40 for r in runs)
+    runs = _simplex(_linear, STARTS, maxfev=23)
+    assert all(r.status == 1 and r.nfev == 23 for r in runs)
+    runs = _simplex(_quadratic, STARTS, xatol=1e-8, fatol=1e-10)
+    assert all(r.success for r in runs)
+    assert np.allclose([r.x for r in runs], 1.0, atol=1e-6)
+
+
+def test_tolerances_are_inclusive():
+    # from x0 = 0 every edge of the initial simplex is exactly 0.00025 long
+    x0 = [np.zeros(3)]
+    options = dict(xatol=0.00025, fatol=1e300, maxiter=50, maxfev=8000)
+    mine = _simplex(_quadratic, x0, **options)
+    assert_same_runs(mine, nelder_mead_per_start(_quadratic, x0, **options))
+    assert mine[0].nit == 1 and mine[0].success
+
+    # values 0 at x0 and 0.5 at the other vertices differ by exactly fatol
+    def step(X):
+        return np.where(X.sum(axis=1) > 0, 0.5, 0.0)
+
+    options = dict(xatol=1e300, fatol=0.5, maxiter=50, maxfev=8000)
+    mine = _simplex(step, x0, **options)
+    assert_same_runs(mine, nelder_mead_per_start(step, x0, **options))
+    assert mine[0].nit == 1 and mine[0].success
