@@ -16,9 +16,13 @@ a faster library path returns the same values bit for bit:
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
   expression per quantity, for the batched and the gradient kernels;
-* the brute-force label matching over all K! permutations.
+* the brute-force label matching over all K! permutations;
+* the CSV reader that parses one row at a time into a dict per cell, and
+  the writer that formats one row at a time, as the library did before
+  it parsed and wrote whole columns.
 """
 
+import csv
 import itertools
 import math
 
@@ -29,7 +33,9 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from groupsfa.basis import design_matrix, within_demean
+from groupsfa.errors import InputError
 from groupsfa.estimation import FirmEstimate, _solve_ls
+from groupsfa.panel import PanelData
 from groupsfa.postestimation import GroupFit
 
 
@@ -254,3 +260,81 @@ def best_label_permutation_brute(assignment, truth):
         if wrong < best:
             best_perm, best = perm, wrong
     return best_perm, best
+
+
+# --- CSV round trip, one row at a time ---------------------------------------
+
+
+def write_panel_csv_loop(panel, path):
+    """Long CSV written one csv.writer row per cell."""
+    header = ["firm_id", "t", "y"] + [f"x{l + 1}" for l in range(panel.p)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(panel.N):
+            fid = panel.firm_ids[i]
+            for t in range(panel.T):
+                row = [fid, t + 1, repr(float(panel.y[i, t]))]
+                row += [repr(float(v)) for v in panel.x[i, t]]
+                w.writerow(row)
+
+
+def read_panel_csv_loop(path, firm_col="firm_id", time_col="t", y_col="y",
+                        x_cols=None):
+    """Long CSV read through csv.DictReader into a dict per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise InputError(f"{path}: empty file")
+        for col in (firm_col, time_col, y_col):
+            if col not in reader.fieldnames:
+                raise InputError(f"{path}: missing column {col!r}")
+        if x_cols is None:
+            x_cols = sorted(
+                (c for c in reader.fieldnames if c.startswith("x") and c[1:].isdigit()),
+                key=lambda c: int(c[1:]),
+            )
+        if not x_cols:
+            raise InputError(f"{path}: no regressor columns found")
+        for col in x_cols:
+            if col not in reader.fieldnames:
+                raise InputError(f"{path}: missing regressor column {col!r}")
+        cells = {}
+        firm_order = []
+        times = set()
+        for lineno, rec in enumerate(reader, start=2):
+            fid = rec[firm_col]
+            try:
+                t = int(rec[time_col])
+                yv = float(rec[y_col])
+                xv = [float(rec[c]) for c in x_cols]
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+            if fid not in cells:
+                cells[fid] = {}
+                firm_order.append(fid)
+            if t in cells[fid]:
+                raise InputError(f"{path}:{lineno}: duplicate cell ({fid}, {t})")
+            cells[fid][t] = (yv, xv)
+            times.add(t)
+
+    if not cells:
+        raise InputError(f"{path}: no data rows")
+    t_sorted = sorted(times)
+    missing = [
+        (fid, t) for fid in firm_order for t in t_sorted if t not in cells[fid]
+    ]
+    if missing:
+        shown = ", ".join(f"({f}, {t})" for f, t in missing[:10])
+        more = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
+        raise InputError(f"{path}: unbalanced panel, missing cells {shown}{more}")
+
+    N, T, p = len(firm_order), len(t_sorted), len(x_cols)
+    y = np.empty((N, T))
+    x = np.empty((N, T, p))
+    for i, fid in enumerate(firm_order):
+        for j, t in enumerate(t_sorted):
+            yv, xv = cells[fid][t]
+            y[i, j] = yv
+            x[i, j] = xv
+    return PanelData(y=y, x=x, firm_ids=firm_order)

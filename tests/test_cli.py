@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from groupsfa import pipeline
 from groupsfa.cli import main
+from groupsfa.errors import HessianError
 from groupsfa.panel import read_panel_csv, write_panel_csv
 
 
@@ -128,6 +130,34 @@ def test_estimate_rank_deficient_is_numerical_error(tmp_path):
         _csv.writer(fh).writerows(rows)
     assert _run(["estimate", "--input", str(data),
                  "--out-dir", str(tmp_path / "r")]) == 3
+
+
+def _singular_hessian(stats, fit):
+    raise HessianError("Hessian not negative definite", eigenvalues=[1.0])
+
+
+def _estimate_dgp2u(tmp_path):
+    """Estimate a dgp2u panel whose chosen model is the unique law."""
+    data = tmp_path / "panel.csv"
+    _run(["simulate", "--design", "dgp2u", "--n", "100", "--t", "50",
+          "--seed", "1", "--out", str(data)])
+    return _run(["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r")])
+
+
+def test_chosen_model_hessian_error_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "unique_standard_errors", _singular_hessian)
+    assert _estimate_dgp2u(tmp_path) == 3
+    assert "numerical failure: Hessian not negative definite" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "result.json").exists()
+
+
+def test_runner_up_hessian_error_gives_null_se(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "mixture_standard_errors", _singular_hessian)
+    assert _estimate_dgp2u(tmp_path) == 0
+    result = json.loads((tmp_path / "r" / "result.json").read_text())
+    assert result["inefficiency"]["choice"] == "unique"
+    assert result["inefficiency"]["mixture"]["se"] is None
+    assert len(result["inefficiency"]["unique"]["se"]) == 2
 
 
 def test_montecarlo_config_unknown_key_is_config_error(tmp_path):

@@ -1,6 +1,18 @@
+import csv
+import io
+import os
+import tempfile
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import read_panel_csv_loop, write_panel_csv_loop
 
+from groupsfa.cli import main
 from groupsfa.errors import InputError
 from groupsfa.panel import PanelData, read_panel_csv, write_panel_csv
 
@@ -77,3 +89,157 @@ def test_panel_validation():
         PanelData(y=np.array([[1.0, np.nan]]), x=np.ones((1, 2, 1)))
     with pytest.raises(InputError):
         PanelData(y=np.ones((2, 3)), x=np.ones((2, 3, 1)), firm_ids=["a"])
+
+
+def _same_panel(a, b):
+    return (a.y.tobytes() == b.y.tobytes() and a.x.tobytes() == b.x.tobytes()
+            and a.firm_ids == b.firm_ids)
+
+
+def test_writer_matches_row_loop_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(4)
+    panel = PanelData(y=rng.normal(size=(4, 3)) * 1e-5,
+                      x=rng.normal(size=(4, 3, 2)) * 1e7,
+                      firm_ids=["plain", "a,b", 'say "hi"', " padded "])
+    write_panel_csv(panel, tmp_path / "new.csv")
+    write_panel_csv_loop(panel, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert _same_panel(read_panel_csv(str(tmp_path / "new.csv")), panel)
+
+
+@st.composite
+def _panel_files(draw):
+    """CSV text of a random small panel and the x_cols to read it with."""
+    N, T, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text(alphabet='ab ,"\n', max_size=4),
+                        min_size=N, max_size=N, unique=True))
+    times = draw(st.lists(st.integers(0, 99), min_size=T, max_size=T, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, (N, T, 1 + p), elements=finite))
+    if draw(st.booleans()):
+        x_names = [f"x{l + 1}" for l in range(p)]
+        x_cols = None
+    else:
+        x_names = [f"price{l}" for l in range(p)]
+        x_cols = draw(st.permutations(x_names))
+    columns = draw(st.permutations(["firm_id", "t", "y", *x_names, "note"]))
+    pad_t, pad_values = draw(st.booleans()), draw(st.booleans())
+
+    def field(name, i, j):
+        if name == "firm_id":
+            return ids[i]
+        if name == "t":
+            return f"{times[j]:02d}" if pad_t else str(times[j])
+        if name == "note":
+            return "unused"
+        k = 0 if name == "y" else 1 + x_names.index(name)
+        text = repr(float(values[i, j, k]))
+        return f" {text} " if pad_values else text
+
+    rows = [[field(c, i, j) for c in columns] for i in range(N) for j in range(T)]
+    rows = draw(st.permutations(rows))
+    blank_after = draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator=newline)
+    w.writerow(columns)
+    for r, row in enumerate(rows):
+        w.writerow(row)
+        if r in blank_after:
+            buf.write(newline)
+    return buf.getvalue(), x_cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_panel_files())
+def test_reader_equals_row_loop_oracle(case):
+    text, x_cols = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = read_panel_csv(path, x_cols=x_cols)
+        assert _same_panel(new, read_panel_csv_loop(path, x_cols=x_cols))
+
+
+_HEADER = "firm_id,t,y,x1\n"
+_GOOD = "a,1,1.0,0.5\na,2,2.0,0.25\nb,1,3.0,0.125\nb,2,4.0,0.0625\n"
+_MALFORMED = {
+    "empty cell": ("a,1,1.0,0.5\na,2,,0.25\n", "p.csv:3: non-numeric cell ''"),
+    "short row": ("a,1,1.0,0.5\n\na,2,2.0\n", "p.csv:4: short row"),
+    "non-integer time": ("a,1,1.0,0.5\na,1.0,2.0,0.25\n",
+                         "p.csv:3: non-numeric cell '1.0' in column 't'"),
+    "underscore": (_GOOD + "c,1,1_0,0.5\n", "p.csv:6: non-numeric cell '1_0'"),
+    "non-finite": ("a,1,1.0,nan\n", "p.csv:2: non-finite cell in column 'x1'"),
+    "duplicate cell": (_GOOD.replace("b,2", "a,2"),
+                       "p.csv:5: duplicate cell (a, 2)"),
+    "missing cell": ("a,1,1,1\n" + "".join(f"b,{t},1,1\n" for t in range(1, 14)),
+                     "p.csv: unbalanced panel, missing cells (a, 2), (a, 3), "
+                     "(a, 4), (a, 5), (a, 6), (a, 7), (a, 8), (a, 9), (a, 10), "
+                     "(a, 11) and 2 more"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_names_its_line(tmp_path, capsys, case):
+    body, message = _MALFORMED[case]
+    path = _write(tmp_path, _HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as err:
+            read_panel_csv(path)
+    assert str(tmp_path / message) in str(err.value)
+    assert main(["estimate", "--input", path, "--out-dir", str(tmp_path / "r")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_blank_lines_parse_without_warnings(tmp_path):
+    path = _write(tmp_path, "\n" + _HEADER + "a,1,1.0,0.5\n\n\nb,1,3.0,0.125\n\n")
+    with pytest.raises(InputError, match="missing column"):
+        read_panel_csv(path)  # a blank first line is an empty header
+    path = _write(tmp_path, _HEADER + "a,1,1.0,0.5\n\n\nb,1,3.0,0.125\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        panel = read_panel_csv(path)
+    assert panel.firm_ids == ["a", "b"]
+    np.testing.assert_array_equal(panel.y, [[1.0], [3.0]])
+
+
+def test_header_only_and_empty_files(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="no data rows"):
+            read_panel_csv(_write(tmp_path, _HEADER + "\n\n"))
+        with pytest.raises(InputError, match="empty file"):
+            read_panel_csv(_write(tmp_path, "", name="e.csv"))
+
+
+def _peak_bytes(reader, path):
+    tracemalloc.start()
+    try:
+        reader(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Peak traced bytes per data row allowed while reading (p = 1, ids of 5
+# characters). The reader peaks at about 103, while np.unique codes the id
+# column and a str object per row is alive; the dict-per-cell oracle
+# peaks at about 256.
+BYTES_PER_ROW = 150
+
+
+def test_reader_memory_is_bounded_per_row(tmp_path):
+    N, T = 4000, 50
+    rng = np.random.default_rng(0)
+    panel = PanelData(y=rng.normal(size=(N, T)), x=rng.normal(size=(N, T, 1)),
+                      firm_ids=[f"f{i:04d}" for i in range(N)])
+    path = str(tmp_path / "big.csv")
+    write_panel_csv(panel, path)
+    bound = BYTES_PER_ROW * N * T
+    new = _peak_bytes(read_panel_csv, path)
+    old = _peak_bytes(read_panel_csv_loop, path)
+    assert new <= bound < old, (new / (N * T), old / (N * T))
