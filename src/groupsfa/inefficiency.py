@@ -9,7 +9,9 @@ maximizing the panel half-normal likelihood; the mixture model estimates
 comparison then chooses between them.
 
 Optimization runs on an unconstrained parameterization (log variance,
-logit mixing weight). A coarse Nelder-Mead pass on the likelihood value
+logit mixing weight). The mixture is fitted from five starts, no two of
+them mirror images under the label swap tau -> 1 - tau, which leaves the
+likelihood unchanged. A coarse Nelder-Mead pass on the likelihood value
 chooses the basin, and BFGS with the exact gradient of the clipped
 objective polishes the point. The simplex pass runs every start of a fit
 in lockstep (``_simplex``): scipy's Nelder-Mead arithmetic per start, with
@@ -437,15 +439,21 @@ def unique_standard_errors(stats, fit):
 
 
 def _mixture_starts(unique, sd_a, seed):
+    """The five starts of ``fit_mixture``; (tau0, a - sd, a + sd) is left
+    out as the mirror image of the kept (1 - tau0, a + sd, a - sd).
+
+    For tau0 = 0.5 the pair is only near-mirrored: its logit coordinate is
+    0, and ``_simplex`` steps a zero coordinate by +_ZDELT in both
+    orderings rather than by opposite signs. That twin was dropped because
+    a sweep over 112 panels found the same chosen model on every panel
+    without it, not because its path is the mirrored one.
+    """
     center_a, base_eta = unique.alpha0, math.log(unique.sigma_u2)
     sd = max(sd_a, 1e-2)
-    starts = []
-    for tau0 in (0.3, 0.5, 0.7):
-        for sign in (1.0, -1.0):
-            starts.append(
-                [_logit(tau0), center_a + sign * sd, base_eta,
-                 center_a - sign * sd, base_eta]
-            )
+    starts = [
+        [_logit(tau0), center_a + sd, base_eta, center_a - sd, base_eta]
+        for tau0 in (0.3, 0.5, 0.7)
+    ]
     # the unique solution itself, minimally split to break the symmetry
     starts.append(
         [_logit(0.5), center_a + 0.1 * sd, base_eta, center_a - 0.1 * sd, base_eta]
@@ -471,14 +479,19 @@ def _expit(x):
 def fit_mixture(stats, unique_fit, seed=0):
     """MLE of the two-component mixture by multi-start optimization.
 
-    Eight starts: the single-law solution ``unique_fit`` split by
-    plus/minus one standard deviation of the firm intercepts in both
-    orderings, crossed with mixing weights 0.3/0.5/0.7, the unperturbed
-    solution, and one seeded random draw. The best local optimum wins;
-    components are reported with tau >= 0.5 (ascending level on an exact
-    tie). All eight run through one lockstep simplex, whose steps
-    evaluate the running starts' points in one kernel call, before each
-    is polished by BFGS.
+    Five starts: the single-law solution ``unique_fit`` split by plus and
+    minus one standard deviation of the firm intercepts, with mixing
+    weights 0.3/0.5/0.7, the minimally split solution, and one seeded
+    random draw. The other ordering of each split is left out: swapping
+    the labels with tau -> 1 - tau, which leaves the likelihood unchanged,
+    maps it onto a kept start. For tau0 = 0.3 and 0.7 the dropped start
+    would only reach the mirror image of that start's optimum; for
+    tau0 = 0.5 the initial simplex is not mirrored (see ``_mixture_starts``),
+    so that twin was dropped on the evidence of a sweep. The best local
+    optimum wins; components are reported with tau >= 0.5 (ascending
+    level on an exact tie). All five run through one lockstep simplex,
+    whose steps evaluate the running starts' points in one kernel call,
+    before each is polished by BFGS.
     """
     a = firm_intercepts(stats)
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0

@@ -18,7 +18,11 @@ from .errors import InputError
 
 @dataclass
 class PanelData:
-    """Balanced panel: y is (N, T), x is (N, T, p), one label per firm."""
+    """Balanced panel: y is (N, T), x is (N, T, p), one label per firm.
+
+    Labels are stored as ``str``, as the CSV round trip returns them, and
+    must be distinct.
+    """
 
     y: np.ndarray
     x: np.ndarray
@@ -38,9 +42,15 @@ class PanelData:
         if not np.all(np.isfinite(self.y)) or not np.all(np.isfinite(self.x)):
             raise InputError("panel contains non-finite cells")
         if self.firm_ids is None:
-            self.firm_ids = [str(i + 1) for i in range(self.y.shape[0])]
+            self.firm_ids = range(1, self.y.shape[0] + 1)
+        self.firm_ids = [str(fid) for fid in self.firm_ids]
         if len(self.firm_ids) != self.y.shape[0]:
             raise InputError("firm_ids length does not match N")
+        seen = set()
+        for fid in self.firm_ids:
+            if fid in seen:
+                raise InputError(f"repeated firm id {fid!r}")
+            seen.add(fid)
 
     @property
     def N(self):

@@ -16,6 +16,8 @@ a faster library path returns the same values bit for bit:
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
   expression per quantity, for the batched and the gradient kernels;
+* the eight mixture starts, each split in both component orderings, that
+  the library used before it kept one start per label-swapping orbit;
 * the brute-force label matching over all K! permutations;
 * the CSV reader that parses one row at a time into a dict per cell, and
   the writer that formats one row at a time, as the library did before
@@ -218,6 +220,33 @@ def nelder_mead_per_start(f, starts, **options):
         minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead", options=options)
         for x0 in starts
     ]
+
+
+# --- the mixture starts in both orderings ------------------------------------
+
+
+def mixture_starts_eight(unique, sd_a, seed):
+    """Eight mixture starts: the single-law solution split by plus/minus
+    one SD of the firm intercepts in both orderings, crossed with mixing
+    weights 0.3/0.5/0.7, then the minimal split and one seeded draw."""
+    center_a, base_eta = unique.alpha0, math.log(unique.sigma_u2)
+    sd = max(sd_a, 1e-2)
+    starts = []
+    for tau0 in (0.3, 0.5, 0.7):
+        for sign in (1.0, -1.0):
+            starts.append(
+                [math.log(tau0 / (1.0 - tau0)), center_a + sign * sd, base_eta,
+                 center_a - sign * sd, base_eta]
+            )
+    starts.append([0.0, center_a + 0.1 * sd, base_eta, center_a - 0.1 * sd, base_eta])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(77,)))
+    tau0 = rng.uniform(0.2, 0.8)
+    starts.append(
+        [math.log(tau0 / (1.0 - tau0)),
+         center_a + sd * rng.standard_normal(), base_eta + 0.5 * rng.standard_normal(),
+         center_a + sd * rng.standard_normal(), base_eta + 0.5 * rng.standard_normal()]
+    )
+    return [np.array(s) for s in starts]
 
 
 # --- single-law terms, one point at a time -----------------------------------

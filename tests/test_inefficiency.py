@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from groupsfa import inefficiency
 from groupsfa._kernels import (
     loglik_unique_terms,
     loglik_unique_terms_grad,
@@ -17,6 +18,8 @@ from groupsfa.inefficiency import (
     _mixture_objectives,
     _unique_objectives,
     DegenerateMixtureWarning,
+    UniqueFit,
+    _mixture_starts,
     composite_residual_stats,
     default_lambda_tilde,
     firm_intercepts,
@@ -29,12 +32,14 @@ from groupsfa.inefficiency import (
     unique_standard_errors,
 )
 from groupsfa.panel import PanelData
+from groupsfa.pipeline import fit_levels
 from groupsfa.postestimation import default_lambda, fit_group, select_K
 
 from oracles import (
     composite_stats_loop,
     halfnormal_marginal_density,
     mixture_loglik_mpmath,
+    mixture_starts_eight,
     unique_loglik_mpmath,
 )
 
@@ -308,6 +313,83 @@ def test_fit_mixture_canonical_order_and_loglik_dominates_unique():
     assert mix.loglik >= uni.loglik - 1e-6
     # single-component truth: the extra parameters buy only a small gain
     assert mix.loglik - uni.loglik < 10.0
+
+
+# --- label swapping ----------------------------------------------------------
+
+# x = (xi, a1, eta1, a2, eta2) -> (-xi, a2, eta2, a1, eta1) swaps the two
+# components with tau -> 1 - tau: the same mixture
+_SWAP = [0, 3, 4, 1, 2]
+_SWAP_SIGN = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+def _swap(x):
+    return _SWAP_SIGN * np.asarray(x)[..., _SWAP]
+
+
+def test_mixture_objective_invariant_under_label_swap():
+    rng = np.random.default_rng(21)
+    N, T = 150, 40
+    comp = rng.uniform(size=N) < 0.35
+    levels = np.where(comp, 0.8, -0.6) - sample_half_normal(0.9, rng, size=N)
+    stats = _stats_from_levels(levels, 1.0, T, rng)
+    objective, value_and_grad = _mixture_objectives(stats)
+    X = np.column_stack([
+        rng.uniform(-3, 3, 12), rng.normal(0, 1, 12), rng.uniform(-4, 2, 12),
+        rng.normal(0, 1, 12), rng.uniform(-4, 2, 12),
+    ])
+    X = np.vstack([X, [0.0, 0.8, -0.5, -0.7, 0.1]])
+    np.testing.assert_allclose(objective(_swap(X)), objective(X), rtol=1e-12, atol=0)
+    for x in X:
+        value, grad = value_and_grad(x)
+        value_s, grad_s = value_and_grad(_swap(x))
+        assert value_s == pytest.approx(value, rel=1e-12, abs=0)
+        # the gradient at the image is the permuted gradient, d/dxi negated
+        np.testing.assert_allclose(grad_s, _swap(grad), rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(grad)))
+
+
+def _mirror(a, b):
+    return np.allclose(_swap(a), b, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_mixture_starts_one_per_orbit(seed):
+    unique = UniqueFit(alpha0=0.4, sigma_u2=0.3, loglik=0.0)
+    starts = _mixture_starts(unique, 0.7, seed)
+    assert len(starts) == 5
+    for i, a in enumerate(starts):
+        for b in starts[i:]:
+            assert not _mirror(a, b)
+    # five of the reference set's eight starts are the ones kept; the
+    # other three are mirror images of kept ones
+    eight = mixture_starts_eight(unique, 0.7, seed)
+    kept = [s for s in eight if any(np.array_equal(s, k) for k in starts)]
+    mirrored = [s for s in eight if any(_mirror(k, s) for k in starts)]
+    assert len(kept) == 5 and len(mirrored) == 3
+
+
+# The (50, 30) panels of test_pipeline's recorded log-likelihoods (seed 3)
+# and dgp2m (100, 50) replications 0-2 (seed 0): (design, N, T, seed, rep)
+_ORBIT_PANELS = [
+    ("dgp2m", 50, 30, 3, 0), ("dgp1u", 50, 30, 3, 2), ("dgp3m", 50, 30, 3, 1),
+    ("dgp2m", 100, 50, 0, 0), ("dgp2m", 100, 50, 0, 1), ("dgp2m", 100, 50, 0, 2),
+]
+
+
+@pytest.mark.parametrize("design, N, T, seed, rep", _ORBIT_PANELS)
+def test_one_start_per_orbit_matches_the_eight_starts(monkeypatch, design, N, T,
+                                                      seed, rep):
+    panel, _ = generate(design, N, T, seed=seed, rep=rep)
+    th = np.vstack([f.theta for f in fit_all(panel, default_m(T))])
+    record = select_K(panel, th, 4, default_lambda(N, T)).selected
+    _, unique, fit, choice = fit_levels(panel, record, 1.0, rep)
+    monkeypatch.setattr(inefficiency, "_mixture_starts", mixture_starts_eight)
+    _, unique_ref, ref, choice_ref = fit_levels(panel, record, 1.0, rep)
+    assert unique == unique_ref
+    assert choice.chosen == choice_ref.chosen
+    assert fit.loglik >= ref.loglik - 1e-12 * abs(ref.loglik)
+    np.testing.assert_allclose(fit.params, ref.params, rtol=0, atol=1e-6)
 
 
 def test_step5_penalty_breaks_ties():

@@ -59,7 +59,13 @@ def test_replication_classification_only_skips_mle():
 # Replications whose selected K (2 and 1) is not the design's true K (3),
 # so the level parameters are scored on the refit at the true K: a
 # mixture-law refit (dgp3m) and a unique-law refit (dgp3u). Each tuple is
-# (k_hat, cls_error, choice at the selected K, errors).
+# (k_hat, cls_error, choice at the selected K, errors). Every entry is
+# compared exactly except the level errors of the mixture-law refit
+# (_MIXTURE_LEVEL_KEYS, the keys of montecarlo._mixture_errors). Those come
+# from the mixture optimum, which an optimizer change need reproduce only
+# within 1e-6: they were recorded with eight mixture starts, and the five
+# starts that replaced them move the dgp3m errors by up to 1.9e-7. The
+# dgp3u level errors come from fit_unique and stay exact.
 _REFIT_RECORDS = {
     "dgp3m": (2, 0.1, "mixture", {
         "sigma_v_1": 0.08575621268384159, "sigma_v_2": 0.258408142808942,
@@ -73,6 +79,7 @@ _REFIT_RECORDS = {
         "sigma_u": 0.1853625284530065,
     }),
 }
+_MIXTURE_LEVEL_KEYS = {"tau", "alpha0_1", "sigma_u_1", "alpha0_2", "sigma_u_2"}
 
 
 @pytest.mark.parametrize("design", sorted(_REFIT_RECORDS))
@@ -80,7 +87,14 @@ def test_refit_at_true_k_pinned(design):
     cfg = McConfig(design=design, sizes=[(50, 30)], replications=1, seed=3)
     rec = run_replication(cfg, (50, 30), 0)
     assert not rec.failed, rec.message
-    assert (rec.k_hat, rec.cls_error, rec.choice, rec.errors) == _REFIT_RECORDS[design]
+    k_hat, cls_error, choice, errors = _REFIT_RECORDS[design]
+    assert (rec.k_hat, rec.cls_error, rec.choice) == (k_hat, cls_error, choice)
+    assert rec.errors.keys() == errors.keys()
+    for name, value in errors.items():
+        if name in _MIXTURE_LEVEL_KEYS:
+            assert rec.errors[name] == pytest.approx(value, rel=0, abs=1e-6), name
+        else:
+            assert rec.errors[name] == value, name
 
 
 def test_aggregate_identical_errors():

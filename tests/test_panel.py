@@ -91,6 +91,36 @@ def test_panel_validation():
         PanelData(y=np.ones((2, 3)), x=np.ones((2, 3, 1)), firm_ids=["a"])
 
 
+def test_firm_ids_are_str_and_survive_the_round_trip(tmp_path):
+    panel = PanelData(y=np.ones((3, 2)), x=np.ones((3, 2, 1)),
+                      firm_ids=[7, np.int64(8), "x"])
+    assert panel.firm_ids == ["7", "8", "x"]
+    assert all(type(fid) is str for fid in panel.firm_ids)
+    write_panel_csv(panel, tmp_path / "ids.csv")
+    assert read_panel_csv(str(tmp_path / "ids.csv")).firm_ids == panel.firm_ids
+    assert PanelData(y=np.ones((2, 1)), x=np.ones((2, 1, 1))).firm_ids == ["1", "2"]
+
+
+def test_repeated_firm_ids_rejected(tmp_path, monkeypatch, capsys):
+    y, x = np.ones((4, 3)), np.ones((4, 3, 1))
+    with pytest.raises(InputError, match="repeated firm id 'b'"):
+        PanelData(y=y, x=x, firm_ids=["a", "b", "b", "a"])
+    with pytest.raises(InputError, match="repeated firm id '7'"):
+        PanelData(y=y, x=x, firm_ids=[7, "8", "7", 9])
+    # 30 firms under 15 distinct ids never reach the estimator
+    rng = np.random.default_rng(0)
+    ids = [f"f{i % 15}" for i in range(30)]
+    monkeypatch.setattr(
+        "groupsfa.cli.read_panel_csv",
+        lambda *a, **k: PanelData(y=rng.normal(size=(30, 20)),
+                                  x=rng.normal(size=(30, 20, 1)), firm_ids=ids),
+    )
+    out = tmp_path / "r"
+    assert main(["estimate", "--input", "unused.csv", "--out-dir", str(out)]) == 2
+    assert "repeated firm id 'f0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _same_panel(a, b):
     return (a.y.tobytes() == b.y.tobytes() and a.x.tobytes() == b.x.tobytes()
             and a.firm_ids == b.firm_ids)
