@@ -8,7 +8,6 @@ maximum likelihood, choosing between a single half-normal law and a
 two-component mixture.
 """
 
-from ._kernels import log_norm_cdf
 from .basis import basis_value, design_matrix, design_row, within_demean
 from .dgp import DESIGNS, centering_constant, generate, sample_half_normal
 from .errors import (
@@ -36,8 +35,6 @@ from .inefficiency import (
     firm_intercepts,
     fit_mixture,
     fit_unique,
-    loglik_mixture_firm,
-    loglik_unique_firm,
     mle_standard_errors,
     step5_select,
 )

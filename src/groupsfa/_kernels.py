@@ -31,13 +31,14 @@ tails. With eta = log su2 and si2 = sv2 + T su2,
     d/d alpha0 = (lambda + z) T su / (sv sqrt(si2)) + sum / sv2
     d/d eta    = -T su2 / (2 si2) + (lambda + z) z sv2 / (2 si2).
 
-The two totals, ``loglik_unique_total`` and ``loglik_mixture_total``, also
-take length-R parameter vectors and return the R totals from one (R, N)
-evaluation: the optimizer's simplex sends the candidate points of all its
-starts through one call. The parameter-free prefix
-log 2 - (T/2) log(2 pi) - ((T-1)/2) log sv2 is computed once per call, and
-every row is computed by the same expressions as a one-point call, so it
-is bit for bit the value that call returns.
+The two totals, ``loglik_unique_total`` and ``loglik_mixture_total``, take
+each parameter as a scalar or a length-R vector (R parameter rows) and
+always return an (R,) array of totals, from one (R, N) evaluation: the
+optimizer's simplex sends the candidate points of all its starts through
+one call, and the standard errors their whole difference stencil. The
+parameter-free prefix log 2 - (T/2) log(2 pi) - ((T-1)/2) log sv2 is
+computed once per call, and every row is computed by the same expressions
+as a one-row call, so it is bit for bit the value that call returns.
 """
 
 import math
@@ -48,11 +49,6 @@ from scipy.special import log_ndtr
 LOG2 = math.log(2.0)
 LOG2PI = math.log(2.0 * math.pi)
 _HALF_LOG2PI = 0.5 * LOG2PI
-
-
-def log_norm_cdf(z):
-    """Elementwise log Phi(z), finite for any finite double argument."""
-    return log_ndtr(np.asarray(z, dtype=float))
 
 
 def _as_stats(S, Q, sv2):
@@ -85,23 +81,20 @@ def _unique_parts(S, Q, sv2, T, alpha0, su2, prefix):
 
 def _rows(*params):
     """Parameters (scalars, or vectors of one length R) as (R, 1) float
-    columns, and whether any was a vector.
+    columns.
 
-    A single row comes back as plain floats, so a one-point evaluation
-    runs on (N,) arrays, without broadcasting.
+    A single row comes back as plain floats, so a one-row evaluation runs
+    on (N,) arrays, without broadcasting; it is the faster case.
     """
-    arrays = [np.asarray(p, dtype=float) for p in params]
-    batched = any(a.ndim for a in arrays)
-    cols = [a.reshape(-1, 1) for a in arrays]
+    cols = [np.asarray(p, dtype=float).reshape(-1, 1) for p in params]
     if len(cols[0]) == 1:
-        return [c.item() for c in cols], batched
-    return cols, batched
+        return [c.item() for c in cols]
+    return cols
 
 
-def _totals(terms, batched):
-    """Row sums of the (R, N) or (N,) terms: the R totals, or one float."""
-    totals = terms.sum(axis=-1)
-    return np.atleast_1d(totals) if batched else float(totals)
+def _totals(terms):
+    """Row sums of the (R, N) or (N,) terms, as an (R,) array."""
+    return np.atleast_1d(terms.sum(axis=-1))
 
 
 def log_mixture_terms(l1, l2, tau):
@@ -116,17 +109,11 @@ def log_mixture_terms(l1, l2, tau):
     return x1, np.logaddexp(x1, x2)
 
 
-def loglik_unique_terms(S, Q, sv2, T, alpha0, sigma_u2):
-    """Per-firm log-likelihood contributions of the single-law model."""
-    S, Q, sv2 = _as_stats(S, Q, sv2)
-    return _unique_parts(S, Q, sv2, T, alpha0, sigma_u2, _prefix(sv2, T))[0]
-
-
 def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
     """Per-firm terms and their derivatives in alpha0 and eta = log sigma_u2.
 
-    Returns (terms, d_alpha0, d_eta); ``terms`` is the array
-    ``loglik_unique_terms`` returns, from the same code.
+    Returns (terms, d_alpha0, d_eta); the terms are the per-firm
+    log-likelihood contributions of the single-law model.
     """
     S, Q, sv2 = _as_stats(S, Q, sv2)
     terms, se, si2, z, log_cdf = _unique_parts(
@@ -140,20 +127,17 @@ def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
 
 
 def loglik_unique_total(S, Q, sv2, T, alpha0, sigma_u2):
-    """Single-law log-likelihood: a float for scalar parameters, the R
-    totals for length-R vectors."""
+    """Single-law log-likelihood of each parameter row, as an (R,) array."""
     S, Q, sv2 = _as_stats(S, Q, sv2)
-    (a, su2), batched = _rows(alpha0, sigma_u2)
-    terms = _unique_parts(S, Q, sv2, T, a, su2, _prefix(sv2, T))[0]
-    return _totals(terms, batched)
+    a, su2 = _rows(alpha0, sigma_u2)
+    return _totals(_unique_parts(S, Q, sv2, T, a, su2, _prefix(sv2, T))[0])
 
 
 def loglik_mixture_total(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
-    """Mixture log-likelihood: a float for scalar parameters, the R totals
-    for length-R vectors."""
+    """Mixture log-likelihood of each parameter row, as an (R,) array."""
     S, Q, sv2 = _as_stats(S, Q, sv2)
-    (tau, a1, su2_1, a2, su2_2), batched = _rows(tau, a1, su2_1, a2, su2_2)
+    tau, a1, su2_1, a2, su2_2 = _rows(tau, a1, su2_1, a2, su2_2)
     prefix = _prefix(sv2, T)
     l1 = _unique_parts(S, Q, sv2, T, a1, su2_1, prefix)[0]
     l2 = _unique_parts(S, Q, sv2, T, a2, su2_2, prefix)[0]
-    return _totals(log_mixture_terms(l1, l2, tau)[1], batched)
+    return _totals(log_mixture_terms(l1, l2, tau)[1])

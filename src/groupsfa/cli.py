@@ -49,6 +49,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    if args.grid < 1:
+        raise InputError(f"--grid must be >= 1, got {args.grid}")
     x_cols = args.x_cols.split(",") if args.x_cols else None
     panel = read_panel_csv(
         args.input, firm_col=args.firm_col, time_col=args.time_col,

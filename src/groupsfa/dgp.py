@@ -178,13 +178,16 @@ def generate(design, N, T, seed, rep=0):
             insensitive).
         N, T: firm and period counts; T must be at least 10 and N at
             least the design's group count.
-        seed: master seed; together with ``rep`` it keys all streams.
-        rep: replication index for Monte Carlo use.
+        seed: master seed, a non-negative integer; together with ``rep``
+            it keys all streams.
+        rep: replication index for Monte Carlo use, non-negative.
 
     Returns:
         (PanelData, DgpTruth)
     """
     base, law_code = _parse_design(design)
+    if seed < 0 or rep < 0:
+        raise InputError(f"seed and rep must be non-negative, got {seed} and {rep}")
     if T < 2:
         raise InputError(f"need T >= 2, got {T}")
     alphas, betas, sigma_v, (x_mean, x_sd) = _design_curves(base)

@@ -15,7 +15,7 @@ be cut at any K without re-clustering. Group labels are assigned 1..K by
 ascending smallest member index, which makes runs bit-reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,20 +33,14 @@ class GroupAssignment:
 
     K: int
     membership: np.ndarray
-    sizes: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.membership = np.asarray(self.membership, dtype=int)
-        labels, counts = np.unique(self.membership, return_counts=True)
+        labels = np.unique(self.membership)
         if len(labels) != self.K or labels[0] != 1 or labels[-1] != self.K:
             raise InputError(
                 f"membership labels {labels.tolist()} do not form 1..{self.K}"
             )
-        if self.sizes is None:
-            self.sizes = counts
-        self.sizes = np.asarray(self.sizes, dtype=int)
-        if not np.array_equal(self.sizes, counts):
-            raise InputError("sizes inconsistent with membership")
 
     @property
     def N(self):

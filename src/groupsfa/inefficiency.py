@@ -20,7 +20,13 @@ kernel call per step. BFGS then runs per start through scipy's
 ``minimize``. The mixture gradient comes from the component gradients
 weighted by the firms' responsibilities. Standard errors come from a
 central-difference Hessian of the log-likelihood in the original
-parameterization.
+parameterization, whose whole stencil is one batched kernel call.
+
+Every likelihood value goes through ``loglik_unique_total`` or
+``loglik_mixture_total`` with one convention: an (R, n) array of parameter
+rows in, an (R,) array of totals out. ``_unique_params`` and
+``_mixture_params`` map unconstrained rows to the natural parameters, for
+the optimizer's objective and for the reported fits alike.
 """
 
 import math
@@ -33,7 +39,6 @@ from scipy.optimize import OptimizeResult, minimize
 from ._kernels import (
     log_mixture_terms,
     loglik_mixture_total,
-    loglik_unique_terms,
     loglik_unique_terms_grad,
     loglik_unique_total,
 )
@@ -42,6 +47,12 @@ from .errors import ConvergenceError, HessianError, InputError
 
 _ETA_CLIP = 60.0
 _XI_CLIP = 30.0  # keeps the mixing weight strictly inside (0, 1) in double
+# the clip bounds of the unconstrained coordinates; a clipped coordinate has
+# derivative 0
+_UNIQUE_BOUNDS = np.array([np.inf, _ETA_CLIP])
+_MIXTURE_BOUNDS = np.array([_XI_CLIP, np.inf, _ETA_CLIP, np.inf, _ETA_CLIP])
+# a fitted mixing weight this close to 0 or 1 is a degenerate mixture
+_TAU_BOUNDARY = 1e-4
 # E|N(0,1)| and Var|N(0,1)| enter the method-of-moments initialization
 _HN_MEAN = math.sqrt(2.0 / math.pi)
 _HN_VAR = 1.0 - 2.0 / math.pi
@@ -134,44 +145,6 @@ def firm_intercepts(stats):
     and reporting.
     """
     return stats.S / stats.T
-
-
-# --- likelihood evaluation --------------------------------------------------
-
-
-def loglik_unique_firm(resid_sum, resid_sumsq, T, sigma_v2, sigma_u2):
-    """Log density of one firm's level-adjusted residual series.
-
-    ``resid_sum`` and ``resid_sumsq`` are the sum and square sum of the
-    residuals with the level term already removed.
-    """
-    if sigma_v2 <= 0.0 or sigma_u2 <= 0.0:
-        raise InputError("variances must be positive")
-    terms = loglik_unique_terms(
-        np.array([resid_sum]), np.array([resid_sumsq]), np.array([sigma_v2]),
-        T, 0.0, sigma_u2,
-    )
-    return float(terms[0])
-
-
-def loglik_mixture_firm(
-    resid_sum, resid_sumsq, T, sigma_v2,
-    alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2, tau,
-):
-    """Log density under the two-component mixture of level laws.
-
-    Here ``resid_sum``/``resid_sumsq`` are sums of the raw composite
-    residuals; each component removes its own level alpha0_j. Computed in
-    log space so boundary weights (tau of 0 or 1) degrade gracefully.
-    """
-    if sigma_v2 <= 0.0 or sigma_u2_1 <= 0.0 or sigma_u2_2 <= 0.0:
-        raise InputError("variances must be positive")
-    if not 0.0 <= tau <= 1.0:
-        raise InputError(f"tau must lie in [0, 1], got {tau}")
-    return loglik_mixture_total(
-        np.array([resid_sum]), np.array([resid_sumsq]), np.array([sigma_v2]),
-        T, tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2,
-    )
 
 
 # --- optimization ------------------------------------------------------------
@@ -337,14 +310,33 @@ def _maximize(objective, value_and_grad, starts, max_nm=2000, max_bfgs=200):
     return out
 
 
-def _clip_eta(eta):
-    """Clipped log variance and the derivative of the clip (0 or 1)."""
-    return min(max(eta, -_ETA_CLIP), _ETA_CLIP), float(abs(eta) <= _ETA_CLIP)
+def _clip(v, bound):
+    return min(max(v, -bound), bound)
 
 
-def _variance(eta):
-    """Variance at a clipped log variance."""
-    return math.exp(_clip_eta(eta)[0])
+def _variances(etas):
+    """Variances at clipped log variances.
+
+    ``math.exp`` runs element by element because ``np.exp`` can differ
+    from it in the last bit, which would change the optimizer's path.
+    """
+    return [math.exp(_clip(e, _ETA_CLIP)) for e in etas]
+
+
+def _unique_params(X):
+    """(alpha0, sigma_u2) of (R, 2) rows (alpha0, log sigma_u2), as two
+    length-R lists."""
+    alpha0, eta = X.T.tolist()
+    return alpha0, _variances(eta)
+
+
+def _mixture_params(X):
+    """(tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2) of (R, 5) rows
+    (logit tau, alpha0_1, log sigma_u2_1, alpha0_2, log sigma_u2_2), as five
+    length-R lists."""
+    xi, a1, eta1, a2, eta2 = X.T.tolist()
+    tau = [1.0 / (1.0 + math.exp(-_clip(v, _XI_CLIP))) for v in xi]
+    return tau, a1, _variances(eta1), a2, _variances(eta2)
 
 
 def _unique_objectives(stats):
@@ -356,16 +348,13 @@ def _unique_objectives(stats):
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        alpha0, eta = X.T.tolist()
-        return loglik_unique_total(S, Q, sv2, T, alpha0, [_variance(e) for e in eta])
+        return loglik_unique_total(S, Q, sv2, T, *_unique_params(X))
 
     def value_and_grad(x):
-        eta, d_clip = _clip_eta(x[1])
-        terms, d_alpha0, d_eta = loglik_unique_terms_grad(
-            S, Q, sv2, T, x[0], math.exp(eta)
-        )
-        grad = np.array([np.sum(d_alpha0), d_clip * np.sum(d_eta)])
-        return float(np.sum(terms)), grad
+        (alpha0,), (sigma_u2,) = _unique_params(x[None])
+        terms, d_alpha0, d_eta = loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2)
+        grad = np.array([np.sum(d_alpha0), np.sum(d_eta)])
+        return float(np.sum(terms)), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
 
     return objective, value_and_grad
 
@@ -382,37 +371,30 @@ def _mixture_objectives(stats):
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        xi, a1, eta1, a2, eta2 = X.T.tolist()
-        return loglik_mixture_total(
-            S, Q, sv2, T, [_expit(v) for v in xi], a1, [_variance(e) for e in eta1],
-            a2, [_variance(e) for e in eta2],
-        )
+        return loglik_mixture_total(S, Q, sv2, T, *_mixture_params(X))
 
     def value_and_grad(x):
-        tau = _expit(x[0])
-        e1, d_clip1 = _clip_eta(x[2])
-        e2, d_clip2 = _clip_eta(x[4])
-        l1, da1, de1 = loglik_unique_terms_grad(S, Q, sv2, T, x[1], math.exp(e1))
-        l2, da2, de2 = loglik_unique_terms_grad(S, Q, sv2, T, x[3], math.exp(e2))
+        (tau,), (a1,), (su2_1,), (a2,), (su2_2,) = _mixture_params(x[None])
+        l1, da1, de1 = loglik_unique_terms_grad(S, Q, sv2, T, a1, su2_1)
+        l2, da2, de2 = loglik_unique_terms_grad(S, Q, sv2, T, a2, su2_2)
         x1, lm = log_mixture_terms(l1, l2, tau)
         w1 = np.exp(x1 - lm)
         w2 = -np.expm1(x1 - lm)
-        grad = np.array([
-            float(abs(x[0]) <= _XI_CLIP) * np.sum(w1 - tau),
-            w1 @ da1,
-            d_clip1 * (w1 @ de1),
-            w2 @ da2,
-            d_clip2 * (w2 @ de2),
-        ])
-        return float(np.sum(lm)), grad
+        grad = np.array([np.sum(w1 - tau), w1 @ da1, w1 @ de1, w2 @ da2, w2 @ de2])
+        return float(np.sum(lm)), grad * (np.abs(x) <= _MIXTURE_BOUNDS)
 
     return objective, value_and_grad
 
 
+def _intercept_spread(stats):
+    """Firm intercepts and their sample standard deviation (0 for one firm)."""
+    a = firm_intercepts(stats)
+    return a, float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
+
+
 def fit_unique(stats):
     """MLE of (alpha0, sigma_u2) under a single half-normal law."""
-    a = firm_intercepts(stats)
-    sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
+    a, sd_a = _intercept_spread(stats)
     su_init = max(sd_a / math.sqrt(_HN_VAR), 1e-3)
     x0 = np.array([float(np.mean(a)) + su_init * _HN_MEAN, 2.0 * math.log(su_init)])
 
@@ -420,22 +402,23 @@ def fit_unique(stats):
     if isinstance(result, ConvergenceError):
         raise result
     x, loglik = result
-    eta_hat = float(np.clip(x[1], -_ETA_CLIP, _ETA_CLIP))
-    if eta_hat < math.log(1e-8):
+    (alpha0,), (sigma_u2,) = _unique_params(x[None])
+    if sigma_u2 < 1e-8:
         warnings.warn(
             "inefficiency variance collapsed toward zero", RuntimeWarning
         )
-    return UniqueFit(alpha0=float(x[0]), sigma_u2=math.exp(eta_hat), loglik=loglik)
+    return UniqueFit(alpha0=alpha0, sigma_u2=sigma_u2, loglik=loglik)
 
 
 def unique_standard_errors(stats, fit):
     """Numerical-Hessian standard errors of (alpha0, sigma_u2)."""
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
-    def ll_orig(theta):
-        return loglik_unique_total(S, Q, sv2, T, theta[0], max(theta[1], 1e-12))
+    def objective(X):
+        alpha0, sigma_u2 = X.T
+        return loglik_unique_total(S, Q, sv2, T, alpha0, np.maximum(sigma_u2, 1e-12))
 
-    return mle_standard_errors(ll_orig, np.array([fit.alpha0, fit.sigma_u2]))
+    return mle_standard_errors(objective, np.array([fit.alpha0, fit.sigma_u2]))
 
 
 def _mixture_starts(unique, sd_a, seed):
@@ -471,11 +454,6 @@ def _logit(t):
     return math.log(t / (1.0 - t))
 
 
-def _expit(x):
-    x = min(max(x, -_XI_CLIP), _XI_CLIP)
-    return 1.0 / (1.0 + math.exp(-x))
-
-
 def fit_mixture(stats, unique_fit, seed=0):
     """MLE of the two-component mixture by multi-start optimization.
 
@@ -493,8 +471,7 @@ def fit_mixture(stats, unique_fit, seed=0):
     whose steps evaluate the running starts' points in one kernel call,
     before each is polished by BFGS.
     """
-    a = firm_intercepts(stats)
-    sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
+    _, sd_a = _intercept_spread(stats)
 
     best_x, best_ll = None, -np.inf
     failures = []
@@ -512,20 +489,18 @@ def fit_mixture(stats, unique_fit, seed=0):
             best_params=failures[-1].best_params if failures else None,
         )
 
-    tau = _expit(best_x[0])
-    comp1 = (float(best_x[1]), math.exp(float(np.clip(best_x[2], -_ETA_CLIP, _ETA_CLIP))))
-    comp2 = (float(best_x[3]), math.exp(float(np.clip(best_x[4], -_ETA_CLIP, _ETA_CLIP))))
-    if tau < 0.5 or (tau == 0.5 and comp1[0] > comp2[0]):
-        tau, comp1, comp2 = 1.0 - tau, comp2, comp1
-    degenerate = not 1e-4 <= tau <= 1.0 - 1e-4
+    (tau,), (a1,), (su2_1,), (a2,), (su2_2,) = _mixture_params(best_x[None])
+    if tau < 0.5 or (tau == 0.5 and a1 > a2):
+        tau, a1, su2_1, a2, su2_2 = 1.0 - tau, a2, su2_2, a1, su2_1
+    degenerate = not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
     if degenerate:
         warnings.warn(
             f"mixture weight collapsed to a boundary (tau = {tau:.2e})",
             DegenerateMixtureWarning,
         )
     return MixtureFit(
-        tau=float(tau), alpha0_1=comp1[0], sigma_u2_1=comp1[1],
-        alpha0_2=comp2[0], sigma_u2_2=comp2[1], loglik=best_ll,
+        tau=tau, alpha0_1=a1, sigma_u2_1=su2_1, alpha0_2=a2, sigma_u2_2=su2_2,
+        loglik=best_ll,
     )
 
 
@@ -535,17 +510,18 @@ def mixture_standard_errors(stats, fit):
     Returns None for boundary optima, where the information matrix is
     singular by construction.
     """
-    if not 1e-4 <= fit.tau <= 1.0 - 1e-4:
+    if not _TAU_BOUNDARY <= fit.tau <= 1.0 - _TAU_BOUNDARY:
         return None
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
-    def ll_orig(theta):
+    def objective(X):
+        tau, a1, su2_1, a2, su2_2 = X.T
         return loglik_mixture_total(
-            S, Q, sv2, T, min(max(theta[0], 0.0), 1.0), theta[1],
-            max(theta[2], 1e-12), theta[3], max(theta[4], 1e-12),
+            S, Q, sv2, T, np.clip(tau, 0.0, 1.0), a1, np.maximum(su2_1, 1e-12),
+            a2, np.maximum(su2_2, 1e-12),
         )
 
-    return mle_standard_errors(ll_orig, fit.params)
+    return mle_standard_errors(objective, fit.params)
 
 
 # --- model choice and inference ----------------------------------------------
@@ -571,32 +547,27 @@ def step5_select(unique, mixture, lambda_tilde):
 def mle_standard_errors(objective, at):
     """Standard errors from a central-difference Hessian at the optimum.
 
-    Per-coordinate steps are max(1e-5, 1e-4 |theta_j|). The Hessian must
-    be negative definite; otherwise a HessianError carrying its
+    ``objective`` maps an (R, n) array of parameter rows to their R
+    log-likelihoods; the whole stencil, 2 n^2 + 1 rows, goes through one
+    call. Per-coordinate steps are max(1e-5, 1e-4 |theta_j|). The Hessian
+    must be negative definite; otherwise a HessianError carrying its
     eigenvalues is raised.
     """
     theta = np.asarray(at, dtype=float)
     n = len(theta)
     h = np.maximum(1e-5, 1e-4 * np.abs(theta))
+    step = np.diag(h)
+    i, j = np.triu_indices(n, 1)
+    both, cross = step[i] + step[j], step[i] - step[j]
+    f = objective(theta + np.concatenate(
+        [np.zeros((1, n)), step, -step, both, -both, cross, -cross]
+    ))
+    f0, f_plus, f_minus, f_pp, f_mm, f_pm, f_mp = np.split(
+        f, np.cumsum([1, n, n, len(i), len(i), len(i)])
+    )
     H = np.empty((n, n))
-    f0 = objective(theta)
-
-    def at_offset(i, si, j=None, sj=0.0):
-        x = theta.copy()
-        x[i] += si * h[i]
-        if j is not None:
-            x[j] += sj * h[j]
-        return objective(x)
-
-    for i in range(n):
-        H[i, i] = (at_offset(i, 1.0) + at_offset(i, -1.0) - 2.0 * f0) / h[i] ** 2
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = (
-                at_offset(i, 1.0, j, 1.0)
-                + at_offset(i, -1.0, j, -1.0)
-                - at_offset(i, 1.0, j, -1.0)
-                - at_offset(i, -1.0, j, 1.0)
-            ) / (4.0 * h[i] * h[j])
+    H[np.diag_indices(n)] = (f_plus + f_minus - 2.0 * f0) / h ** 2
+    H[i, j] = H[j, i] = (f_pp + f_mm - f_pm - f_mp) / (4.0 * h[i] * h[j])
 
     if not np.all(np.isfinite(H)):
         raise HessianError(

@@ -67,6 +67,8 @@ class McConfig:
             raise ConfigError("stages must be 'full' or 'classification'")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @cached_property
     def true_K(self):

@@ -188,6 +188,8 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
     """Run the full estimation pipeline on a balanced panel."""
     if panel.N < 2:
         raise InputError("estimation requires at least 2 firms")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if m is None:
         m = default_m(panel.T)
     firm_fits = fit_all(panel, m)

@@ -16,6 +16,9 @@ a faster library path returns the same values bit for bit:
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
   expression per quantity, for the batched and the gradient kernels;
+* the central-difference Hessian standard errors evaluated one stencil
+  point per call, as the library did before it sent the whole stencil
+  through one call;
 * the eight mixture starts, each split in both component orderings, that
   the library used before it kept one start per label-swapping orbit;
 * the brute-force label matching over all K! permutations;
@@ -35,7 +38,7 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from groupsfa.basis import design_matrix, within_demean
-from groupsfa.errors import InputError
+from groupsfa.errors import HessianError, InputError
 from groupsfa.estimation import FirmEstimate, _solve_ls
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import GroupFit
@@ -272,6 +275,48 @@ def unique_terms_grad_reference(S, Q, sv2, T, alpha0, sigma_u2):
     d_alpha0 = dz * T * math.sqrt(sigma_u2) / (np.sqrt(sv2) * np.sqrt(si2)) + se / sv2
     d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
     return terms, d_alpha0, d_eta
+
+
+# --- standard errors, one stencil point per call ----------------------------
+
+
+def mle_standard_errors_per_point(objective, at):
+    """Central-difference Hessian standard errors, one point per call.
+
+    ``objective`` maps an (R, n) array of parameter rows to R values, as
+    the library's ``mle_standard_errors`` takes it; here every call holds
+    one row. The steps, the stencil, the arithmetic order and the
+    HessianError checks are the library's.
+    """
+    theta = np.asarray(at, dtype=float)
+    n = len(theta)
+    h = np.maximum(1e-5, 1e-4 * np.abs(theta))
+    H = np.empty((n, n))
+    f0 = objective(theta[None])[0]
+
+    def at_offset(i, si, j=None, sj=0.0):
+        x = theta.copy()
+        x[i] += si * h[i]
+        if j is not None:
+            x[j] += sj * h[j]
+        return objective(x[None])[0]
+
+    for i in range(n):
+        H[i, i] = (at_offset(i, 1.0) + at_offset(i, -1.0) - 2.0 * f0) / h[i] ** 2
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = (
+                at_offset(i, 1.0, j, 1.0)
+                + at_offset(i, -1.0, j, -1.0)
+                - at_offset(i, 1.0, j, -1.0)
+                - at_offset(i, -1.0, j, 1.0)
+            ) / (4.0 * h[i] * h[j])
+
+    if not np.all(np.isfinite(H)):
+        raise HessianError("Hessian has non-finite entries", eigenvalues=None)
+    eig = np.linalg.eigvalsh(H)
+    if eig[-1] >= 0.0:
+        raise HessianError("Hessian not negative definite", eigenvalues=eig)
+    return np.sqrt(np.diag(np.linalg.inv(-H)))
 
 
 # --- label matching by enumeration -------------------------------------------

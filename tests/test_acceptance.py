@@ -19,7 +19,6 @@ from groupsfa.basis import basis_value, design_matrix, within_demean
 from groupsfa.dgp import sample_half_normal
 from groupsfa.estimation import fit_firm
 from groupsfa.grouping import hac_cluster
-from groupsfa.inefficiency import loglik_unique_firm
 from groupsfa.montecarlo import McConfig, run_monte_carlo, sensitivity_sweep
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import fit_group
@@ -148,8 +147,8 @@ def test_criterion_5_likelihood_quadrature_oracle():
         sigma_v = float(rng.uniform(0.4, 2.0))
         sigma_u = float(rng.uniform(0.3, 2.0))
         eps = rng.normal(0, sigma_v, size=T) - sample_half_normal(sigma_u, rng)
-        ll = loglik_unique_firm(eps.sum(), float(eps @ eps), T,
-                                sigma_v ** 2, sigma_u ** 2)
+        (ll,) = _kernels.loglik_unique_total([eps.sum()], [eps @ eps],
+                                             [sigma_v ** 2], T, 0.0, sigma_u ** 2)
         ref = halfnormal_marginal_density(eps, sigma_v, sigma_u)
         worst = max(worst, abs(math.exp(ll) - ref) / ref)
     elapsed = time.time() - start
@@ -247,7 +246,7 @@ def test_criterion_8_numerical_hygiene():
     sv2 = rng.uniform(0.5, 2.0, size=n)
 
     def f(theta):
-        return _kernels.loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])
+        return _kernels.loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])[0]
 
     theta = np.array([0.2, 0.9])
     for j in range(2):
@@ -259,9 +258,12 @@ def test_criterion_8_numerical_hygiene():
         if abs(g1 - g2) > 1e-5 * max(1.0, abs(g2)):
             problems.append(f"gradient stencil mismatch coord {j}")
 
-    # stable log normal CDF across +-40
+    # stable log normal CDF across +-40: with T = 4 and unit variances
+    # z = -S / sqrt(5), so these residual sums put z on [-40, 40]
     z = np.linspace(-40, 40, 8001)
-    vals = _kernels.log_norm_cdf(z)
+    S_z = -np.sqrt(5.0) * z
+    ones = np.ones_like(z)
+    vals = _kernels.loglik_unique_terms_grad(S_z, S_z ** 2 / 4 + 1.0, ones, 4, 0.0, 1.0)[0]
     if not np.all(np.isfinite(vals)):
         problems.append("log-CDF not finite on [-40, 40]")
 

@@ -112,6 +112,28 @@ def test_estimate_kmax_above_firm_count_is_input_error(tmp_path, capsys):
     assert "K_max=4 exceeds the number of firms N=3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--rep", "-2")])
+def test_simulate_negative_seed_or_rep_is_input_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "panel.csv"
+    assert _run(["simulate", "--design", "dgp1u", "--n", "4", "--t", "10",
+                 flag, value, "--out", str(out)]) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--emit-curves", "--grid", "-1"],
+                                   ["--grid", "0"]])
+def test_estimate_bad_seed_or_grid_is_input_error(tmp_path, capsys, extra):
+    data = tmp_path / "panel.csv"
+    _run(["simulate", "--design", "dgp1u", "--n", "6", "--t", "20",
+          "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    assert _run(["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r"),
+                 "--kmax", "2", *extra]) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_estimate_missing_file_is_input_error(tmp_path):
     assert _run(["estimate", "--input", str(tmp_path / "nope.csv"),
                  "--out-dir", str(tmp_path / "r")]) == 2
@@ -166,6 +188,21 @@ def test_montecarlo_config_unknown_key_is_config_error(tmp_path):
                                "replications": 1, "c_lamda": 1.0}))
     assert _run(["montecarlo", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "o")]) == 4
+
+
+def test_montecarlo_negative_seed_is_config_error(tmp_path, monkeypatch):
+    from groupsfa import montecarlo
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "run_replication", no_replication)
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"design": "dgp2u", "sizes": [[20, 50]],
+                               "replications": 2, "seed": -1}))
+    assert _run(["montecarlo", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o").exists()
 
 
 def test_montecarlo_bad_json_is_config_error(tmp_path):

@@ -76,6 +76,10 @@ def test_generate_rejects_bad_inputs():
         generate("dgp9u", 10, 20, seed=0)
     with pytest.raises(InputError):
         generate("dgp1u", 10, 1, seed=0)
+    with pytest.raises(InputError, match="non-negative"):
+        generate("dgp1u", 10, 20, seed=-1)
+    with pytest.raises(InputError, match="non-negative"):
+        generate("dgp1u", 10, 20, seed=0, rep=-2)
 
 
 @pytest.mark.parametrize("design", DESIGNS)

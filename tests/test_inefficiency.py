@@ -5,12 +5,12 @@ import pytest
 
 from groupsfa import inefficiency
 from groupsfa._kernels import (
-    loglik_unique_terms,
+    loglik_mixture_total,
     loglik_unique_terms_grad,
     loglik_unique_total,
 )
 from groupsfa.dgp import generate, sample_half_normal
-from groupsfa.errors import HessianError, InputError
+from groupsfa.errors import HessianError
 from groupsfa.estimation import default_m, fit_all
 from groupsfa.grouping import GroupAssignment
 from groupsfa.inefficiency import (
@@ -25,8 +25,7 @@ from groupsfa.inefficiency import (
     firm_intercepts,
     fit_mixture,
     fit_unique,
-    loglik_mixture_firm,
-    loglik_unique_firm,
+    mixture_standard_errors,
     mle_standard_errors,
     step5_select,
     unique_standard_errors,
@@ -40,6 +39,7 @@ from oracles import (
     halfnormal_marginal_density,
     mixture_loglik_mpmath,
     mixture_starts_eight,
+    mle_standard_errors_per_point,
     unique_loglik_mpmath,
 )
 
@@ -48,18 +48,21 @@ HN_MEAN = math.sqrt(2.0 / math.pi)
 
 # --- likelihood values -------------------------------------------------------
 
+# One firm's log density comes from the panel totals with one-firm arrays:
+# (S, Q, sigma_v2) of the firm and the level parameters. A single-law call
+# at alpha0 = 0 takes the level-adjusted sums.
+
 
 def test_single_period_degenerate_u_limit():
     # with u pinned near zero and a zero residual the density collapses to
     # a standard normal at the origin
-    val = loglik_unique_firm(0.0, 0.0, T=1, sigma_v2=1.0, sigma_u2=1e-18)
+    (val,) = loglik_unique_total([0.0], [0.0], [1.0], 1, 0.0, 1e-18)
     assert val == pytest.approx(-0.9189385332046727, abs=1e-6)
 
 
 def test_quadrature_oracle_specific_case():
     eps = np.array([-1.0, -1.0, -1.0])
-    ll = loglik_unique_firm(eps.sum(), float(eps @ eps), T=3,
-                            sigma_v2=1.0, sigma_u2=1.0)
+    (ll,) = loglik_unique_total([eps.sum()], [eps @ eps], [1.0], 3, 0.0, 1.0)
     ref = halfnormal_marginal_density(eps, 1.0, 1.0)
     assert math.exp(ll) == pytest.approx(ref, rel=1e-8)
 
@@ -71,8 +74,8 @@ def test_quadrature_oracle_random_instances(trial):
     sigma_v = float(rng.uniform(0.4, 2.0))
     sigma_u = float(rng.uniform(0.3, 2.0))
     eps = rng.normal(0, sigma_v, size=T) - sample_half_normal(sigma_u, rng)
-    ll = loglik_unique_firm(eps.sum(), float(eps @ eps), T,
-                            sigma_v ** 2, sigma_u ** 2)
+    (ll,) = loglik_unique_total([eps.sum()], [eps @ eps], [sigma_v ** 2], T,
+                                0.0, sigma_u ** 2)
     ref = halfnormal_marginal_density(eps, sigma_v, sigma_u)
     assert math.exp(ll) == pytest.approx(ref, rel=1e-8)
 
@@ -85,7 +88,7 @@ def test_closed_form_matches_mpmath():
         qe = se ** 2 / T + float(rng.uniform(0.5, 50))
         sv2 = float(rng.uniform(0.2, 4))
         su2 = float(rng.uniform(0.1, 4))
-        mine = loglik_unique_firm(se, qe, T, sv2, su2)
+        (mine,) = loglik_unique_total([se], [qe], [sv2], T, 0.0, su2)
         ref = unique_loglik_mpmath(se, qe, T, sv2, su2)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -93,16 +96,17 @@ def test_closed_form_matches_mpmath():
 def test_mixture_degenerate_tau_equals_unique():
     se, qe, T, sv2 = 4.2, 31.0, 5, 1.3
     a1, su1 = 0.8, 0.6
-    mix = loglik_mixture_firm(se, qe, T, sv2, a1, su1, -3.0, 2.0, tau=1.0)
-    uni = loglik_unique_firm(se - T * a1, qe - 2 * a1 * se + T * a1 ** 2,
-                             T, sv2, su1)
+    (mix,) = loglik_mixture_total([se], [qe], [sv2], T, 1.0, a1, su1, -3.0, 2.0)
+    (uni,) = loglik_unique_total([se - T * a1], [qe - 2 * a1 * se + T * a1 ** 2],
+                                 [sv2], T, 0.0, su1)
     assert mix == uni
 
 
 def test_mixture_identical_components_collapse():
     se, qe, T, sv2 = -2.0, 18.0, 4, 0.9
-    mix = loglik_mixture_firm(se, qe, T, sv2, 0.5, 1.1, 0.5, 1.1, tau=0.5)
-    uni = loglik_unique_firm(se - T * 0.5, qe - se + T * 0.25, T, sv2, 1.1)
+    (mix,) = loglik_mixture_total([se], [qe], [sv2], T, 0.5, 0.5, 1.1, 0.5, 1.1)
+    (uni,) = loglik_unique_total([se - T * 0.5], [qe - se + T * 0.25], [sv2], T,
+                                 0.0, 1.1)
     assert mix == pytest.approx(uni, rel=1e-14)
 
 
@@ -112,30 +116,23 @@ def test_mixture_matches_mpmath():
         T = int(rng.integers(2, 60))
         se = float(rng.normal(0, 5))
         qe = se ** 2 / T + float(rng.uniform(1, 40))
-        mine = loglik_mixture_firm(se, qe, T, 1.2, 0.9, 0.5, -1.0, 1.6, tau=0.3)
+        (mine,) = loglik_mixture_total([se], [qe], [1.2], T, 0.3, 0.9, 0.5, -1.0, 1.6)
         ref = mixture_loglik_mpmath(se, qe, T, 1.2, 0.9, 0.5, -1.0, 1.6, 0.3)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 def test_stable_for_huge_residual_sums():
     for se in (1e6, -1e6):
-        val = loglik_unique_firm(se, se ** 2 / 10 + 5.0, T=10_000,
-                                 sigma_v2=1.0, sigma_u2=1.0)
+        (val,) = loglik_unique_total([se], [se ** 2 / 10 + 5.0], [1.0], 10_000,
+                                     0.0, 1.0)
         assert np.isfinite(val)
-
-
-def test_variance_validation():
-    with pytest.raises(InputError):
-        loglik_unique_firm(0.0, 1.0, 3, -1.0, 1.0)
-    with pytest.raises(InputError):
-        loglik_mixture_firm(0.0, 1.0, 3, 1.0, 0.0, 1.0, 0.0, 1.0, tau=1.5)
 
 
 # --- gradient hygiene --------------------------------------------------------
 
 
 def _total_loglik(theta, S, Q, sv2, T):
-    return loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])
+    return loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])[0]
 
 
 def test_finite_difference_gradients_cross_check():
@@ -173,10 +170,9 @@ def test_finite_difference_gradients_cross_check():
         z = -math.sqrt(su2) * se / (np.sqrt(sv2) * np.sqrt(sv2 + T * su2))
         assert z.min() < -37 and z.max() > 8
         terms, d_alpha0, d_eta = loglik_unique_terms_grad(S, Q, sv2, T, alpha0, su2)
-        assert np.array_equal(terms, loglik_unique_terms(S, Q, sv2, T, alpha0, su2))
 
         def ell(a, e):
-            return loglik_unique_terms(S, Q, sv2, T, a, math.exp(e))
+            return loglik_unique_terms_grad(S, Q, sv2, T, a, math.exp(e))[0]
 
         fd_alpha0 = (ell(alpha0 + h, eta) - ell(alpha0 - h, eta)) / (2 * h)
         fd_eta = (ell(alpha0, eta + h) - ell(alpha0, eta - h)) / (2 * h)
@@ -217,26 +213,77 @@ def test_finite_difference_gradients_cross_check():
 # --- standard errors ---------------------------------------------------------
 
 
+# mle_standard_errors takes a row objective: (R, n) parameter rows in, the
+# R values out
+
+
 def test_se_quadratic_objective_recovers_scales():
     scales = np.array([0.5, 2.0, 7.0])
 
-    def obj(theta):
-        return -0.5 * float(np.sum((theta / scales) ** 2))
+    def obj(X):
+        return -0.5 * np.sum((X / scales) ** 2, axis=1)
 
     se = mle_standard_errors(obj, np.zeros(3))
     np.testing.assert_allclose(se, scales, rtol=1e-6)
 
 
 def test_se_one_dimensional():
-    se = mle_standard_errors(lambda t: -0.5 * (t[0] - 3.0) ** 2, np.array([3.0]))
+    se = mle_standard_errors(lambda X: -0.5 * (X[:, 0] - 3.0) ** 2, np.array([3.0]))
     assert se[0] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_se_rejects_indefinite_hessian():
     with pytest.raises(HessianError) as err:
-        mle_standard_errors(lambda t: 0.5 * (t[0] ** 2 - t[1] ** 2),
+        mle_standard_errors(lambda X: 0.5 * (X[:, 0] ** 2 - X[:, 1] ** 2),
                             np.array([0.0, 0.0]))
     assert err.value.eigenvalues is not None
+
+
+# Panels for the stencil checks: test_pipeline's recorded (50, 30) panels
+# (seed 3), dgp2m and dgp1u (100, 50) (seed 0) and the est_mixture size,
+# dgp2m (250, 100): (design, N, T, seed, rep)
+_SE_PANELS = [
+    ("dgp2m", 50, 30, 3, 0), ("dgp1u", 50, 30, 3, 2), ("dgp3m", 50, 30, 3, 1),
+    ("dgp2m", 100, 50, 0, 0), ("dgp1u", 100, 50, 0, 1), ("dgp3u", 100, 50, 0, 2),
+    ("dgp2m", 250, 100, 0, 0),
+]
+
+
+@pytest.mark.parametrize("design, N, T, seed, rep", _SE_PANELS)
+def test_se_stencil_equals_per_point_reference(monkeypatch, design, N, T, seed, rep):
+    panel, _ = generate(design, N, T, seed=seed, rep=rep)
+    th = np.vstack([f.theta for f in fit_all(panel, default_m(T))])
+    record = select_K(panel, th, 4, default_lambda(N, T)).selected
+    stats, unique, mixture, _ = fit_levels(panel, record, 1.0, rep)
+    got = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
+    assert got[1] is not None  # an interior mixture optimum on every panel here
+    monkeypatch.setattr(inefficiency, "mle_standard_errors", mle_standard_errors_per_point)
+    ref = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+
+
+@pytest.mark.parametrize("kernel, se_fn, n", [
+    ("loglik_unique_total", unique_standard_errors, 2),
+    ("loglik_mixture_total", mixture_standard_errors, 5),
+])
+def test_se_makes_one_kernel_call(monkeypatch, kernel, se_fn, n):
+    rng = np.random.default_rng(22)
+    comp = rng.uniform(size=200) < 0.6
+    levels = np.where(comp, 0.8, -0.7) - sample_half_normal(0.8, rng, size=200)
+    stats = _stats_from_levels(levels, 1.0, 40, rng)
+    unique = fit_unique(stats)
+    fit = unique if n == 2 else fit_mixture(stats, unique, seed=0)
+    rows = []
+    target = getattr(inefficiency, kernel)
+
+    def counted(*args):
+        rows.append(len(np.atleast_1d(args[4])))
+        return target(*args)
+
+    monkeypatch.setattr(inefficiency, kernel, counted)
+    assert se_fn(stats, fit) is not None
+    assert rows == [2 * n * n + 1]
 
 
 # --- fitting on synthetic residual statistics --------------------------------

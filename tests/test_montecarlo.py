@@ -35,6 +35,8 @@ def test_config_rejects_missing_and_bad_values():
         _smoke_config(k_max=2, design="dgp3m")  # below the true group count
     with pytest.raises(ConfigError):
         _smoke_config(stages="half")
+    with pytest.raises(ConfigError, match="seed"):
+        _smoke_config(seed=-1)
 
 
 def test_replication_deterministic():
