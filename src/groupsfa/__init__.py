@@ -8,7 +8,7 @@ maximum likelihood, choosing between a single half-normal law and a
 two-component mixture.
 """
 
-from .basis import basis_value, design_matrix, design_row, within_demean
+from .basis import basis_matrix, coefficient_curves, design_matrix, within_demean
 from .dgp import DESIGNS, centering_constant, generate, sample_half_normal
 from .errors import (
     ConfigError,
@@ -20,13 +20,8 @@ from .errors import (
     NumericalError,
     RankDeficientError,
 )
-from .estimation import FirmEstimate, default_m, fit_all, fit_firm
-from .grouping import (
-    GroupAssignment,
-    MergeHistory,
-    classification_error,
-    hac_cluster,
-)
+from .estimation import FirmEstimate, default_m, fit_all
+from .grouping import GroupAssignment, MergeHistory, hac_cluster
 from .inefficiency import (
     DegenerateMixtureWarning,
     MixtureFit,
@@ -54,7 +49,6 @@ from .postestimation import (
     default_lambda,
     default_m_under,
     fit_group,
-    frontier_eval,
     ic_value,
     select_K,
 )

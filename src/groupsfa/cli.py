@@ -80,12 +80,11 @@ def _cmd_estimate(args):
 
 
 def _as_c_list(value, name):
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, list) and value and all(
-        isinstance(v, (int, float)) for v in value
+    values = value if isinstance(value, list) else [value]
+    if values and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
-        return [float(v) for v in value]
+        return [float(v) for v in values]
     raise ConfigError(f"{name} must be a number or a nonempty list of numbers")
 
 

@@ -176,7 +176,7 @@ def generate(design, N, T, seed, rep=0):
     Args:
         design: one of dgp1u/dgp1m/dgp2u/dgp2m/dgp3u/dgp3m (case
             insensitive).
-        N, T: firm and period counts; T must be at least 10 and N at
+        N, T: firm and period counts; T must be at least 2 and N at
             least the design's group count.
         seed: master seed, a non-negative integer; together with ``rep``
             it keys all streams.

@@ -64,44 +64,27 @@ def _solve_ls(Z, y):
     return coef, y - Z @ coef
 
 
-def _fit_design(Z, y):
-    """OLS of one firm's series on its (T, cols) design, intercept first."""
-    coef, resid = _solve_ls(Z, y)
-    sigma_v2 = float(resid @ resid) / (len(y) - 1)
-    return FirmEstimate(
-        intercept_hat=float(coef[0]),
-        pi_hat=coef[1:].copy(),
-        sigma_v_hat=float(np.sqrt(sigma_v2)),
-    )
-
-
-def _check_length(panel, m):
+def fit_all(panel, m):
+    """Fit every firm; rank failures are aggregated with their firm labels."""
     ncols = m * (panel.p + 1)
     if panel.T < ncols + 2:
         raise InputError(
             f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {ncols + 2}"
         )
-
-
-def fit_firm(panel, i, m):
-    """OLS for firm i on the intercept-augmented sieve design."""
-    if not 0 <= i < panel.N:
-        raise InputError(f"firm index {i} outside 0..{panel.N - 1}")
-    _check_length(panel, m)
-    return _fit_design(design_matrix(panel.x[i], m, with_intercept=True), panel.y[i])
-
-
-def fit_all(panel, m):
-    """Fit every firm; rank failures are aggregated with their firm labels."""
-    _check_length(panel, m)
     Z = design_matrix(panel.x, m, with_intercept=True)
     fits = []
     failures = []
     for i in range(panel.N):
         try:
-            fits.append(_fit_design(Z[i], panel.y[i]))
+            coef, resid = _solve_ls(Z[i], panel.y[i])
         except RankDeficientError as exc:
             failures.append(f"firm {panel.firm_ids[i]}: {exc}")
+            continue
+        fits.append(FirmEstimate(
+            intercept_hat=float(coef[0]),
+            pi_hat=coef[1:].copy(),
+            sigma_v_hat=float(np.sqrt(float(resid @ resid) / (panel.T - 1))),
+        ))
     if failures:
         raise RankDeficientError(
             "per-firm estimation failed for: " + "; ".join(failures)

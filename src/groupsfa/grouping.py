@@ -219,8 +219,3 @@ def best_label_permutation(assignment, truth):
         free, kept = rest, kept + int(agree[row, col])
     return tuple(perm), assignment.N - top
 
-
-def classification_error(assignment, truth):
-    """Smallest fraction of mismatched firms over group label permutations."""
-    _, wrong = best_label_permutation(assignment, truth)
-    return wrong / assignment.N

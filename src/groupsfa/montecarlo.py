@@ -19,6 +19,7 @@ floating-point sums reproducible.
 """
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -32,6 +33,10 @@ from .grouping import GroupAssignment, best_label_permutation
 from .inefficiency import composite_residual_stats, fit_unique
 from .pipeline import fit_levels
 from .postestimation import default_lambda, select_K
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -49,6 +54,15 @@ class McConfig:
     stages: str = "full"  # "classification" skips the inefficiency MLE
 
     def __post_init__(self):
+        if not isinstance(self.design, str):
+            raise ConfigError(f"design must be a string, got {self.design!r}")
+        for name in ("replications", "k_max", "seed", "workers"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("c_lambda", "c_tilde"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         self.design = self.design.lower()
         if self.design not in DESIGNS:
             raise ConfigError(
@@ -56,6 +70,8 @@ class McConfig:
             )
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if not all(_is_integer(v) for size in self.sizes for v in size):
+            raise ConfigError(f"sizes must hold integer (N, T) pairs, got {self.sizes!r}")
         self.sizes = [(int(n), int(t)) for n, t in self.sizes]
         if not self.sizes:
             raise ConfigError("sizes must be a nonempty list of (N, T) pairs")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import coefficient_curves
 from .errors import HessianError, InputError
 from .estimation import default_m, fit_all
 from .inefficiency import (
@@ -29,20 +30,14 @@ from .inefficiency import (
     step5_select,
     unique_standard_errors,
 )
-from .postestimation import default_lambda, frontier_eval, select_K
+from .postestimation import default_lambda, select_K
 
 
 @dataclass
 class EstimateResult:
     """Full output of one estimation run."""
 
-    m: int
-    k_max: int
-    lam: float
-    lam_tilde: float
     ic_report: object
-    assignment: object
-    group_fits: list
     sigma_v_se: np.ndarray
     unique_fit: object
     mixture_fit: object
@@ -56,6 +51,14 @@ class EstimateResult:
         return self.ic_report.selected_K
 
     @property
+    def assignment(self):
+        return self.ic_report.selected.assignment
+
+    @property
+    def group_fits(self):
+        return self.ic_report.selected.fits
+
+    @property
     def sigma_v(self):
         return np.array([f.sigma_v for f in self.group_fits])
 
@@ -66,13 +69,10 @@ class EstimateResult:
         columns are s, alpha(s), beta_1(s), ..., beta_p(s).
         """
         grid = np.linspace(0.0, 1.0, grid_size)
-        out = []
-        for fit in self.group_fits:
-            rows = np.column_stack(
-                [grid, np.array([frontier_eval(fit, s) for s in grid])]
-            )
-            out.append(rows)
-        return out
+        return [
+            np.column_stack([grid, coefficient_curves(fit.pi, grid, fit.m_under)])
+            for fit in self.group_fits
+        ]
 
     def to_dict(self):
         mem = {
@@ -97,15 +97,15 @@ class EstimateResult:
         return {
             "meta": self.metadata,
             "group_selection": {
-                "k_max": self.k_max,
-                "lambda": float(self.lam),
+                "k_max": self.metadata["k_max"],
+                "lambda": float(self.ic_report.lam),
                 "ic_by_k": {str(r.K): float(r.ic) for r in self.ic_report.records},
                 "selected_k": int(self.selected_K),
             },
             "groups": groups,
             "membership": mem,
             "inefficiency": {
-                "lambda_tilde": float(self.lam_tilde),
+                "lambda_tilde": float(self.choice.lambda_tilde),
                 "ic_unique": float(self.choice.ic_unique),
                 "ic_mixture": float(self.choice.ic_mixture),
                 "choice": self.choice.chosen,
@@ -197,15 +197,14 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
 
     lam = default_lambda(panel.N, panel.T, c_lambda)
     report = select_K(panel, thetas, k_max, lam)
-    record = report.selected
-    assignment, group_fits = record.assignment, record.fits
+    group_fits = report.selected.fits
 
     # residual-variance standard error under normal noise
     sigma_v_se = np.array(
         [f.sigma_v / np.sqrt(2.0 * f.size * (panel.T - 1)) for f in group_fits]
     )
 
-    stats, unique, mixture, choice = fit_levels(panel, record, c_tilde, seed)
+    stats, unique, mixture, choice = fit_levels(panel, report.selected, c_tilde, seed)
     # the chosen model must deliver standard errors; the runner-up is
     # best effort (its curvature can be degenerate when it collapses)
     for fit, se_fn in ((unique, unique_standard_errors),
@@ -233,9 +232,7 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
         "seed": int(seed),
     }
     return EstimateResult(
-        m=m, k_max=k_max, lam=float(lam), lam_tilde=choice.lambda_tilde,
-        ic_report=report, assignment=assignment, group_fits=group_fits,
-        sigma_v_se=sigma_v_se, unique_fit=unique, mixture_fit=mixture,
-        choice=choice, intercepts=intercepts, firm_ids=list(panel.firm_ids),
-        metadata=metadata,
+        ic_report=report, sigma_v_se=sigma_v_se, unique_fit=unique,
+        mixture_fit=mixture, choice=choice, intercepts=intercepts,
+        firm_ids=list(panel.firm_ids), metadata=metadata,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_value, design_matrix, within_demean
+from .basis import design_matrix, within_demean
 from .errors import DegenerateICError, InputError
 from .estimation import _solve_ls
 from .grouping import hac_cluster
@@ -135,22 +135,3 @@ def select_K(panel, thetas, K_max, lam):
     best = min(records, key=lambda r: (r.ic, r.K))
     return ICReport(lam=float(lam), records=records, selected_K=best.K)
 
-
-def frontier_eval(fit, s):
-    """Evaluate the fitted frontier curves at s in [0, 1].
-
-    Returns (alpha(s), beta_1(s), ..., beta_p(s)) from the coefficient
-    blocks: the intercept curve uses the zero-mean basis, each slope curve
-    the full basis.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise InputError(f"frontier argument must lie in [0, 1], got {s}")
-    m = fit.m_under
-    p = (len(fit.pi) - (m - 1)) // m
-    b = np.array([basis_value(j, s) for j in range(m)])
-    out = np.empty(p + 1)
-    out[0] = fit.pi[: m - 1] @ b[1:]
-    for l in range(p):
-        start = (m - 1) + l * m
-        out[l + 1] = fit.pi[start : start + m] @ b
-    return out

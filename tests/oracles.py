@@ -8,6 +8,10 @@ step. None of it shares code with the library paths it checks.
 The exceptions are the reference paths at the end, which judge only that
 a faster library path returns the same values bit for bit:
 
+* the sieve evaluated one point at a time: one basis function at one
+  point, one design row, and the frontier curves at one point, one dot
+  product per curve, as the library did before it evaluated the basis on
+  arrays of points;
 * the per-firm loops build each firm's design on its own and stack the
   blocks, as the library did before it built all designs in one call;
   they share the one-firm design and the SVD solve with the library, and
@@ -161,6 +165,41 @@ def brute_force_cut(n, merges, K):
     order = sorted(set(roots))
     label = {r: j + 1 for j, r in enumerate(order)}
     return np.array([label[r] for r in roots])
+
+
+# --- the sieve one point at a time --------------------------------------------
+
+
+def basis_point(j, s):
+    """The j-th cosine basis function at one point s in [0, 1]."""
+    if not 0.0 <= s <= 1.0:
+        raise InputError(f"basis argument must lie in [0, 1], got {s}")
+    if j == 0:
+        return 1.0
+    return math.sqrt(2.0) * np.cos(j * np.pi * s)
+
+
+def design_row(x_it, t, T, m, with_intercept):
+    """One design row for regressors x_it observed at time t of T."""
+    s = t / T
+    b = np.array([basis_point(j, s) for j in range(m)])
+    parts = [[1.0]] if with_intercept else []
+    parts.append(b[1:])
+    for xl in np.asarray(x_it, dtype=float):
+        parts.append(xl * b)
+    return np.concatenate(parts)
+
+
+def frontier_eval_per_point(pi, s, m):
+    """alpha(s), beta_1(s), ..., beta_p(s) at one point, one dot per curve."""
+    p = (len(pi) - (m - 1)) // m
+    b = np.array([basis_point(j, s) for j in range(m)])
+    out = np.empty(p + 1)
+    out[0] = pi[: m - 1] @ b[1:]
+    for l in range(p):
+        start = (m - 1) + l * m
+        out[l + 1] = pi[start : start + m] @ b
+    return out
 
 
 # --- per-firm design loops ---------------------------------------------------

@@ -15,9 +15,9 @@ import pytest
 from scipy.integrate import quad
 
 from groupsfa import _kernels
-from groupsfa.basis import basis_value, design_matrix, within_demean
+from groupsfa.basis import basis_matrix, design_matrix, within_demean
 from groupsfa.dgp import sample_half_normal
-from groupsfa.estimation import fit_firm
+from groupsfa.estimation import fit_all
 from groupsfa.grouping import hac_cluster
 from groupsfa.montecarlo import McConfig, run_monte_carlo, sensitivity_sweep
 from groupsfa.panel import PanelData
@@ -197,7 +197,7 @@ def test_criterion_7_least_squares_oracle():
             x = rng.normal(1.0, 1.0, size=(1, T, p))
             y = rng.normal(size=(1, T))
             panel = PanelData(y=y, x=x)
-            fit = fit_firm(panel, 0, m)
+            fit = fit_all(panel, m)[0]
             est = np.concatenate([[fit.intercept_hat], fit.pi_hat])
             Z = design_matrix(x[0], m, with_intercept=True)
             ref = normal_equations_solve(Z, y[0])
@@ -226,7 +226,7 @@ def test_criterion_8_numerical_hygiene():
     worst_ortho = 0.0
     for j in range(13):
         for k in range(j, 13):
-            val, _ = quad(lambda s: basis_value(j, s) * basis_value(k, s),
+            val, _ = quad(lambda s: np.prod(basis_matrix([s], 13)[0, [j, k]]),
                           0, 1, epsabs=1e-12, epsrel=1e-12, limit=200)
             worst_ortho = max(worst_ortho, abs(val - (1.0 if j == k else 0.0)))
     if worst_ortho > 1e-10:

@@ -205,6 +205,35 @@ def test_montecarlo_negative_seed_is_config_error(tmp_path, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("design", 5),
+    ("replications", 1.5),
+    ("workers", 1.5),
+    ("seed", 1.5),
+    ("k_max", 2.5),
+    ("replications", True),
+    ("sizes", [[20.7, 20]]),
+    ("sizes", [[20, True]]),
+    ("c_lambda", True),
+    ("c_tilde", [1.0, False]),
+])
+def test_montecarlo_mistyped_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                                   key, value):
+    from groupsfa import montecarlo
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "run_replication", no_replication)
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"design": "dgp2u", "sizes": [[20, 50]],
+                               "replications": 2, key: value}))
+    assert _run(["montecarlo", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "o")]) == 4
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_montecarlo_bad_json_is_config_error(tmp_path):
     cfg = tmp_path / "mc.json"
     cfg.write_text("{not json")

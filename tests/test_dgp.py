@@ -74,12 +74,17 @@ def test_generate_deterministic():
 def test_generate_rejects_bad_inputs():
     with pytest.raises(InputError):
         generate("dgp9u", 10, 20, seed=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="T >= 2"):
         generate("dgp1u", 10, 1, seed=0)
     with pytest.raises(InputError, match="non-negative"):
         generate("dgp1u", 10, 20, seed=-1)
     with pytest.raises(InputError, match="non-negative"):
         generate("dgp1u", 10, 20, seed=0, rep=-2)
+
+
+def test_generate_accepts_the_documented_smallest_t():
+    panel, _ = generate("dgp1u", 10, 2, seed=0)
+    assert panel.T == 2
 
 
 @pytest.mark.parametrize("design", DESIGNS)

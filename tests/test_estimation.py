@@ -4,7 +4,7 @@ import pytest
 from groupsfa.basis import design_matrix
 from groupsfa.dgp import generate
 from groupsfa.errors import InputError, RankDeficientError
-from groupsfa.estimation import default_m, fit_all, fit_firm
+from groupsfa.estimation import default_m, fit_all
 from groupsfa.panel import PanelData
 
 from oracles import fit_all_loop, normal_equations_solve
@@ -27,7 +27,7 @@ def test_constant_outcome_gives_exact_intercept():
     T = 30
     y = np.full((1, T), 4.25)
     x = rng.normal(size=(1, T, 1))
-    fit = fit_firm(_panel_from_arrays(y, x), 0, m=2)
+    fit = fit_all(_panel_from_arrays(y, x), m=2)[0]
     assert fit.intercept_hat == pytest.approx(4.25, abs=1e-10)
     np.testing.assert_allclose(fit.pi_hat, 0.0, atol=1e-10)
     assert fit.sigma_v_hat == pytest.approx(0.0, abs=1e-10)
@@ -40,7 +40,7 @@ def test_noiseless_coefficients_recovered():
     Z = design_matrix(x[0], m, with_intercept=True)
     pi_true = rng.normal(size=Z.shape[1])
     y = (Z @ pi_true)[None, :]
-    fit = fit_firm(_panel_from_arrays(y, x), 0, m=m)
+    fit = fit_all(_panel_from_arrays(y, x), m=m)[0]
     assert fit.intercept_hat == pytest.approx(pi_true[0], abs=1e-8)
     np.testing.assert_allclose(fit.pi_hat, pi_true[1:], atol=1e-8)
     assert fit.sigma_v_hat == pytest.approx(0.0, abs=1e-8)
@@ -52,7 +52,7 @@ def test_matches_extended_precision_normal_equations():
     x = rng.normal(1.0, 1.0, size=(1, T, p))
     y = rng.normal(size=(1, T))
     panel = _panel_from_arrays(y, x)
-    fit = fit_firm(panel, 0, m=m)
+    fit = fit_all(panel, m=m)[0]
     Z = design_matrix(x[0], m, with_intercept=True)
     ref = normal_equations_solve(Z, y[0])
     assert fit.intercept_hat == pytest.approx(ref[0], abs=1e-8)
@@ -65,7 +65,7 @@ def test_residuals_orthogonal_to_design():
     x = rng.normal(size=(1, T, 2))
     y = rng.normal(size=(1, T))
     panel = _panel_from_arrays(y, x)
-    fit = fit_firm(panel, 0, m=m)
+    fit = fit_all(panel, m=m)[0]
     Z = design_matrix(x[0], m, with_intercept=True)
     coef = np.concatenate([[fit.intercept_hat], fit.pi_hat])
     resid = y[0] - Z @ coef
@@ -79,7 +79,7 @@ def test_sigma_v_is_rss_over_t_minus_one():
     x = rng.normal(size=(1, T, 1))
     y = rng.normal(size=(1, T))
     panel = _panel_from_arrays(y, x)
-    fit = fit_firm(panel, 0, m=2)
+    fit = fit_all(panel, m=2)[0]
     Z = design_matrix(x[0], 2, with_intercept=True)
     coef = np.concatenate([[fit.intercept_hat], fit.pi_hat])
     rss = float(np.sum((y[0] - Z @ coef) ** 2))
@@ -91,8 +91,8 @@ def test_shift_in_outcome_moves_only_intercept():
     T = 40
     x = rng.normal(size=(1, T, 1))
     y = rng.normal(size=(1, T))
-    f0 = fit_firm(_panel_from_arrays(y, x), 0, m=2)
-    f1 = fit_firm(_panel_from_arrays(y + 2.5, x), 0, m=2)
+    f0 = fit_all(_panel_from_arrays(y, x), m=2)[0]
+    f1 = fit_all(_panel_from_arrays(y + 2.5, x), m=2)[0]
     assert f1.intercept_hat - f0.intercept_hat == pytest.approx(2.5, abs=1e-9)
     np.testing.assert_allclose(f1.pi_hat, f0.pi_hat, atol=1e-9)
     assert f1.sigma_v_hat == pytest.approx(f0.sigma_v_hat, abs=1e-9)
@@ -166,7 +166,7 @@ def test_rank_deficiency_reported():
     x = np.zeros((1, T, 1))  # x*B0 column identically zero
     y = np.random.default_rng(8).normal(size=(1, T))
     with pytest.raises(RankDeficientError):
-        fit_firm(_panel_from_arrays(y, x), 0, m=2)
+        fit_all(_panel_from_arrays(y, x), m=2)[0]
 
 
 def test_too_small_t_rejected():
@@ -174,4 +174,4 @@ def test_too_small_t_rejected():
     x = rng.normal(size=(1, 5, 1))
     y = rng.normal(size=(1, 5))
     with pytest.raises(InputError):
-        fit_firm(_panel_from_arrays(y, x), 0, m=2)
+        fit_all(_panel_from_arrays(y, x), m=2)[0]

@@ -9,7 +9,6 @@ from groupsfa.errors import InputError
 from groupsfa.grouping import (
     GroupAssignment,
     best_label_permutation,
-    classification_error,
     hac_cluster,
 )
 
@@ -205,6 +204,11 @@ def test_k_out_of_range():
 def _assignment(labels):
     labels = np.asarray(labels, dtype=int)
     return GroupAssignment(K=labels.max(), membership=labels)
+
+
+def classification_error(assignment, truth):
+    """Mismatched share of firms under the best label permutation."""
+    return best_label_permutation(assignment, truth)[1] / assignment.N
 
 
 def test_classification_error_label_permutation_invariant():

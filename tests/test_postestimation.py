@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from groupsfa import postestimation
-from groupsfa.basis import basis_value, design_matrix, within_demean
+from groupsfa.basis import coefficient_curves, design_matrix, within_demean
 from groupsfa.dgp import generate
 from groupsfa.errors import DegenerateICError, InputError
 from groupsfa.estimation import default_m, fit_all
@@ -13,7 +13,6 @@ from groupsfa.postestimation import (
     default_lambda,
     default_m_under,
     fit_group,
-    frontier_eval,
     ic_value,
     select_K,
 )
@@ -199,14 +198,12 @@ def test_select_k_fits_each_member_set_once(monkeypatch):
 
 
 def test_frontier_eval_zero_and_constant_blocks():
-    fit = GroupFit(members=np.arange(3), pi=np.zeros(2 + 3 * 2), sigma_v=1.0,
-                   m_under=3)
-    np.testing.assert_allclose(frontier_eval(fit, 0.3), np.zeros(3))
+    np.testing.assert_allclose(
+        coefficient_curves(np.zeros(2 + 3 * 2), [0.3], 3)[0], np.zeros(3)
+    )
     pi = np.zeros(2 + 3 * 2)
     pi[2] = 1.0  # B0 slot of the first regressor block
-    fit2 = GroupFit(members=np.arange(3), pi=pi, sigma_v=1.0, m_under=3)
-    for s in (0.0, 0.25, 0.8):
-        out = frontier_eval(fit2, s)
+    for out in coefficient_curves(pi, [0.0, 0.25, 0.8], 3):
         assert out[1] == pytest.approx(1.0)
         assert out[0] == 0.0 and out[2] == 0.0
 
@@ -219,9 +216,9 @@ def test_frontier_eval_recovers_noiseless_alpha():
     alpha = np.sqrt(2) * np.cos(np.pi * tau)  # exactly B1
     y = alpha[None, :] + 0.0 * x[:, :, 0]
     fit = fit_group(PanelData(y=y, x=x), range(N), m_under)
-    assert frontier_eval(fit, 0.25)[0] == pytest.approx(1.0, abs=1e-8)
+    assert coefficient_curves(fit.pi, [0.25], m_under)[0, 0] == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(InputError):
-        frontier_eval(fit, 1.2)
+        coefficient_curves(fit.pi, [1.2], m_under)
 
 
 def test_noiseless_group_recovery_exact():
@@ -245,12 +242,12 @@ def _frontier_rmse(panel, truth, assignment, fits):
     errs = []
     for k, fit in enumerate(fits, start=1):
         j = perm[k - 1]
-        for s in grid:
-            est = frontier_eval(fit, s)
+        est = coefficient_curves(fit.pi, grid, fit.m_under)
+        for s, row in zip(grid, est):
             true_vals = [truth.alpha_funcs[j](s)] + [
                 f(s) for f in truth.beta_funcs[j]
             ]
-            errs.append(np.asarray(est) - np.asarray(true_vals))
+            errs.append(row - np.asarray(true_vals))
     return float(np.sqrt(np.mean(np.concatenate(errs) ** 2)))
 
 
