@@ -9,7 +9,7 @@ two-component mixture.
 """
 
 from .basis import basis_matrix, coefficient_curves, design_matrix, within_demean
-from .dgp import DESIGNS, centering_constant, generate, sample_half_normal
+from .dgp import DESIGNS, centering_constant, design_shape, generate, sample_half_normal
 from .errors import (
     ConfigError,
     ConvergenceError,

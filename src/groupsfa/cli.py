@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input or validation error, 3 numerical failure,
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -82,10 +83,13 @@ def _cmd_estimate(args):
 def _as_c_list(value, name):
     values = value if isinstance(value, list) else [value]
     if values and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
     ):
         return [float(v) for v in values]
-    raise ConfigError(f"{name} must be a number or a nonempty list of numbers")
+    raise ConfigError(
+        f"{name} must be a finite number or a nonempty list of finite numbers"
+    )
 
 
 def _cmd_montecarlo(args):

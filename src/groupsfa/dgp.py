@@ -152,6 +152,12 @@ def _parse_design(design):
     return int(d[3]), d[4]
 
 
+def design_shape(design):
+    """(group count K, regressor count p) of a design."""
+    alphas, betas, _, _ = _design_curves(_parse_design(design)[0])
+    return len(alphas), len(betas[0])
+
+
 def sample_half_normal(sigma, rng, size=None):
     """Draw |N(0, sigma^2)|."""
     if sigma < 0:

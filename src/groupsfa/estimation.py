@@ -51,6 +51,11 @@ def default_m(T):
     return max(2, int(np.floor(T ** 0.2)))
 
 
+def min_periods(m, p):
+    """Fewest periods a per-firm fit with sieve length m and p regressors needs."""
+    return m * (p + 1) + 2
+
+
 def _solve_ls(Z, y):
     """Least squares via SVD with a rank check; returns (coef, residuals)."""
     coef, _, rank, sv = np.linalg.lstsq(Z, y, rcond=None)
@@ -66,10 +71,10 @@ def _solve_ls(Z, y):
 
 def fit_all(panel, m):
     """Fit every firm; rank failures are aggregated with their firm labels."""
-    ncols = m * (panel.p + 1)
-    if panel.T < ncols + 2:
+    need = min_periods(m, panel.p)
+    if panel.T < need:
         raise InputError(
-            f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {ncols + 2}"
+            f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}"
         )
     Z = design_matrix(panel.x, m, with_intercept=True)
     fits = []

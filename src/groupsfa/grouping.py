@@ -83,8 +83,8 @@ class MergeHistory:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _agglomerate(thetas):
-    """Run the full merge sequence down to one cluster.
+def _agglomerate(X):
+    """Run the full merge sequence of the (N, d) features X down to one cluster.
 
     D holds the costs between active cluster slots, symmetric with an inf
     diagonal; slot index equals cluster id (smallest member), and a merged
@@ -105,7 +105,6 @@ def _agglomerate(thetas):
         InputError: an initial or merged cost overflows to inf or NaN
         (finite features of magnitude near 1e154 or more).
     """
-    X = np.asarray(thetas, dtype=float)
     n = X.shape[0]
     D = np.empty((n, n))
     for lo in range(0, n, _COST_BLOCK_ROWS):
@@ -158,16 +157,12 @@ def _agglomerate(thetas):
     return merges
 
 
-def hac_cluster(thetas, K):
-    """Cluster firm feature vectors into K groups.
-
-    Returns:
-        (GroupAssignment, MergeHistory); the history covers the full merge
-        sequence so any other K can be cut from it directly.
+def hac_cluster(thetas):
+    """Ward merge history of firm feature vectors, cut at any K by ``cut``.
 
     Raises:
-        InputError: thetas is not 2-D, holds NaN or inf, its Ward costs
-        overflow, or K is outside 1..N.
+        InputError: thetas is not 2-D, holds NaN or inf, or its Ward costs
+        overflow.
     """
     X = np.asarray(thetas, dtype=float)
     if X.ndim != 2:
@@ -176,11 +171,7 @@ def hac_cluster(thetas, K):
     if not finite.all():
         bad = np.flatnonzero(~finite)[:5].tolist()
         raise InputError(f"thetas must be finite; rows {bad} hold NaN or inf")
-    n = X.shape[0]
-    if not 1 <= K <= n:
-        raise InputError(f"K={K} outside 1..{n}")
-    history = MergeHistory(n=n, merges=_agglomerate(X))
-    return history.cut(K), history
+    return MergeHistory(n=X.shape[0], merges=_agglomerate(X))
 
 
 def best_label_permutation(assignment, truth):

@@ -119,22 +119,25 @@ class CompositeStats:
     T: int
 
 
-def composite_residual_stats(panel, assignment, group_fits):
-    """Compute per-firm residual statistics under the fitted frontiers."""
-    if assignment.N != panel.N:
-        raise InputError("assignment does not match panel size")
-    S, Q, sv2 = np.full((3, panel.N), np.nan)
-    for k, fit in enumerate(group_fits, start=1):
-        if not np.array_equal(fit.members, assignment.members(k)):
-            raise InputError(f"group fit {k} does not match the assignment")
+def composite_residual_stats(panel, group_fits):
+    """Compute per-firm residual statistics under the fitted frontiers.
+
+    The fits' members must partition the firms 0..N-1.
+    """
+    members = np.concatenate([fit.members for fit in group_fits] or [[]])
+    if not np.array_equal(np.sort(members), np.arange(panel.N)):
+        raise InputError(
+            f"group fit members do not partition the {panel.N} firms: "
+            "a firm is missing, repeated or out of range"
+        )
+    S, Q, sv2 = np.empty((3, panel.N))
+    for fit in group_fits:
         mem = fit.members
         Z = design_matrix(panel.x[mem], fit.m_under, with_intercept=False)
         r = panel.y[mem] - Z @ fit.pi
         S[mem] = r.sum(axis=1)
         Q[mem] = [ri @ ri for ri in r]
         sv2[mem] = fit.sigma_v ** 2
-    if np.isnan(S).any():
-        raise InputError("group fits do not cover every firm")
     return CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=panel.T)
 
 
@@ -271,7 +274,12 @@ def _simplex(f, starts, xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000):
     ]
 
 
-def _maximize(objective, value_and_grad, starts, max_nm=2000, max_bfgs=200):
+# per-start iteration caps: the simplex pass (evaluations 4x that) and BFGS
+_MAX_NM = 2000
+_MAX_BFGS = 200
+
+
+def _maximize(objective, value_and_grad, starts):
     """Simplex search for each start's basin, polished by exact-gradient BFGS.
 
     ``objective`` maps an (R, n) array of points to their R
@@ -290,16 +298,13 @@ def _maximize(objective, value_and_grad, starts, max_nm=2000, max_bfgs=200):
         return -value, -grad
 
     out = []
-    for nm in _simplex(lambda X: -objective(X), starts, maxiter=max_nm, maxfev=4 * max_nm):
+    for nm in _simplex(lambda X: -objective(X), starts, maxiter=_MAX_NM, maxfev=4 * _MAX_NM):
         bfgs = minimize(
             neg_value_and_grad, nm.x, jac=True, method="BFGS",
-            options=dict(maxiter=max_bfgs),
+            options=dict(maxiter=_MAX_BFGS),
         )
         cand = bfgs if bfgs.fun <= nm.fun else nm
-        grad_ok = (
-            getattr(bfgs, "jac", None) is not None
-            and np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
-        )
+        grad_ok = np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
         if nm.success or bfgs.success or grad_ok:
             out.append((cand.x, -float(cand.fun)))
         else:

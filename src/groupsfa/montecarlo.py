@@ -22,17 +22,16 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
-from .dgp import DESIGNS, generate, _parse_design, _design_curves
+from .dgp import DESIGNS, design_shape, generate
 from .errors import ConfigError, InputError
-from .estimation import default_m, fit_all
+from .estimation import default_m, fit_all, min_periods
 from .grouping import GroupAssignment, best_label_permutation
 from .inefficiency import composite_residual_stats, fit_unique
 from .pipeline import fit_levels
-from .postestimation import default_lambda, select_K
+from .postestimation import select_K
 
 
 def _is_integer(value):
@@ -61,8 +60,9 @@ class McConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("c_lambda", "c_tilde"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         self.design = self.design.lower()
         if self.design not in DESIGNS:
             raise ConfigError(
@@ -75,21 +75,24 @@ class McConfig:
         self.sizes = [(int(n), int(t)) for n, t in self.sizes]
         if not self.sizes:
             raise ConfigError("sizes must be a nonempty list of (N, T) pairs")
-        if self.k_max < self.true_K:
+        true_K, p = design_shape(self.design)
+        if self.k_max < true_K:
             raise ConfigError(
-                f"k_max={self.k_max} below the design's group count {self.true_K}"
+                f"k_max={self.k_max} below the design's group count {true_K}"
             )
+        for n, t in self.sizes:
+            if n < self.k_max:
+                raise ConfigError(f"sizes: N={n} is below k_max={self.k_max}")
+            if t < 2 or t < min_periods(default_m(t), p):
+                raise ConfigError(
+                    f"sizes: T={t} is too short for a per-firm fit on {self.design} (p={p})"
+                )
         if self.stages not in ("full", "classification"):
             raise ConfigError("stages must be 'full' or 'classification'")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    @cached_property
-    def true_K(self):
-        base, _ = _parse_design(self.design)
-        return len(_design_curves(base)[0])
 
     @classmethod
     def from_dict(cls, d):
@@ -150,11 +153,10 @@ def run_replication(config, size, rep):
         truth_assign = GroupAssignment(K=truth.K, membership=truth.membership)
 
         stage = "individual"
-        thetas = np.vstack([f.theta for f in fit_all(panel, default_m(T))])
+        firm_fits = fit_all(panel, default_m(T))
 
         stage = "selection"
-        lam = default_lambda(N, T, config.c_lambda)
-        report = select_K(panel, thetas, config.k_max, lam)
+        report = select_K(panel, firm_fits, config.k_max, config.c_lambda)
         rec.k_hat = report.selected_K
 
         stage = "classification"
@@ -169,7 +171,7 @@ def run_replication(config, size, rep):
             np.random.SeedSequence(config.seed, spawn_key=(999, rep)).generate_state(1)[0]
         )
         _, unique, mixture, choice = fit_levels(
-            panel, report.selected, config.c_tilde, mix_seed
+            panel, report.selected.fits, config.c_tilde, mix_seed
         )
         rec.choice = choice.chosen
 
@@ -185,15 +187,13 @@ def run_replication(config, size, rep):
         refit = truth.K != report.selected_K
         if truth.law.kind == "unique":
             if refit:
-                unique = fit_unique(composite_residual_stats(
-                    panel, rec_true.assignment, rec_true.fits
-                ))
+                unique = fit_unique(composite_residual_stats(panel, rec_true.fits))
             rec.errors["alpha0"] = unique.alpha0 - truth.law.alpha0
             rec.errors["sigma_u"] = math.sqrt(unique.sigma_u2) - truth.law.sigma_u
         else:
             if refit:
                 _, _, mixture, _ = fit_levels(
-                    panel, rec_true, config.c_tilde, mix_seed
+                    panel, rec_true.fits, config.c_tilde, mix_seed
                 )
             rec.errors.update(_mixture_errors(mixture, truth.law))
     except Exception as exc:  # record, never propagate
@@ -321,16 +321,17 @@ def sensitivity_sweep(config, c_lambda_values, c_tilde_values):
     """Rerun the harness over a grid of penalty constants.
 
     Per-replication seeds depend only on (seed, replication), so results
-    across grid points differ only through the constants.
+    across grid points differ only through the constants. Every grid
+    point's configuration is checked before the first run.
     """
-    out = []
-    for cl in c_lambda_values:
-        for ct in c_tilde_values:
-            cfg = McConfig.from_dict(
-                {**config.to_dict(), "c_lambda": float(cl), "c_tilde": float(ct)}
-            )
-            out.append((float(cl), float(ct), run_monte_carlo(cfg)))
-    return out
+    configs = [
+        McConfig.from_dict(
+            {**config.to_dict(), "c_lambda": float(cl), "c_tilde": float(ct)}
+        )
+        for cl in c_lambda_values
+        for ct in c_tilde_values
+    ]
+    return [(cfg.c_lambda, cfg.c_tilde, run_monte_carlo(cfg)) for cfg in configs]
 
 
 def format_report_text(report):

@@ -30,7 +30,7 @@ from .inefficiency import (
     step5_select,
     unique_standard_errors,
 )
-from .postestimation import default_lambda, select_K
+from .postestimation import select_K
 
 
 @dataclass
@@ -38,7 +38,6 @@ class EstimateResult:
     """Full output of one estimation run."""
 
     ic_report: object
-    sigma_v_se: np.ndarray
     unique_fit: object
     mixture_fit: object
     choice: object
@@ -61,6 +60,14 @@ class EstimateResult:
     @property
     def sigma_v(self):
         return np.array([f.sigma_v for f in self.group_fits])
+
+    @property
+    def sigma_v_se(self):
+        """Standard errors of sigma_v under normal noise."""
+        T = self.metadata["n_periods"]
+        return np.array(
+            [f.sigma_v / np.sqrt(2.0 * f.size * (T - 1)) for f in self.group_fits]
+        )
 
     def curves(self, grid_size=101):
         """Sample the fitted frontier curves on a uniform grid.
@@ -168,15 +175,15 @@ class EstimateResult:
         return "\n".join(lines)
 
 
-def fit_levels(panel, record, c_tilde, seed):
+def fit_levels(panel, group_fits, c_tilde, seed):
     """Steps 4, 4' and 5 on one candidate partition.
 
     Fits the single half-normal law and the two-component mixture to the
-    composite residuals of ``record`` (a ``KRecord``) and chooses between
-    them by penalized likelihood. Returns ``(stats, unique, mixture,
-    choice)``; the fits carry no standard errors.
+    composite residuals under ``group_fits`` (one ``GroupFit`` per group)
+    and chooses between them by penalized likelihood. Returns ``(stats,
+    unique, mixture, choice)``; the fits carry no standard errors.
     """
-    stats = composite_residual_stats(panel, record.assignment, record.fits)
+    stats = composite_residual_stats(panel, group_fits)
     unique = fit_unique(stats)
     mixture = fit_mixture(stats, unique, seed=seed)
     choice = step5_select(unique, mixture,
@@ -190,21 +197,15 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
         raise InputError("estimation requires at least 2 firms")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+    if not (np.isfinite(c_lambda) and np.isfinite(c_tilde)):
+        raise InputError(
+            f"c_lambda and c_tilde must be finite, got {c_lambda} and {c_tilde}"
+        )
     if m is None:
         m = default_m(panel.T)
-    firm_fits = fit_all(panel, m)
-    thetas = np.vstack([f.theta for f in firm_fits])
-
-    lam = default_lambda(panel.N, panel.T, c_lambda)
-    report = select_K(panel, thetas, k_max, lam)
+    report = select_K(panel, fit_all(panel, m), k_max, c_lambda)
     group_fits = report.selected.fits
-
-    # residual-variance standard error under normal noise
-    sigma_v_se = np.array(
-        [f.sigma_v / np.sqrt(2.0 * f.size * (panel.T - 1)) for f in group_fits]
-    )
-
-    stats, unique, mixture, choice = fit_levels(panel, report.selected, c_tilde, seed)
+    stats, unique, mixture, choice = fit_levels(panel, group_fits, c_tilde, seed)
     # the chosen model must deliver standard errors; the runner-up is
     # best effort (its curvature can be degenerate when it collapses)
     for fit, se_fn in ((unique, unique_standard_errors),
@@ -227,12 +228,12 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
         "k_max": int(k_max),
         "c_lambda": float(c_lambda),
         "c_tilde": float(c_tilde),
-        "lambda": float(lam),
+        "lambda": report.lam,
         "lambda_tilde": choice.lambda_tilde,
         "seed": int(seed),
     }
     return EstimateResult(
-        ic_report=report, sigma_v_se=sigma_v_se, unique_fit=unique,
+        ic_report=report, unique_fit=unique,
         mixture_fit=mixture, choice=choice, intercepts=intercepts,
         firm_ids=list(panel.firm_ids), metadata=metadata,
     )

@@ -103,13 +103,15 @@ def ic_value(group_fits, lam, T):
     return float(total + lam * len(group_fits))
 
 
-def select_K(panel, thetas, K_max, lam):
+def select_K(panel, firm_fits, K_max, c_lambda):
     """Cluster, fit, and score every K = 1..K_max; pick the minimizer.
 
-    Ties are broken toward the smaller K. The merge history is computed
-    once and cut at each K. Cuts are nested, so a group recurs across K;
-    each distinct member set is fit once (2 K_max - 1 fits at most) and
-    its GroupFit shared by every record that holds it.
+    The features are the ``theta`` of ``fit_all``'s per-firm fits, and the
+    penalty is ``default_lambda(N, T, c_lambda)``. Ties are broken toward
+    the smaller K. The merge history is computed once and cut at each K.
+    Cuts are nested, so a group recurs across K; each distinct member set
+    is fit once (2 K_max - 1 fits at most) and its GroupFit shared by
+    every record that holds it.
     """
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
@@ -117,7 +119,8 @@ def select_K(panel, thetas, K_max, lam):
         raise InputError(
             f"K_max={K_max} exceeds the number of firms N={panel.N}"
         )
-    _, history = hac_cluster(np.asarray(thetas, dtype=float), 1)
+    history = hac_cluster(np.vstack([f.theta for f in firm_fits]))
+    lam = default_lambda(panel.N, panel.T, c_lambda)
     group_fits = {}
     records = []
     for K in range(1, K_max + 1):
@@ -134,4 +137,3 @@ def select_K(panel, thetas, K_max, lam):
         records.append(KRecord(K=K, assignment=assignment, fits=fits, ic=ic_value(fits, lam, panel.T)))
     best = min(records, key=lambda r: (r.ic, r.K))
     return ICReport(lam=float(lam), records=records, selected_K=best.K)
-

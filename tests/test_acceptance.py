@@ -167,7 +167,7 @@ def test_criterion_6_clustering_oracle():
         n = int(rng.integers(3, 9))
         d = int(rng.integers(1, 4))
         X = rng.normal(size=(n, d))
-        _, hist = hac_cluster(X, 1)
+        hist = hac_cluster(X)
         oracle = brute_force_agglomerate(X)
         for (a1, b1, c1), (a2, b2, c2) in zip(hist.merges, oracle):
             if (a1, b1) != (a2, b2) or abs(c1 - c2) > 1e-9 * max(1.0, abs(c2)):

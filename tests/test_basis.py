@@ -14,7 +14,7 @@ from groupsfa.basis import (
 from groupsfa.dgp import generate
 from groupsfa.errors import InputError
 from groupsfa.estimation import default_m, fit_all
-from groupsfa.postestimation import default_lambda, select_K
+from groupsfa.postestimation import select_K
 
 from oracles import basis_point, design_row, frontier_eval_per_point
 
@@ -140,8 +140,7 @@ def test_curves_equal_per_point_on_random_coefficients(p):
 @pytest.mark.parametrize("design", ["dgp1m", "dgp2u", "dgp3m"])
 def test_curves_equal_per_point_on_group_fits(design):
     panel, _ = generate(design, 100, 50, seed=4)
-    thetas = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
-    report = select_K(panel, thetas, 4, default_lambda(panel.N, panel.T))
+    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
     grid = np.linspace(0.0, 1.0, 101)
     for record in report.records:
         for fit in record.fits:

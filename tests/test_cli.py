@@ -121,17 +121,30 @@ def test_simulate_negative_seed_or_rep_is_input_error(tmp_path, capsys, flag, va
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--emit-curves", "--grid", "-1"],
-                                   ["--grid", "0"]])
-def test_estimate_bad_seed_or_grid_is_input_error(tmp_path, capsys, extra):
+def _assert_estimate_input_error(tmp_path, capsys, extra):
     data = tmp_path / "panel.csv"
     _run(["simulate", "--design", "dgp1u", "--n", "6", "--t", "20",
           "--seed", "1", "--out", str(data)])
     capsys.readouterr()
     assert _run(["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r"),
                  "--kmax", "2", *extra]) == 2
-    assert "input error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error:" in err
     assert not (tmp_path / "r").exists()
+    return err
+
+
+@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--emit-curves", "--grid", "-1"],
+                                   ["--grid", "0"]])
+def test_estimate_bad_seed_or_grid_is_input_error(tmp_path, capsys, extra):
+    _assert_estimate_input_error(tmp_path, capsys, extra)
+
+
+@pytest.mark.parametrize("extra", [["--c-lambda", "nan"], ["--c-tilde", "inf"],
+                                   ["--c-lambda=-inf"]])
+def test_estimate_non_finite_penalty_is_input_error(tmp_path, capsys, extra):
+    err = _assert_estimate_input_error(tmp_path, capsys, extra)
+    assert "c_lambda and c_tilde must be finite" in err
 
 
 def test_estimate_missing_file_is_input_error(tmp_path):
@@ -219,6 +232,22 @@ def test_montecarlo_negative_seed_is_config_error(tmp_path, monkeypatch):
 ])
 def test_montecarlo_mistyped_value_is_config_error(tmp_path, capsys, monkeypatch,
                                                    key, value):
+    _assert_config_error_before_any_run(tmp_path, capsys, monkeypatch, key, value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("c_lambda", float("nan")),
+    ("c_lambda", [1.0, float("nan")]),
+    ("c_tilde", float("inf")),
+    ("sizes", [[1, 50]]),
+    ("sizes", [[20, 5]]),
+])
+def test_montecarlo_unrunnable_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                                     key, value):
+    _assert_config_error_before_any_run(tmp_path, capsys, monkeypatch, key, value)
+
+
+def _assert_config_error_before_any_run(tmp_path, capsys, monkeypatch, key, value):
     from groupsfa import montecarlo
 
     def no_replication(*args):

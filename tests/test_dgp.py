@@ -13,6 +13,7 @@ from groupsfa.dgp import (
     _design_curves,
     _firm_rng,
     centering_constant,
+    design_shape,
     generate,
     logistic_cdf,
     sample_half_normal,
@@ -20,6 +21,13 @@ from groupsfa.dgp import (
 from groupsfa.errors import InputError
 
 HN_MEAN = math.sqrt(2.0 / math.pi)
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_design_shape_matches_generated_panel(design):
+    panel, truth = generate(design.upper(), 6, 10, seed=0)
+    assert design_shape(design.upper()) == (truth.K, panel.p)
+    assert design_shape(design) == {"1": (2, 1), "2": (2, 1), "3": (3, 2)}[design[3]]
 
 
 def test_half_normal_zero_sigma():

@@ -21,14 +21,14 @@ from oracles import (
 
 def test_k_equals_n_gives_singletons():
     X = np.random.default_rng(0).normal(size=(7, 3))
-    a, _ = hac_cluster(X, 7)
+    a = hac_cluster(X).cut(7)
     assert a.K == 7
     np.testing.assert_array_equal(a.membership, np.arange(1, 8))
 
 
 def test_k_one_merges_everything():
     X = np.random.default_rng(1).normal(size=(6, 2))
-    a, _ = hac_cluster(X, 1)
+    a = hac_cluster(X).cut(1)
     np.testing.assert_array_equal(a.membership, np.ones(6, dtype=int))
 
 
@@ -36,7 +36,8 @@ def test_two_blobs_recovered_and_history_matches_oracle():
     rng = np.random.default_rng(2)
     X = np.vstack([rng.normal(0, 0.2, size=(3, 2)),
                    rng.normal(10, 0.2, size=(3, 2))])
-    a, hist = hac_cluster(X, 2)
+    hist = hac_cluster(X)
+    a = hist.cut(2)
     np.testing.assert_array_equal(a.membership, [1, 1, 1, 2, 2, 2])
     oracle = brute_force_agglomerate(X)
     assert len(hist.merges) == len(oracle)
@@ -50,7 +51,7 @@ def test_merge_sequence_matches_brute_force(trial):
     rng = np.random.default_rng(100 + trial)
     n = int(rng.integers(3, 9))
     X = rng.normal(size=(n, int(rng.integers(1, 4))))
-    _, hist = hac_cluster(X, 1)
+    hist = hac_cluster(X)
     oracle = brute_force_agglomerate(X)
     for (a1, b1, c1), (a2, b2, c2) in zip(hist.merges, oracle):
         assert (a1, b1) == (a2, b2)
@@ -83,7 +84,7 @@ _ROUNDING_SPLIT = np.array(
 
 def _assert_matches_oracle(X):
     n = len(X)
-    _, hist = hac_cluster(X, 1)
+    hist = hac_cluster(X)
     oracle = brute_force_agglomerate(X)
     assert [m[:2] for m in hist.merges] == [m[:2] for m in oracle]
     np.testing.assert_allclose(
@@ -127,7 +128,7 @@ def _first_occurrence_labels(labels):
 def test_large_n_costs_and_cuts_match_scipy_ward():
     # scipy's Ward height h relates to the merge cost by cost = h^2 / 2
     X = np.random.default_rng(11).normal(size=(400, 3))
-    _, hist = hac_cluster(X, 1)
+    hist = hac_cluster(X)
     Z = linkage(X, "ward")
     np.testing.assert_allclose(
         np.sort([m[2] for m in hist.merges]), np.sort(Z[:, 2] ** 2 / 2),
@@ -147,7 +148,7 @@ def test_cost_memory_stays_below_three_n_squared_floats():
     X = np.random.default_rng(12).normal(size=(n, d))
     tracemalloc.start()
     try:
-        hac_cluster(X, 2)
+        hac_cluster(X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -159,7 +160,7 @@ def test_non_finite_features_rejected(bad):
     X = np.random.default_rng(13).normal(size=(6, 2))
     X[4, 1] = bad
     with pytest.raises(InputError, match="finite"):
-        hac_cluster(X, 2)
+        hac_cluster(X)
 
 
 @pytest.mark.parametrize("X, where", [
@@ -172,15 +173,15 @@ def test_overflowing_ward_costs_rejected(X, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=f"Ward costs overflow.*{where}"):
-            hac_cluster(X, 2)
+            hac_cluster(X)
 
 
 def test_history_cut_consistent_with_direct_clustering():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 4))
-    _, hist = hac_cluster(X, 1)
+    hist = hac_cluster(X)
     for K in range(1, 21):
-        direct, _ = hac_cluster(X, K)
+        direct = hac_cluster(X).cut(K)
         np.testing.assert_array_equal(hist.cut(K).membership, direct.membership)
 
 
@@ -188,17 +189,18 @@ def test_membership_invariant_under_positive_rescaling():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(15, 3))
     for K in (2, 3, 4):
-        a, _ = hac_cluster(X, K)
-        b, _ = hac_cluster(7.3 * X, K)
+        a = hac_cluster(X).cut(K)
+        b = hac_cluster(7.3 * X).cut(K)
         np.testing.assert_array_equal(a.membership, b.membership)
 
 
 def test_k_out_of_range():
     X = np.random.default_rng(5).normal(size=(4, 2))
-    with pytest.raises(InputError):
-        hac_cluster(X, 0)
-    with pytest.raises(InputError):
-        hac_cluster(X, 5)
+    history = hac_cluster(X)
+    with pytest.raises(InputError, match="K=0 outside 1..4"):
+        history.cut(0)
+    with pytest.raises(InputError, match="K=5 outside 1..4"):
+        history.cut(5)
 
 
 def _assignment(labels):

@@ -10,9 +10,8 @@ from groupsfa._kernels import (
     loglik_unique_total,
 )
 from groupsfa.dgp import generate, sample_half_normal
-from groupsfa.errors import HessianError
+from groupsfa.errors import HessianError, InputError
 from groupsfa.estimation import default_m, fit_all
-from groupsfa.grouping import GroupAssignment
 from groupsfa.inefficiency import (
     CompositeStats,
     _mixture_objectives,
@@ -32,7 +31,7 @@ from groupsfa.inefficiency import (
 )
 from groupsfa.panel import PanelData
 from groupsfa.pipeline import fit_levels
-from groupsfa.postestimation import default_lambda, fit_group, select_K
+from groupsfa.postestimation import fit_group, select_K
 
 from oracles import (
     composite_stats_loop,
@@ -252,9 +251,8 @@ _SE_PANELS = [
 @pytest.mark.parametrize("design, N, T, seed, rep", _SE_PANELS)
 def test_se_stencil_equals_per_point_reference(monkeypatch, design, N, T, seed, rep):
     panel, _ = generate(design, N, T, seed=seed, rep=rep)
-    th = np.vstack([f.theta for f in fit_all(panel, default_m(T))])
-    record = select_K(panel, th, 4, default_lambda(N, T)).selected
-    stats, unique, mixture, _ = fit_levels(panel, record, 1.0, rep)
+    fits = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0).selected.fits
+    stats, unique, mixture, _ = fit_levels(panel, fits, 1.0, rep)
     got = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
     assert got[1] is not None  # an interior mixture optimum on every panel here
     monkeypatch.setattr(inefficiency, "mle_standard_errors", mle_standard_errors_per_point)
@@ -428,11 +426,10 @@ _ORBIT_PANELS = [
 def test_one_start_per_orbit_matches_the_eight_starts(monkeypatch, design, N, T,
                                                       seed, rep):
     panel, _ = generate(design, N, T, seed=seed, rep=rep)
-    th = np.vstack([f.theta for f in fit_all(panel, default_m(T))])
-    record = select_K(panel, th, 4, default_lambda(N, T)).selected
-    _, unique, fit, choice = fit_levels(panel, record, 1.0, rep)
+    fits = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0).selected.fits
+    _, unique, fit, choice = fit_levels(panel, fits, 1.0, rep)
     monkeypatch.setattr(inefficiency, "_mixture_starts", mixture_starts_eight)
-    _, unique_ref, ref, choice_ref = fit_levels(panel, record, 1.0, rep)
+    _, unique_ref, ref, choice_ref = fit_levels(panel, fits, 1.0, rep)
     assert unique == unique_ref
     assert choice.chosen == choice_ref.chosen
     assert fit.loglik >= ref.loglik - 1e-12 * abs(ref.loglik)
@@ -475,14 +472,24 @@ def test_default_lambda_tilde_values():
 @pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
 def test_composite_stats_equal_per_firm_loop(design):
     panel, _ = generate(design, 100, 50, seed=3)
-    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
-    report = select_K(panel, th, 4, default_lambda(panel.N, panel.T))
+    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
     for record in report.records:
-        stats = composite_residual_stats(panel, record.assignment, record.fits)
+        stats = composite_residual_stats(panel, record.fits)
         S, Q, sv2 = composite_stats_loop(panel, record.fits)
         np.testing.assert_array_equal(stats.S, S)
         np.testing.assert_array_equal(stats.Q, Q)
         np.testing.assert_array_equal(stats.sigma_v2, sv2)
+
+
+@pytest.mark.parametrize("groups", [
+    [[0, 1], [3, 4, 5]],  # firm 2 missing
+    [[0, 1, 2], [2, 3, 4, 5]],  # firm 2 in both groups
+])
+def test_composite_stats_reject_fits_that_do_not_partition(groups):
+    panel, _ = generate("dgp2u", 6, 30, seed=3)
+    fits = [fit_group(panel, members, m_under=2) for members in groups]
+    with pytest.raises(InputError, match="do not partition the 6 firms"):
+        composite_residual_stats(panel, fits)
 
 
 def _noiseless_panel(N, T, level):
@@ -494,24 +501,22 @@ def _noiseless_panel(N, T, level):
 
 def test_firm_intercepts_noiseless_level():
     panel = _noiseless_panel(4, 30, 2.0)
-    assignment = GroupAssignment(K=1, membership=np.ones(4, dtype=int))
     fits = [fit_group(panel, np.arange(4), m_under=2)]
-    vals = firm_intercepts(composite_residual_stats(panel, assignment, fits))
+    vals = firm_intercepts(composite_residual_stats(panel, fits))
     np.testing.assert_allclose(vals, 2.0, atol=1e-8)
 
 
 def test_firm_intercepts_shift_locality():
     rng = np.random.default_rng(15)
     panel, _ = _make_small_dgp_panel(rng)
-    assignment = GroupAssignment(K=1, membership=np.ones(panel.N, dtype=int))
     fits = [fit_group(panel, np.arange(panel.N), m_under=2)]
-    base = firm_intercepts(composite_residual_stats(panel, assignment, fits))
+    base = firm_intercepts(composite_residual_stats(panel, fits))
 
     y2 = panel.y.copy()
     y2[2] += 1.7
     shifted = PanelData(y=y2, x=panel.x)
     fits2 = [fit_group(shifted, np.arange(panel.N), m_under=2)]
-    moved = firm_intercepts(composite_residual_stats(shifted, assignment, fits2))
+    moved = firm_intercepts(composite_residual_stats(shifted, fits2))
     # the pooled frontier shifts a little, but firm 2 moves by ~1.7 net
     assert moved[2] - base[2] == pytest.approx(1.7, abs=0.05)
 
@@ -522,11 +527,8 @@ def _make_small_dgp_panel(rng):
 
 def test_firm_intercept_clt_bound():
     panel, truth = generate("dgp2u", 60, 100, seed=21)
-    fits_ind = fit_all(panel, default_m(panel.T))
-    th = np.vstack([f.theta for f in fits_ind])
-    rep = select_K(panel, th, 2, default_lambda(panel.N, panel.T))
-    rec = rep.records[1]
-    vals = firm_intercepts(composite_residual_stats(panel, rec.assignment, rec.fits))
+    rep = select_K(panel, fit_all(panel, default_m(panel.T)), 2, 1.0)
+    vals = firm_intercepts(composite_residual_stats(panel, rep.records[1].fits))
     target = truth.law.alpha0 - truth.u
     sigma_firm = truth.sigma_v[truth.membership - 1]
     bound = 5 * sigma_firm / math.sqrt(panel.T)

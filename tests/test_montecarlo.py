@@ -1,5 +1,6 @@
 import pytest
 
+from groupsfa import montecarlo
 from groupsfa.errors import ConfigError, InputError
 from groupsfa.montecarlo import (
     McConfig,
@@ -37,6 +38,38 @@ def test_config_rejects_missing_and_bad_values():
         _smoke_config(stages="half")
     with pytest.raises(ConfigError, match="seed"):
         _smoke_config(seed=-1)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(sizes=[(1, 50)]),  # N below the design's two groups
+    dict(sizes=[(3, 50)]),  # N below k_max
+    dict(sizes=[(20, 50), (20, 5)]),  # a p = 1 fit needs T >= 6
+    dict(sizes=[(20, 7)], design="dgp3u"),  # a p = 2 fit needs T >= 8
+    dict(c_lambda=float("nan")),
+    dict(c_tilde=float("inf")),
+])
+def test_config_rejects_values_no_replication_can_run(kw):
+    # the error names the first key of kw
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        _smoke_config(**kw)
+
+
+def test_config_size_bounds_are_the_smallest_runnable_panel():
+    # N = k_max and T = m (p + 1) + 2 run; one firm or period fewer does not
+    cfg = _smoke_config(sizes=[(4, 6)], stages="classification")
+    assert not run_replication(cfg, (4, 6), 0).failed
+    assert _smoke_config(design="dgp3u", sizes=[(4, 8)]).sizes == [(4, 8)]
+    for design, size in (("dgp2u", (3, 6)), ("dgp2u", (4, 5)), ("dgp3u", (4, 7))):
+        with pytest.raises(ConfigError, match="sizes"):
+            _smoke_config(design=design, sizes=[size])
+
+
+def test_sweep_checks_every_point_before_the_first_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(montecarlo, "run_monte_carlo", runs.append)
+    with pytest.raises(ConfigError, match="c_lambda"):
+        sensitivity_sweep(_smoke_config(), [1.0, float("nan")], [1.0])
+    assert runs == []
 
 
 def test_replication_deterministic():

@@ -88,8 +88,7 @@ def test_fit_group_empty_rejected():
 @pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
 def test_fit_group_equals_per_firm_loop(design):
     panel, _ = generate(design, 100, 50, seed=3)
-    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
-    report = select_K(panel, th, 4, default_lambda(panel.N, panel.T))
+    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
     fits = {id(f): f for r in report.records for f in r.fits}.values()
     assert len(fits) == 7
     for fit in fits:
@@ -132,12 +131,12 @@ def test_ic_residual_identity():
 
 
 def test_select_k_monotone_in_lambda():
+    # the penalty is c_lambda times sqrt(NT) log(NT) / 2 = 141.6 here
     panel, _ = generate("dgp1u", 30, 50, seed=5)
     fits = fit_all(panel, default_m(panel.T))
-    th = np.vstack([f.theta for f in fits])
     selected = [
-        select_K(panel, th, 4, lam).selected_K
-        for lam in (0.0, 10.0, 1e3, 1e6)
+        select_K(panel, fits, 4, c_lambda).selected_K
+        for c_lambda in (0.0, 0.1, 10.0, 1e4)
     ]
     assert all(a >= b for a, b in zip(selected, selected[1:]))
     assert selected[-1] == 1
@@ -147,23 +146,21 @@ def test_select_k_ties_toward_smaller():
     # lambda=0 with a loss-free tie cannot happen on continuous data, so
     # check the tie rule directly on the record list ordering
     panel, _ = generate("dgp1u", 8, 40, seed=6)
-    fits = fit_all(panel, 2)
-    th = np.vstack([f.theta for f in fits])
-    report = select_K(panel, th, 3, lam=0.0)
+    report = select_K(panel, fit_all(panel, 2), 3, c_lambda=0.0)
     best = min(report.records, key=lambda r: (r.ic, r.K))
     assert report.selected_K == best.K
 
 
 def test_select_k_fits_each_member_set_once(monkeypatch):
     panel, _ = generate("dgp3u", 40, 40, seed=10)
-    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
+    firm_fits = fit_all(panel, default_m(panel.T))
+    th = np.vstack([f.theta for f in firm_fits])
     K_max, lam = 4, default_lambda(panel.N, panel.T)
 
     # the records without reuse: every group of every cut fit afresh
-    _, history = hac_cluster(th, 1)
     expected = []
     for K in range(1, K_max + 1):
-        assignment = history.cut(K)
+        assignment = hac_cluster(th).cut(K)
         fits = [
             fit_group(panel, assignment.members(k),
                       default_m_under(len(assignment.members(k)), panel.T))
@@ -178,8 +175,9 @@ def test_select_k_fits_each_member_set_once(monkeypatch):
         return fit_group(panel_, members, m_under)
 
     monkeypatch.setattr(postestimation, "fit_group", counting_fit_group)
-    report = select_K(panel, th, K_max, lam)
+    report = select_K(panel, firm_fits, K_max, 1.0)
 
+    assert report.lam == lam
     distinct = {tuple(int(i) for i in f.members) for _, fits, _ in expected for f in fits}
     assert sorted(calls) == sorted(distinct)
     assert len(calls) == 2 * K_max - 1
@@ -256,9 +254,7 @@ def test_frontier_rmse_shrinks_with_t():
     rmses = []
     for T in (50, 100):
         panel, truth = generate("dgp3m", 500, T, seed=9)
-        fits_ind = fit_all(panel, default_m(T))
-        th = np.vstack([f.theta for f in fits_ind])
-        report = select_K(panel, th, 4, default_lambda(panel.N, T))
+        report = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0)
         rec = report.records[truth.K - 1]
         rmses.append(_frontier_rmse(panel, truth, rec.assignment, rec.fits))
     assert rmses[1] < rmses[0]

@@ -23,7 +23,7 @@ from groupsfa.inefficiency import (
     firm_intercepts,
     fit_unique,
 )
-from groupsfa.postestimation import default_lambda, select_K
+from groupsfa.postestimation import select_K
 
 from oracles import nelder_mead_per_start
 
@@ -40,10 +40,8 @@ def assert_same_runs(mine, ref):
 
 def _selected_stats(design):
     panel, _ = generate(design, 100, 50, seed=3)
-    th = np.vstack([f.theta for f in fit_all(panel, default_m(panel.T))])
-    report = select_K(panel, th, 4, default_lambda(panel.N, panel.T))
-    record = report.records[report.selected_K - 1]
-    return composite_residual_stats(panel, record.assignment, record.fits)
+    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    return composite_residual_stats(panel, report.selected.fits)
 
 
 @pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
