@@ -83,12 +83,12 @@ def _cmd_estimate(args):
 def _as_c_list(value, name):
     values = value if isinstance(value, list) else [value]
     if values and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < math.inf
         for v in values
     ):
         return [float(v) for v in values]
     raise ConfigError(
-        f"{name} must be a finite number or a nonempty list of finite numbers"
+        f"{name} must be a finite number >= 0 or a nonempty list of such numbers"
     )
 
 

@@ -6,25 +6,21 @@ Ward cost
     d(A, B) = |A||B| / (|A| + |B|) * ||mean_A - mean_B||^2
 
 is merged, ties broken by the lexicographically smallest pair of cluster
-ids, where a cluster's id is its smallest member index. Costs are updated
-with the Lance-Williams recurrence, and the next merge is found from a
-per-cluster nearest-neighbour cache (Muellner 2011, arXiv:1109.2378)
-rather than a scan of all pairs: O(N^2) time in the typical case and
-8 N^2 bytes of costs. A full merge history is kept so the dendrogram can
-be cut at any K without re-clustering. Group labels are assigned 1..K by
+ids, where a cluster's id is its smallest member index. The merges are
+found by a nearest-neighbour chain over cluster centroids and sizes
+(Muellner 2011, arXiv:1109.2378), so memory is O(N d) and no N x N cost
+matrix is held. A full merge history is kept so the dendrogram can be
+cut at any K without re-clustering. Group labels are assigned 1..K by
 ascending smallest member index, which makes runs bit-reproducible.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
-
-# Rows of the initial cost matrix computed per difference tensor, which
-# bounds that temporary at _COST_BLOCK_ROWS * N * d floats.
-_COST_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -86,87 +82,87 @@ class MergeHistory:
 def _agglomerate(X):
     """Run the full merge sequence of the (N, d) features X down to one cluster.
 
-    D holds the costs between active cluster slots, symmetric with an inf
-    diagonal; slot index equals cluster id (smallest member), and a merged
-    slot's row and column are set to inf. Each row caches its minimum
-    ``mn[c]`` and first argmin ``nn[c]``. By symmetry, the first row
-    attaining the global minimum of ``mn`` holds the lexicographically
-    smallest tied pair (a, nn[a]), so picking a merge scans N cached
-    minima instead of the N x N matrix. After a merge the Lance-Williams
-    costs are written into row and column a; a row adopts a when its new
-    cost is lower than the cached minimum, or equal to it with a smaller
-    id (Ward's reducibility rules the equality out in exact arithmetic,
-    not under rounding), and only row a and the rows whose neighbour was
-    a or b are rescanned. This is the generic algorithm of Muellner (2011,
-    arXiv:1109.2378): O(N^2) time in the typical case, O(N^3) at worst,
-    and 8 N^2 bytes for D, built in row blocks of ``_COST_BLOCK_ROWS``.
+    Nearest-neighbour chain (Murtagh 1983; Muellner 2011, arXiv:1109.2378,
+    section 3) on rows of member sums, sizes and centroids, O(N d) memory.
+    A merged row is parked at an inf centroid until merged rows are the
+    majority and are dropped. A chain step computes the Ward cost from the
+    tip to every row, the squared distance by the dot product of
+    ``diff @ diff``, and moves to the first argmin. Pairs are thus ordered
+    strictly by (cost, id pair) with costs symmetric to the bit, so the
+    chain cannot cycle; a tip merges with its predecessor when that is its
+    nearest neighbour, and the merged cluster keeps the smaller id.
+
+    Ward is reducible (a merged cluster is no nearer to a third one than
+    the nearer of its parts), so reciprocal nearest neighbours stay so
+    until they merge and the chain finds the greedy merges out of order.
+    Sorting them by (cost, id_a, id_b), a merge lifted to the key of the
+    merges that built its clusters where an exact tie makes that larger,
+    replays them in greedy order.
 
     Raises:
-        InputError: an initial or merged cost overflows to inf or NaN
-        (finite features of magnitude near 1e154 or more).
+        InputError: a merge cost overflows to inf or NaN (finite features
+        of magnitude near 1e154 or more).
     """
     n = X.shape[0]
-    D = np.empty((n, n))
-    for lo in range(0, n, _COST_BLOCK_ROWS):
-        diff = X[lo : lo + _COST_BLOCK_ROWS, None, :] - X[None, :, :]
-        D[lo : lo + _COST_BLOCK_ROWS] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
-    if not np.isfinite(D).all():
-        raise InputError(
-            "Ward costs overflow: the initial squared distances between "
-            "feature rows are not finite in double precision"
-        )
-    np.fill_diagonal(D, np.inf)
-    nn = np.argmin(D, axis=1)
-    mn = D[np.arange(n), nn]
+    ids = np.arange(n)  # cluster id of each row, ascending; -1 once merged
+    sums = X.copy()
+    centroids = X.copy()
     sizes = np.ones(n)
-
-    merges = []
-    for _ in range(n - 1):
-        a = int(np.argmin(mn))
-        b = int(nn[a])
-        cost = float(mn[a])
-        merges.append((a, b, cost))
-
-        # Lance-Williams update of costs against every slot; entries of a,
-        # b and merged slots are inf and stay inf
-        na, nb = sizes[a], sizes[b]
-        dnew = ((na + sizes) * D[a] + (nb + sizes) * D[b] - sizes * cost) / (na + nb + sizes)
-        D[a] = dnew
-        D[:, a] = dnew
-        D[b] = np.inf
-        D[:, b] = np.inf
-        sizes[a] = na + nb
-        nn[b], mn[b] = -1, np.inf  # a merged slot is never stale, never adopts
-
-        stale = np.flatnonzero((nn == a) | (nn == b))  # includes a itself
-        adopt = (dnew < mn) | ((dnew == mn) & (a < nn))
-        nn[adopt] = a
-        mn[adopt] = dnew[adopt]
-        nn[stale] = np.argmin(D[stale], axis=1)
-        mn[stale] = D[stale, nn[stale]]
-
-    # A cost that overflows in an update stays inf or NaN through later
-    # updates until its two clusters merge, so it shows as a merge cost.
-    finite = np.isfinite([cost for _, _, cost in merges])
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise InputError(
-            f"Ward costs overflow: merge {first + 1} of {n - 1} has cost "
-            f"{merges[first][2]}, beyond double precision"
-        )
-    return merges
+    found, last = [], {}
+    chain = [0]
+    while len(found) < n - 1:
+        if 2 * (n - len(found)) < len(ids):
+            keep = np.flatnonzero(ids >= 0)
+            ids, sums, centroids, sizes = ids[keep], sums[keep], centroids[keep], sizes[keep]
+            chain = np.searchsorted(keep, chain).tolist()
+        tip = chain[-1]
+        diff = centroids - centroids[tip]
+        cost = np.vecdot(diff, diff)
+        weight = sizes * sizes[tip]
+        weight /= sizes + sizes[tip]
+        cost *= weight
+        cost[tip] = np.inf
+        near = int(cost.argmin())
+        best = float(cost[near])
+        if not math.isfinite(best):
+            raise InputError(
+                f"Ward costs overflow: merge {len(found) + 1} of {n - 1} has "
+                f"cost {best}, beyond double precision"
+            )
+        if len(chain) < 2 or near != chain[-2]:
+            chain.append(near)
+            continue
+        del chain[-2:]
+        ra, rb = min(tip, near), max(tip, near)
+        a, b = int(ids[ra]), int(ids[rb])
+        # a merge sorts no earlier than the merges that built its clusters
+        key = max([(best, a, b)] + [found[last[c]][0] for c in (a, b) if c in last])
+        last[a] = len(found)
+        found.append((key, len(found), a, b, best))
+        sums[ra] += sums[rb]
+        sizes[ra] += sizes[rb]
+        centroids[ra] = sums[ra] / sizes[ra]
+        centroids[rb] = np.inf
+        ids[rb] = -1
+        if not chain:
+            chain.append(ra)
+    return [(a, b, cost) for *_, a, b, cost in sorted(found)]
 
 
 def hac_cluster(thetas):
     """Ward merge history of firm feature vectors, cut at any K by ``cut``.
 
+    The merges come from a nearest-neighbour chain on cluster centroids
+    (see ``_agglomerate``): O(N d) memory and one vectorised cost pass
+    per chain step.
+
     Raises:
-        InputError: thetas is not 2-D, holds NaN or inf, or its Ward costs
-        overflow.
+        InputError: thetas is not 2-D with at least one column, holds NaN
+        or inf, or its Ward costs overflow.
     """
     X = np.asarray(thetas, dtype=float)
-    if X.ndim != 2:
-        raise InputError(f"thetas must be (N, d), got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise InputError(f"thetas must be (N, d) with d >= 1, got shape {X.shape}")
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         bad = np.flatnonzero(~finite)[:5].tolist()

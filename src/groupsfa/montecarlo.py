@@ -61,8 +61,8 @@ class McConfig:
         for name in ("c_lambda", "c_tilde"):
             value = getattr(self, name)
             if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+                    or not 0 <= value < math.inf):
+                raise ConfigError(f"{name} must be a finite real number >= 0, got {value!r}")
         self.design = self.design.lower()
         if self.design not in DESIGNS:
             raise ConfigError(

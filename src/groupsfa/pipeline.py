@@ -197,9 +197,10 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
         raise InputError("estimation requires at least 2 firms")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    if not (np.isfinite(c_lambda) and np.isfinite(c_tilde)):
+    if not (0 <= c_lambda < np.inf and 0 <= c_tilde < np.inf):
         raise InputError(
-            f"c_lambda and c_tilde must be finite, got {c_lambda} and {c_tilde}"
+            "c_lambda and c_tilde must be finite and non-negative, "
+            f"got {c_lambda} and {c_tilde}"
         )
     if m is None:
         m = default_m(panel.T)

@@ -147,6 +147,12 @@ def test_estimate_non_finite_penalty_is_input_error(tmp_path, capsys, extra):
     assert "c_lambda and c_tilde must be finite" in err
 
 
+@pytest.mark.parametrize("extra", [["--c-lambda=-1"], ["--c-tilde=-1"]])
+def test_estimate_negative_penalty_is_input_error(tmp_path, capsys, extra):
+    err = _assert_estimate_input_error(tmp_path, capsys, extra)
+    assert "c_lambda and c_tilde must be finite and non-negative" in err
+
+
 def test_estimate_missing_file_is_input_error(tmp_path):
     assert _run(["estimate", "--input", str(tmp_path / "nope.csv"),
                  "--out-dir", str(tmp_path / "r")]) == 2
@@ -241,6 +247,8 @@ def test_montecarlo_mistyped_value_is_config_error(tmp_path, capsys, monkeypatch
     ("c_tilde", float("inf")),
     ("sizes", [[1, 50]]),
     ("sizes", [[20, 5]]),
+    ("c_lambda", -1.0),
+    ("c_tilde", [1.0, -0.5]),
 ])
 def test_montecarlo_unrunnable_value_is_config_error(tmp_path, capsys, monkeypatch,
                                                      key, value):

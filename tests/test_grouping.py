@@ -16,6 +16,7 @@ from oracles import (
     best_label_permutation_brute,
     brute_force_agglomerate,
     brute_force_cut,
+    ward_cost_from_points,
 )
 
 
@@ -74,14 +75,6 @@ def _grid_inputs():
         yield rng.integers(0, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
 
 
-# The one input of _grid_inputs() where Lance-Williams rounding splits an
-# exact tie differently from the oracle; see
-# test_rounding_can_split_an_exact_tie.
-_ROUNDING_SPLIT = np.array(
-    [[0, 1], [2, 1], [0, 2], [1, 2], [0, 2], [1, 2]], dtype=float
-)
-
-
 def _assert_matches_oracle(X):
     n = len(X)
     hist = hac_cluster(X)
@@ -98,23 +91,68 @@ def _assert_matches_oracle(X):
 
 
 def test_ties_and_duplicates_follow_the_oracle_tie_rule():
-    duplicates = splits = 0
+    duplicates = 0
     for X in _grid_inputs():
         duplicates += len(np.unique(X, axis=0)) < len(X)
-        if np.array_equal(X, _ROUNDING_SPLIT):
-            splits += 1
-        else:
-            _assert_matches_oracle(X)
+        _assert_matches_oracle(X)
     assert duplicates > 100
-    assert splits == 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "exact costs of (0, 3) and (1, 3) are both 4/3 at the fourth merge; "
-    "the recurrence gives 1.3333333333333335 for (0, 3), so (1, 3) wins"
-))
 def test_rounding_can_split_an_exact_tie():
-    _assert_matches_oracle(_ROUNDING_SPLIT)
+    # the costs of (0, 3) and (1, 3) are both exactly 4/3 at the fourth
+    # merge; a cost recurrence rounds (0, 3) to 1.3333333333333335 and
+    # merges (1, 3) first, where costs from centroids keep the tie
+    _assert_matches_oracle(np.array(
+        [[0, 1], [2, 1], [0, 2], [1, 2], [0, 2], [1, 2]], dtype=float
+    ))
+
+
+# Inputs on which a merge depends on an earlier merge that it ties with
+# exactly and precedes by id pair, so a plain sort of the merges by
+# (cost, id pair) would put it before the merge that built its cluster.
+_DEPENDENT_TIES = [
+    [[0, 2, 1], [1, 1, 1], [1, 1, 2], [1, 1, 0]],
+    [[2, 0], [0, 1], [2, 1], [2, 2], [2, 1], [1, 0], [1, 1], [2, 0]],
+    [[1, 1, 0], [0, 0, 1], [1, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+]
+
+# Inputs with an exact tie between two costs whose centroids are inexact
+# (thirds): a squared distance summed in another order than the oracle's
+# dot product (``einsum``, or a plain sum of squares) splits the tie.
+_ROUNDING_TIES = [
+    [[0, 1, 2], [1, 1, 2], [2, 0, 2], [2, 2, 0], [1, 1, 0], [2, 2, 0], [0, 0, 1], [0, 2, 0]],
+    [[1, 1, 1], [0, 2, 0], [2, 1, 1], [1, 2, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 2]],
+    [[0, 0, 0], [1, 1, 2], [0, 1, 1], [0, 1, 1], [1, 1, 0], [1, 1, 2], [0, 1, 2], [0, 1, 0],
+     [0, 2, 1]],
+]
+
+
+def test_harder_grid_mismatches_are_last_bit_ties():
+    """1,200 integer grids with n in 3..9 and d in 1..3, and the inputs above.
+
+    Where the merge lists differ from the oracle's, the first differing
+    merge must lose to the oracle's pair by a last-bit difference of the
+    oracle's own costs, recomputed from the member points of the clusters
+    both runs share at that step: an exact tie there must go by id pair.
+    """
+    rng = np.random.default_rng(300)
+    inputs = [np.array(X, dtype=float) for X in _DEPENDENT_TIES + _ROUNDING_TIES] + [
+        rng.integers(0, 3, size=(int(rng.integers(3, 10)), int(rng.integers(1, 4)))).astype(float)
+        for _ in range(1200)
+    ]
+    mismatches = 0
+    for X in inputs:
+        members = {i: [i] for i in range(len(X))}
+        merges = hac_cluster(X).merges
+        for (a, b, cost), (oa, ob, ocost) in zip(merges, brute_force_agglomerate(X)):
+            if (a, b) != (oa, ob):
+                mismatches += 1
+                mine = ward_cost_from_points(X[members[a]], X[members[b]])
+                assert ocost < mine <= ocost + 4 * np.spacing(ocost), X.tolist()
+                break
+            assert cost == pytest.approx(ocost, rel=1e-12, abs=1e-12)
+            members[oa] += members.pop(ob)
+    assert mismatches <= len(inputs) // 100
 
 
 def _first_occurrence_labels(labels):
@@ -141,18 +179,23 @@ def test_large_n_costs_and_cuts_match_scipy_ward():
         )
 
 
-def test_cost_memory_stays_below_three_n_squared_floats():
-    # the costs take 8 N^2 bytes; an N x N x d difference tensor would
-    # alone take 8 N^2 d
-    n, d = 1000, 4
-    X = np.random.default_rng(12).normal(size=(n, d))
+def _traced_peak(X):
     tracemalloc.start()
     try:
         hac_cluster(X)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * n * n
+
+
+def test_cost_memory_grows_linearly_in_n():
+    # an N x N cost matrix alone takes 8 N^2 bytes (8 MB at N=1000) and
+    # grows 16-fold when N grows 4-fold
+    rng = np.random.default_rng(12)
+    small = _traced_peak(rng.normal(size=(1000, 4)))
+    large = _traced_peak(rng.normal(size=(4000, 4)))
+    assert small < 1_000_000
+    assert large < 6 * small
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,17 +206,33 @@ def test_non_finite_features_rejected(bad):
         hac_cluster(X)
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 0), (2, 2, 2)])
+def test_features_must_be_a_matrix_with_columns(shape):
+    # with no columns every cost is 0, and a merged row could not be
+    # told from a live one by its centroid
+    with pytest.raises(InputError, match=r"thetas must be \(N, d\) with d >= 1"):
+        hac_cluster(np.zeros(shape))
+
+
 @pytest.mark.parametrize("X, where", [
-    # squared distances beyond the double range from the start
-    ([[0.0], [1e200], [2e200], [3.0]], "initial"),
-    # initial costs finite (8.45e307), the Lance-Williams update is not
-    ([[0.0], [0.0], [1.3e154]], "merge 2 of 2"),
+    # squared distances beyond the double range from the first chain step
+    ([[0.0], [1e200], [2e200], [3.0]], "merge 2 of 3"),
+    # the first merge is finite, the cost of the second is not
+    ([[0.0], [0.0], [1.4e154]], "merge 2 of 2"),
 ])
 def test_overflowing_ward_costs_rejected(X, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=f"Ward costs overflow.*{where}"):
             hac_cluster(X)
+
+
+def test_costs_near_the_double_range_stay_exact():
+    # 2/3 * (1.3e154)^2 is finite; a cost recurrence overflowed on it
+    X = [[0.0], [0.0], [1.3e154]]
+    merges = hac_cluster(X).merges
+    assert merges == [(0, 1, 0.0), (0, 2, 1.1266666666666664e+308)]
+    assert merges == brute_force_agglomerate(X)
 
 
 def test_history_cut_consistent_with_direct_clustering():

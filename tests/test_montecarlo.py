@@ -47,6 +47,8 @@ def test_config_rejects_missing_and_bad_values():
     dict(sizes=[(20, 7)], design="dgp3u"),  # a p = 2 fit needs T >= 8
     dict(c_lambda=float("nan")),
     dict(c_tilde=float("inf")),
+    dict(c_lambda=-1.0),
+    dict(c_tilde=-0.5),
 ])
 def test_config_rejects_values_no_replication_can_run(kw):
     # the error names the first key of kw

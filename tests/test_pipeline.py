@@ -29,6 +29,14 @@ def test_estimate_panel_rejects_kmax_above_firm_count():
         estimate_panel(panel, k_max=4)
 
 
+@pytest.mark.parametrize("kw", [dict(c_lambda=-1.0), dict(c_tilde=-0.5)])
+def test_estimate_panel_rejects_negative_penalty_constants(kw):
+    # a negative constant would reward more groups and the larger model
+    panel, _ = generate("dgp2u", 20, 30, seed=9)
+    with pytest.raises(InputError, match="finite and non-negative"):
+        estimate_panel(panel, k_max=2, **kw)
+
+
 def test_estimate_panel_result_structure():
     panel, _ = generate("dgp1u", 30, 50, seed=10)
     res = estimate_panel(panel, seed=0)
