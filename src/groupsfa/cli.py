@@ -34,6 +34,13 @@ def _truth_path(out_path):
     return out_path + ".truth.csv"
 
 
+def _write_json(path, payload):
+    """Write a JSON document: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_simulate(args):
     panel, truth = generate(args.design, args.n, args.t, seed=args.seed, rep=args.rep)
     write_panel_csv(panel, args.out)
@@ -62,9 +69,7 @@ def _cmd_estimate(args):
         c_tilde=args.c_tilde, seed=args.seed,
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "result.json"), "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out_dir, "result.json"), result.to_dict())
     with open(os.path.join(args.out_dir, "summary.txt"), "w") as fh:
         fh.write(result.summary_text() + "\n")
     if args.emit_curves:
@@ -119,9 +124,7 @@ def _cmd_montecarlo(args):
             ]
         }
         text = "\n".join(format_report_text(rep) for _, _, rep in entries)
-    with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out_dir, "report.json"), payload)
     with open(os.path.join(args.out_dir, "report.txt"), "w") as fh:
         fh.write(text)
     print(text)

@@ -11,17 +11,19 @@ unique-law design). Group labels are aligned by the permutation that
 minimizes the classification error; mixture components by the smaller
 total parameter distance of the two orderings.
 
-Replications are independent tasks; with workers > 1 they are distributed
-over a process pool. All randomness derives from (seed, replication), so
-the aggregated report is a pure function of the configuration regardless
-of worker count. Aggregation runs in replication order to keep
-floating-point sums reproducible.
+Replications are independent tasks. They run over a process pool of
+min(workers, tasks, CPUs) processes, or in this process when that is 1.
+All randomness derives from (seed, replication), so the aggregated report
+is a pure function of the configuration regardless of worker count.
+Aggregation runs in replication order to keep floating-point sums
+reproducible.
 """
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -99,7 +101,7 @@ class McConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"design", "sizes", "replications"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         try:
@@ -127,16 +129,25 @@ class RepRecord:
     message: str = None
 
 
-def _mixture_errors(fit, law):
-    """Component-aligned estimation errors for a mixture fit."""
-    est = (fit.tau, fit.alpha0_1, math.sqrt(fit.sigma_u2_1),
-           fit.alpha0_2, math.sqrt(fit.sigma_u2_2))
-    swapped = (1.0 - est[0], est[3], est[4], est[1], est[2])
-    true = (law.tau, law.alpha0_1, law.sigma_u_1, law.alpha0_2, law.sigma_u_2)
-    names = ("tau", "alpha0_1", "sigma_u_1", "alpha0_2", "sigma_u_2")
-    dist = lambda cand: sum(abs(c - t) for c, t in zip(cand, true))
-    chosen = est if dist(est) <= dist(swapped) else swapped
-    return {n: c - t for n, c, t in zip(names, chosen, true)}
+def _law_errors(fit, law):
+    """Estimation errors of a fit in its generating law's parameters.
+
+    Keys are the law's fields; a law's sigma_u* is scored against the
+    square root of the fit's sigma_u2*. Mixture components are aligned
+    by the smaller total distance of the two orderings.
+    """
+    true = asdict(law)
+    est = [
+        math.sqrt(getattr(fit, n.replace("sigma_u", "sigma_u2")))
+        if n.startswith("sigma_u") else getattr(fit, n)
+        for n in true
+    ]
+    if law.kind == "mixture":
+        tau, a1, s1, a2, s2 = est
+        swapped = [1.0 - tau, a2, s2, a1, s1]
+        dist = lambda cand: sum(abs(c - t) for c, t in zip(cand, true.values()))
+        est = est if dist(est) <= dist(swapped) else swapped
+    return {n: c - t for (n, t), c in zip(true.items(), est)}
 
 
 def run_replication(config, size, rep):
@@ -186,16 +197,12 @@ def run_replication(config, size, rep):
         # only the unique fit
         refit = truth.K != report.selected_K
         if truth.law.kind == "unique":
-            if refit:
-                unique = fit_unique(composite_residual_stats(panel, rec_true.fits))
-            rec.errors["alpha0"] = unique.alpha0 - truth.law.alpha0
-            rec.errors["sigma_u"] = math.sqrt(unique.sigma_u2) - truth.law.sigma_u
+            fit = (fit_unique(composite_residual_stats(panel, rec_true.fits))
+                   if refit else unique)
         else:
-            if refit:
-                _, _, mixture, _ = fit_levels(
-                    panel, rec_true.fits, config.c_tilde, mix_seed
-                )
-            rec.errors.update(_mixture_errors(mixture, truth.law))
+            fit = (fit_levels(panel, rec_true.fits, config.c_tilde, mix_seed)[2]
+                   if refit else mixture)
+        rec.errors.update(_law_errors(fit, truth.law))
     except Exception as exc:  # record, never propagate
         rec.failed = True
         rec.stage = stage
@@ -219,18 +226,7 @@ class CellReport:
     rmse: dict
 
     def to_dict(self):
-        return {
-            "N": self.N,
-            "T": self.T,
-            "replications": self.replications,
-            "n_failed": self.n_failed,
-            "k_freq": {str(k): v for k, v in self.k_freq.items()},
-            "mean_cls_error": self.mean_cls_error,
-            "freq_unique": self.freq_unique,
-            "freq_mixture": self.freq_mixture,
-            "bias": self.bias,
-            "rmse": self.rmse,
-        }
+        return {**asdict(self), "k_freq": {str(k): v for k, v in self.k_freq.items()}}
 
 
 def aggregate(records, k_max):
@@ -305,8 +301,10 @@ def run_monte_carlo(config):
         for size in config.sizes
         for rep in range(config.replications)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # the executor forks all its workers at the first submit
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_task, tasks, chunksize=1))
     else:
         results = [run_replication(config, size, rep) for _, size, rep in tasks]

@@ -148,10 +148,12 @@ def read_panel_csv(path, firm_col="firm_id", time_col="t", y_col="y", x_cols=Non
     """Read a long CSV into a PanelData, validating balance.
 
     When ``x_cols`` is None, columns named x1, x2, ... are used in index
-    order. Rows may come in any order and blank lines are skipped; firms
-    keep the order of their first row and times are sorted. The time
-    column holds integers. Short rows, non-numeric or non-finite values,
-    and duplicate or missing (firm, time) cells are input errors.
+    order. The firm, time, y and regressor columns must be distinct, and
+    the header must name each of them once. Rows may come in any order and
+    blank lines are skipped; firms keep the order of their first row and
+    times are sorted. The time column holds integers. Short rows,
+    non-numeric or non-finite values, and duplicate or missing (firm,
+    time) cells are input errors.
 
     Each column is parsed whole by numpy's C reader, and cells are placed
     by array index.
@@ -175,6 +177,17 @@ def read_panel_csv(path, firm_col="firm_id", time_col="t", y_col="y", x_cols=Non
         for col in x_cols:
             if col not in cols:
                 raise InputError(f"{path}: missing regressor column {col!r}")
+        used = [firm_col, time_col, y_col, *x_cols]
+        for col in used:
+            if used.count(col) > 1:
+                raise InputError(
+                    f"{path}: column {col!r} is given more than one role; the "
+                    "firm, time, y and regressor columns must be distinct"
+                )
+            if header.count(col) > 1:
+                raise InputError(
+                    f"{path}: column {col!r} appears more than once in the header"
+                )
         if not any(reader):
             raise InputError(f"{path}: no data rows")
         value_cols = [cols[c] for c in (y_col, *x_cols)]

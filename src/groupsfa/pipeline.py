@@ -13,7 +13,8 @@ Carlo harness both call it. Standard errors are computed only by
 the runner-up.
 """
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -99,8 +100,6 @@ class EstimateResult:
                     "firms": [self.firm_ids[i] for i in fit.members],
                 }
             )
-        u = self.unique_fit
-        m = self.mixture_fit
         return {
             "meta": self.metadata,
             "group_selection": {
@@ -116,21 +115,8 @@ class EstimateResult:
                 "ic_unique": float(self.choice.ic_unique),
                 "ic_mixture": float(self.choice.ic_mixture),
                 "choice": self.choice.chosen,
-                "unique": {
-                    "alpha0": float(u.alpha0),
-                    "sigma_u2": float(u.sigma_u2),
-                    "loglik": float(u.loglik),
-                    "se": [float(v) for v in u.se] if u.se is not None else None,
-                },
-                "mixture": {
-                    "tau": float(m.tau),
-                    "alpha0_1": float(m.alpha0_1),
-                    "sigma_u2_1": float(m.sigma_u2_1),
-                    "alpha0_2": float(m.alpha0_2),
-                    "sigma_u2_2": float(m.sigma_u2_2),
-                    "loglik": float(m.loglik),
-                    "se": [float(v) for v in m.se] if m.se is not None else None,
-                },
+                "unique": _fit_dict(self.unique_fit),
+                "mixture": _fit_dict(self.mixture_fit),
             },
             "firm_intercepts": {
                 fid: float(v) for fid, v in zip(self.firm_ids, self.intercepts)
@@ -147,32 +133,35 @@ class EstimateResult:
         lines.append(f"Group sizes: {sizes}")
         lines.append("")
         header = [f"sigma_v({k})" for k in range(1, len(self.group_fits) + 1)]
-        if self.choice.chosen == "mixture":
-            mf = self.mixture_fit
-            header += ["tau", "alpha0(1)", "sigma_u(1)", "alpha0(2)", "sigma_u(2)"]
-            est = list(self.sigma_v) + [
-                mf.tau, mf.alpha0_1, np.sqrt(mf.sigma_u2_1),
-                mf.alpha0_2, np.sqrt(mf.sigma_u2_2),
-            ]
-            se_row = list(self.sigma_v_se) + (
-                [float(v) for v in mf.se] if mf.se is not None else [np.nan] * 5
-            )
-        else:
-            uf = self.unique_fit
-            header += ["alpha0", "sigma_u"]
-            est = list(self.sigma_v) + [uf.alpha0, np.sqrt(uf.sigma_u2)]
-            se_row = list(self.sigma_v_se) + (
-                [float(v) for v in uf.se] if uf.se is not None else [np.nan] * 2
-            )
+        est, se_row = list(self.sigma_v), list(self.sigma_v_se)
+        fit = self.mixture_fit if self.choice.chosen == "mixture" else self.unique_fit
+        names = [f.name for f in fields(fit) if f.name not in ("loglik", "se")]
+        se = fit.se if fit.se is not None else [np.nan] * len(names)
+        for name, err in zip(names, se):
+            value = getattr(fit, name)
+            if name.startswith("sigma_u2"):
+                # sigma_u = sqrt(sigma_u2), with its delta-method standard error
+                value = np.sqrt(value)
+                err = err / (2.0 * value)
+                name = name.replace("sigma_u2", "sigma_u")
+            header.append(re.sub(r"_(\d)$", r"(\1)", name))  # alpha0_1 -> alpha0(1)
+            est.append(value)
+            se_row.append(err)
         w = max(len(h) for h in header) + 2
         lines.append(f"Level/inefficiency model: {self.choice.chosen}")
         lines.append("".join(h.rjust(w) for h in header))
         lines.append("".join(f"{v:.4f}".rjust(w) for v in est))
         lines.append("".join(f"({v:.4f})".rjust(w) for v in se_row))
         lines.append("")
-        lines.append("Note: standard errors in parentheses; mixture standard")
-        lines.append("errors are for (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2).")
+        lines.append("Note: standard errors in parentheses; a sigma_u = sqrt(sigma_u2)")
+        lines.append("has the delta-method standard error se(sigma_u2) / (2 sigma_u).")
         return "\n".join(lines)
+
+
+def _fit_dict(fit):
+    """A level/inefficiency fit's fields as plain JSON values: numbers as
+    floats, ``se`` as a list or None."""
+    return {name: np.asarray(v).tolist() for name, v in asdict(fit).items()}
 
 
 def fit_levels(panel, group_fits, c_tilde, seed):

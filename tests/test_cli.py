@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from groupsfa import pipeline
+from groupsfa import cli, pipeline
 from groupsfa.cli import main
 from groupsfa.errors import HessianError
 from groupsfa.panel import read_panel_csv, write_panel_csv
@@ -101,6 +101,31 @@ def test_estimate_unbalanced_is_input_error(tmp_path):
         csv.writer(fh).writerows(rows[:-1])  # drop one cell
     assert _run(["estimate", "--input", str(data),
                  "--out-dir", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("header,x_cols,col", [
+    ("firm_id,t,y,x1,x1", None, "x1"),
+    ("firm_id,t,y,x1", "x1,x1", "x1"),
+    ("firm_id,t,y,x1", "y", "y"),
+])
+def test_estimate_column_role_error_exits_2_before_fitting(tmp_path, capsys, monkeypatch,
+                                                          header, x_cols, col):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("estimation ran")
+
+    monkeypatch.setattr(cli, "estimate_panel", no_fit)
+    data = tmp_path / "p.csv"
+    _run(["simulate", "--design", "dgp1u", "--n", "3", "--t", "12",
+          "--seed", "6", "--out", str(data)])
+    with open(data) as fh:
+        rows = [r + r[3:] * (header.count(",") - 3) for r in csv.reader(fh)]
+    rows[0] = header.split(",")
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    args = ["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r")]
+    assert _run(args + (["--x-cols", x_cols] if x_cols else [])) == 2
+    assert f"input error: {data}: column '{col}'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_estimate_kmax_above_firm_count_is_input_error(tmp_path, capsys):
@@ -199,6 +224,27 @@ def test_runner_up_hessian_error_gives_null_se(tmp_path, monkeypatch):
     assert result["inefficiency"]["choice"] == "unique"
     assert result["inefficiency"]["mixture"]["se"] is None
     assert len(result["inefficiency"]["unique"]["se"]) == 2
+
+
+def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    from groupsfa import inefficiency
+
+    def stalled(f, starts, **kwargs):
+        return [OptimizeResult(x=np.array(s, dtype=float), fun=np.inf, success=False,
+                               message="simplex stalled") for s in starts]
+
+    def failed_bfgs(fun, x0, **kwargs):
+        return OptimizeResult(x=x0, fun=np.inf, jac=np.full(len(x0), np.inf),
+                              success=False, message="BFGS failed")
+
+    monkeypatch.setattr(inefficiency, "_simplex", stalled)
+    monkeypatch.setattr(inefficiency, "minimize", failed_bfgs)
+    assert _estimate_dgp2u(tmp_path) == 3
+    assert ("numerical failure: likelihood maximization did not converge: "
+            "simplex stalled; BFGS failed") in capsys.readouterr().err
+    assert not (tmp_path / "r" / "result.json").exists()
 
 
 def test_montecarlo_config_unknown_key_is_config_error(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from groupsfa import inefficiency
 from groupsfa._kernels import (
@@ -10,7 +11,7 @@ from groupsfa._kernels import (
     loglik_unique_total,
 )
 from groupsfa.dgp import generate, sample_half_normal
-from groupsfa.errors import HessianError, InputError
+from groupsfa.errors import ConvergenceError, HessianError, InputError
 from groupsfa.estimation import default_m, fit_all
 from groupsfa.inefficiency import (
     CompositeStats,
@@ -581,3 +582,96 @@ def test_mixture_boundary_collapse_warns():
     warned = any(issubclass(w.category, DegenerateMixtureWarning)
                  for w in caught)
     assert warned == degenerate
+
+
+# --- convergence failures ----------------------------------------------------
+
+
+def _failed_bfgs(fun, x0, **kwargs):
+    # an infinite value and gradient: never the better point, never flat
+    n = len(x0)
+    return OptimizeResult(x=np.asarray(x0, dtype=float), fun=np.inf,
+                          jac=np.full(n, np.inf), success=False,
+                          message="forced BFGS failure")
+
+
+def _simplex_failing(starts_to_fail):
+    """The real lockstep simplex, with the given starts marked unconverged."""
+    real = inefficiency._simplex
+
+    def simplex(f, starts, **kwargs):
+        results = real(f, starts, **kwargs)
+        for r in starts_to_fail(len(results)):
+            results[r].success = False
+            results[r].message = "forced simplex failure"
+        return results
+
+    return simplex
+
+
+def _bfgs_failing(calls_to_fail):
+    """scipy's minimize, failing on the given (0-based) call numbers."""
+    real, calls = inefficiency.minimize, []
+
+    def bfgs(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 in calls_to_fail:
+            return _failed_bfgs(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    return bfgs
+
+
+def _unique_data_stats(seed=17, N=60, T=30):
+    rng = np.random.default_rng(seed)
+    levels = 0.5 - sample_half_normal(1.0, rng, size=N)
+    return _stats_from_levels(levels, 1.0, T, rng)
+
+
+def test_maximize_returns_convergence_error_where_both_passes_fail(monkeypatch):
+    def stalled(f, starts, **kwargs):
+        return [OptimizeResult(x=np.array(s, dtype=float), fun=1.5, success=False,
+                               message="simplex stalled") for s in starts]
+
+    monkeypatch.setattr(inefficiency, "_simplex", stalled)
+    monkeypatch.setattr(inefficiency, "minimize", _failed_bfgs)
+    bowl = (lambda X: -np.sum(X ** 2, axis=1), lambda x: (-float(x @ x), -2.0 * x))
+    (result,) = inefficiency._maximize(*bowl, [np.array([1.0, 2.0])])
+    assert isinstance(result, ConvergenceError)
+    assert str(result) == ("likelihood maximization did not converge: "
+                           "simplex stalled; forced BFGS failure")
+    np.testing.assert_array_equal(result.best_params, [1.0, 2.0])
+    assert result.best_value == -1.5
+
+
+def test_fit_unique_raises_convergence_error(monkeypatch):
+    stats = _unique_data_stats()
+    monkeypatch.setattr(inefficiency, "_simplex", _simplex_failing(range))
+    monkeypatch.setattr(inefficiency, "minimize", _failed_bfgs)
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        fit_unique(stats)
+    assert np.all(np.isfinite(info.value.best_params))
+
+
+def test_fit_mixture_skips_a_failed_start(monkeypatch):
+    # the start that reaches the best optimum fails, so the fit falls back
+    # on the best of the other four
+    stats = _unique_data_stats()
+    unique = fit_unique(stats)
+    starts = _mixture_starts(unique, inefficiency._intercept_spread(stats)[1], 4)
+    lls = [ll for _, ll in inefficiency._maximize(*_mixture_objectives(stats), starts)]
+    best = int(np.argmax(lls))
+    monkeypatch.setattr(inefficiency, "_simplex", _simplex_failing(lambda n: [best]))
+    monkeypatch.setattr(inefficiency, "minimize", _bfgs_failing({best}))
+    fit = fit_mixture(stats, unique, seed=4)
+    assert fit.loglik == max(lls[:best] + lls[best + 1:]) < lls[best]
+
+
+def test_fit_mixture_raises_when_every_start_fails(monkeypatch):
+    stats = _unique_data_stats()
+    unique = fit_unique(stats)
+    monkeypatch.setattr(inefficiency, "_simplex", _simplex_failing(range))
+    monkeypatch.setattr(inefficiency, "minimize", _failed_bfgs)
+    with pytest.raises(ConvergenceError, match="all 5 mixture starts failed") as info:
+        fit_mixture(stats, unique, seed=4)
+    assert len(info.value.best_params) == 5

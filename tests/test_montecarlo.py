@@ -98,7 +98,7 @@ def test_replication_classification_only_skips_mle():
 # mixture-law refit (dgp3m) and a unique-law refit (dgp3u). Each tuple is
 # (k_hat, cls_error, choice at the selected K, errors). Every entry is
 # compared exactly except the level errors of the mixture-law refit
-# (_MIXTURE_LEVEL_KEYS, the keys of montecarlo._mixture_errors). Those come
+# (_MIXTURE_LEVEL_KEYS, the fields of dgp.MixtureLaw). Those come
 # from the mixture optimum, which an optimizer change need reproduce only
 # within 1e-6: they were recorded with eight mixture starts, and the five
 # starts that replaced them move the dgp3m errors by up to 1.9e-7. The
@@ -209,12 +209,12 @@ def test_sensitivity_lambda_changes_only_selection():
 def test_mixture_error_alignment_handles_swapped_components():
     from groupsfa.dgp import MixtureLaw
     from groupsfa.inefficiency import MixtureFit
-    from groupsfa.montecarlo import _mixture_errors
+    from groupsfa.montecarlo import _law_errors
 
     law = MixtureLaw()  # tau=0.5, (1, 0.75), (-1, 1.25)
     swapped = MixtureFit(tau=0.52, alpha0_1=-1.03, sigma_u2_1=1.21 ** 2,
                          alpha0_2=0.95, sigma_u2_2=0.78 ** 2, loglik=0.0)
-    errs = _mixture_errors(swapped, law)
+    errs = _law_errors(swapped, law)
     assert abs(errs["tau"]) == pytest.approx(0.02, abs=1e-12)
     assert errs["alpha0_1"] == pytest.approx(-0.05, abs=1e-9)
     assert errs["sigma_u_1"] == pytest.approx(0.03, abs=1e-9)
@@ -226,6 +226,39 @@ def test_worker_pool_matches_serial():
     cfg_serial = _smoke_config(replications=3)
     cfg_pool = _smoke_config(replications=3, workers=2)
     assert run_monte_carlo(cfg_serial).to_dict() == run_monte_carlo(cfg_pool).to_dict()
+
+
+@pytest.mark.parametrize("cpus,sizes,pool", [
+    (64, [(20, 50)], [2]),            # capped by the 2 replication tasks
+    (3, [(20, 50), (22, 50)], [3]),   # capped by the CPU count
+    (1, [(20, 50)], []),              # one process: serial, no pool
+    (None, [(20, 50)], []),           # CPU count unknown: serial
+])
+def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, cpus, sizes, pool):
+    started = []
+
+    class InProcessPool:
+        """Records the pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    cfg = _smoke_config(sizes=sizes, workers=10000, stages="classification")
+    report = run_monte_carlo(cfg).to_dict()
+    assert started == pool
+    serial = _smoke_config(sizes=sizes, stages="classification")
+    assert report == run_monte_carlo(serial).to_dict()
 
 
 @pytest.mark.slow

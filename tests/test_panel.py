@@ -71,6 +71,33 @@ def test_read_explicit_x_columns(tmp_path):
     np.testing.assert_allclose(p.x[0, 0], [2.0, 3.0])
 
 
+def _two_period_csv(tmp_path, header):
+    fill = ",".join(["1.5"] * (header.count(",") - 1))
+    return _write(tmp_path, f"{header}\na,1,{fill}\na,2,{fill}\n"
+                            f"b,1,{fill}\nb,2,{fill}\n")
+
+
+@pytest.mark.parametrize("header,x_cols,col", [
+    ("firm_id,t,y,x1,x1", None, "x1"),
+    ("firm_id,t,y,x1,x1", ["x1"], "x1"),
+    ("firm_id,t,y,y,x1", None, "y"),
+    ("firm_id,firm_id,t,y,x1", None, "firm_id"),
+    ("firm_id,t,y,x1,x2", ["x1", "x1"], "x1"),
+    ("firm_id,t,y,x1,x2", ["y"], "y"),
+    ("firm_id,t,y,x1,x2", ["x1", "t"], "t"),
+])
+def test_column_roles_are_checked(tmp_path, header, x_cols, col):
+    path = _two_period_csv(tmp_path, header)
+    with pytest.raises(InputError, match=f"column '{col}'"):
+        read_panel_csv(path, x_cols=x_cols)
+
+
+def test_repeated_unused_columns_are_allowed(tmp_path):
+    path = _two_period_csv(tmp_path, "firm_id,t,y,x1,note,note")
+    p = read_panel_csv(path)
+    assert (p.N, p.T, p.p) == (2, 2, 1)
+
+
 def test_round_trip_full_precision(tmp_path):
     rng = np.random.default_rng(0)
     panel = PanelData(y=rng.normal(size=(3, 4)) * 1e-7,

@@ -55,6 +55,31 @@ def test_estimate_panel_result_structure():
     assert "sigma_v(1)" in res.summary_text()
 
 
+@pytest.mark.parametrize("law,columns", [
+    ("unique", {"alpha0": "alpha0", "sigma_u": "sigma_u2"}),
+    ("mixture", {"tau": "tau", "alpha0(1)": "alpha0_1", "sigma_u(1)": "sigma_u2_1",
+                 "alpha0(2)": "alpha0_2", "sigma_u(2)": "sigma_u2_2"}),
+])
+def test_summary_prints_delta_method_se_under_sigma_u(law, columns):
+    panel, _ = generate("dgp1m", 50, 30, seed=0)
+    res = estimate_panel(panel, k_max=2)
+    res.choice.chosen = law
+    fit = res.unique_fit if law == "unique" else res.mixture_fit
+    fit.se = np.linspace(0.1, 0.5, len(columns))
+    lines = res.summary_text().splitlines()
+    at = lines.index(f"Level/inefficiency model: {law}")
+    header, est, se = (line.split() for line in lines[at + 1:at + 4])
+    for (column, field), field_se in zip(columns.items(), fit.se):
+        value = getattr(fit, field)
+        if column.startswith("sigma_u"):
+            # sigma_u = sqrt(sigma_u2): delta-method se(sigma_u2) / (2 sigma_u)
+            value = math.sqrt(value)
+            field_se = field_se / (2.0 * value)
+        j = header.index(column)
+        assert (est[j], se[j]) == (f"{value:.4f}", f"({field_se:.4f})"), column
+    assert "se(sigma_u2) / (2 sigma_u)" in lines[-1]
+
+
 def _banking_shaped_panel(N=466, T=80, seed=17):
     """Two frontier groups with the application's fitted noise levels and a
     dominant/secondary mixture in the levels."""
