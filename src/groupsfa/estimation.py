@@ -70,7 +70,11 @@ def _solve_ls(Z, y):
 
 
 def fit_all(panel, m):
-    """Fit every firm; rank failures are aggregated with their firm labels."""
+    """Fit every firm; rank failures are aggregated with their firm labels.
+
+    The error names the first 10 failed firms and counts the rest; its
+    rcond is the smallest of the failed firms' values.
+    """
     need = min_periods(m, panel.p)
     if panel.T < need:
         raise InputError(
@@ -83,7 +87,7 @@ def fit_all(panel, m):
         try:
             coef, resid = _solve_ls(Z[i], panel.y[i])
         except RankDeficientError as exc:
-            failures.append(f"firm {panel.firm_ids[i]}: {exc}")
+            failures.append((panel.firm_ids[i], exc))
             continue
         fits.append(FirmEstimate(
             intercept_hat=float(coef[0]),
@@ -91,7 +95,10 @@ def fit_all(panel, m):
             sigma_v_hat=float(np.sqrt(float(resid @ resid) / (panel.T - 1))),
         ))
     if failures:
+        shown = "; ".join(f"firm {firm}: {exc}" for firm, exc in failures[:10])
+        more = "" if len(failures) <= 10 else f" and {len(failures) - 10} more"
         raise RankDeficientError(
-            "per-firm estimation failed for: " + "; ".join(failures)
+            f"per-firm estimation failed for: {shown}{more}",
+            rcond=min(exc.rcond for _, exc in failures),
         )
     return fits

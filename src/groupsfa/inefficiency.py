@@ -15,12 +15,13 @@ likelihood unchanged. A coarse Nelder-Mead pass on the likelihood value
 chooses the basin, and BFGS with the exact gradient of the clipped
 objective polishes the point. The simplex pass runs every start of a fit
 in lockstep (``_simplex``): scipy's Nelder-Mead arithmetic per start, with
-the candidate points of all running starts evaluated in one batched
-kernel call per step. BFGS then runs per start through scipy's
-``minimize``. The mixture gradient comes from the component gradients
-weighted by the firms' responsibilities. Standard errors come from a
-central-difference Hessian of the log-likelihood in the original
-parameterization, whose whole stencil is one batched kernel call.
+no evaluation cap, and the points of all running starts evaluated in one
+batched kernel call per phase of a step. BFGS then runs per start
+through scipy's ``minimize``. The mixture gradient comes from the
+component gradients weighted by the firms' responsibilities. Standard
+errors come from a central-difference Hessian of the log-likelihood in
+the original parameterization, whose whole stencil is one batched kernel
+call.
 
 Every likelihood value goes through ``loglik_unique_total`` or
 ``loglik_mixture_total`` with one convention: an (R, n) array of parameter
@@ -164,11 +165,12 @@ _STEPS = np.array([
     [1 + _PSI * _RHO, _PSI * _RHO],
     [1 - _PSI, -_PSI],
 ])
-_NM_MESSAGES = (
-    "Optimization terminated successfully.",
-    "Maximum number of function evaluations has been exceeded.",
-    "Maximum number of iterations has been exceeded.",
-)
+# the simplex pass's one stop rule: scipy's xatol, fatol and maxiter
+_XATOL, _FATOL, _MAX_NM = 1e-4, 1e-6, 2000
+_NM_MESSAGES = {
+    0: "Optimization terminated successfully.",
+    2: "Maximum number of iterations has been exceeded.",
+}
 
 
 def _sort_vertices(sim, fsim):
@@ -178,17 +180,16 @@ def _sort_vertices(sim, fsim):
     return sim[rows, ind], fsim[rows, ind]
 
 
-def _simplex(f, starts, xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000):
+def _simplex(f, starts):
     """Nelder-Mead from every start at once, in lockstep.
 
     ``f`` maps an (R, n) array of points to their R values. Per start,
     this is the arithmetic of scipy 1.17's ``minimize(method="Nelder-Mead")``
-    with ``adaptive=False``: the same initial simplex, convergence test,
-    reflection, expansion, contractions, shrink, vertex sort and
-    maxiter/maxfev stops, so each start's x, fun, nit, nfev and success
-    equal scipy's. A step sends the candidate points of all starts still
-    running through one call of ``f``; the initial simplex and a shrink go
-    vertex by vertex, so no call holds more rows than there are starts.
+    with ``adaptive=False`` and only xatol, fatol and maxiter set, which
+    leaves no evaluation cap: each start's x, fun, nit, nfev and success
+    equal scipy's. One call of ``f`` holds the initial simplices of all
+    starts; each step then makes at most three, for the reflections, the
+    second points, and the n new vertices of every start that shrinks.
     Returns one ``OptimizeResult`` per start, in order.
     """
     x0 = np.array(starts, dtype=float)
@@ -196,27 +197,24 @@ def _simplex(f, starts, xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000):
     cols = np.arange(n)
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     sim[:, cols + 1, cols] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
-    fsim = np.full((R, n + 1), np.inf)
-    nfev = np.zeros(R, dtype=int)
-    for k in range(min(n + 1, maxfev)):
-        fsim[:, k] = f(sim[:, k])
-        nfev += 1
+    fsim = f(sim.reshape(-1, n)).reshape(R, n + 1)
     # scipy sorts once after the initial evaluations and once more before
     # its loop; both are kept, so tied values end in scipy's order whether
     # or not argsort returns a sorted row unchanged
     sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))
+    nfev = np.full(R, n + 1)
     nit = np.ones(R, dtype=int)
     x, fun = np.empty((R, n)), np.empty(R)
     final_nit, final_nfev = nit.copy(), nfev.copy()
 
     start = np.arange(R)  # the start each working row belongs to
     while True:
-        stop = (nfev >= maxfev) | (nit >= maxiter)
+        stop = nit >= _MAX_NM
         # scipy's convergence test; the value half fails far more often,
         # so the point half is computed only where it passed
-        flat = np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol
+        flat = np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _FATOL
         if flat.any():
-            stop |= flat & (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
+            stop |= flat & (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= _XATOL)
         if stop.any():
             done = start[stop]
             x[done], fun[done] = sim[stop, 0], np.min(fsim[stop], axis=1)
@@ -229,41 +227,32 @@ def _simplex(f, starts, xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000):
         worst = sim[:, -1]
         xr = (1 + _RHO) * xbar - _RHO * worst
         fxr = f(xr)
-        nfev += 1
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        # a start out of evaluations stops mid-step, as scipy's does: its
-        # vertices stay as they were and the step is not counted
-        cut = ~reflect & (nfev >= maxfev)
-        second = ~reflect & ~cut
+        second = ~reflect
         w = _STEPS[np.where(expand, 0, np.where(outside, 1, 2))]
         x2 = w[:, :1] * xbar - w[:, 1:] * worst
         fx2 = np.full(len(fxr), np.nan)
         if second.any():
             fx2[second] = f(x2[second])
-            nfev += second
         # which point, if any, replaces the worst vertex
         take2 = second & np.where(
             expand, fx2 < fxr, np.where(outside, fx2 <= fxr, fx2 < fsim[:, -1])
         )
-        take_r = reflect | (expand & ~cut & ~take2)
+        take_r = reflect | (expand & ~take2)
         sim[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
         fsim[:, -1] = np.where(take2, fx2, np.where(take_r, fxr, fsim[:, -1]))
         shrink = second & ~expand & ~take2
-        for j in range(1, n + 1):
-            if not shrink.any():
-                break
-            sim[shrink, j] = sim[shrink, 0] + _SIGMA * (sim[shrink, j] - sim[shrink, 0])
-            cut |= shrink & (nfev >= maxfev)
-            shrink &= nfev < maxfev
-            if shrink.any():
-                fsim[shrink, j] = f(sim[shrink, j])
-                nfev += shrink
-        nit += ~cut
+        if shrink.any():
+            best = sim[shrink, :1]
+            sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
+            fsim[shrink, 1:] = f(sim[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+        nfev += 1 + second + n * shrink
+        nit += 1
         sim, fsim = _sort_vertices(sim, fsim)
 
-    status = np.where(final_nfev >= maxfev, 1, np.where(final_nit >= maxiter, 2, 0))
+    status = np.where(final_nit >= _MAX_NM, 2, 0)
     return [
         OptimizeResult(
             x=x[r], fun=fun[r], nit=int(final_nit[r]), nfev=int(final_nfev[r]),
@@ -274,8 +263,7 @@ def _simplex(f, starts, xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000):
     ]
 
 
-# per-start iteration caps: the simplex pass (evaluations 4x that) and BFGS
-_MAX_NM = 2000
+# per-start iteration cap of the BFGS polish
 _MAX_BFGS = 200
 
 
@@ -285,12 +273,12 @@ def _maximize(objective, value_and_grad, starts):
     ``objective`` maps an (R, n) array of points to their R
     log-likelihoods, and ``value_and_grad`` returns one point's value with
     its gradient. The Nelder-Mead pass runs all starts in lockstep
-    (``_simplex``) and stops at a coarse tolerance (xatol 1e-4, fatol
-    1e-6): its job is to pick each start's local optimum, which a gradient
-    method started at the start does not always reach on multimodal or
-    boundary panels. BFGS then converges on the exact gradient, one start
-    at a time. Returns, per start in order, (x, loglik) of the better of
-    the two points, or a ``ConvergenceError`` where neither converged.
+    (``_simplex``) and stops at a coarse tolerance (``_XATOL``, ``_FATOL``):
+    its job is to pick each start's local optimum, which a gradient method
+    started at the start does not always reach on multimodal or boundary
+    panels. BFGS then converges on the exact gradient, one start at a time.
+    Returns, per start in order, (x, loglik) of the better of the two
+    points, or a ``ConvergenceError`` where neither converged.
     """
 
     def neg_value_and_grad(x):
@@ -298,7 +286,7 @@ def _maximize(objective, value_and_grad, starts):
         return -value, -grad
 
     out = []
-    for nm in _simplex(lambda X: -objective(X), starts, maxiter=_MAX_NM, maxfev=4 * _MAX_NM):
+    for nm in _simplex(lambda X: -objective(X), starts):
         bfgs = minimize(
             neg_value_and_grad, nm.x, jac=True, method="BFGS",
             options=dict(maxiter=_MAX_BFGS),

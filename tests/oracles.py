@@ -252,12 +252,13 @@ def composite_stats_loop(panel, group_fits):
 # --- scipy's simplex, per start ----------------------------------------------
 
 
-def nelder_mead_per_start(f, starts, **options):
-    """scipy's Nelder-Mead from each start on its own.
+def nelder_mead_per_start(f, starts, xatol, fatol, maxiter):
+    """scipy's Nelder-Mead from each start on its own, with no evaluation cap.
 
     ``f`` maps an (R, n) array of points to R values, as the library's
     lockstep simplex takes it; here every call holds one point.
     """
+    options = dict(xatol=xatol, fatol=fatol, maxiter=maxiter)
     return [
         minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead", options=options)
         for x0 in starts

@@ -231,7 +231,7 @@ def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
 
     from groupsfa import inefficiency
 
-    def stalled(f, starts, **kwargs):
+    def stalled(f, starts):
         return [OptimizeResult(x=np.array(s, dtype=float), fun=np.inf, success=False,
                                message="simplex stalled") for s in starts]
 

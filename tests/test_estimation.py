@@ -151,6 +151,24 @@ def test_fit_all_names_each_rank_deficient_firm():
     assert "firm a" not in message and "firm c" not in message
 
 
+def test_fit_all_names_ten_rank_deficient_firms_and_counts_the_rest():
+    # a constant regressor makes x*B0 the intercept column for every firm
+    panel, _ = generate("dgp1m", 40, 30, seed=0)
+    panel.x[:, :, 0] = 1.0
+    with pytest.raises(RankDeficientError) as info:
+        fit_all(panel, 2)
+    message = str(info.value)
+    assert all(f"firm {i}: " in message for i in range(1, 11))
+    assert "firm 11" not in message and message.endswith(" and 30 more")
+    each = []
+    for i in range(panel.N):
+        one = PanelData(y=panel.y[i:i + 1], x=panel.x[i:i + 1], firm_ids=[i + 1])
+        with pytest.raises(RankDeficientError) as single:
+            fit_all(one, 2)
+        each.append(single.value.rcond)
+    assert info.value.rcond == min(each)
+
+
 def test_dgp2u_group_sigma_recovered_with_adequate_sieve():
     # the noise-level group means need a sieve long enough to flatten the
     # frontier approximation error out of the residuals

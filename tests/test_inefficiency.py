@@ -255,11 +255,28 @@ def test_se_stencil_equals_per_point_reference(monkeypatch, design, N, T, seed, 
     fits = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0).selected.fits
     stats, unique, mixture, _ = fit_levels(panel, fits, 1.0, rep)
     got = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
-    assert got[1] is not None  # an interior mixture optimum on every panel here
+    # tau is interior on every panel here, so the mixture SEs are computed;
+    # 3 of the 7 mixtures still have a component variance at the objective's
+    # 1e-12 clip (1e-13 to 3e-12), see the xfail below
+    assert got[1] is not None
     monkeypatch.setattr(inefficiency, "mle_standard_errors", mle_standard_errors_per_point)
     ref = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
     for g, r in zip(got, ref):
         np.testing.assert_array_equal(g, r)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known miss: at a boundary variance the SE stencil steps past the 1e-12 "
+    "clip, so the reported SE follows the step size, not the curvature"))
+def test_no_mixture_se_at_a_boundary_variance():
+    # the chosen mixture has sigma_u2_2 = 8.6e-14; its se(sigma_u2_2) is
+    # 3.17e-4, 1.00e-4 and 3.16e-5 for step floors 1e-5, 1e-6 and 1e-7
+    panel, _ = generate("dgp2m", 50, 30, seed=3, rep=0)
+    fits = select_K(panel, fit_all(panel, default_m(30)), 4, 1.0).selected.fits
+    stats, _, mixture, choice = fit_levels(panel, fits, 1.0, 0)
+    if choice.chosen != "mixture" or not mixture.sigma_u2_2 < 1e-12:
+        pytest.fail("the panel no longer picks a mixture with a boundary variance")
+    assert mixture_standard_errors(stats, mixture) is None
 
 
 @pytest.mark.parametrize("kernel, se_fn, n", [
@@ -599,8 +616,8 @@ def _simplex_failing(starts_to_fail):
     """The real lockstep simplex, with the given starts marked unconverged."""
     real = inefficiency._simplex
 
-    def simplex(f, starts, **kwargs):
-        results = real(f, starts, **kwargs)
+    def simplex(f, starts):
+        results = real(f, starts)
         for r in starts_to_fail(len(results)):
             results[r].success = False
             results[r].message = "forced simplex failure"
@@ -629,7 +646,7 @@ def _unique_data_stats(seed=17, N=60, T=30):
 
 
 def test_maximize_returns_convergence_error_where_both_passes_fail(monkeypatch):
-    def stalled(f, starts, **kwargs):
+    def stalled(f, starts):
         return [OptimizeResult(x=np.array(s, dtype=float), fun=1.5, success=False,
                                message="simplex stalled") for s in starts]
 

@@ -4,7 +4,8 @@ Every start's endpoint, value, evaluation and iteration counts and
 success flag must equal scipy's, on the likelihoods the estimator
 maximizes and on synthetic objectives that reach every step of the
 method: expansion, outside and inside contraction, shrink, ties in the
-vertex sort, and the maxiter and maxfev stops.
+vertex sort, and the maxiter stop. The stop rule is the module's
+constants, which the tests set to scipy's options of the same meaning.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from groupsfa import inefficiency
 from groupsfa.dgp import generate
 from groupsfa.estimation import default_m, fit_all
 from groupsfa.inefficiency import (
@@ -27,7 +29,14 @@ from groupsfa.postestimation import select_K
 
 from oracles import nelder_mead_per_start
 
-MLE_OPTIONS = dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=8000)
+MLE_OPTIONS = dict(xatol=1e-4, fatol=1e-6, maxiter=2000)
+
+
+def set_stop_rule(monkeypatch, xatol=1e-4, fatol=1e-6, maxiter=2000):
+    """Give the simplex pass scipy's stop options of these names."""
+    monkeypatch.setattr(inefficiency, "_XATOL", xatol)
+    monkeypatch.setattr(inefficiency, "_FATOL", fatol)
+    monkeypatch.setattr(inefficiency, "_MAX_NM", maxiter)
 
 
 def assert_same_runs(mine, ref):
@@ -55,7 +64,7 @@ def test_lockstep_equals_scipy_on_the_likelihoods(design):
     def neg(X):
         return -objective(X)
 
-    mine = _simplex(neg, starts, **MLE_OPTIONS)
+    mine = _simplex(neg, starts)
     assert_same_runs(mine, nelder_mead_per_start(neg, starts, **MLE_OPTIONS))
     # the starts stop at different steps, so later calls hold fewer rows
     assert len({r.nfev for r in mine}) > 1
@@ -63,7 +72,7 @@ def test_lockstep_equals_scipy_on_the_likelihoods(design):
     objective = _unique_objectives(stats)[0]
     x0 = np.array([unique.alpha0, np.log(unique.sigma_u2)])
     starts = [x0 + d for d in ([0.0, 0.0], [0.5, -1.0], [-0.3, 2.0])]
-    mine = _simplex(neg, starts, **MLE_OPTIONS)
+    mine = _simplex(neg, starts)
     assert_same_runs(mine, nelder_mead_per_start(neg, starts, **MLE_OPTIONS))
 
 
@@ -109,54 +118,61 @@ STARTS = np.array([
 
 
 @pytest.mark.parametrize("f,options", [
-    (_quadratic, dict(xatol=1e-8, fatol=1e-10, maxiter=2000, maxfev=8000)),
-    (_linear, dict(xatol=1e-4, fatol=1e-6, maxiter=40, maxfev=8000)),
-    (_linear, dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=23)),
-    (_staircase, dict(xatol=1e-4, fatol=1e-6, maxiter=300, maxfev=8000)),
-    (_abs_kink, dict(xatol=1e-10, fatol=1e-12, maxiter=400, maxfev=8000)),
-    (_noise(4), dict(xatol=1e-4, fatol=1e-6, maxiter=300, maxfev=8000)),
-    (_noise(3), dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=97)),
-    (_noise(50, nan_every=7), dict(xatol=1e-4, fatol=1e-6, maxiter=150, maxfev=8000)),
-], ids=["quadratic", "linear-maxiter", "linear-maxfev", "staircase", "kink", "ties",
-        "ties-maxfev", "nan"])
-def test_lockstep_equals_scipy_on_synthetic_objectives(f, options):
-    mine = _simplex(f, STARTS, **options)
+    (_quadratic, dict(xatol=1e-8, fatol=1e-10, maxiter=2000)),
+    (_linear, dict(xatol=1e-4, fatol=1e-6, maxiter=40)),
+    (_staircase, dict(xatol=1e-4, fatol=1e-6, maxiter=300)),
+    (_abs_kink, dict(xatol=1e-10, fatol=1e-12, maxiter=400)),
+    (_noise(4), dict(xatol=1e-4, fatol=1e-6, maxiter=300)),
+    (_noise(50, nan_every=7), dict(xatol=1e-4, fatol=1e-6, maxiter=150)),
+], ids=["quadratic", "linear-maxiter", "staircase", "kink", "ties", "nan"])
+def test_lockstep_equals_scipy_on_synthetic_objectives(monkeypatch, f, options):
+    set_stop_rule(monkeypatch, **options)
+    mine = _simplex(f, STARTS)
     assert_same_runs(mine, nelder_mead_per_start(f, STARTS, **options))
 
 
-@pytest.mark.parametrize("maxfev", range(1, 12))
-def test_lockstep_stops_on_maxfev_at_every_phase(maxfev):
-    # maxfev below n + 1 cuts the initial simplex; above it, the cut falls
-    # on a reflection, an expansion, a contraction or inside a shrink
-    for f in (_linear, _noise(3), _abs_kink):
-        options = dict(xatol=1e-4, fatol=1e-6, maxiter=2000, maxfev=maxfev)
-        mine = _simplex(f, STARTS, **options)
-        assert_same_runs(mine, nelder_mead_per_start(f, STARTS, **options))
-        assert all(r.nfev == maxfev and not r.success for r in mine)
-
-
-def test_synthetic_objectives_reach_their_steps():
+def test_synthetic_objectives_reach_their_steps(monkeypatch):
     n = STARTS.shape[1]
     # a shrink evaluates n points in one step, so an iteration count that
     # cannot account for the evaluations shows that a shrink happened
+    set_stop_rule(monkeypatch, maxiter=300)
     for f in (_noise(4), _noise(50)):
-        runs = _simplex(f, STARTS, maxiter=300)
+        runs = _simplex(f, STARTS)
         assert any(r.nfev > (n + 1) + 2 * (r.nit - 1) for r in runs)
-    # downhill along a line every step expands, and only the caps stop it
-    runs = _simplex(_linear, STARTS, maxiter=40)
-    assert all(r.status == 2 and r.nit == 40 for r in runs)
-    runs = _simplex(_linear, STARTS, maxfev=23)
-    assert all(r.status == 1 and r.nfev == 23 for r in runs)
-    runs = _simplex(_quadratic, STARTS, xatol=1e-8, fatol=1e-10)
+    # downhill along a line every step expands, and only the cap stops it
+    set_stop_rule(monkeypatch, maxiter=40)
+    runs = _simplex(_linear, STARTS)
+    assert all(r.status == 2 and r.nit == 40 and not r.success for r in runs)
+    set_stop_rule(monkeypatch, xatol=1e-8, fatol=1e-10)
+    runs = _simplex(_quadratic, STARTS)
     assert all(r.success for r in runs)
     assert np.allclose([r.x for r in runs], 1.0, atol=1e-6)
 
 
-def test_tolerances_are_inclusive():
+def test_initial_simplex_and_shrinks_are_one_call_each():
+    R, n = STARTS.shape
+    # _noise(4) shrinks (see above); _abs_kink contracts across its kink
+    for f in (_noise(4), _abs_kink):
+        rows = []
+
+        def counted(X):
+            rows.append(len(X))
+            return f(X)
+
+        runs = _simplex(counted, STARTS)
+        assert rows[0] == R * (n + 1)
+        assert sum(rows) == sum(r.nfev for r in runs)
+        # a step makes at most three calls: the reflections, the second
+        # points and the new vertices of every start that shrinks
+        assert len(rows) <= 1 + 3 * (max(r.nit for r in runs) - 1)
+
+
+def test_tolerances_are_inclusive(monkeypatch):
     # from x0 = 0 every edge of the initial simplex is exactly 0.00025 long
     x0 = [np.zeros(3)]
-    options = dict(xatol=0.00025, fatol=1e300, maxiter=50, maxfev=8000)
-    mine = _simplex(_quadratic, x0, **options)
+    options = dict(xatol=0.00025, fatol=1e300, maxiter=50)
+    set_stop_rule(monkeypatch, **options)
+    mine = _simplex(_quadratic, x0)
     assert_same_runs(mine, nelder_mead_per_start(_quadratic, x0, **options))
     assert mine[0].nit == 1 and mine[0].success
 
@@ -164,7 +180,8 @@ def test_tolerances_are_inclusive():
     def step(X):
         return np.where(X.sum(axis=1) > 0, 0.5, 0.0)
 
-    options = dict(xatol=1e300, fatol=0.5, maxiter=50, maxfev=8000)
-    mine = _simplex(step, x0, **options)
+    options = dict(xatol=1e300, fatol=0.5, maxiter=50)
+    set_stop_rule(monkeypatch, **options)
+    mine = _simplex(step, x0)
     assert_same_runs(mine, nelder_mead_per_start(step, x0, **options))
     assert mine[0].nit == 1 and mine[0].success
