@@ -18,16 +18,20 @@ in lockstep (``_simplex``): scipy's Nelder-Mead arithmetic per start, with
 no evaluation cap, and the points of all running starts evaluated in one
 batched kernel call per phase of a step. BFGS then runs per start
 through scipy's ``minimize``. The mixture gradient comes from the
-component gradients weighted by the firms' responsibilities. Standard
-errors come from a central-difference Hessian of the log-likelihood in
-the original parameterization, whose whole stencil is one batched kernel
-call.
+component gradients, both from one kernel pass with the components as two
+parameter rows, weighted by the firms' responsibilities. Standard errors
+come from a central-difference Hessian of the log-likelihood in the
+original parameterization, whose whole stencil is one batched kernel
+call. A boundary optimum gets none: a mixing weight within
+``_TAU_BOUNDARY`` of 0 or 1, or a variance within one stencil step of
+0.
 
 Every likelihood value goes through ``loglik_unique_total`` or
 ``loglik_mixture_total`` with one convention: an (R, n) array of parameter
 rows in, an (R,) array of totals out. ``_unique_params`` and
-``_mixture_params`` map unconstrained rows to the natural parameters, for
-the optimizer's objective and for the reported fits alike.
+``_mixture_params`` map unconstrained rows to the natural parameters, as
+numpy expressions over the rows, for the optimizer's objective and for
+the reported fits alike.
 """
 
 import math
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
+from scipy.special import expit
 
 from ._kernels import (
     log_mixture_terms,
@@ -203,52 +208,63 @@ def _simplex(f, starts):
     # or not argsort returns a sorted row unchanged
     sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))
     nfev = np.full(R, n + 1)
-    nit = np.ones(R, dtype=int)
+    nit = 1  # every running start has taken the same number of steps
     x, fun = np.empty((R, n)), np.empty(R)
-    final_nit, final_nfev = nit.copy(), nfev.copy()
+    final_nit, final_nfev = np.empty(R, dtype=int), np.empty(R, dtype=int)
 
     start = np.arange(R)  # the start each working row belongs to
     while True:
-        stop = nit >= _MAX_NM
-        # scipy's convergence test; the value half fails far more often,
-        # so the point half is computed only where it passed
-        flat = np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _FATOL
-        if flat.any():
-            stop |= flat & (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= _XATOL)
-        if stop.any():
+        # scipy's stop rule. The value half of its convergence test fails
+        # far more often, so the point half is computed only where it
+        # passed; on sorted rows the largest |f_0 - f_j| is f_n - f_0, NaN
+        # and inf included
+        flat = fsim[:, -1] - fsim[:, 0] <= _FATOL
+        if nit >= _MAX_NM or flat.any():
+            stop = flat & (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= _XATOL)
+            stop |= nit >= _MAX_NM
             done = start[stop]
             x[done], fun[done] = sim[stop, 0], np.min(fsim[stop], axis=1)
-            final_nit[done], final_nfev[done] = nit[stop], nfev[stop]
+            final_nit[done], final_nfev[done] = nit, nfev[stop]
             keep = ~stop
-            start, sim, fsim, nfev, nit = start[keep], sim[keep], fsim[keep], nfev[keep], nit[keep]
-        if not start.size:
-            break
+            start, sim, fsim, nfev = start[keep], sim[keep], fsim[keep], nfev[keep]
+            if not start.size:
+                break
         xbar = np.add.reduce(sim[:, :-1], axis=1) / n
         worst = sim[:, -1]
         xr = (1 + _RHO) * xbar - _RHO * worst
         fxr = f(xr)
-        expand = fxr < fsim[:, 0]
-        reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        second = ~reflect
-        w = _STEPS[np.where(expand, 0, np.where(outside, 1, 2))]
-        x2 = w[:, :1] * xbar - w[:, 1:] * worst
-        fx2 = np.full(len(fxr), np.nan)
-        if second.any():
-            fx2[second] = f(x2[second])
-        # which point, if any, replaces the worst vertex
-        take2 = second & np.where(
-            expand, fx2 < fxr, np.where(outside, fx2 <= fxr, fx2 < fsim[:, -1])
-        )
-        take_r = reflect | (expand & ~take2)
-        sim[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
-        fsim[:, -1] = np.where(take2, fx2, np.where(take_r, fxr, fsim[:, -1]))
-        shrink = second & ~expand & ~take2
-        if shrink.any():
+        # scipy's branches, one start at a time on Python floats: the
+        # second point a start tries (a row of _STEPS), or None where it
+        # takes the reflection
+        fr, fs = fxr.tolist(), fsim.tolist()
+        kind = [
+            0 if v < row[0] else None if v < row[-2] else 1 if v < row[-1] else 2
+            for v, row in zip(fr, fs)
+        ]
+        second = [i for i, k in enumerate(kind) if k is not None]
+        evals = [1 if k is None else 2 for k in kind]
+        # the point that replaces each start's worst vertex, written over
+        # the reflections; a start that shrinks keeps its worst vertex
+        new_x, new_f = xr, list(fr)
+        shrink = []
+        if second:
+            w = _STEPS[[kind[i] for i in second]]
+            x2 = w[:, :1] * xbar[second] - w[:, 1:] * worst[second]
+            for i, point, v in zip(second, x2, f(x2).tolist()):
+                k = kind[i]
+                # scipy's acceptance test of each kind of second point
+                if (v < fr[i], v <= fr[i], v < fs[i][-1])[k]:
+                    new_x[i], new_f[i] = point, v
+                elif k:  # a failed contraction
+                    new_x[i] = worst[i]
+                    shrink.append(i)
+                    evals[i] += n
+        sim[:, -1], fsim[:, -1] = new_x, new_f
+        if shrink:
             best = sim[shrink, :1]
             sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
             fsim[shrink, 1:] = f(sim[shrink, 1:].reshape(-1, n)).reshape(-1, n)
-        nfev += 1 + second + n * shrink
+        nfev += evals
         nit += 1
         sim, fsim = _sort_vertices(sim, fsim)
 
@@ -303,33 +319,20 @@ def _maximize(objective, value_and_grad, starts):
     return out
 
 
-def _clip(v, bound):
-    return min(max(v, -bound), bound)
-
-
-def _variances(etas):
-    """Variances at clipped log variances.
-
-    ``math.exp`` runs element by element because ``np.exp`` can differ
-    from it in the last bit, which would change the optimizer's path.
-    """
-    return [math.exp(_clip(e, _ETA_CLIP)) for e in etas]
-
-
 def _unique_params(X):
     """(alpha0, sigma_u2) of (R, 2) rows (alpha0, log sigma_u2), as two
-    length-R lists."""
-    alpha0, eta = X.T.tolist()
-    return alpha0, _variances(eta)
+    length-R arrays; the log variance is clipped at +-_ETA_CLIP."""
+    alpha0, eta = np.minimum(np.maximum(X, -_UNIQUE_BOUNDS), _UNIQUE_BOUNDS).T
+    return alpha0, np.exp(eta)
 
 
 def _mixture_params(X):
     """(tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2) of (R, 5) rows
     (logit tau, alpha0_1, log sigma_u2_1, alpha0_2, log sigma_u2_2), as five
-    length-R lists."""
-    xi, a1, eta1, a2, eta2 = X.T.tolist()
-    tau = [1.0 / (1.0 + math.exp(-_clip(v, _XI_CLIP))) for v in xi]
-    return tau, a1, _variances(eta1), a2, _variances(eta2)
+    length-R arrays; the logit is clipped at +-_XI_CLIP and the log
+    variances at +-_ETA_CLIP."""
+    xi, a1, eta1, a2, eta2 = np.minimum(np.maximum(X, -_MIXTURE_BOUNDS), _MIXTURE_BOUNDS).T
+    return expit(xi), a1, np.exp(eta1), a2, np.exp(eta2)
 
 
 def _unique_objectives(stats):
@@ -367,9 +370,11 @@ def _mixture_objectives(stats):
         return loglik_mixture_total(S, Q, sv2, T, *_mixture_params(X))
 
     def value_and_grad(x):
-        (tau,), (a1,), (su2_1,), (a2,), (su2_2,) = _mixture_params(x[None])
-        l1, da1, de1 = loglik_unique_terms_grad(S, Q, sv2, T, a1, su2_1)
-        l2, da2, de2 = loglik_unique_terms_grad(S, Q, sv2, T, a2, su2_2)
+        (tau,), a1, su2_1, a2, su2_2 = _mixture_params(x[None])
+        # both components in one pass, as (2, 1) parameter columns
+        (l1, l2), (da1, da2), (de1, de2) = loglik_unique_terms_grad(
+            S, Q, sv2, T, np.stack([a1, a2]), np.stack([su2_1, su2_2])
+        )
         x1, lm = log_mixture_terms(l1, l2, tau)
         w1 = np.exp(x1 - lm)
         w2 = -np.expm1(x1 - lm)
@@ -395,7 +400,7 @@ def fit_unique(stats):
     if isinstance(result, ConvergenceError):
         raise result
     x, loglik = result
-    (alpha0,), (sigma_u2,) = _unique_params(x[None])
+    alpha0, sigma_u2 = (float(v[0]) for v in _unique_params(x[None]))
     if sigma_u2 < 1e-8:
         warnings.warn(
             "inefficiency variance collapsed toward zero", RuntimeWarning
@@ -404,12 +409,16 @@ def fit_unique(stats):
 
 
 def unique_standard_errors(stats, fit):
-    """Numerical-Hessian standard errors of (alpha0, sigma_u2)."""
+    """Numerical-Hessian standard errors of (alpha0, sigma_u2).
+
+    Returns None at a boundary variance (``_near_variance_boundary``).
+    """
+    if _near_variance_boundary(fit.sigma_u2):
+        return None
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        alpha0, sigma_u2 = X.T
-        return loglik_unique_total(S, Q, sv2, T, alpha0, np.maximum(sigma_u2, 1e-12))
+        return loglik_unique_total(S, Q, sv2, T, *X.T)
 
     return mle_standard_errors(objective, np.array([fit.alpha0, fit.sigma_u2]))
 
@@ -482,7 +491,7 @@ def fit_mixture(stats, unique_fit, seed=0):
             best_params=failures[-1].best_params if failures else None,
         )
 
-    (tau,), (a1,), (su2_1,), (a2,), (su2_2,) = _mixture_params(best_x[None])
+    tau, a1, su2_1, a2, su2_2 = (float(v[0]) for v in _mixture_params(best_x[None]))
     if tau < 0.5 or (tau == 0.5 and a1 > a2):
         tau, a1, su2_1, a2, su2_2 = 1.0 - tau, a2, su2_2, a1, su2_1
     degenerate = not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
@@ -500,19 +509,20 @@ def fit_mixture(stats, unique_fit, seed=0):
 def mixture_standard_errors(stats, fit):
     """Numerical-Hessian standard errors of the five mixture parameters.
 
-    Returns None for boundary optima, where the information matrix is
-    singular by construction.
+    Returns None for boundary optima: a mixing weight within
+    ``_TAU_BOUNDARY`` of 0 or 1, where the information matrix is singular
+    by construction, or a boundary variance (``_near_variance_boundary``).
+    Elsewhere every stencil point has tau in (0, 1) and both variances
+    above 0.
     """
     if not _TAU_BOUNDARY <= fit.tau <= 1.0 - _TAU_BOUNDARY:
+        return None
+    if _near_variance_boundary(fit.sigma_u2_1, fit.sigma_u2_2):
         return None
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        tau, a1, su2_1, a2, su2_2 = X.T
-        return loglik_mixture_total(
-            S, Q, sv2, T, np.clip(tau, 0.0, 1.0), a1, np.maximum(su2_1, 1e-12),
-            a2, np.maximum(su2_2, 1e-12),
-        )
+        return loglik_mixture_total(S, Q, sv2, T, *X.T)
 
     return mle_standard_errors(objective, fit.params)
 
@@ -537,6 +547,22 @@ def step5_select(unique, mixture, lambda_tilde):
     )
 
 
+def _stencil_steps(theta):
+    """Per-coordinate steps of the difference stencil."""
+    return np.maximum(1e-5, 1e-4 * np.abs(theta))
+
+
+def _near_variance_boundary(*variances):
+    """Whether a variance lies within one stencil step of 0.
+
+    The likelihood's boundary is sigma_u2 = 0. An optimum that close to it
+    is not a root of the score, and a difference Hessian there measures
+    the step size, not the curvature, so it gets no standard errors.
+    """
+    v = np.array(variances)
+    return bool(np.any(v <= _stencil_steps(v)))
+
+
 def mle_standard_errors(objective, at):
     """Standard errors from a central-difference Hessian at the optimum.
 
@@ -548,7 +574,7 @@ def mle_standard_errors(objective, at):
     """
     theta = np.asarray(at, dtype=float)
     n = len(theta)
-    h = np.maximum(1e-5, 1e-4 * np.abs(theta))
+    h = _stencil_steps(theta)
     step = np.diag(h)
     i, j = np.triu_indices(n, 1)
     both, cross = step[i] + step[j], step[i] - step[j]

@@ -82,36 +82,45 @@ def halfnormal_marginal_density(eps, sigma_v, sigma_u):
     return value
 
 
-def unique_loglik_mpmath(resid_sum, resid_sumsq, T, sigma_v2, sigma_u2, dps=60):
+def _unique_logdensity_mp(resid_sum, resid_sumsq, T, sigma_v2, sigma_u2, alpha0):
+    """Closed-form per-firm log density at level alpha0, as an mpf at the
+    working precision; the level is removed from the sums in mpmath too."""
+    S, Q, a = mp.mpf(resid_sum), mp.mpf(resid_sumsq), mp.mpf(alpha0)
+    sv2 = mp.mpf(sigma_v2)
+    su2 = mp.mpf(sigma_u2)
+    se = S - T * a
+    qe = Q - 2 * a * S + T * a * a
+    si2 = sv2 + T * su2
+    z = -mp.sqrt(su2) * se / (mp.sqrt(sv2) * mp.sqrt(si2))
+    return (
+        mp.log(2)
+        - mp.mpf(T) / 2 * mp.log(2 * mp.pi)
+        - mp.mpf(T - 1) / 2 * mp.log(sv2)
+        - mp.log(si2) / 2
+        + mp.log(mp.ncdf(z))
+        + z * z / 2
+        - qe / (2 * sv2)
+    )
+
+
+def unique_loglik_mpmath(resid_sum, resid_sumsq, T, sigma_v2, sigma_u2,
+                         alpha0=0.0, dps=60):
     """Closed-form per-firm log density evaluated in mpmath arithmetic."""
     with mp.workdps(dps):
-        sv2 = mp.mpf(sigma_v2)
-        su2 = mp.mpf(sigma_u2)
-        se = mp.mpf(resid_sum)
-        qe = mp.mpf(resid_sumsq)
-        si2 = sv2 + T * su2
-        z = -mp.sqrt(su2) * se / (mp.sqrt(sv2) * mp.sqrt(si2))
-        return float(
-            mp.log(2)
-            - mp.mpf(T) / 2 * mp.log(2 * mp.pi)
-            - mp.mpf(T - 1) / 2 * mp.log(sv2)
-            - mp.log(si2) / 2
-            + mp.log(mp.ncdf(z))
-            + z * z / 2
-            - qe / (2 * sv2)
-        )
+        return float(_unique_logdensity_mp(
+            resid_sum, resid_sumsq, T, sigma_v2, sigma_u2, alpha0
+        ))
 
 
 def mixture_loglik_mpmath(resid_sum, resid_sumsq, T, sigma_v2,
                           a1, su2_1, a2, su2_2, tau, dps=60):
     """Two-component mixture log density via direct mpmath exponentiation."""
     with mp.workdps(dps):
-        parts = []
-        for a, su2 in ((a1, su2_1), (a2, su2_2)):
-            se = resid_sum - T * a
-            qe = resid_sumsq - 2 * a * resid_sum + T * a * a
-            parts.append(mp.exp(mp.mpf(unique_loglik_mpmath(se, qe, T, sigma_v2, su2, dps=dps))))
-        return float(mp.log(mp.mpf(tau) * parts[0] + (1 - mp.mpf(tau)) * parts[1]))
+        f1, f2 = (
+            mp.exp(_unique_logdensity_mp(resid_sum, resid_sumsq, T, sigma_v2, su2, a))
+            for a, su2 in ((a1, su2_1), (a2, su2_2))
+        )
+        return float(mp.log(mp.mpf(tau) * f1 + (1 - mp.mpf(tau)) * f2))
 
 
 def ward_cost_from_points(points_a, points_b):
@@ -303,16 +312,17 @@ def unique_terms_grad_reference(S, Q, sv2, T, alpha0, sigma_u2):
     """
     log2pi = math.log(2.0 * math.pi)
     se = S - T * alpha0
-    qe = Q - 2.0 * alpha0 * S + T * alpha0 * alpha0
     si2 = sv2 + T * sigma_u2
-    z = -np.sqrt(sigma_u2) * se / (np.sqrt(sv2) * np.sqrt(si2))
+    scale = np.sqrt(sigma_u2 / (sv2 * si2))
+    z = -scale * se
     log_cdf = log_ndtr(z)
     terms = (
-        math.log(2.0) - 0.5 * T * log2pi - 0.5 * (T - 1) * np.log(sv2)
-        - 0.5 * np.log(si2) + log_cdf + 0.5 * z * z - qe / (2.0 * sv2)
+        (math.log(2.0) - 0.5 * T * log2pi - 0.5 * (T - 1) * np.log(sv2)
+         - (Q - S * (S / T)) / (2.0 * sv2))
+        - 0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
     )
     dz = np.exp(-0.5 * z * z - 0.5 * log2pi - log_cdf) + z
-    d_alpha0 = dz * T * math.sqrt(sigma_u2) / (np.sqrt(sv2) * np.sqrt(si2)) + se / sv2
+    d_alpha0 = dz * T * scale + se / sv2
     d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
     return terms, d_alpha0, d_eta
 

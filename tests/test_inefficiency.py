@@ -18,6 +18,7 @@ from groupsfa.inefficiency import (
     _mixture_objectives,
     _unique_objectives,
     DegenerateMixtureWarning,
+    MixtureFit,
     UniqueFit,
     _mixture_starts,
     composite_residual_stats,
@@ -255,27 +256,43 @@ def test_se_stencil_equals_per_point_reference(monkeypatch, design, N, T, seed, 
     fits = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0).selected.fits
     stats, unique, mixture, _ = fit_levels(panel, fits, 1.0, rep)
     got = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
-    # tau is interior on every panel here, so the mixture SEs are computed;
-    # 3 of the 7 mixtures still have a component variance at the objective's
-    # 1e-12 clip (1e-13 to 3e-12), see the xfail below
-    assert got[1] is not None
+    # tau is interior on every panel here; 3 of the 7 mixtures have a
+    # component variance at the boundary (9e-27 to 3e-12), where no SE is
+    # reported, and the other 4 keep both variances above 0.07
+    assert got[0] is not None
+    low = min(mixture.sigma_u2_1, mixture.sigma_u2_2)
+    assert low < 1e-11 or low > 1e-3
+    assert (got[1] is None) == (low < 1e-11)
     monkeypatch.setattr(inefficiency, "mle_standard_errors", mle_standard_errors_per_point)
     ref = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
     for g, r in zip(got, ref):
         np.testing.assert_array_equal(g, r)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "known miss: at a boundary variance the SE stencil steps past the 1e-12 "
-    "clip, so the reported SE follows the step size, not the curvature"))
 def test_no_mixture_se_at_a_boundary_variance():
-    # the chosen mixture has sigma_u2_2 = 8.6e-14; its se(sigma_u2_2) is
-    # 3.17e-4, 1.00e-4 and 3.16e-5 for step floors 1e-5, 1e-6 and 1e-7
+    # the chosen mixture has sigma_u2_2 at the log-variance clip exp(-60);
+    # a difference stencil there would report its step size as the SE
+    # (3.17e-4, 1.00e-4 and 3.16e-5 for step floors 1e-5, 1e-6 and 1e-7
+    # when the variance was 8.6e-14)
     panel, _ = generate("dgp2m", 50, 30, seed=3, rep=0)
     fits = select_K(panel, fit_all(panel, default_m(30)), 4, 1.0).selected.fits
     stats, _, mixture, choice = fit_levels(panel, fits, 1.0, 0)
     if choice.chosen != "mixture" or not mixture.sigma_u2_2 < 1e-12:
         pytest.fail("the panel no longer picks a mixture with a boundary variance")
+    assert mixture_standard_errors(stats, mixture) is None
+
+
+def test_no_se_within_one_stencil_step_of_a_zero_variance():
+    # the stencil's smallest step is 1e-5: a variance no larger would be
+    # stepped to 0 or below it
+    assert inefficiency._near_variance_boundary(1e-5)
+    assert not inefficiency._near_variance_boundary(np.nextafter(1e-5, 1.0))
+    assert inefficiency._near_variance_boundary(0.3, 1e-5)
+    rng = np.random.default_rng(23)
+    stats = _stats_from_levels(0.4 - sample_half_normal(0.5, rng, size=50), 1.0, 20, rng)
+    assert unique_standard_errors(stats, UniqueFit(alpha0=0.4, sigma_u2=5e-6, loglik=0.0)) is None
+    mixture = MixtureFit(tau=0.6, alpha0_1=0.5, sigma_u2_1=0.3, alpha0_2=-0.2,
+                         sigma_u2_2=5e-6, loglik=0.0)
     assert mixture_standard_errors(stats, mixture) is None
 
 

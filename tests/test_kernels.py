@@ -1,8 +1,13 @@
 import numpy as np
+import pytest
 
 from groupsfa import _kernels
 
-from oracles import unique_terms_grad_reference
+from oracles import (
+    mixture_loglik_mpmath,
+    unique_loglik_mpmath,
+    unique_terms_grad_reference,
+)
 
 
 def test_unique_terms_finite_at_extreme_z():
@@ -18,6 +23,43 @@ def test_unique_terms_finite_at_extreme_z():
     np.testing.assert_array_equal(
         terms, unique_terms_grad_reference(S, S ** 2 / T + 1.0, ones, T, 0.0, 1.0)[0]
     )
+
+
+# --- totals against the 60-digit oracle --------------------------------------
+
+# the mixing weights at the optimizer's logit clip +-30
+TAU_CLIP = (1.0 / (1.0 + np.exp(30.0)), 1.0 / (1.0 + np.exp(-30.0)))
+
+
+def _assert_totals_match_mpmath(S, Q, sv2, T, unique_rows, mixture_rows):
+    for alpha0, su2 in unique_rows:
+        (got,) = _kernels.loglik_unique_total([S], [Q], [sv2], T, alpha0, su2)
+        ref = unique_loglik_mpmath(S, Q, T, sv2, su2, alpha0=alpha0)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+    for tau, a1, su2_1, a2, su2_2 in mixture_rows:
+        (got,) = _kernels.loglik_mixture_total([S], [Q], [sv2], T, tau, a1, su2_1, a2, su2_2)
+        ref = mixture_loglik_mpmath(S, Q, T, sv2, a1, su2_1, a2, su2_2, tau)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("z", [-1e4, -500.0, -40.0, 40.0, 500.0])
+def test_totals_match_mpmath_at_extreme_z(z):
+    # T = 4 and unit variances at alpha0 = 0 give z = -S / sqrt(5)
+    T = 4
+    S = -np.sqrt(5.0) * z
+    mixtures = [(tau, 0.0, 1.0, 0.5, 0.3) for tau in (0.3, *TAU_CLIP)]
+    _assert_totals_match_mpmath(S, S ** 2 / T + 1.0, 1.0, T, [(0.0, 1.0)], mixtures)
+
+
+def test_totals_match_mpmath_for_a_level_heavy_firm():
+    # level 50 over T = 200 periods: Q is about 5e5 and the within-firm
+    # square sum W = Q - S^2 / T about 200, so W loses about 11 bits
+    T = 200
+    r = 50.0 + np.random.default_rng(4).normal(0.0, 1.0, size=T)
+    S, Q = float(r.sum()), float(r @ r)
+    assert Q / (Q - S ** 2 / T) > 1e3
+    mixtures = [(tau, 50.3, 0.4, 49.8, 0.1) for tau in (0.4, *TAU_CLIP)]
+    _assert_totals_match_mpmath(S, Q, 1.0, T, [(50.3, 0.4), (49.0, 2.5)], mixtures)
 
 
 # --- batched totals ---------------------------------------------------------

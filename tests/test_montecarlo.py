@@ -112,8 +112,8 @@ _REFIT_RECORDS = {
     }),
     "dgp3u": (1, 0.14, "mixture", {
         "sigma_v_1": 0.3631026523584462, "sigma_v_2": 0.48342889020202207,
-        "sigma_v_3": 0.18335263385046163, "alpha0": 0.14933512511998548,
-        "sigma_u": 0.1853625284530065,
+        "sigma_v_3": 0.18335263385046163, "alpha0": 0.14933512530112336,
+        "sigma_u": 0.18536252888617577,
     }),
 }
 _MIXTURE_LEVEL_KEYS = {"tau", "alpha0_1", "sigma_u_1", "alpha0_2", "sigma_u_2"}

@@ -1,12 +1,22 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groupsfa.dgp import generate, sample_half_normal
 from groupsfa.errors import InputError
+from groupsfa.estimation import default_m, fit_all
 from groupsfa.panel import PanelData
-from groupsfa.pipeline import estimate_panel
+from groupsfa.pipeline import estimate_panel, fit_levels
+from groupsfa.postestimation import select_K
+
+# K, the chosen model and both log-likelihoods of 36 panels: six designs
+# x {(50, 30), (100, 50), (250, 100)} x replications 0-1 at seed 0
+_RECORDED_OPTIMA = json.loads(
+    (Path(__file__).parent / "data" / "recorded_optima.json").read_text()
+)["panels"]
 
 
 def test_estimate_panel_deterministic():
@@ -112,6 +122,20 @@ def _banking_shaped_panel(N=466, T=80, seed=17):
         )
     truth = dict(group=group, tau=tau, sigma_v=sigma_v)
     return PanelData(y=y, x=x), truth
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rec", _RECORDED_OPTIMA,
+                         ids=lambda r: f"{r['design']}-{r['N']}x{r['T']}-{r['rep']}")
+def test_recorded_optima_are_kept(rec):
+    # a change to the likelihood or its optimizer must keep K and the
+    # chosen model, and may raise an optimum but not lower it
+    panel, _ = generate(rec["design"], rec["N"], rec["T"], seed=0, rep=rec["rep"])
+    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    _, unique, mixture, choice = fit_levels(panel, report.selected.fits, 1.0, rec["rep"])
+    assert (report.selected_K, choice.chosen) == (rec["K"], rec["chosen"])
+    for fit, recorded in ((unique, rec["loglik_unique"]), (mixture, rec["loglik_mixture"])):
+        assert fit.loglik >= recorded - 1e-12 * abs(recorded)
 
 
 @pytest.mark.slow
