@@ -20,7 +20,7 @@ from .errors import (
     NumericalError,
     RankDeficientError,
 )
-from .estimation import FirmEstimate, default_m, fit_all
+from .estimation import FirmFits, default_m, fit_all
 from .grouping import GroupAssignment, MergeHistory, hac_cluster
 from .inefficiency import (
     DegenerateMixtureWarning,

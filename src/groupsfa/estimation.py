@@ -1,10 +1,11 @@
 """Per-firm sieve regressions (Step 1).
 
 Each firm's outcome series is regressed on its sieve design with intercept.
-The slope block together with the residual standard deviation forms the
-feature vector used later for classification; the intercept estimates the
-firm's level term and is excluded from classification. One (N, T, cols)
-design serves all firms; each firm is solved on its own slice.
+The slope block together with the residual variance forms the feature
+vector used later for classification (``FirmFits.features``); the
+intercept estimates the firm's level term and is excluded from
+classification. One (N, T, cols) design serves all firms, and one stacked
+SVD solves them all: coef = V ((U' y) / s) for each firm.
 """
 
 from dataclasses import dataclass
@@ -15,29 +16,29 @@ from .basis import design_matrix
 from .errors import InputError, RankDeficientError
 
 RCOND_MIN = 1e-10
+_RANK_DEFICIENT = "design matrix numerically rank deficient (reciprocal condition number {:.2e})"
 
 
 @dataclass
-class FirmEstimate:
-    """OLS results for one firm at sieve length m.
+class FirmFits:
+    """OLS results of every firm at sieve length m.
 
-    intercept_hat estimates the firm's level term, pi_hat the
-    (m-1) + m*p slope coefficients, sigma_v_hat the residual standard
-    deviation (sum of squared residuals over T-1).
+    coef is (N, cols): each firm's level term, then its (m-1) + m*p slope
+    coefficients. sigma_v2 is (N,): each firm's residual variance, the sum
+    of squared residuals over T-1.
     """
 
-    intercept_hat: float
-    pi_hat: np.ndarray
-    sigma_v_hat: float
+    coef: np.ndarray
+    sigma_v2: np.ndarray
 
     @property
-    def theta(self):
-        """Classification features: slopes plus residual variance.
+    def features(self):
+        """(N, d) classification features: slopes, then residual variance.
 
         The variance form separates noise-level groups far more sharply
         than the standard deviation would.
         """
-        return np.append(self.pi_hat, self.sigma_v_hat ** 2)
+        return np.column_stack([self.coef[:, 1:], self.sigma_v2])
 
 
 def default_m(T):
@@ -61,19 +62,17 @@ def _solve_ls(Z, y):
     coef, _, rank, sv = np.linalg.lstsq(Z, y, rcond=None)
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if rank < Z.shape[1] or rcond < RCOND_MIN:
-        raise RankDeficientError(
-            f"design matrix numerically rank deficient "
-            f"(reciprocal condition number {rcond:.2e})",
-            rcond=rcond,
-        )
+        raise RankDeficientError(_RANK_DEFICIENT.format(rcond), rcond=rcond)
     return coef, y - Z @ coef
 
 
 def fit_all(panel, m):
     """Fit every firm; rank failures are aggregated with their firm labels.
 
-    The error names the first 10 failed firms and counts the rest; its
-    rcond is the smallest of the failed firms' values.
+    A firm fails when the ratio of its design's smallest to largest
+    singular value is below RCOND_MIN. The error names the first 10 failed
+    firms and counts the rest; its rcond is the smallest of the failed
+    firms' values.
     """
     need = min_periods(m, panel.p)
     if panel.T < need:
@@ -81,24 +80,19 @@ def fit_all(panel, m):
             f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}"
         )
     Z = design_matrix(panel.x, m, with_intercept=True)
-    fits = []
-    failures = []
-    for i in range(panel.N):
-        try:
-            coef, resid = _solve_ls(Z[i], panel.y[i])
-        except RankDeficientError as exc:
-            failures.append((panel.firm_ids[i], exc))
-            continue
-        fits.append(FirmEstimate(
-            intercept_hat=float(coef[0]),
-            pi_hat=coef[1:].copy(),
-            sigma_v_hat=float(np.sqrt(float(resid @ resid) / (panel.T - 1))),
-        ))
-    if failures:
-        shown = "; ".join(f"firm {firm}: {exc}" for firm, exc in failures[:10])
-        more = "" if len(failures) <= 10 else f" and {len(failures) - 10} more"
+    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    rcond = s[:, -1] / s[:, 0]
+    failed = np.flatnonzero(~(rcond >= RCOND_MIN))
+    if failed.size:
+        shown = "; ".join(
+            f"firm {panel.firm_ids[i]}: {_RANK_DEFICIENT.format(rcond[i])}" for i in failed[:10]
+        )
+        more = "" if failed.size <= 10 else f" and {failed.size - 10} more"
         raise RankDeficientError(
             f"per-firm estimation failed for: {shown}{more}",
-            rcond=min(exc.rcond for _, exc in failures),
+            rcond=float(rcond[failed].min()),
         )
-    return fits
+    rows = panel.y[:, None, :]  # each firm's y as a (1, T) row
+    coef = ((rows @ U) / s[:, None, :] @ Vt)[:, 0]
+    resid = panel.y - (Z @ coef[:, :, None])[..., 0]
+    return FirmFits(coef=coef, sigma_v2=np.vecdot(resid, resid) / (panel.T - 1))

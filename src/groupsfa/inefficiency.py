@@ -24,7 +24,8 @@ come from a central-difference Hessian of the log-likelihood in the
 original parameterization, whose whole stencil is one batched kernel
 call. A boundary optimum gets none: a mixing weight within
 ``_TAU_BOUNDARY`` of 0 or 1, or a variance within one stencil step of
-0.
+0. Nor does a mixture whose two components coincide within one stencil
+step, where tau is not identified.
 
 Every likelihood value goes through ``loglik_unique_total`` or
 ``loglik_mixture_total`` with one convention: an (R, n) array of parameter
@@ -142,7 +143,7 @@ def composite_residual_stats(panel, group_fits):
         Z = design_matrix(panel.x[mem], fit.m_under, with_intercept=False)
         r = panel.y[mem] - Z @ fit.pi
         S[mem] = r.sum(axis=1)
-        Q[mem] = [ri @ ri for ri in r]
+        Q[mem] = np.vecdot(r, r)
         sv2[mem] = fit.sigma_v ** 2
     return CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=panel.T)
 
@@ -512,12 +513,15 @@ def mixture_standard_errors(stats, fit):
     Returns None for boundary optima: a mixing weight within
     ``_TAU_BOUNDARY`` of 0 or 1, where the information matrix is singular
     by construction, or a boundary variance (``_near_variance_boundary``).
-    Elsewhere every stencil point has tau in (0, 1) and both variances
-    above 0.
+    Nor do coinciding components, whose alpha0 and sigma_u2 each differ by
+    no more than one stencil step: tau is not identified there, and the
+    Hessian is singular. Elsewhere every stencil point has tau in (0, 1)
+    and both variances above 0.
     """
-    if not _TAU_BOUNDARY <= fit.tau <= 1.0 - _TAU_BOUNDARY:
-        return None
-    if _near_variance_boundary(fit.sigma_u2_1, fit.sigma_u2_2):
+    one, two = fit.params[1:3], fit.params[3:5]
+    if (not _TAU_BOUNDARY <= fit.tau <= 1.0 - _TAU_BOUNDARY
+            or _near_variance_boundary(fit.sigma_u2_1, fit.sigma_u2_2)
+            or np.all(np.abs(one - two) <= np.maximum(_stencil_steps(one), _stencil_steps(two)))):
         return None
     S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 

@@ -106,7 +106,7 @@ def ic_value(group_fits, lam, T):
 def select_K(panel, firm_fits, K_max, c_lambda):
     """Cluster, fit, and score every K = 1..K_max; pick the minimizer.
 
-    The features are the ``theta`` of ``fit_all``'s per-firm fits, and the
+    The features are ``firm_fits.features``, from ``fit_all``, and the
     penalty is ``default_lambda(N, T, c_lambda)``. Ties are broken toward
     the smaller K. The merge history is computed once and cut at each K.
     Cuts are nested, so a group recurs across K; each distinct member set
@@ -119,7 +119,7 @@ def select_K(panel, firm_fits, K_max, c_lambda):
         raise InputError(
             f"K_max={K_max} exceeds the number of firms N={panel.N}"
         )
-    history = hac_cluster(np.vstack([f.theta for f in firm_fits]))
+    history = hac_cluster(firm_fits.features)
     lam = default_lambda(panel.N, panel.T, c_lambda)
     group_fits = {}
     records = []

@@ -13,9 +13,10 @@ a faster library path returns the same values bit for bit:
   product per curve, as the library did before it evaluated the basis on
   arrays of points;
 * the per-firm loops build each firm's design on its own and stack the
-  blocks, as the library did before it built all designs in one call;
-  they share the one-firm design and the SVD solve with the library, and
-  the 50-digit oracle above judges accuracy;
+  blocks, as the library did before it built all designs in one call and
+  solved all firms in one stacked SVD; they share the one-firm design and
+  the solve's formulas with the library, and the 50-digit oracle above
+  judges accuracy;
 * scipy's Nelder-Mead, run one start at a time on the objective the
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
@@ -43,7 +44,7 @@ from scipy.special import log_ndtr
 
 from groupsfa.basis import design_matrix, within_demean
 from groupsfa.errors import HessianError, InputError
-from groupsfa.estimation import FirmEstimate, _solve_ls
+from groupsfa.estimation import FirmFits
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import GroupFit
 
@@ -215,17 +216,15 @@ def frontier_eval_per_point(pi, s, m):
 
 
 def fit_all_loop(panel, m):
-    """Per-firm OLS, designing and solving one firm at a time."""
-    fits = []
+    """Per-firm OLS, designing and solving one firm at a time by its SVD."""
+    coef, rss = [], []
     for i in range(panel.N):
         Z = design_matrix(panel.x[i], m, with_intercept=True)
-        coef, resid = _solve_ls(Z, panel.y[i])
-        fits.append(FirmEstimate(
-            intercept_hat=float(coef[0]),
-            pi_hat=coef[1:].copy(),
-            sigma_v_hat=float(np.sqrt(float(resid @ resid) / (panel.T - 1))),
-        ))
-    return fits
+        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+        coef.append(((panel.y[i] @ U) / s) @ Vt)
+        resid = panel.y[i] - Z @ coef[-1]
+        rss.append(resid @ resid)
+    return FirmFits(coef=np.array(coef), sigma_v2=np.array(rss) / (panel.T - 1))
 
 
 def fit_group_loop(panel, members, m_under):
@@ -237,7 +236,9 @@ def fit_group_loop(panel, members, m_under):
         Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
         rows.append(within_demean(Zi, axis=0))
         ys.append(within_demean(panel.y[i]))
-    coef, resid = _solve_ls(np.vstack(rows), np.concatenate(ys))
+    Z, y = np.vstack(rows), np.concatenate(ys)
+    coef = np.linalg.lstsq(Z, y, rcond=None)[0]
+    resid = y - Z @ coef
     sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))
     return GroupFit(members=members, pi=coef, sigma_v=float(np.sqrt(sigma_v2)),
                     m_under=m_under)

@@ -197,8 +197,7 @@ def test_criterion_7_least_squares_oracle():
             x = rng.normal(1.0, 1.0, size=(1, T, p))
             y = rng.normal(size=(1, T))
             panel = PanelData(y=y, x=x)
-            fit = fit_all(panel, m)[0]
-            est = np.concatenate([[fit.intercept_hat], fit.pi_hat])
+            est = fit_all(panel, m).coef[0]
             Z = design_matrix(x[0], m, with_intercept=True)
             ref = normal_equations_solve(Z, y[0])
         else:

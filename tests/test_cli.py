@@ -198,6 +198,49 @@ def test_estimate_rank_deficient_is_numerical_error(tmp_path):
                  "--out-dir", str(tmp_path / "r")]) == 3
 
 
+def _simulated_csv(path, n, t):
+    assert _run(["simulate", "--design", "dgp1u", "--n", str(n), "--t", str(t),
+                 "--seed", "1", "--out", str(path)]) == 0
+    with open(path) as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("t, code", [(6, 0), (5, 2)])
+def test_estimate_at_the_fewest_periods(tmp_path, capsys, t, code):
+    # min_periods(2, 1) = 6: the shortest panel a default fit accepts
+    data = tmp_path / "panel.csv"
+    _simulated_csv(data, 10, t)
+    capsys.readouterr()
+    assert _run(["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r")]) == code
+    if code:
+        assert "need T >= 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regressors", ["constant", "collinear"])
+def test_estimate_degenerate_regressors_name_the_firms(tmp_path, capsys, regressors):
+    data = tmp_path / "panel.csv"
+    rows = _simulated_csv(data, 10, 30)
+    if regressors == "constant":  # x*B0 repeats the intercept column
+        rows = [rows[0]] + [r[:3] + ["1.0"] for r in rows[1:]]
+    else:  # x2 = 2 x1
+        rows = [rows[0] + ["x2"]] + [r + [repr(2 * float(r[3]))] for r in rows[1:]]
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert _run(["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r")]) == 3
+    assert ("per-firm estimation failed for: firm 1: design matrix numerically "
+            "rank deficient") in capsys.readouterr().err
+
+
+def test_estimate_two_firms_needs_kmax_at_most_two(tmp_path, capsys):
+    data = tmp_path / "panel.csv"
+    _simulated_csv(data, 2, 30)
+    args = ["estimate", "--input", str(data), "--out-dir", str(tmp_path / "r")]
+    assert _run(args) == 2
+    assert "K_max=4 exceeds the number of firms N=2" in capsys.readouterr().err
+    assert _run(args + ["--kmax", "2"]) == 0
+
+
 def _singular_hessian(stats, fit):
     raise HessianError("Hessian not negative definite", eigenvalues=[1.0])
 

@@ -296,6 +296,33 @@ def test_no_se_within_one_stencil_step_of_a_zero_variance():
     assert mixture_standard_errors(stats, mixture) is None
 
 
+@pytest.mark.parametrize("design, rep", [("dgp2u", 3), ("dgp3u", 5)])
+def test_no_mixture_se_when_the_components_coincide(design, rep):
+    # runner-up mixtures whose two components agree to within 1e-5 in alpha0
+    # and sigma_u2: tau is not identified, and the SEs they reported
+    # (se(tau) 37.2 and 52.4) followed last-bit changes of the arithmetic
+    panel, _ = generate(design, 100, 50, seed=0, rep=rep)
+    fits = select_K(panel, fit_all(panel, default_m(50)), 4, 1.0).selected.fits
+    stats, _, mixture, _ = fit_levels(panel, fits, 1.0, rep)
+    assert abs(mixture.alpha0_1 - mixture.alpha0_2) < 1e-5
+    assert abs(mixture.sigma_u2_1 - mixture.sigma_u2_2) < 1e-5
+    assert mixture_standard_errors(stats, mixture) is None
+
+
+@pytest.mark.parametrize("alpha0_2, sigma_u2_2, coincide", [
+    (1e-5, 0.3, True),  # alpha0 one stencil step (the 1e-5 floor) apart
+    (np.nextafter(1e-5, 1.0), 0.3, False),
+    (0.0, 0.3 + 3e-5, True),  # sigma_u2 one step, 1e-4 * 0.3, apart
+    (0.0, 0.3 + 3.1e-5, False),
+])
+def test_coinciding_components_rule(monkeypatch, alpha0_2, sigma_u2_2, coincide):
+    monkeypatch.setattr(inefficiency, "mle_standard_errors", lambda f, at: np.ones(5))
+    mixture = MixtureFit(tau=0.6, alpha0_1=0.0, sigma_u2_1=0.3, alpha0_2=alpha0_2,
+                         sigma_u2_2=sigma_u2_2, loglik=0.0)
+    stats = CompositeStats(S=np.zeros(3), Q=np.ones(3), sigma_v2=np.ones(3), T=10)
+    assert (mixture_standard_errors(stats, mixture) is None) == coincide
+
+
 @pytest.mark.parametrize("kernel, se_fn, n", [
     ("loglik_unique_total", unique_standard_errors, 2),
     ("loglik_mixture_total", mixture_standard_errors, 5),

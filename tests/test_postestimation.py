@@ -154,7 +154,7 @@ def test_select_k_ties_toward_smaller():
 def test_select_k_fits_each_member_set_once(monkeypatch):
     panel, _ = generate("dgp3u", 40, 40, seed=10)
     firm_fits = fit_all(panel, default_m(panel.T))
-    th = np.vstack([f.theta for f in firm_fits])
+    th = firm_fits.features
     K_max, lam = 4, default_lambda(panel.N, panel.T)
 
     # the records without reuse: every group of every cut fit afresh
