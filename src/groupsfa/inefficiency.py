@@ -9,15 +9,18 @@ maximizing the panel half-normal likelihood; the mixture model estimates
 comparison then chooses between them.
 
 Optimization runs on an unconstrained parameterization (log variance,
-logit mixing weight). The mixture is fitted from five starts, no two of
-them mirror images under the label swap tau -> 1 - tau, which leaves the
-likelihood unchanged. A coarse Nelder-Mead pass on the likelihood value
-chooses the basin, and BFGS with the exact gradient of the clipped
-objective polishes the point. The simplex pass runs every start of a fit
-in lockstep (``_simplex``): scipy's Nelder-Mead arithmetic per start, with
-no evaluation cap, and the points of all running starts evaluated in one
-batched kernel call per phase of a step. BFGS then runs per start
-through scipy's ``minimize``. The mixture gradient comes from the
+logit mixing weight). The single law is fitted from one start and the
+mixture from five (``_mixture_starts``). Both fits run their starts
+through ``_maximize``: a coarse Nelder-Mead pass on the likelihood value
+chooses each start's basin, and BFGS with the exact gradient of the
+clipped objective polishes the point. The simplex pass runs every start
+of a fit in lockstep (``_simplex``): scipy's Nelder-Mead arithmetic per
+start, with no evaluation cap, and the points of all running starts
+evaluated in one batched kernel call per phase of a step. BFGS then runs
+per start through scipy's ``minimize``. ``_maximize`` alone decides which
+starts converged; it returns every start's point and log-likelihood as
+arrays, -inf for a start that did not converge, and each fit takes the
+argmax. The mixture gradient comes from the
 component gradients, both from one kernel pass with the components as two
 parameter rows, weighted by the firms' responsibilities. Standard errors
 come from a central-difference Hessian of the log-likelihood in the
@@ -40,7 +43,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from ._kernels import (
@@ -173,10 +176,6 @@ _STEPS = np.array([
 ])
 # the simplex pass's one stop rule: scipy's xatol, fatol and maxiter
 _XATOL, _FATOL, _MAX_NM = 1e-4, 1e-6, 2000
-_NM_MESSAGES = {
-    0: "Optimization terminated successfully.",
-    2: "Maximum number of iterations has been exceeded.",
-}
 
 
 def _sort_vertices(sim, fsim):
@@ -192,11 +191,12 @@ def _simplex(f, starts):
     ``f`` maps an (R, n) array of points to their R values. Per start,
     this is the arithmetic of scipy 1.17's ``minimize(method="Nelder-Mead")``
     with ``adaptive=False`` and only xatol, fatol and maxiter set, which
-    leaves no evaluation cap: each start's x, fun, nit, nfev and success
-    equal scipy's. One call of ``f`` holds the initial simplices of all
-    starts; each step then makes at most three, for the reflections, the
-    second points, and the n new vertices of every start that shrinks.
-    Returns one ``OptimizeResult`` per start, in order.
+    leaves no evaluation cap: each start's x, fun, nit and nfev equal
+    scipy's. One call of ``f`` holds the initial simplices of all starts;
+    each step then makes at most three, for the reflections, the second
+    points, and the n new vertices of every start that shrinks.
+    Returns per-start arrays x (R, n), fun, nit and nfev (R,), in start
+    order; a start has converged when its nit is below ``_MAX_NM``.
     """
     x0 = np.array(starts, dtype=float)
     R, n = x0.shape
@@ -269,15 +269,7 @@ def _simplex(f, starts):
         nit += 1
         sim, fsim = _sort_vertices(sim, fsim)
 
-    status = np.where(final_nit >= _MAX_NM, 2, 0)
-    return [
-        OptimizeResult(
-            x=x[r], fun=fun[r], nit=int(final_nit[r]), nfev=int(final_nfev[r]),
-            status=int(status[r]), success=status[r] == 0,
-            message=_NM_MESSAGES[status[r]],
-        )
-        for r in range(R)
-    ]
+    return x, fun, final_nit, final_nfev
 
 
 # per-start iteration cap of the BFGS polish
@@ -294,30 +286,40 @@ def _maximize(objective, value_and_grad, starts):
     its job is to pick each start's local optimum, which a gradient method
     started at the start does not always reach on multimodal or boundary
     panels. BFGS then converges on the exact gradient, one start at a time.
-    Returns, per start in order, (x, loglik) of the better of the two
-    points, or a ``ConvergenceError`` where neither converged.
+
+    This is the one place that decides convergence. A start has converged
+    when its simplex pass stopped below the cap, its BFGS pass succeeded,
+    or BFGS ended with a gradient that is flat relative to the value.
+    Returns each start's better point of the two passes, as an (R, n)
+    array, and its log-likelihood, an (R,) array that is -inf where the
+    start did not converge or its value is not finite. Raises
+    ``ConvergenceError`` when no start converged, carrying the best
+    failed point and its value.
     """
 
     def neg_value_and_grad(x):
         value, grad = value_and_grad(x)
         return -value, -grad
 
-    out = []
-    for nm in _simplex(lambda X: -objective(X), starts):
+    x, fun, nit, _ = _simplex(lambda X: -objective(X), starts)
+    converged = nit < _MAX_NM
+    for r in range(len(x)):
         bfgs = minimize(
-            neg_value_and_grad, nm.x, jac=True, method="BFGS",
+            neg_value_and_grad, x[r], jac=True, method="BFGS",
             options=dict(maxiter=_MAX_BFGS),
         )
-        cand = bfgs if bfgs.fun <= nm.fun else nm
-        grad_ok = np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
-        if nm.success or bfgs.success or grad_ok:
-            out.append((cand.x, -float(cand.fun)))
-        else:
-            out.append(ConvergenceError(
-                f"likelihood maximization did not converge: {nm.message}; {bfgs.message}",
-                best_params=cand.x, best_value=-cand.fun,
-            ))
-    return out
+        if bfgs.fun <= fun[r]:
+            x[r], fun[r] = bfgs.x, bfgs.fun
+        converged[r] |= bfgs.success or np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
+    loglik = -fun
+    converged &= np.isfinite(loglik)
+    if not converged.any():
+        best = int(np.argmax(np.where(np.isnan(loglik), -np.inf, loglik)))
+        raise ConvergenceError(
+            f"likelihood maximization did not converge: 0 of {len(x)} starts converged",
+            best_params=x[best], best_value=float(loglik[best]),
+        )
+    return x, np.where(converged, loglik, -np.inf)
 
 
 def _unique_params(X):
@@ -397,16 +399,13 @@ def fit_unique(stats):
     su_init = max(sd_a / math.sqrt(_HN_VAR), 1e-3)
     x0 = np.array([float(np.mean(a)) + su_init * _HN_MEAN, 2.0 * math.log(su_init)])
 
-    (result,) = _maximize(*_unique_objectives(stats), [x0])
-    if isinstance(result, ConvergenceError):
-        raise result
-    x, loglik = result
-    alpha0, sigma_u2 = (float(v[0]) for v in _unique_params(x[None]))
+    x, loglik = _maximize(*_unique_objectives(stats), [x0])
+    alpha0, sigma_u2 = (float(v[0]) for v in _unique_params(x[:1]))
     if sigma_u2 < 1e-8:
         warnings.warn(
             "inefficiency variance collapsed toward zero", RuntimeWarning
         )
-    return UniqueFit(alpha0=alpha0, sigma_u2=sigma_u2, loglik=loglik)
+    return UniqueFit(alpha0=alpha0, sigma_u2=sigma_u2, loglik=float(loglik[0]))
 
 
 def unique_standard_errors(stats, fit):
@@ -425,14 +424,22 @@ def unique_standard_errors(stats, fit):
 
 
 def _mixture_starts(unique, sd_a, seed):
-    """The five starts of ``fit_mixture``; (tau0, a - sd, a + sd) is left
-    out as the mirror image of the kept (1 - tau0, a + sd, a - sd).
+    """The five starts of ``fit_mixture``, as (logit tau0, alpha0_1,
+    log sigma_u2_1, alpha0_2, log sigma_u2_2) rows.
 
-    For tau0 = 0.5 the pair is only near-mirrored: its logit coordinate is
-    0, and ``_simplex`` steps a zero coordinate by +_ZDELT in both
-    orderings rather than by opposite signs. That twin was dropped because
-    a sweep over 112 panels found the same chosen model on every panel
-    without it, not because its path is the mirrored one.
+    The single-law solution ``unique`` split by plus and minus one
+    standard deviation ``sd_a`` of the firm intercepts, with mixing weights
+    0.3/0.5/0.7; the minimally split solution; and one random draw seeded
+    by ``seed``. The other ordering of each split, (tau0, a - sd, a + sd),
+    is left out as the mirror image of the kept (1 - tau0, a + sd, a - sd)
+    under the label swap tau -> 1 - tau, which leaves the likelihood
+    unchanged: for tau0 = 0.3 and 0.7 it would only reach the mirror image
+    of the kept start's optimum. For tau0 = 0.5 the pair is only
+    near-mirrored: its logit coordinate is 0, and ``_simplex`` steps a
+    zero coordinate by +_ZDELT in both orderings rather than by opposite
+    signs. That twin was dropped because a sweep over 112 panels found the
+    same chosen model on every panel without it, not because its path is
+    the mirrored one.
     """
     center_a, base_eta = unique.alpha0, math.log(unique.sigma_u2)
     sd = max(sd_a, 1e-2)
@@ -460,39 +467,19 @@ def _logit(t):
 def fit_mixture(stats, unique_fit, seed=0):
     """MLE of the two-component mixture by multi-start optimization.
 
-    Five starts: the single-law solution ``unique_fit`` split by plus and
-    minus one standard deviation of the firm intercepts, with mixing
-    weights 0.3/0.5/0.7, the minimally split solution, and one seeded
-    random draw. The other ordering of each split is left out: swapping
-    the labels with tau -> 1 - tau, which leaves the likelihood unchanged,
-    maps it onto a kept start. For tau0 = 0.3 and 0.7 the dropped start
-    would only reach the mirror image of that start's optimum; for
-    tau0 = 0.5 the initial simplex is not mirrored (see ``_mixture_starts``),
-    so that twin was dropped on the evidence of a sweep. The best local
-    optimum wins; components are reported with tau >= 0.5 (ascending
-    level on an exact tie). All five run through one lockstep simplex,
-    whose steps evaluate the running starts' points in one kernel call,
-    before each is polished by BFGS.
+    The five starts of ``_mixture_starts`` around ``unique_fit`` go through
+    ``_maximize`` together. The converged start with the highest
+    log-likelihood wins, the first one on an exact tie; components are
+    reported with tau >= 0.5 (ascending level on an exact tie). Raises
+    ``ConvergenceError`` when no start converged.
     """
     _, sd_a = _intercept_spread(stats)
 
-    best_x, best_ll = None, -np.inf
-    failures = []
-    starts = _mixture_starts(unique_fit, sd_a, seed)
-    for result in _maximize(*_mixture_objectives(stats), starts):
-        if isinstance(result, ConvergenceError):
-            failures.append(result)
-            continue
-        x, ll = result
-        if ll > best_ll:
-            best_x, best_ll = x, ll
-    if best_x is None:
-        raise ConvergenceError(
-            f"all {len(failures)} mixture starts failed to converge",
-            best_params=failures[-1].best_params if failures else None,
-        )
-
-    tau, a1, su2_1, a2, su2_2 = (float(v[0]) for v in _mixture_params(best_x[None]))
+    x, loglik = _maximize(
+        *_mixture_objectives(stats), _mixture_starts(unique_fit, sd_a, seed)
+    )
+    best = int(np.argmax(loglik))  # the first start on an exact tie
+    tau, a1, su2_1, a2, su2_2 = (float(v[0]) for v in _mixture_params(x[best:best + 1]))
     if tau < 0.5 or (tau == 0.5 and a1 > a2):
         tau, a1, su2_1, a2, su2_2 = 1.0 - tau, a2, su2_2, a1, su2_1
     degenerate = not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
@@ -503,7 +490,7 @@ def fit_mixture(stats, unique_fit, seed=0):
         )
     return MixtureFit(
         tau=tau, alpha0_1=a1, sigma_u2_1=su2_1, alpha0_2=a2, sigma_u2_2=su2_2,
-        loglik=best_ll,
+        loglik=float(loglik[best]),
     )
 
 

@@ -26,6 +26,8 @@ a faster library path returns the same values bit for bit:
   through one call;
 * the eight mixture starts, each split in both component orderings, that
   the library used before it kept one start per label-swapping orbit;
+* the mixture optimum from dense starts, which reuses the library's
+  mixture objective and exact gradient but not its optimizer;
 * the brute-force label matching over all K! permutations;
 * the CSV reader that parses one row at a time into a dict per cell, and
   the writer that formats one row at a time, as the library did before
@@ -45,6 +47,7 @@ from scipy.special import log_ndtr
 from groupsfa.basis import design_matrix, within_demean
 from groupsfa.errors import HessianError, InputError
 from groupsfa.estimation import FirmFits
+from groupsfa.inefficiency import _mixture_objectives, _mixture_starts
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import GroupFit
 
@@ -300,6 +303,41 @@ def mixture_starts_eight(unique, sd_a, seed):
          center_a + sd * rng.standard_normal(), base_eta + 0.5 * rng.standard_normal()]
     )
     return [np.array(s) for s in starts]
+
+
+# --- the mixture optimum from dense starts -----------------------------------
+
+
+def mixture_optimum_dense(stats, unique, seed):
+    """Best mixture log-likelihood of exact-gradient BFGS from 14 starts.
+
+    The starts are the five of ``fit_mixture`` and a grid of nine: tau0 in
+    {0.15, 0.5, 0.85} crossed with alpha0 splits of +-{0.5, 1.5, 2.5} sd
+    around the single-law ``unique`` fit, both components at its
+    log sigma_u2, where sd is the firm intercepts' standard deviation.
+    Each start runs BFGS (maxiter 200) on the clipped objective with its
+    exact gradient and no simplex pass. The result is a lower bound on the
+    global optimum.
+    """
+    _, value_and_grad = _mixture_objectives(stats)
+    sd_a = float(np.std(stats.S / stats.T, ddof=1))
+    sd, eta = max(sd_a, 1e-2), math.log(unique.sigma_u2)
+    grid = [
+        [math.log(tau0 / (1.0 - tau0)), unique.alpha0 + c * sd, eta,
+         unique.alpha0 - c * sd, eta]
+        for tau0 in (0.15, 0.5, 0.85) for c in (0.5, 1.5, 2.5)
+    ]
+
+    def neg(x):
+        value, grad = value_and_grad(x)
+        return -value, -grad
+
+    best = -np.inf
+    for x0 in _mixture_starts(unique, sd_a, seed) + [np.array(g) for g in grid]:
+        res = minimize(neg, x0, jac=True, method="BFGS", options=dict(maxiter=200))
+        if np.isfinite(res.fun):
+            best = max(best, -float(res.fun))
+    return best
 
 
 # --- single-law terms, one point at a time -----------------------------------

@@ -20,6 +20,10 @@ run only those (default: all of them):
 * ``report``: the ``montecarlo`` command's ``report.json`` and
   ``report.txt`` for the configs of acceptance criteria 1-3 and for a
   classification-only dgp2u (100, 50) config.
+* ``starts``: every start of every likelihood fit that the ``estimate``
+  set runs, as the start's final point and log-likelihood returned by
+  ``inefficiency._maximize``, so that an optimizer change shows which
+  starts moved and not only which outputs.
 """
 
 import contextlib
@@ -31,7 +35,7 @@ import sys
 import tempfile
 import warnings
 
-from groupsfa import cli
+from groupsfa import cli, inefficiency
 from groupsfa.dgp import DESIGNS, generate
 from groupsfa.errors import GroupSfaError
 from groupsfa.panel import write_panel_csv
@@ -108,7 +112,28 @@ def _report():
                 yield f"report {label} {name}", data
 
 
-SETS = {"estimate": _estimate, "cli": _cli, "report": _report}
+def _starts():
+    calls, real = [], inefficiency._maximize
+
+    def recorded(*args):
+        x, loglik = real(*args)
+        calls.append((x, loglik))
+        return x, loglik
+
+    inefficiency._maximize = recorded
+    try:
+        for label, _ in _estimate():
+            panel = label.removeprefix("estimate ")
+            for x, loglik in calls:
+                fit = "unique" if x.shape[1] == 2 else "mixture"
+                for r, (point, value) in enumerate(zip(x, loglik)):
+                    yield f"starts {panel} {fit} start {r}", point.tobytes() + value.tobytes()
+            calls.clear()
+    finally:
+        inefficiency._maximize = real
+
+
+SETS = {"estimate": _estimate, "cli": _cli, "report": _report, "starts": _starts}
 
 
 def main(argv):

@@ -241,6 +241,48 @@ def test_estimate_two_firms_needs_kmax_at_most_two(tmp_path, capsys):
     assert _run(args + ["--kmax", "2"]) == 0
 
 
+def _estimate_panel_csv(tmp_path, panel):
+    data = tmp_path / "panel.csv"
+    write_panel_csv(panel, data)
+    out = tmp_path / "r"
+    code = _run(["estimate", "--input", str(data), "--out-dir", str(out)])
+    return code, json.loads((out / "result.json").read_text()) if code == 0 else None
+
+
+def test_estimate_without_inefficiency_reports_a_collapsed_variance(tmp_path):
+    # y with the inefficiency draws added back: the variance goes to the
+    # boundary, and neither fit gets standard errors
+    from groupsfa.dgp import generate
+    from groupsfa.panel import PanelData
+
+    panel, truth = generate("dgp1u", 60, 30, seed=0, rep=0)
+    panel = PanelData(y=panel.y + truth.u[:, None], x=panel.x)
+    with pytest.warns(RuntimeWarning, match="inefficiency variance collapsed toward zero"):
+        code, result = _estimate_panel_csv(tmp_path, panel)
+    assert code == 0
+    assert result["group_selection"]["selected_k"] == 2
+    ineff = result["inefficiency"]
+    assert ineff["choice"] == "unique"
+    assert 0 < ineff["unique"]["sigma_u2"] < 1e-8
+    assert ineff["unique"]["se"] is None and ineff["mixture"]["se"] is None
+
+
+def test_estimate_with_a_one_firm_group(tmp_path):
+    # one firm's output shifted by large noise forms a group of its own
+    from groupsfa.dgp import generate
+    from groupsfa.panel import PanelData
+
+    panel, _ = generate("dgp2u", 40, 30, seed=0, rep=0)
+    y = panel.y.copy()
+    y[0] += np.random.default_rng(1).normal(0, 20, 30)
+    code, result = _estimate_panel_csv(tmp_path, PanelData(y=y, x=panel.x))
+    assert code == 0
+    assert result["group_selection"]["selected_k"] == 3
+    assert [g["size"] for g in result["groups"]] == [1, 19, 20]
+    assert result["groups"][0]["firms"] == ["1"]
+    assert result["inefficiency"]["choice"] == "unique"
+
+
 def _singular_hessian(stats, fit):
     raise HessianError("Hessian not negative definite", eigenvalues=[1.0])
 
@@ -275,8 +317,9 @@ def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
     from groupsfa import inefficiency
 
     def stalled(f, starts):
-        return [OptimizeResult(x=np.array(s, dtype=float), fun=np.inf, success=False,
-                               message="simplex stalled") for s in starts]
+        R = len(starts)
+        return (np.array(starts, dtype=float), np.full(R, np.inf),
+                np.full(R, inefficiency._MAX_NM), np.ones(R, dtype=int))
 
     def failed_bfgs(fun, x0, **kwargs):
         return OptimizeResult(x=x0, fun=np.inf, jac=np.full(len(x0), np.inf),
@@ -286,7 +329,7 @@ def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(inefficiency, "minimize", failed_bfgs)
     assert _estimate_dgp2u(tmp_path) == 3
     assert ("numerical failure: likelihood maximization did not converge: "
-            "simplex stalled; BFGS failed") in capsys.readouterr().err
+            "0 of 1 starts converged") in capsys.readouterr().err
     assert not (tmp_path / "r" / "result.json").exists()
 
 

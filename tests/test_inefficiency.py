@@ -657,15 +657,26 @@ def _failed_bfgs(fun, x0, **kwargs):
 
 
 def _simplex_failing(starts_to_fail):
-    """The real lockstep simplex, with the given starts marked unconverged."""
+    """The real lockstep simplex, with the given starts marked unconverged
+    by an iteration count at the cap."""
     real = inefficiency._simplex
 
     def simplex(f, starts):
-        results = real(f, starts)
-        for r in starts_to_fail(len(results)):
-            results[r].success = False
-            results[r].message = "forced simplex failure"
-        return results
+        x, fun, nit, nfev = real(f, starts)
+        nit[list(starts_to_fail(len(x)))] = inefficiency._MAX_NM
+        return x, fun, nit, nfev
+
+    return simplex
+
+
+def _simplex_stopped(fun, nit):
+    """A simplex pass that stops every start where it began, after ``nit``
+    iterations, with the given per-start values."""
+
+    def simplex(f, starts):
+        R = len(starts)
+        return (np.array(starts, dtype=float), np.array(fun, dtype=float),
+                np.full(R, nit), np.ones(R, dtype=int))
 
     return simplex
 
@@ -689,20 +700,35 @@ def _unique_data_stats(seed=17, N=60, T=30):
     return _stats_from_levels(levels, 1.0, T, rng)
 
 
-def test_maximize_returns_convergence_error_where_both_passes_fail(monkeypatch):
-    def stalled(f, starts):
-        return [OptimizeResult(x=np.array(s, dtype=float), fun=1.5, success=False,
-                               message="simplex stalled") for s in starts]
+BOWL = (lambda X: -np.sum(X ** 2, axis=1), lambda x: (-float(x @ x), -2.0 * x))
 
+
+def test_maximize_raises_convergence_error_where_both_passes_fail(monkeypatch):
+    # the error carries the best failed start, here the second
+    stalled = _simplex_stopped([2.5, 1.5, np.nan], inefficiency._MAX_NM)
     monkeypatch.setattr(inefficiency, "_simplex", stalled)
     monkeypatch.setattr(inefficiency, "minimize", _failed_bfgs)
-    bowl = (lambda X: -np.sum(X ** 2, axis=1), lambda x: (-float(x @ x), -2.0 * x))
-    (result,) = inefficiency._maximize(*bowl, [np.array([1.0, 2.0])])
-    assert isinstance(result, ConvergenceError)
-    assert str(result) == ("likelihood maximization did not converge: "
-                           "simplex stalled; forced BFGS failure")
-    np.testing.assert_array_equal(result.best_params, [1.0, 2.0])
-    assert result.best_value == -1.5
+    starts = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
+    with pytest.raises(ConvergenceError) as info:
+        inefficiency._maximize(*BOWL, starts)
+    assert str(info.value) == ("likelihood maximization did not converge: "
+                               "0 of 3 starts converged")
+    np.testing.assert_array_equal(info.value.best_params, [3.0, 4.0])
+    assert info.value.best_value == -1.5
+
+
+def test_maximize_counts_a_non_finite_value_as_unconverged(monkeypatch):
+    # the simplex stops both starts below the cap and BFGS fails on both,
+    # so every start converged but only a finite value counts
+    starts = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    monkeypatch.setattr(inefficiency, "minimize", _failed_bfgs)
+    monkeypatch.setattr(inefficiency, "_simplex", _simplex_stopped([np.nan, 1.5], 1))
+    x, loglik = inefficiency._maximize(*BOWL, starts)
+    np.testing.assert_array_equal(x, starts)
+    np.testing.assert_array_equal(loglik, [-np.inf, -1.5])
+    monkeypatch.setattr(inefficiency, "_simplex", _simplex_stopped([np.nan, np.inf], 1))
+    with pytest.raises(ConvergenceError, match="0 of 2 starts converged"):
+        inefficiency._maximize(*BOWL, starts)
 
 
 def test_fit_unique_raises_convergence_error(monkeypatch):
@@ -720,19 +746,25 @@ def test_fit_mixture_skips_a_failed_start(monkeypatch):
     stats = _unique_data_stats()
     unique = fit_unique(stats)
     starts = _mixture_starts(unique, inefficiency._intercept_spread(stats)[1], 4)
-    lls = [ll for _, ll in inefficiency._maximize(*_mixture_objectives(stats), starts)]
+    _, lls = inefficiency._maximize(*_mixture_objectives(stats), starts)
     best = int(np.argmax(lls))
     monkeypatch.setattr(inefficiency, "_simplex", _simplex_failing(lambda n: [best]))
     monkeypatch.setattr(inefficiency, "minimize", _bfgs_failing({best}))
     fit = fit_mixture(stats, unique, seed=4)
-    assert fit.loglik == max(lls[:best] + lls[best + 1:]) < lls[best]
+    assert fit.loglik == np.delete(lls, best).max() < lls[best]
 
 
 def test_fit_mixture_raises_when_every_start_fails(monkeypatch):
     stats = _unique_data_stats()
     unique = fit_unique(stats)
+    starts = _mixture_starts(unique, inefficiency._intercept_spread(stats)[1], 4)
+    x, fun, _, _ = inefficiency._simplex(
+        lambda X: -_mixture_objectives(stats)[0](X), starts)
     monkeypatch.setattr(inefficiency, "_simplex", _simplex_failing(range))
     monkeypatch.setattr(inefficiency, "minimize", _failed_bfgs)
-    with pytest.raises(ConvergenceError, match="all 5 mixture starts failed") as info:
+    with pytest.raises(ConvergenceError, match="0 of 5 starts converged") as info:
         fit_mixture(stats, unique, seed=4)
-    assert len(info.value.best_params) == 5
+    # the error carries the failed start with the highest value
+    best = int(np.argmin(fun))
+    np.testing.assert_array_equal(info.value.best_params, x[best])
+    assert info.value.best_value == -fun[best]

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from groupsfa import montecarlo
+from groupsfa import inefficiency, montecarlo
 from groupsfa.errors import ConfigError, InputError
 from groupsfa.montecarlo import (
     McConfig,
@@ -176,6 +178,53 @@ def test_aggregate_all_failed_raises():
                       message="x")]
     with pytest.raises(InputError):
         aggregate(recs, k_max=2)
+
+
+def _fail_likelihood_fits(monkeypatch, calls):
+    """Make the simplex pass stall and BFGS fail on the first ``calls``
+    calls of each, so that no start of those fits converges."""
+    real_simplex, real_minimize = inefficiency._simplex, inefficiency.minimize
+    counts = {"simplex": 0, "minimize": 0}
+
+    def simplex(f, starts):
+        counts["simplex"] += 1
+        x, fun, nit, nfev = real_simplex(f, starts)
+        if counts["simplex"] <= calls:
+            nit[:] = inefficiency._MAX_NM
+        return x, fun, nit, nfev
+
+    def minimize(fun, x0, **kwargs):
+        counts["minimize"] += 1
+        if counts["minimize"] <= calls:
+            return OptimizeResult(x=np.asarray(x0, dtype=float), fun=np.inf,
+                                  jac=np.full(len(x0), np.inf), success=False)
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(inefficiency, "_simplex", simplex)
+    monkeypatch.setattr(inefficiency, "minimize", minimize)
+
+
+def test_replication_records_a_likelihood_convergence_failure(monkeypatch):
+    _fail_likelihood_fits(monkeypatch, calls=np.inf)
+    rec = run_replication(_smoke_config(), (20, 50), 0)
+    assert rec.failed and rec.stage == "mle"
+    assert rec.message.startswith(
+        "ConvergenceError: likelihood maximization did not converge")
+    assert rec.k_hat is not None and rec.choice is None
+
+
+def test_monte_carlo_counts_a_likelihood_convergence_failure(monkeypatch):
+    # the unique fit of replication 0 is the first fit; later fits run
+    _fail_likelihood_fits(monkeypatch, calls=1)
+    cell = run_monte_carlo(_smoke_config()).cells[0]
+    assert (cell.replications, cell.n_failed) == (2, 1)
+
+
+def test_monte_carlo_raises_when_every_likelihood_fit_fails(monkeypatch):
+    _fail_likelihood_fits(monkeypatch, calls=np.inf)
+    with pytest.raises(InputError, match="all 2 replications failed; first failure at "
+                       "stage mle: ConvergenceError: likelihood maximization did not converge"):
+        run_monte_carlo(_smoke_config())
 
 
 def test_run_monte_carlo_smoke_and_determinism():

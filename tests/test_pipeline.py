@@ -12,6 +12,8 @@ from groupsfa.panel import PanelData
 from groupsfa.pipeline import estimate_panel, fit_levels
 from groupsfa.postestimation import select_K
 
+from oracles import mixture_optimum_dense
+
 # K, the chosen model and both log-likelihoods of 36 panels: six designs
 # x {(50, 30), (100, 50), (250, 100)} x replications 0-1 at seed 0
 _RECORDED_OPTIMA = json.loads(
@@ -136,6 +138,21 @@ def test_recorded_optima_are_kept(rec):
     assert (report.selected_K, choice.chosen) == (rec["K"], rec["chosen"])
     for fit, recorded in ((unique, rec["loglik_unique"]), (mixture, rec["loglik_mixture"])):
         assert fit.loglik >= recorded - 1e-12 * abs(recorded)
+
+
+# panels where exact-gradient BFGS from denser starts finds a higher
+# mixture optimum than fit_mixture, by 4.0e-4, 2.9e-4 and 2.5e-4 relative
+@pytest.mark.xfail(strict=True, reason="the five-start multistart misses the "
+                   "mixture's global optimum on this panel")
+@pytest.mark.parametrize("design, N, T, rep", [
+    ("dgp1u", 50, 30, 5), ("dgp3m", 50, 30, 2), ("dgp3u", 100, 50, 8),
+])
+def test_mixture_reaches_the_dense_start_optimum(design, N, T, rep):
+    panel, _ = generate(design, N, T, seed=0, rep=rep)
+    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    stats, unique, mixture, _ = fit_levels(panel, report.selected.fits, 1.0, rep)
+    oracle = mixture_optimum_dense(stats, unique, rep)
+    assert mixture.loglik >= oracle - 1e-9 * abs(oracle)
 
 
 @pytest.mark.slow

@@ -1,7 +1,8 @@
 """The lockstep simplex against scipy's Nelder-Mead, one start at a time.
 
-Every start's endpoint, value, evaluation and iteration counts and
-success flag must equal scipy's, on the likelihoods the estimator
+Every start's endpoint, value, evaluation and iteration counts must
+equal scipy's, and its convergence (an iteration count below the cap)
+scipy's success flag, on the likelihoods the estimator
 maximizes and on synthetic objectives that reach every step of the
 method: expansion, outside and inside contraction, shrink, ties in the
 vertex sort, and the maxiter stop. The stop rule is the module's
@@ -40,11 +41,12 @@ def set_stop_rule(monkeypatch, xatol=1e-4, fatol=1e-6, maxiter=2000):
 
 
 def assert_same_runs(mine, ref):
-    assert len(mine) == len(ref)
-    for m, r in zip(mine, ref):
-        assert np.array_equal(m.x, r.x)
-        assert m.fun == r.fun or (np.isnan(m.fun) and np.isnan(r.fun))
-        assert (m.nfev, m.nit, m.success) == (r.nfev, r.nit, r.success)
+    x, fun, nit, nfev = mine
+    assert len(x) == len(fun) == len(nit) == len(nfev) == len(ref)
+    for i, r in enumerate(ref):
+        assert np.array_equal(x[i], r.x)
+        assert fun[i] == r.fun or (np.isnan(fun[i]) and np.isnan(r.fun))
+        assert (nfev[i], nit[i], nit[i] < inefficiency._MAX_NM) == (r.nfev, r.nit, r.success)
 
 
 def _selected_stats(design):
@@ -67,7 +69,7 @@ def test_lockstep_equals_scipy_on_the_likelihoods(design):
     mine = _simplex(neg, starts)
     assert_same_runs(mine, nelder_mead_per_start(neg, starts, **MLE_OPTIONS))
     # the starts stop at different steps, so later calls hold fewer rows
-    assert len({r.nfev for r in mine}) > 1
+    assert len(set(mine[3])) > 1
 
     objective = _unique_objectives(stats)[0]
     x0 = np.array([unique.alpha0, np.log(unique.sigma_u2)])
@@ -137,16 +139,16 @@ def test_synthetic_objectives_reach_their_steps(monkeypatch):
     # cannot account for the evaluations shows that a shrink happened
     set_stop_rule(monkeypatch, maxiter=300)
     for f in (_noise(4), _noise(50)):
-        runs = _simplex(f, STARTS)
-        assert any(r.nfev > (n + 1) + 2 * (r.nit - 1) for r in runs)
+        _, _, nit, nfev = _simplex(f, STARTS)
+        assert np.any(nfev > (n + 1) + 2 * (nit - 1))
     # downhill along a line every step expands, and only the cap stops it
     set_stop_rule(monkeypatch, maxiter=40)
-    runs = _simplex(_linear, STARTS)
-    assert all(r.status == 2 and r.nit == 40 and not r.success for r in runs)
+    _, _, nit, _ = _simplex(_linear, STARTS)
+    assert np.all(nit == 40)
     set_stop_rule(monkeypatch, xatol=1e-8, fatol=1e-10)
-    runs = _simplex(_quadratic, STARTS)
-    assert all(r.success for r in runs)
-    assert np.allclose([r.x for r in runs], 1.0, atol=1e-6)
+    x, _, nit, _ = _simplex(_quadratic, STARTS)
+    assert np.all(nit < 2000)
+    assert np.allclose(x, 1.0, atol=1e-6)
 
 
 def test_initial_simplex_and_shrinks_are_one_call_each():
@@ -159,12 +161,12 @@ def test_initial_simplex_and_shrinks_are_one_call_each():
             rows.append(len(X))
             return f(X)
 
-        runs = _simplex(counted, STARTS)
+        _, _, nit, nfev = _simplex(counted, STARTS)
         assert rows[0] == R * (n + 1)
-        assert sum(rows) == sum(r.nfev for r in runs)
+        assert sum(rows) == nfev.sum()
         # a step makes at most three calls: the reflections, the second
         # points and the new vertices of every start that shrinks
-        assert len(rows) <= 1 + 3 * (max(r.nit for r in runs) - 1)
+        assert len(rows) <= 1 + 3 * (nit.max() - 1)
 
 
 def test_tolerances_are_inclusive(monkeypatch):
@@ -174,7 +176,7 @@ def test_tolerances_are_inclusive(monkeypatch):
     set_stop_rule(monkeypatch, **options)
     mine = _simplex(_quadratic, x0)
     assert_same_runs(mine, nelder_mead_per_start(_quadratic, x0, **options))
-    assert mine[0].nit == 1 and mine[0].success
+    assert mine[2][0] == 1
 
     # values 0 at x0 and 0.5 at the other vertices differ by exactly fatol
     def step(X):
@@ -184,4 +186,4 @@ def test_tolerances_are_inclusive(monkeypatch):
     set_stop_rule(monkeypatch, **options)
     mine = _simplex(step, x0)
     assert_same_runs(mine, nelder_mead_per_start(step, x0, **options))
-    assert mine[0].nit == 1 and mine[0].success
+    assert mine[2][0] == 1
