@@ -14,15 +14,24 @@ Intercept curves are centered to integrate to zero over [0, 1]; centering
 constants are computed by quadrature once per family. Two of the slope
 curves diverge at an endpoint of [0, 1], so frontier formulas evaluate on
 arguments clamped to [1e-3, 1 - 1e-3]; the clamp is recorded in the truth
-metadata. Every random draw comes from a counter-derived stream keyed by
-(seed, design, replication, firm, role), so any single cell can be
+metadata.
+
+Every random draw comes from a counter-derived stream keyed by (seed,
+design, replication, firm, role): the stream of one firm and role is
+exactly ``np.random.default_rng(np.random.SeedSequence(seed,
+spawn_key=(design index, rep, firm, role)))``, so any single cell can be
 regenerated in isolation and results do not depend on scheduling.
+``generate`` seeds all of a panel's streams in one vectorised pass of
+numpy's SeedSequence hashing instead of one SeedSequence object per
+stream; the draws, and so every generated number, are unchanged.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.integrate import quad
 
 from .errors import InputError
@@ -165,9 +174,89 @@ def sample_half_normal(sigma, rng, size=None):
     return np.abs(rng.standard_normal(size)) * sigma
 
 
-def _firm_rng(seed, design_code, rep, firm, role):
-    seq = np.random.SeedSequence(seed, spawn_key=(design_code, rep, firm, role))
-    return np.random.default_rng(seq)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), part
+# of the stream contract of NEP 19
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(n):
+    """A non-negative int as little-endian 32-bit words, as SeedSequence reads it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_states(seed, design_code, rep, firms, roles):
+    """PCG64 seed words of every (firm, role) stream of a panel, in one pass.
+
+    Entry ``[i, r]`` equals ``SeedSequence(seed, spawn_key=(design_code, rep,
+    i, roles[r])).generate_state(4, np.uint64)``. This is numpy's entropy
+    pool mixing and state generation with every step masked to 32 bits, so
+    one code path serves Python ints and uint32 arrays. The words that every
+    stream shares (seed, design, rep) are mixed once as Python ints; the
+    firm index (one word, ``firms < 2**32``) and the role broadcast as
+    uint32 arrays of shapes (firms, 1) and (len(roles),). The hash
+    constants stay Python ints below 2**32, so no numpy scalar overflows.
+    Returns a (firms, len(roles), 4) uint64 array.
+    """
+    run = _words32(seed)
+    run += [0] * (_POOL_SIZE - len(run))  # padded to the pool before a spawn key
+    entropy = run + _words32(design_code) + _words32(rep)
+    entropy += [np.arange(firms, dtype=np.uint32)[:, None], np.asarray(roles, dtype=np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+        return value ^ (value >> 16)
+
+    # the padded run entropy fills the pool; every spawn-key word comes after
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((firms, len(roles), 2 * _POOL_SIZE), dtype="<u4")
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[..., i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _Fixed(ISeedSequence):
+    """Hands PCG64 seed words computed ahead by ``_stream_states``."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _equal_split(N, K):
@@ -188,10 +277,15 @@ def generate(design, N, T, seed, rep=0):
             it keys all streams.
         rep: replication index for Monte Carlo use, non-negative.
 
+    ``N``, ``T``, ``seed`` and ``rep`` must be integers (numpy integers
+    included); anything else raises ``InputError`` naming the argument.
+
     Returns:
         (PanelData, DgpTruth)
     """
     base, law_code = _parse_design(design)
+    N, T, seed, rep = (_integer(name, value) for name, value in
+                       (("N", N), ("T", T), ("seed", seed), ("rep", rep)))
     if seed < 0 or rep < 0:
         raise InputError(f"seed and rep must be non-negative, got {seed} and {rep}")
     if T < 2:
@@ -206,31 +300,39 @@ def generate(design, N, T, seed, rep=0):
     dcode = DESIGNS.index(design.lower())
 
     tau_grid = np.arange(1, T + 1) / T
-    alpha_vals = [f(tau_grid) * np.ones(T) for f in alphas]
-    beta_vals = [
+    alpha_vals = np.stack([f(tau_grid) * np.ones(T) for f in alphas])
+    beta_vals = np.stack([
         np.column_stack([f(tau_grid) * np.ones(T) for f in fs]) for fs in betas
-    ]
+    ])
 
-    y = np.empty((N, T))
-    x = np.empty((N, T, p))
-    u = np.empty(N)
-    component = np.ones(N, dtype=int)
-    for i in range(N):
-        g = membership[i] - 1
-        xi = x_mean + x_sd * _firm_rng(seed, dcode, rep, i, _ROLE_X).standard_normal((T, p))
-        vi = sigma_v[g] * _firm_rng(seed, dcode, rep, i, _ROLE_V).standard_normal(T)
-        if law.kind == "unique":
-            level = law.alpha0
-            su = law.sigma_u
-        else:
-            draw = _firm_rng(seed, dcode, rep, i, _ROLE_COMPONENT).uniform()
-            if draw < law.tau:
-                component[i], level, su = 1, law.alpha0_1, law.sigma_u_1
-            else:
-                component[i], level, su = 2, law.alpha0_2, law.sigma_u_2
-        u[i] = sample_half_normal(su, _firm_rng(seed, dcode, rep, i, _ROLE_U))
-        x[i] = xi
-        y[i] = level - u[i] + alpha_vals[g] + (xi * beta_vals[g]).sum(axis=1) + vi
+    # listed in code order, so a role's code indexes its stream below
+    roles = (_ROLE_X, _ROLE_V, _ROLE_U)
+    if law.kind == "mixture":
+        roles += (_ROLE_COMPONENT,)
+    z_x = np.empty((N, T, p))
+    z_v = np.empty((N, T))
+    z_u = np.empty(N)
+    draw = np.empty(N)
+    for i, words in enumerate(_stream_states(seed, dcode, rep, N, roles)):
+        streams = [np.random.Generator(np.random.PCG64(_Fixed(w))) for w in words]
+        z_x[i] = streams[_ROLE_X].standard_normal((T, p))
+        z_v[i] = streams[_ROLE_V].standard_normal(T)
+        z_u[i] = streams[_ROLE_U].standard_normal()
+        if law.kind == "mixture":
+            draw[i] = streams[_ROLE_COMPONENT].uniform()
+
+    if law.kind == "unique":
+        component = np.ones(N, dtype=int)
+        level, su = law.alpha0, law.sigma_u
+    else:
+        component = np.where(draw < law.tau, 1, 2)
+        level = np.where(component == 1, law.alpha0_1, law.alpha0_2)
+        su = np.where(component == 1, law.sigma_u_1, law.sigma_u_2)
+    g = membership - 1
+    x = x_mean + x_sd * z_x
+    u = np.abs(z_u) * su
+    v = np.array(sigma_v)[g, None] * z_v
+    y = (level - u)[:, None] + alpha_vals[g] + (x * beta_vals[g]).sum(axis=2) + v
 
     panel = PanelData(y=y, x=x)
     truth = DgpTruth(

@@ -31,7 +31,10 @@ a faster library path returns the same values bit for bit:
 * the brute-force label matching over all K! permutations;
 * the CSV reader that parses one row at a time into a dict per cell, and
   the writer that formats one row at a time, as the library did before
-  it parsed and wrote whole columns.
+  it parsed and wrote whole columns;
+* the panel generator that seeds each firm-role stream with its own
+  ``SeedSequence`` and assembles one firm at a time, as the library did
+  before it seeded all of a panel's streams in one pass.
 """
 
 import csv
@@ -45,6 +48,20 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from groupsfa.basis import design_matrix, within_demean
+from groupsfa.dgp import (
+    _ROLE_COMPONENT,
+    _ROLE_U,
+    _ROLE_V,
+    _ROLE_X,
+    DESIGNS,
+    DgpTruth,
+    MixtureLaw,
+    UniqueLaw,
+    _design_curves,
+    _equal_split,
+    _parse_design,
+    sample_half_normal,
+)
 from groupsfa.errors import HessianError, InputError
 from groupsfa.estimation import FirmFits
 from groupsfa.inefficiency import _mixture_objectives, _mixture_starts
@@ -501,3 +518,63 @@ def read_panel_csv_loop(path, firm_col="firm_id", time_col="t", y_col="y",
             y[i, j] = yv
             x[i, j] = xv
     return PanelData(y=y, x=x, firm_ids=firm_order)
+
+
+# --- panel generation, one SeedSequence per stream ----------------------------
+
+
+def firm_rng(seed, design_code, rep, firm, role):
+    """The stream of one (firm, role) of a panel, seeded on its own."""
+    seq = np.random.SeedSequence(seed, spawn_key=(design_code, rep, firm, role))
+    return np.random.default_rng(seq)
+
+
+def generate_per_firm(design, N, T, seed, rep=0):
+    """``dgp.generate`` with one ``firm_rng`` per stream and one firm at a time."""
+    base, law_code = _parse_design(design)
+    if seed < 0 or rep < 0:
+        raise InputError(f"seed and rep must be non-negative, got {seed} and {rep}")
+    if T < 2:
+        raise InputError(f"need T >= 2, got {T}")
+    alphas, betas, sigma_v, (x_mean, x_sd) = _design_curves(base)
+    K = len(alphas)
+    p = len(betas[0])
+    if N < K:
+        raise InputError(f"need N >= {K} for design {design}, got {N}")
+    membership = _equal_split(N, K)
+    law = UniqueLaw() if law_code == "u" else MixtureLaw()
+    dcode = DESIGNS.index(design.lower())
+
+    tau_grid = np.arange(1, T + 1) / T
+    alpha_vals = [f(tau_grid) * np.ones(T) for f in alphas]
+    beta_vals = [
+        np.column_stack([f(tau_grid) * np.ones(T) for f in fs]) for fs in betas
+    ]
+
+    y = np.empty((N, T))
+    x = np.empty((N, T, p))
+    u = np.empty(N)
+    component = np.ones(N, dtype=int)
+    for i in range(N):
+        g = membership[i] - 1
+        xi = x_mean + x_sd * firm_rng(seed, dcode, rep, i, _ROLE_X).standard_normal((T, p))
+        vi = sigma_v[g] * firm_rng(seed, dcode, rep, i, _ROLE_V).standard_normal(T)
+        if law.kind == "unique":
+            level = law.alpha0
+            su = law.sigma_u
+        else:
+            draw = firm_rng(seed, dcode, rep, i, _ROLE_COMPONENT).uniform()
+            if draw < law.tau:
+                component[i], level, su = 1, law.alpha0_1, law.sigma_u_1
+            else:
+                component[i], level, su = 2, law.alpha0_2, law.sigma_u_2
+        u[i] = sample_half_normal(su, firm_rng(seed, dcode, rep, i, _ROLE_U))
+        x[i] = xi
+        y[i] = level - u[i] + alpha_vals[g] + (xi * beta_vals[g]).sum(axis=1) + vi
+
+    panel = PanelData(y=y, x=x)
+    truth = DgpTruth(
+        design=design.lower(), K=K, membership=membership, sigma_v=np.array(sigma_v),
+        alpha_funcs=alphas, beta_funcs=betas, law=law, u=u, component=component,
+    )
+    return panel, truth

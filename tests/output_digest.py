@@ -11,6 +11,9 @@ an output that raises is digested as its exception type and message. Each
 set ends with the digest of its lines. Name sets on the command line to
 run only those (default: all of them):
 
+* ``dgp``: ``generate(design, N, T, seed, rep)``'s ``y``, ``x``, ``u`` and
+  ``component`` (dtype, shape and bytes) on every design at (3, 20),
+  (100, 50) and (2000, 50), for seeds 0 and 2**40 and reps 0-1.
 * ``estimate``: ``estimate_panel(k_max=min(4, N), seed=rep).to_dict()`` as
   sorted JSON, on every design at (3, 20), (20, 30), (50, 30) and
   (100, 50) for reps 0-2, and on dgp2m (250, 100) for reps 0-7; every
@@ -46,6 +49,19 @@ WORKERS = min(2, os.cpu_count() or 1)
 
 def _digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _dgp():
+    for design in DESIGNS:
+        for N, T in ((3, 20), (100, 50), (2000, 50)):
+            for seed in (0, 2**40):
+                for rep in range(2):
+                    panel, truth = generate(design, N, T, seed=seed, rep=rep)
+                    arrays = {"y": panel.y, "x": panel.x, "u": truth.u,
+                              "component": truth.component}
+                    for name, a in arrays.items():
+                        yield (f"dgp {design} ({N},{T}) seed {seed} rep {rep} {name}",
+                               f"{a.dtype} {a.shape} ".encode() + a.tobytes())
 
 
 def _estimate():
@@ -133,7 +149,7 @@ def _starts():
         inefficiency._maximize = real
 
 
-SETS = {"estimate": _estimate, "cli": _cli, "report": _report, "starts": _starts}
+SETS = {"dgp": _dgp, "estimate": _estimate, "cli": _cli, "report": _report, "starts": _starts}
 
 
 def main(argv):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from groupsfa.dgp import (
@@ -11,7 +13,7 @@ from groupsfa.dgp import (
     MixtureLaw,
     UniqueLaw,
     _design_curves,
-    _firm_rng,
+    _stream_states,
     centering_constant,
     design_shape,
     generate,
@@ -19,6 +21,8 @@ from groupsfa.dgp import (
     sample_half_normal,
 )
 from groupsfa.errors import InputError
+
+from oracles import firm_rng, generate_per_firm
 
 HN_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -88,6 +92,17 @@ def test_generate_rejects_bad_inputs():
         generate("dgp1u", 10, 20, seed=-1)
     with pytest.raises(InputError, match="non-negative"):
         generate("dgp1u", 10, 20, seed=0, rep=-2)
+    for name in ("N", "T", "seed", "rep"):
+        for bad in (1.5, "3", None):
+            args = {"N": 10, "T": 20, "seed": 0, "rep": 0, name: bad}
+            with pytest.raises(InputError, match=f"^{name} must be an integer"):
+                generate("dgp1u", **args)
+
+
+def test_generate_accepts_numpy_integers():
+    panel, _ = generate("dgp1u", np.int64(10), np.int32(20), seed=np.uint64(3), rep=np.int8(1))
+    expected, _ = generate("dgp1u", 10, 20, seed=3, rep=1)
+    np.testing.assert_array_equal(panel.y, expected.y)
 
 
 def test_generate_accepts_the_documented_smallest_t():
@@ -171,9 +186,9 @@ def test_firm_streams_isolated():
     panel, truth = generate("dgp2m", 12, 25, seed=33, rep=4)
     dcode = DESIGNS.index("dgp2m")
     i = 7
-    x_alone = 2.0 + 0.75 * _firm_rng(33, dcode, 4, i, 0).standard_normal((25, 1))
+    x_alone = 2.0 + 0.75 * firm_rng(33, dcode, 4, i, 0).standard_normal((25, 1))
     np.testing.assert_array_equal(panel.x[i], x_alone)
-    comp_draw = _firm_rng(33, dcode, 4, i, 3).uniform()
+    comp_draw = firm_rng(33, dcode, 4, i, 3).uniform()
     assert truth.component[i] == (1 if comp_draw < 0.5 else 2)
 
 
@@ -181,3 +196,34 @@ def test_rep_streams_differ():
     p1, _ = generate("dgp1u", 10, 15, seed=5, rep=0)
     p2, _ = generate("dgp1u", 10, 15, seed=5, rep=1)
     assert not np.array_equal(p1.y, p2.y)
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("N, T", [(3, 20), (100, 50), (250, 100)])
+def test_generate_matches_per_firm_oracle(design, N, T):
+    for seed in (0, 2**32, 2**64 + 5, 2**130):
+        for rep in (0, 1, 2**32 + 1):
+            panel, truth = generate(design, N, T, seed=seed, rep=rep)
+            ref_panel, ref_truth = generate_per_firm(design, N, T, seed, rep)
+            assert np.all(panel.y == ref_panel.y)
+            assert np.all(panel.x == ref_panel.x)
+            assert np.all(truth.u == ref_truth.u)
+            assert np.all(truth.component == ref_truth.component)
+            assert np.all(truth.membership == ref_truth.membership)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**160 - 1),
+    design_code=st.integers(0, len(DESIGNS) - 1),
+    rep=st.integers(0, 2**40 - 1),
+    firms=st.integers(1, 5),
+    roles=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+)
+def test_stream_states_match_seed_sequence(seed, design_code, rep, firms, roles):
+    states = _stream_states(seed, design_code, rep, firms, tuple(roles))
+    assert states.shape == (firms, len(roles), 4) and states.dtype == np.uint64
+    for i in range(firms):
+        for r, role in enumerate(roles):
+            seq = np.random.SeedSequence(seed, spawn_key=(design_code, rep, i, role))
+            np.testing.assert_array_equal(states[i, r], seq.generate_state(4, np.uint64))
