@@ -20,10 +20,10 @@ is, with si2 = sv2 + T su2 and z = -sqrt(su2 / (sv2 si2)) se,
     log 2 - (T/2) log(2 pi) - ((T-1)/2) log sv2 - W / (2 sv2)
     - (1/2) log si2 - se^2 / (2 T si2) + log Phi(z).
 
-The first line is the per-firm prefix, computed once per call; the
-within-firm square sum W sits there because it carries no parameter. The
-constant is written out in full because model choice later compares
-likelihood levels across specifications.
+The first line is the per-firm prefix; the within-firm square sum W sits
+there because it carries no parameter. The constant is written out in full
+because model choice later compares likelihood levels across
+specifications.
 
 Its derivatives (Pitt & Lee 1981; Battese & Coelli 1988) use the inverse
 Mills ratio lambda(z) = phi(z) / Phi(z), computed as
@@ -33,67 +33,114 @@ tails. With eta = log su2,
     d/d alpha0 = (lambda + z) T sqrt(su2 / (sv2 si2)) + se / sv2
     d/d eta    = -T su2 / (2 si2) + (lambda + z) z sv2 / (2 si2).
 
-The two totals, ``loglik_unique_total`` and ``loglik_mixture_total``, take
-each parameter as a scalar or a length-R vector (R parameter rows) and
-always return an (R,) array of totals, from one evaluation over (R, N):
-the optimizer's simplex sends the candidate points of all its starts
-through one call, and the standard errors their whole difference stencil.
-The mixture stacks its two components as 2R rows of one single-law pass
-and combines them by log-sum-exp. Every row is computed by the same
+Every kernel takes one data argument, a ``CompositeStats``: read-only
+copies of S, Q and sv2, bound once per fit, whose prefix is computed at
+the first kernel call and kept, so a call does only parameter work. The
+parameters come as (R, 1) columns, one row per parameter point, and
+broadcast the terms to (R, N). ``loglik_unique_total`` and ``loglik_mixture_total`` return an
+(R,) array of totals: the optimizer's simplex sends the candidate points
+of all its starts through one call, and the standard errors their whole
+difference stencil. The mixture takes its two components stacked as 2R
+rows, component 1's first, makes one single-law pass over them and
+combines the halves by log-sum-exp. Every row is computed by the same
 expressions whatever the batch size, so it is bit for bit the value that
 a one-row call returns.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import log_ndtr
+
+from .errors import InputError
 
 LOG2 = math.log(2.0)
 LOG2PI = math.log(2.0 * math.pi)
 _HALF_LOG2PI = 0.5 * LOG2PI
 
 
-def _as_stats(S, Q, sv2):
-    return (
-        np.ascontiguousarray(S, dtype=float),
-        np.ascontiguousarray(Q, dtype=float),
-        np.ascontiguousarray(sv2, dtype=float),
-    )
+@dataclass(frozen=True)
+class CompositeStats:
+    """Per-firm sufficient statistics of the composite residuals.
+
+    S and Q are the per-firm sum and square sum of r_it = y_it - z_it' pi
+    (level term not yet removed); sigma_v2 maps each firm to its group's
+    noise variance; T is the number of periods. Each array is kept as a
+    read-only, contiguous float64 copy. Raises ``InputError`` naming the
+    field when S, Q or sigma_v2 is not 1-D of one length >= 1, is not
+    finite, or sigma_v2 is negative, or when T is not a positive integer.
+
+    A zero sigma_v2, a noiseless group's, is valid here (firm intercepts
+    read S alone) but not in the likelihood: ``prefix`` raises
+    ``InputError`` for it, and the kernels read ``prefix`` first.
+    """
+
+    S: np.ndarray
+    Q: np.ndarray
+    sigma_v2: np.ndarray
+    T: int
+
+    def __post_init__(self):
+        T = self.T
+        if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+            raise InputError(f"T must be a positive integer, got {T!r}")
+        object.__setattr__(self, "T", int(T))
+        for name in ("S", "Q", "sigma_v2"):
+            try:
+                a = np.array(getattr(self, name), dtype=np.float64, order="C")
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{name} must be an array of numbers: {exc}") from exc
+            if a.ndim != 1 or a.size == 0:
+                raise InputError(f"{name} must be 1-D and non-empty, got shape {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise InputError(f"{name} must be finite")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if not len(self.S) == len(self.Q) == len(self.sigma_v2):
+            raise InputError(
+                "S, Q and sigma_v2 must have one length, got "
+                f"{len(self.S)}, {len(self.Q)} and {len(self.sigma_v2)}"
+            )
+        if np.any(self.sigma_v2 < 0.0):
+            raise InputError("sigma_v2 must not be negative")
+
+    def __len__(self):
+        return len(self.S)
+
+    @cached_property
+    def prefix(self):
+        """Each firm's part of the log density that no parameter enters,
+        (N,), computed on first use and kept."""
+        S, Q, sv2, T = self.S, self.Q, self.sigma_v2, self.T
+        if not np.all(sv2 > 0.0):
+            raise InputError(
+                "sigma_v2 must be positive for the likelihood; firms "
+                f"{np.flatnonzero(sv2 <= 0.0)[:10].tolist()} have 0"
+            )
+        # the within-firm square sum W = Q - S (S / T), Q less S times the
+        # firm mean
+        within = Q - S * (S / T)
+        prefix = LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2) - within / (2.0 * sv2)
+        prefix.flags.writeable = False
+        return prefix
 
 
-def _prefix(S, Q, sv2, T):
-    """Per-firm part of the log density that no parameter enters,
-    including the within-firm square sum W = Q - S (S / T), Q less S times
-    the firm mean."""
-    within = Q - S * (S / T)
-    return LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2) - within / (2.0 * sv2)
-
-
-def _unique_parts(S, Q, sv2, T, alpha0, su2):
+def _unique_parts(stats, alpha0, su2):
     """Per-firm terms with the intermediates their derivatives reuse.
 
-    ``alpha0`` and ``su2`` are scalars, or (R, 1) columns that broadcast
-    the terms to (R, N).
+    ``alpha0`` and ``su2`` are (R, 1) columns that broadcast the terms to
+    (R, N).
     """
+    prefix, S, sv2, T = stats.prefix, stats.S, stats.sigma_v2, stats.T
     se = S - T * alpha0
     si2 = sv2 + T * su2
     scale = np.sqrt(su2 / (sv2 * si2))
     z = -scale * se
     log_cdf = log_ndtr(z)
-    terms = _prefix(S, Q, sv2, T) - 0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
+    terms = prefix - 0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
     return terms, se, si2, scale, z, log_cdf
-
-
-def _rows(*params):
-    """Parameters (scalars, or vectors of one length R) as (R, 1) float
-    columns."""
-    return [np.asarray(p, dtype=float).reshape(-1, 1) for p in params]
-
-
-def _totals(terms):
-    """Row sums of the (R, N) terms, as an (R,) array."""
-    return terms.sum(axis=1)
 
 
 def log_mixture_terms(l1, l2, tau):
@@ -111,35 +158,34 @@ def log_mixture_terms(l1, l2, tau):
     return x1, hi + np.log1p(np.exp(np.minimum(x1, x2) - hi))
 
 
-def loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2):
+def loglik_unique_terms_grad(stats, alpha0, sigma_u2):
     """Per-firm terms and their derivatives in alpha0 and eta = log sigma_u2.
 
-    ``alpha0`` and ``sigma_u2`` are scalars, or (R, 1) columns for (R, N)
-    outputs. Returns (terms, d_alpha0, d_eta); the terms are the per-firm
+    ``alpha0`` and ``sigma_u2`` are (R, 1) columns. Returns (terms,
+    d_alpha0, d_eta), each (R, N); the terms are the per-firm
     log-likelihood contributions of the single-law model.
     """
-    S, Q, sv2 = _as_stats(S, Q, sv2)
-    terms, se, si2, scale, z, log_cdf = _unique_parts(S, Q, sv2, T, alpha0, sigma_u2)
+    terms, se, si2, scale, z, log_cdf = _unique_parts(stats, alpha0, sigma_u2)
     mills = np.exp(-0.5 * z * z - _HALF_LOG2PI - log_cdf)
     dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
+    T, sv2 = stats.T, stats.sigma_v2
     d_alpha0 = dz * T * scale + se / sv2
     d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
     return terms, d_alpha0, d_eta
 
 
-def loglik_unique_total(S, Q, sv2, T, alpha0, sigma_u2):
-    """Single-law log-likelihood of each parameter row, as an (R,) array."""
-    S, Q, sv2 = _as_stats(S, Q, sv2)
-    a, su2 = _rows(alpha0, sigma_u2)
-    return _totals(_unique_parts(S, Q, sv2, T, a, su2)[0])
+def loglik_unique_total(stats, alpha0, sigma_u2):
+    """Single-law log-likelihood of each (R, 1) parameter row, as an (R,)
+    array."""
+    return _unique_parts(stats, alpha0, sigma_u2)[0].sum(axis=1)
 
 
-def loglik_mixture_total(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
-    """Mixture log-likelihood of each parameter row, as an (R,) array."""
-    S, Q, sv2 = _as_stats(S, Q, sv2)
-    tau, a1, su2_1, a2, su2_2 = _rows(tau, a1, su2_1, a2, su2_2)
+def loglik_mixture_total(stats, tau, alpha0, sigma_u2):
+    """Mixture log-likelihood of each parameter row, as an (R,) array.
+
+    ``tau`` is an (R, 1) column; ``alpha0`` and ``sigma_u2`` are (2R, 1)
+    columns holding component 1's R rows, then component 2's.
+    """
+    terms = _unique_parts(stats, alpha0, sigma_u2)[0]
     R = len(tau)
-    terms = _unique_parts(
-        S, Q, sv2, T, np.concatenate([a1, a2]), np.concatenate([su2_1, su2_2])
-    )[0]
-    return _totals(log_mixture_terms(terms[:R], terms[R:], tau)[1])
+    return log_mixture_terms(terms[:R], terms[R:], tau)[1].sum(axis=1)

@@ -332,7 +332,11 @@ def generate(design, N, T, seed, rep=0):
     x = x_mean + x_sd * z_x
     u = np.abs(z_u) * su
     v = np.array(sigma_v)[g, None] * z_v
-    y = (level - u)[:, None] + alpha_vals[g] + (x * beta_vals[g]).sum(axis=2) + v
+    # added in place in the same left-to-right order, so every partial sum
+    # shares one array
+    y = (level - u)[:, None] + alpha_vals[g]
+    y += (x * beta_vals[g]).sum(axis=2)
+    y += v
 
     panel = PanelData(y=y, x=x)
     truth = DgpTruth(

@@ -31,11 +31,13 @@ call. A boundary optimum gets none: a mixing weight within
 step, where tau is not identified.
 
 Every likelihood value goes through ``loglik_unique_total`` or
-``loglik_mixture_total`` with one convention: an (R, n) array of parameter
-rows in, an (R,) array of totals out. ``_unique_params`` and
-``_mixture_params`` map unconstrained rows to the natural parameters, as
-numpy expressions over the rows, for the optimizer's objective and for
-the reported fits alike.
+``loglik_mixture_total`` with one convention: the fit's ``CompositeStats``,
+bound once, and the parameter rows as (R, 1) kernel columns in, an (R,)
+array of totals out. ``_unique_columns`` and ``_mixture_columns`` map
+(R, n) unconstrained rows to those columns in one pass, for the
+optimizer's objectives and for the reported fits alike; the standard
+errors pass their stencil rows, already natural parameters, as the same
+columns.
 """
 
 import math
@@ -47,6 +49,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from ._kernels import (
+    CompositeStats,
     log_mixture_terms,
     loglik_mixture_total,
     loglik_unique_terms_grad,
@@ -112,21 +115,6 @@ class Step5Choice:
     ic_mixture: float
     lambda_tilde: float
     chosen: str
-
-
-@dataclass
-class CompositeStats:
-    """Per-firm sufficient statistics of the composite residuals.
-
-    S and Q are the per-firm sum and square sum of r_it = y_it - z_it' pi
-    (level term not yet removed); sigma_v2 maps each firm to its group's
-    noise variance.
-    """
-
-    S: np.ndarray
-    Q: np.ndarray
-    sigma_v2: np.ndarray
-    T: int
 
 
 def composite_residual_stats(panel, group_fits):
@@ -322,20 +310,26 @@ def _maximize(objective, value_and_grad, starts):
     return x, np.where(converged, loglik, -np.inf)
 
 
-def _unique_params(X):
-    """(alpha0, sigma_u2) of (R, 2) rows (alpha0, log sigma_u2), as two
-    length-R arrays; the log variance is clipped at +-_ETA_CLIP."""
-    alpha0, eta = np.minimum(np.maximum(X, -_UNIQUE_BOUNDS), _UNIQUE_BOUNDS).T
-    return alpha0, np.exp(eta)
+def _components(X, j):
+    """Columns j and j + 2 of the (R, 5) mixture rows, stacked as one
+    (2R, 1) kernel column: component 1's R rows, then component 2's."""
+    return X[:, j::2].T.reshape(-1, 1)
 
 
-def _mixture_params(X):
-    """(tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2) of (R, 5) rows
-    (logit tau, alpha0_1, log sigma_u2_1, alpha0_2, log sigma_u2_2), as five
-    length-R arrays; the logit is clipped at +-_XI_CLIP and the log
+def _unique_columns(X):
+    """Kernel columns (alpha0, sigma_u2), each (R, 1), of (R, 2) rows
+    (alpha0, log sigma_u2); the log variance is clipped at +-_ETA_CLIP."""
+    X = np.minimum(np.maximum(X, -_UNIQUE_BOUNDS), _UNIQUE_BOUNDS)
+    return X[:, :1], np.exp(X[:, 1:])
+
+
+def _mixture_columns(X):
+    """Kernel columns (tau (R, 1), alpha0 (2R, 1), sigma_u2 (2R, 1)) of
+    (R, 5) rows (logit tau, alpha0_1, log sigma_u2_1, alpha0_2,
+    log sigma_u2_2); the logit is clipped at +-_XI_CLIP and the log
     variances at +-_ETA_CLIP."""
-    xi, a1, eta1, a2, eta2 = np.minimum(np.maximum(X, -_MIXTURE_BOUNDS), _MIXTURE_BOUNDS).T
-    return expit(xi), a1, np.exp(eta1), a2, np.exp(eta2)
+    X = np.minimum(np.maximum(X, -_MIXTURE_BOUNDS), _MIXTURE_BOUNDS)
+    return expit(X[:, :1]), _components(X, 1), np.exp(_components(X, 2))
 
 
 def _unique_objectives(stats):
@@ -344,14 +338,12 @@ def _unique_objectives(stats):
     Returns (objective, value_and_grad) for ``_maximize``; ``objective``
     takes an (R, 2) array of points and returns their R values.
     """
-    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        return loglik_unique_total(S, Q, sv2, T, *_unique_params(X))
+        return loglik_unique_total(stats, *_unique_columns(X))
 
     def value_and_grad(x):
-        (alpha0,), (sigma_u2,) = _unique_params(x[None])
-        terms, d_alpha0, d_eta = loglik_unique_terms_grad(S, Q, sv2, T, alpha0, sigma_u2)
+        terms, d_alpha0, d_eta = loglik_unique_terms_grad(stats, *_unique_columns(x[None]))
         grad = np.array([np.sum(d_alpha0), np.sum(d_eta)])
         return float(np.sum(terms)), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
 
@@ -367,17 +359,14 @@ def _mixture_objectives(stats):
     responsibilities w_j, d/dxi = sum(w_1 - tau) and d/dtheta_j =
     sum(w_j dl_j/dtheta_j); a clipped coordinate has derivative 0.
     """
-    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        return loglik_mixture_total(S, Q, sv2, T, *_mixture_params(X))
+        return loglik_mixture_total(stats, *_mixture_columns(X))
 
     def value_and_grad(x):
-        (tau,), a1, su2_1, a2, su2_2 = _mixture_params(x[None])
+        (tau,), alpha0, sigma_u2 = _mixture_columns(x[None])
         # both components in one pass, as (2, 1) parameter columns
-        (l1, l2), (da1, da2), (de1, de2) = loglik_unique_terms_grad(
-            S, Q, sv2, T, np.stack([a1, a2]), np.stack([su2_1, su2_2])
-        )
+        (l1, l2), (da1, da2), (de1, de2) = loglik_unique_terms_grad(stats, alpha0, sigma_u2)
         x1, lm = log_mixture_terms(l1, l2, tau)
         w1 = np.exp(x1 - lm)
         w2 = -np.expm1(x1 - lm)
@@ -400,7 +389,7 @@ def fit_unique(stats):
     x0 = np.array([float(np.mean(a)) + su_init * _HN_MEAN, 2.0 * math.log(su_init)])
 
     x, loglik = _maximize(*_unique_objectives(stats), [x0])
-    alpha0, sigma_u2 = (float(v[0]) for v in _unique_params(x[:1]))
+    alpha0, sigma_u2 = (float(v[0, 0]) for v in _unique_columns(x[:1]))
     if sigma_u2 < 1e-8:
         warnings.warn(
             "inefficiency variance collapsed toward zero", RuntimeWarning
@@ -415,10 +404,9 @@ def unique_standard_errors(stats, fit):
     """
     if _near_variance_boundary(fit.sigma_u2):
         return None
-    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        return loglik_unique_total(S, Q, sv2, T, *X.T)
+        return loglik_unique_total(stats, X[:, :1], X[:, 1:])
 
     return mle_standard_errors(objective, np.array([fit.alpha0, fit.sigma_u2]))
 
@@ -479,7 +467,9 @@ def fit_mixture(stats, unique_fit, seed=0):
         *_mixture_objectives(stats), _mixture_starts(unique_fit, sd_a, seed)
     )
     best = int(np.argmax(loglik))  # the first start on an exact tie
-    tau, a1, su2_1, a2, su2_2 = (float(v[0]) for v in _mixture_params(x[best:best + 1]))
+    (tau,), (a1, a2), (su2_1, su2_2) = (
+        v[:, 0].tolist() for v in _mixture_columns(x[best:best + 1])
+    )
     if tau < 0.5 or (tau == 0.5 and a1 > a2):
         tau, a1, su2_1, a2, su2_2 = 1.0 - tau, a2, su2_2, a1, su2_1
     degenerate = not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
@@ -510,10 +500,9 @@ def mixture_standard_errors(stats, fit):
             or _near_variance_boundary(fit.sigma_u2_1, fit.sigma_u2_2)
             or np.all(np.abs(one - two) <= np.maximum(_stencil_steps(one), _stencil_steps(two)))):
         return None
-    S, Q, sv2, T = stats.S, stats.Q, stats.sigma_v2, stats.T
 
     def objective(X):
-        return loglik_mixture_total(S, Q, sv2, T, *X.T)
+        return loglik_mixture_total(stats, X[:, :1], _components(X, 1), _components(X, 2))
 
     return mle_standard_errors(objective, fit.params)
 

@@ -77,7 +77,8 @@ def fit_group(panel, members, m_under):
     members = np.asarray(sorted(members), dtype=int)
     if members.size == 0:
         raise InputError("cannot fit an empty group")
-    Z = within_demean(design_matrix(panel.x[members], m_under, False), axis=1)
+    Z = design_matrix(panel.x[members], m_under, False)
+    Z -= Z.mean(axis=1, keepdims=True)
     yv = within_demean(panel.y[members], axis=1)
     coef, resid = _solve_ls(Z.reshape(-1, Z.shape[-1]), yv.ravel())
     sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))

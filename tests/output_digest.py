@@ -18,6 +18,12 @@ run only those (default: all of them):
   sorted JSON, on every design at (3, 20), (20, 30), (50, 30) and
   (100, 50) for reps 0-2, and on dgp2m (250, 100) for reps 0-7; every
   panel is ``generate(design, N, T, seed=0, rep=rep)``.
+* ``groups``: on every ``estimate`` panel, each Step-3 candidate of
+  ``select_K(panel, fit_all(panel, default_m(T)), min(4, N), 1.0)``, the
+  call ``estimate_panel`` makes: per K, the membership (dtype, shape and
+  bytes), and per group fit, ``pi`` (bytes), ``sigma_v`` and ``m_under``.
+  ``estimate`` shows only the selected K's groups; this set covers every
+  fit ``select_K`` makes.
 * ``cli``: the ``estimate`` command's ``result.json`` and ``summary.txt``
   on dgp1m (2000, 50), reps 0-1.
 * ``report``: the ``montecarlo`` command's ``report.json`` and
@@ -41,8 +47,10 @@ import warnings
 from groupsfa import cli, inefficiency
 from groupsfa.dgp import DESIGNS, generate
 from groupsfa.errors import GroupSfaError
+from groupsfa.estimation import default_m, fit_all
 from groupsfa.panel import write_panel_csv
 from groupsfa.pipeline import estimate_panel
+from groupsfa.postestimation import select_K
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -64,23 +72,46 @@ def _dgp():
                                f"{a.dtype} {a.shape} ".encode() + a.tobytes())
 
 
-def _estimate():
+def _estimate_panels():
+    """(label, panel, rep) of every panel the ``estimate`` set runs."""
     cases = [(d, N, T, rep) for d in DESIGNS
              for N, T in ((3, 20), (20, 30), (50, 30), (100, 50))
              for rep in range(3)]
     cases += [("dgp2m", 250, 100, rep) for rep in range(8)]
     for design, N, T, rep in cases:
         panel, _ = generate(design, N, T, seed=0, rep=rep)
-        label = f"estimate {design} ({N},{T}) rep {rep}"
+        yield f"{design} ({N},{T}) rep {rep}", panel, rep
+
+
+def _estimate():
+    for name, panel, rep in _estimate_panels():
+        label = f"estimate {name}"
         try:
             out = json.dumps(
-                estimate_panel(panel, k_max=min(4, N), seed=rep).to_dict(),
+                estimate_panel(panel, k_max=min(4, panel.N), seed=rep).to_dict(),
                 sort_keys=True,
             )
         except GroupSfaError as exc:
             out = f"{type(exc).__name__}: {exc}"
             label += f" raised {type(exc).__name__}"
         yield label, out.encode()
+
+
+def _groups():
+    for name, panel, _ in _estimate_panels():
+        try:
+            report = select_K(panel, fit_all(panel, default_m(panel.T)),
+                              min(4, panel.N), 1.0)
+        except GroupSfaError as exc:
+            yield f"groups {name} raised {type(exc).__name__}", f"{exc}".encode()
+            continue
+        for record in report.records:
+            member = record.assignment.membership
+            yield (f"groups {name} K {record.K} membership",
+                   f"{member.dtype} {member.shape} ".encode() + member.tobytes())
+            for k, fit in enumerate(record.fits, start=1):
+                yield (f"groups {name} K {record.K} group {k}",
+                       fit.pi.tobytes() + f" {fit.sigma_v!r} {fit.m_under}".encode())
 
 
 def _run_cli(argv, names):
@@ -149,7 +180,7 @@ def _starts():
         inefficiency._maximize = real
 
 
-SETS = {"dgp": _dgp, "estimate": _estimate, "cli": _cli, "report": _report, "starts": _starts}
+SETS = {"dgp": _dgp, "estimate": _estimate, "groups": _groups, "cli": _cli, "report": _report, "starts": _starts}
 
 
 def main(argv):

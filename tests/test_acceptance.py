@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from groupsfa import _kernels
+from groupsfa._kernels import CompositeStats
 from groupsfa.basis import basis_matrix, design_matrix, within_demean
 from groupsfa.dgp import sample_half_normal
 from groupsfa.estimation import fit_all
@@ -147,8 +148,9 @@ def test_criterion_5_likelihood_quadrature_oracle():
         sigma_v = float(rng.uniform(0.4, 2.0))
         sigma_u = float(rng.uniform(0.3, 2.0))
         eps = rng.normal(0, sigma_v, size=T) - sample_half_normal(sigma_u, rng)
-        (ll,) = _kernels.loglik_unique_total([eps.sum()], [eps @ eps],
-                                             [sigma_v ** 2], T, 0.0, sigma_u ** 2)
+        stats = CompositeStats([eps.sum()], [eps @ eps], [sigma_v ** 2], T)
+        (ll,) = _kernels.loglik_unique_total(stats, np.array([[0.0]]),
+                                             np.array([[sigma_u ** 2]]))
         ref = halfnormal_marginal_density(eps, sigma_v, sigma_u)
         worst = max(worst, abs(math.exp(ll) - ref) / ref)
     elapsed = time.time() - start
@@ -242,10 +244,10 @@ def test_criterion_8_numerical_hygiene():
     n, T = 30, 20
     S = rng.normal(-5, 6, size=n)
     Q = S ** 2 / T + rng.uniform(4, 40, size=n)
-    sv2 = rng.uniform(0.5, 2.0, size=n)
+    stats = CompositeStats(S, Q, rng.uniform(0.5, 2.0, size=n), T)
 
     def f(theta):
-        return _kernels.loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])[0]
+        return _kernels.loglik_unique_total(stats, theta[:1, None], theta[1:, None])[0]
 
     theta = np.array([0.2, 0.9])
     for j in range(2):
@@ -262,7 +264,8 @@ def test_criterion_8_numerical_hygiene():
     z = np.linspace(-40, 40, 8001)
     S_z = -np.sqrt(5.0) * z
     ones = np.ones_like(z)
-    vals = _kernels.loglik_unique_terms_grad(S_z, S_z ** 2 / 4 + 1.0, ones, 4, 0.0, 1.0)[0]
+    stats_z = CompositeStats(S_z, S_z ** 2 / 4 + 1.0, ones, 4)
+    vals = _kernels.loglik_unique_terms_grad(stats_z, np.array([[0.0]]), np.array([[1.0]]))[0]
     if not np.all(np.isfinite(vals)):
         problems.append("log-CDF not finite on [-40, 40]")
 

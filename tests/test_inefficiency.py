@@ -49,21 +49,35 @@ HN_MEAN = math.sqrt(2.0 / math.pi)
 
 # --- likelihood values -------------------------------------------------------
 
-# One firm's log density comes from the panel totals with one-firm arrays:
-# (S, Q, sigma_v2) of the firm and the level parameters. A single-law call
-# at alpha0 = 0 takes the level-adjusted sums.
+# One firm's log density comes from the panel totals with one-firm stats:
+# (S, Q, sigma_v2) of the firm and the level parameters as one-row kernel
+# columns. A single-law call at alpha0 = 0 takes the level-adjusted sums.
+
+
+def _unique_ll(S, Q, sv2, T, alpha0, sigma_u2):
+    """One-row single-law total on the stats (S, Q, sv2, T)."""
+    (ll,) = loglik_unique_total(CompositeStats(S, Q, sv2, T),
+                                np.array([[alpha0]]), np.array([[sigma_u2]]))
+    return ll
+
+
+def _mixture_ll(S, Q, sv2, T, tau, a1, su2_1, a2, su2_2):
+    """One-row mixture total on the stats (S, Q, sv2, T)."""
+    (ll,) = loglik_mixture_total(CompositeStats(S, Q, sv2, T), np.array([[tau]]),
+                                 np.array([[a1], [a2]]), np.array([[su2_1], [su2_2]]))
+    return ll
 
 
 def test_single_period_degenerate_u_limit():
     # with u pinned near zero and a zero residual the density collapses to
     # a standard normal at the origin
-    (val,) = loglik_unique_total([0.0], [0.0], [1.0], 1, 0.0, 1e-18)
+    val = _unique_ll([0.0], [0.0], [1.0], 1, 0.0, 1e-18)
     assert val == pytest.approx(-0.9189385332046727, abs=1e-6)
 
 
 def test_quadrature_oracle_specific_case():
     eps = np.array([-1.0, -1.0, -1.0])
-    (ll,) = loglik_unique_total([eps.sum()], [eps @ eps], [1.0], 3, 0.0, 1.0)
+    ll = _unique_ll([eps.sum()], [eps @ eps], [1.0], 3, 0.0, 1.0)
     ref = halfnormal_marginal_density(eps, 1.0, 1.0)
     assert math.exp(ll) == pytest.approx(ref, rel=1e-8)
 
@@ -75,8 +89,7 @@ def test_quadrature_oracle_random_instances(trial):
     sigma_v = float(rng.uniform(0.4, 2.0))
     sigma_u = float(rng.uniform(0.3, 2.0))
     eps = rng.normal(0, sigma_v, size=T) - sample_half_normal(sigma_u, rng)
-    (ll,) = loglik_unique_total([eps.sum()], [eps @ eps], [sigma_v ** 2], T,
-                                0.0, sigma_u ** 2)
+    ll = _unique_ll([eps.sum()], [eps @ eps], [sigma_v ** 2], T, 0.0, sigma_u ** 2)
     ref = halfnormal_marginal_density(eps, sigma_v, sigma_u)
     assert math.exp(ll) == pytest.approx(ref, rel=1e-8)
 
@@ -89,7 +102,7 @@ def test_closed_form_matches_mpmath():
         qe = se ** 2 / T + float(rng.uniform(0.5, 50))
         sv2 = float(rng.uniform(0.2, 4))
         su2 = float(rng.uniform(0.1, 4))
-        (mine,) = loglik_unique_total([se], [qe], [sv2], T, 0.0, su2)
+        mine = _unique_ll([se], [qe], [sv2], T, 0.0, su2)
         ref = unique_loglik_mpmath(se, qe, T, sv2, su2)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -97,17 +110,15 @@ def test_closed_form_matches_mpmath():
 def test_mixture_degenerate_tau_equals_unique():
     se, qe, T, sv2 = 4.2, 31.0, 5, 1.3
     a1, su1 = 0.8, 0.6
-    (mix,) = loglik_mixture_total([se], [qe], [sv2], T, 1.0, a1, su1, -3.0, 2.0)
-    (uni,) = loglik_unique_total([se - T * a1], [qe - 2 * a1 * se + T * a1 ** 2],
-                                 [sv2], T, 0.0, su1)
+    mix = _mixture_ll([se], [qe], [sv2], T, 1.0, a1, su1, -3.0, 2.0)
+    uni = _unique_ll([se - T * a1], [qe - 2 * a1 * se + T * a1 ** 2], [sv2], T, 0.0, su1)
     assert mix == uni
 
 
 def test_mixture_identical_components_collapse():
     se, qe, T, sv2 = -2.0, 18.0, 4, 0.9
-    (mix,) = loglik_mixture_total([se], [qe], [sv2], T, 0.5, 0.5, 1.1, 0.5, 1.1)
-    (uni,) = loglik_unique_total([se - T * 0.5], [qe - se + T * 0.25], [sv2], T,
-                                 0.0, 1.1)
+    mix = _mixture_ll([se], [qe], [sv2], T, 0.5, 0.5, 1.1, 0.5, 1.1)
+    uni = _unique_ll([se - T * 0.5], [qe - se + T * 0.25], [sv2], T, 0.0, 1.1)
     assert mix == pytest.approx(uni, rel=1e-14)
 
 
@@ -117,23 +128,18 @@ def test_mixture_matches_mpmath():
         T = int(rng.integers(2, 60))
         se = float(rng.normal(0, 5))
         qe = se ** 2 / T + float(rng.uniform(1, 40))
-        (mine,) = loglik_mixture_total([se], [qe], [1.2], T, 0.3, 0.9, 0.5, -1.0, 1.6)
+        mine = _mixture_ll([se], [qe], [1.2], T, 0.3, 0.9, 0.5, -1.0, 1.6)
         ref = mixture_loglik_mpmath(se, qe, T, 1.2, 0.9, 0.5, -1.0, 1.6, 0.3)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 def test_stable_for_huge_residual_sums():
     for se in (1e6, -1e6):
-        (val,) = loglik_unique_total([se], [se ** 2 / 10 + 5.0], [1.0], 10_000,
-                                     0.0, 1.0)
+        val = _unique_ll([se], [se ** 2 / 10 + 5.0], [1.0], 10_000, 0.0, 1.0)
         assert np.isfinite(val)
 
 
 # --- gradient hygiene --------------------------------------------------------
-
-
-def _total_loglik(theta, S, Q, sv2, T):
-    return loglik_unique_total(S, Q, sv2, T, theta[0], theta[1])[0]
 
 
 def test_finite_difference_gradients_cross_check():
@@ -145,7 +151,7 @@ def test_finite_difference_gradients_cross_check():
     theta = np.array([0.3, 0.8])
 
     def f(x):
-        return _total_loglik(x, S, Q, sv2, T)
+        return _unique_ll(S, Q, sv2, T, *x)
 
     for j in range(2):
         h1 = 1e-5 * max(1.0, abs(theta[j]))
@@ -170,10 +176,14 @@ def test_finite_difference_gradients_cross_check():
         su2 = math.exp(eta)
         z = -math.sqrt(su2) * se / (np.sqrt(sv2) * np.sqrt(sv2 + T * su2))
         assert z.min() < -37 and z.max() > 8
-        terms, d_alpha0, d_eta = loglik_unique_terms_grad(S, Q, sv2, T, alpha0, su2)
+        stats = CompositeStats(S, Q, sv2, T)
+        (terms,), (d_alpha0,), (d_eta,) = loglik_unique_terms_grad(
+            stats, np.array([[alpha0]]), np.array([[su2]])
+        )
 
         def ell(a, e):
-            return loglik_unique_terms_grad(S, Q, sv2, T, a, math.exp(e))[0]
+            return loglik_unique_terms_grad(stats, np.array([[a]]),
+                                            np.array([[math.exp(e)]]))[0][0]
 
         fd_alpha0 = (ell(alpha0 + h, eta) - ell(alpha0 - h, eta)) / (2 * h)
         fd_eta = (ell(alpha0, eta + h) - ell(alpha0, eta - h)) / (2 * h)
@@ -337,13 +347,28 @@ def test_se_makes_one_kernel_call(monkeypatch, kernel, se_fn, n):
     rows = []
     target = getattr(inefficiency, kernel)
 
-    def counted(*args):
-        rows.append(len(np.atleast_1d(args[4])))
-        return target(*args)
+    def counted(stats, tau_or_alpha0, *columns):
+        rows.append(len(tau_or_alpha0))
+        return target(stats, tau_or_alpha0, *columns)
 
     monkeypatch.setattr(inefficiency, kernel, counted)
     assert se_fn(stats, fit) is not None
     assert rows == [2 * n * n + 1]
+
+
+@pytest.mark.parametrize("sigma_v2", [0.0, np.nan])
+def test_fits_reject_a_noise_variance_the_likelihood_cannot_use(sigma_v2):
+    # both once ended as "ConvergenceError: 0 of 1 starts converged"
+    S = np.array([1.0, -2.0, 0.5])
+    with pytest.raises(InputError, match="sigma_v2"):
+        fit_unique(CompositeStats(S=S, Q=S ** 2 / 10 + 4.0,
+                                  sigma_v2=np.array([1.0, sigma_v2, 1.0]), T=10))
+
+
+def test_stats_with_a_short_Q_are_rejected_before_any_fit():
+    # once failed inside the optimizer with numpy's broadcast ValueError
+    with pytest.raises(InputError, match="one length"):
+        CompositeStats(S=np.zeros(3), Q=np.ones(2), sigma_v2=np.ones(3), T=10)
 
 
 # --- fitting on synthetic residual statistics --------------------------------

@@ -1,13 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from groupsfa import _kernels
+from groupsfa._kernels import CompositeStats
+from groupsfa.errors import InputError
 
 from oracles import (
     mixture_loglik_mpmath,
     unique_loglik_mpmath,
     unique_terms_grad_reference,
 )
+
+
+def _col(*parts):
+    """One (R, 1) float kernel column holding the parts' values in order;
+    a mixture's alpha0 and sigma_u2 columns are _col(component 1's values,
+    component 2's values)."""
+    return np.concatenate([np.ravel(p) for p in parts], dtype=float).reshape(-1, 1)
 
 
 def test_unique_terms_finite_at_extreme_z():
@@ -18,7 +32,8 @@ def test_unique_terms_finite_at_extreme_z():
     z = np.array([-1e4, -500.0, -40.0, 40.0, 500.0])
     S = -np.sqrt(5.0) * z
     ones = np.ones_like(S)
-    terms = _kernels.loglik_unique_terms_grad(S, S ** 2 / T + 1.0, ones, T, 0.0, 1.0)[0]
+    stats = CompositeStats(S, S ** 2 / T + 1.0, ones, T)
+    (terms,) = _kernels.loglik_unique_terms_grad(stats, _col(0.0), _col(1.0))[0]
     assert np.all(np.isfinite(terms))
     np.testing.assert_array_equal(
         terms, unique_terms_grad_reference(S, S ** 2 / T + 1.0, ones, T, 0.0, 1.0)[0]
@@ -32,12 +47,15 @@ TAU_CLIP = (1.0 / (1.0 + np.exp(30.0)), 1.0 / (1.0 + np.exp(-30.0)))
 
 
 def _assert_totals_match_mpmath(S, Q, sv2, T, unique_rows, mixture_rows):
+    stats = CompositeStats([S], [Q], [sv2], T)
     for alpha0, su2 in unique_rows:
-        (got,) = _kernels.loglik_unique_total([S], [Q], [sv2], T, alpha0, su2)
+        (got,) = _kernels.loglik_unique_total(stats, _col(alpha0), _col(su2))
         ref = unique_loglik_mpmath(S, Q, T, sv2, su2, alpha0=alpha0)
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
     for tau, a1, su2_1, a2, su2_2 in mixture_rows:
-        (got,) = _kernels.loglik_mixture_total([S], [Q], [sv2], T, tau, a1, su2_1, a2, su2_2)
+        (got,) = _kernels.loglik_mixture_total(
+            stats, _col(tau), _col(a1, a2), _col(su2_1, su2_2)
+        )
         ref = mixture_loglik_mpmath(S, Q, T, sv2, a1, su2_1, a2, su2_2, tau)
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
@@ -71,7 +89,14 @@ def _stats(N=37, T=20, seed=0):
     S = rng.normal(-5, 6, size=N)
     Q = S ** 2 / T + rng.uniform(2, 40, size=N)
     sv2 = rng.uniform(0.3, 2.5, size=N)
-    return S, Q, sv2, T
+    return CompositeStats(S, Q, sv2, T)
+
+
+def _mixture_total(stats, rows):
+    """Mixture totals of (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2)
+    rows, through one kernel call."""
+    tau, a1, su2_1, a2, su2_2 = np.array(rows, dtype=float).T
+    return _kernels.loglik_mixture_total(stats, _col(tau), _col(a1, a2), _col(su2_1, su2_2))
 
 
 # (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2): interior points, the
@@ -90,47 +115,182 @@ MIXTURE_ROWS = [
 
 
 def test_batched_mixture_rows_equal_scalar_calls():
-    S, Q, sv2, T = _stats()
-    cols = np.array(MIXTURE_ROWS).T
+    stats = _stats()
     for R in (1, 2, 3, len(MIXTURE_ROWS)):
-        totals = _kernels.loglik_mixture_total(S, Q, sv2, T, *cols[:, :R])
+        totals = _mixture_total(stats, MIXTURE_ROWS[:R])
         assert totals.shape == (R,)
         for row, total in zip(MIXTURE_ROWS, totals):
-            one = _kernels.loglik_mixture_total(S, Q, sv2, T, *map(float, row))
+            one = _mixture_total(stats, [row])
             assert one.shape == (1,)
             assert total == one[0]
 
 
 def test_batched_unique_rows_equal_scalar_calls():
-    S, Q, sv2, T = _stats(seed=1)
+    stats = _stats(seed=1)
     rows = [(0.3, 0.8), (-1.0, 2.5), (0.0, 1e-3), (2.0, np.exp(-60.0)),
             (-0.7, np.exp(60.0))]
-    cols = np.array(rows).T
+    alpha0s, su2s = np.array(rows).T
     for R in (1, 2, len(rows)):
-        totals = _kernels.loglik_unique_total(S, Q, sv2, T, *cols[:, :R])
+        totals = _kernels.loglik_unique_total(stats, _col(alpha0s[:R]), _col(su2s[:R]))
         assert totals.shape == (R,)
         for (alpha0, su2), total in zip(rows, totals):
-            one = _kernels.loglik_unique_total(S, Q, sv2, T, float(alpha0), float(su2))
+            one = _kernels.loglik_unique_total(stats, _col(alpha0), _col(su2))
             assert one.shape == (1,)
             assert total == one[0]
-            terms = unique_terms_grad_reference(S, Q, sv2, T, float(alpha0), float(su2))[0]
+            terms = unique_terms_grad_reference(
+                stats.S, stats.Q, stats.sigma_v2, stats.T, float(alpha0), float(su2)
+            )[0]
             assert one[0] == np.sum(terms)
 
 
-def test_boundary_weight_rows_equal_the_single_law():
-    S, Q, sv2, T = _stats(seed=2)
-    a1, su1, a2, su2 = 0.9, 1.1, -0.4, 0.6
-    one, zero = _kernels.loglik_mixture_total(
-        S, Q, sv2, T, np.array([1.0, 0.0]), [a1, a1], [su1, su1], [a2, a2], [su2, su2]
-    )
-    assert one == _kernels.loglik_unique_total(S, Q, sv2, T, a1, su1)[0]
-    assert zero == _kernels.loglik_unique_total(S, Q, sv2, T, a2, su2)[0]
-
-
 def test_gradient_kernel_equals_the_written_out_forms():
-    S, Q, sv2, T = _stats(seed=3)
+    stats = _stats(seed=3)
     for alpha0, su2 in ((0.3, 0.8), (-2.0, 4.5), (1.0, np.exp(-6.0)), (0.2, np.exp(60.0))):
-        got = _kernels.loglik_unique_terms_grad(S, Q, sv2, T, alpha0, su2)
-        ref = unique_terms_grad_reference(S, Q, sv2, T, alpha0, su2)
-        for g, r in zip(got, ref):
+        got = _kernels.loglik_unique_terms_grad(stats, _col(alpha0), _col(su2))
+        ref = unique_terms_grad_reference(stats.S, stats.Q, stats.sigma_v2, stats.T, alpha0, su2)
+        for (g,), r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
+
+
+# --- properties of the one-stats, column convention ---------------------------
+
+
+@st.composite
+def _stats_inputs(draw):
+    """(S, Q, sigma_v2, T) with N in 1..40, T in 1..200, finite S,
+    Q >= S^2 / T and positive sigma_v2."""
+    N = draw(st.integers(1, 40))
+    T = draw(st.integers(1, 200))
+
+    def floats(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=N, max_size=N)))
+
+    S = floats(-1e3, 1e3)
+    Q = S * (S / T) + floats(0.0, 1e3)
+    return S, Q, floats(1e-3, 1e2), T
+
+
+# unconstrained coordinates with the optimizer's clip bounds drawn often:
+# log variances at +-60 and logit weights at +-30
+_ETA = st.one_of(st.sampled_from([-60.0, 60.0]), st.floats(-60.0, 60.0))
+_XI = st.one_of(st.sampled_from([-30.0, 30.0]), st.floats(-30.0, 30.0))
+_LEVEL = st.floats(-50.0, 50.0)
+_ROWS = st.lists(st.tuples(_XI, _LEVEL, _ETA, _LEVEL, _ETA), min_size=1, max_size=6)
+
+
+def _totals(stats, rows):
+    """Mixture and single-law totals of (logit tau, alpha0_1, log sigma_u2_1,
+    alpha0_2, log sigma_u2_2) rows; the single law takes component 1."""
+    xi, a1, eta1, a2, eta2 = np.array(rows, dtype=float).reshape(-1, 5).T
+    tau, su2_1, su2_2 = expit(xi), np.exp(eta1), np.exp(eta2)
+    return (
+        _kernels.loglik_mixture_total(stats, _col(tau), _col(a1, a2), _col(su2_1, su2_2)),
+        _kernels.loglik_unique_total(stats, _col(a1), _col(su2_1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stats_inputs(), _ROWS)
+def test_batched_totals_equal_one_row_totals(inputs, rows):
+    stats = CompositeStats(*inputs)
+    mixture, unique = _totals(stats, rows)
+    assert mixture.shape == unique.shape == (len(rows),)
+    assert np.all(np.isfinite(mixture)) and np.all(np.isfinite(unique))
+    for r, row in enumerate(rows):
+        one_mixture, one_unique = _totals(stats, [row])
+        assert mixture[r] == one_mixture[0]
+        assert unique[r] == one_unique[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stats_inputs(), _ROWS)
+def test_stats_from_lists_and_strided_views_equal_contiguous(inputs, rows):
+    S, Q, sv2, T = inputs
+    contiguous = CompositeStats(S, Q, sv2, T)
+    wide = np.stack([S, Q, sv2], axis=1)  # each column a strided view
+    assert wide[:, 0].strides == (3 * 8,)
+    for stats in (CompositeStats(S.tolist(), Q.tolist(), sv2.tolist(), T),
+                  CompositeStats(wide[:, 0], wide[:, 1], wide[:, 2], np.int64(T))):
+        for name in ("S", "Q", "sigma_v2", "prefix"):
+            a = getattr(stats, name)
+            assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+        assert stats.T == T and type(stats.T) is int and len(stats) == len(S)
+        np.testing.assert_array_equal(stats.prefix, contiguous.prefix)
+        for got, want in zip(_totals(stats, rows), _totals(contiguous, rows)):
+            np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stats_inputs(), _LEVEL, _ETA, _LEVEL, _ETA)
+def test_boundary_weight_rows_equal_the_single_law(inputs, a1, eta1, a2, eta2):
+    stats = CompositeStats(*inputs)
+    su1, su2 = np.exp(eta1), np.exp(eta2)
+    one, zero = _kernels.loglik_mixture_total(
+        stats, _col(1.0, 0.0), _col(a1, a1, a2, a2), _col(su1, su1, su2, su2)
+    )
+    assert one == _kernels.loglik_unique_total(stats, _col(a1), _col(su1))[0]
+    assert zero == _kernels.loglik_unique_total(stats, _col(a2), _col(su2))[0]
+
+
+# --- malformed statistics ----------------------------------------------------
+
+
+def _good():
+    return dict(S=np.array([1.0, -2.0]), Q=np.array([3.0, 5.0]),
+                sigma_v2=np.array([0.5, 1.5]), T=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("S", np.ones((2, 1))),
+    ("Q", np.array([3.0])),  # one element short
+    ("sigma_v2", np.array([0.5, 1.5, 1.0])),
+    ("S", np.array([])),
+    ("Q", 3.0),
+    ("S", np.array([1.0, np.inf])),
+    ("Q", np.array([np.nan, 5.0])),
+    ("sigma_v2", np.array([np.nan, 1.5])),
+    ("sigma_v2", np.array([-1.0, 1.5])),
+    ("S", ["a", "b"]),
+])
+def test_malformed_arrays_raise_input_error_naming_the_field(field, value):
+    with pytest.raises(InputError, match=field):
+        CompositeStats(**{**_good(), field: value})
+
+
+@pytest.mark.parametrize("T", [0, -3, 2.0, 2.5, True, "4", None])
+def test_non_positive_integer_T_raises_input_error(T):
+    with pytest.raises(InputError, match="T must be a positive integer"):
+        CompositeStats(**{**_good(), "T": T})
+
+
+def test_zero_noise_variance_is_valid_stats_but_not_a_likelihood():
+    # a noiseless group's stats still give firm intercepts (S / T)
+    stats = CompositeStats(**{**_good(), "sigma_v2": np.array([0.5, 0.0])})
+    with pytest.raises(InputError, match=r"sigma_v2 must be positive.*firms \[1\]"):
+        _kernels.loglik_unique_total(stats, _col(0.0), _col(1.0))
+    with pytest.raises(InputError, match="sigma_v2 must be positive"):
+        _kernels.loglik_unique_terms_grad(stats, _col(0.0), _col(1.0))
+
+
+def test_single_period_and_single_firm_are_valid():
+    stats = CompositeStats([0.5], [0.25], [1.0], 1)
+    assert len(stats) == 1 and stats.prefix.shape == (1,)
+    assert np.isfinite(_kernels.loglik_unique_total(stats, _col(0.0), _col(1.0))[0])
+
+
+def test_stats_are_read_only():
+    source = _good()
+    stats = CompositeStats(**source)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.S = np.zeros(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.T = 5
+    for name in ("S", "Q", "sigma_v2", "prefix"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stats, name)[0] = 0.0
+    # the caller's arrays are copied, so writing into them leaves the stats
+    prefix = stats.prefix.copy()
+    source["S"][0] = 100.0
+    source["sigma_v2"][0] = 100.0
+    assert stats.S[0] == 1.0 and stats.sigma_v2[0] == 0.5
+    np.testing.assert_array_equal(stats.prefix, prefix)
