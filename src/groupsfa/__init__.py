@@ -8,7 +8,7 @@ maximum likelihood, choosing between a single half-normal law and a
 two-component mixture.
 """
 
-from .basis import basis_matrix, coefficient_curves, design_matrix, within_demean
+from .basis import basis_matrix, coefficient_curves, design_matrix
 from .dgp import DESIGNS, centering_constant, design_shape, generate, sample_half_normal
 from .errors import (
     ConfigError,

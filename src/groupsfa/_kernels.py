@@ -5,12 +5,12 @@ per fit; each evaluation is a handful of numpy expressions over the firm
 axis.
 
 Per-firm sufficient statistics are the residual sum S_i = sum_t r_it and
-square sum Q_i = sum_t r_it^2 of the composite residuals r_it (outcome
-minus fitted frontier, level term NOT yet removed). Shifting by a level
-value a gives the centered sum se = S_i - T a, and the centered square sum
-splits into a part no parameter enters and a part in se alone:
+the within-firm square sum W_i = sum_t (r_it - S_i / T)^2 of the composite
+residuals r_it (outcome minus fitted frontier, level term NOT yet
+removed), both from Step 3's demeaned fit (``GroupFit``), so no raw square
+sum cancels. A level value a gives the centered sum se = S_i - T a, and
 
-    sum_t (r_it - a)^2 = W_i + se^2 / T,    W_i = Q_i - S_i^2 / T,
+    sum_t (r_it - a)^2 = W_i + se^2 / T,
 
 so the optimizer never touches the T-long series.
 
@@ -34,7 +34,7 @@ tails. With eta = log su2,
     d/d eta    = -T su2 / (2 si2) + (lambda + z) z sv2 / (2 si2).
 
 Every kernel takes one data argument, a ``CompositeStats``: read-only
-copies of S, Q and sv2, bound once per fit, whose prefix is computed at
+copies of S, W and sv2, bound once per fit, whose prefix is computed at
 the first kernel call and kept, so a call does only parameter work. The
 parameters come as (R, 1) columns, one row per parameter point, and
 broadcast the terms to (R, N). ``loglik_unique_total`` and ``loglik_mixture_total`` return an
@@ -65,12 +65,13 @@ _HALF_LOG2PI = 0.5 * LOG2PI
 class CompositeStats:
     """Per-firm sufficient statistics of the composite residuals.
 
-    S and Q are the per-firm sum and square sum of r_it = y_it - z_it' pi
-    (level term not yet removed); sigma_v2 maps each firm to its group's
-    noise variance; T is the number of periods. Each array is kept as a
-    read-only, contiguous float64 copy. Raises ``InputError`` naming the
-    field when S, Q or sigma_v2 is not 1-D of one length >= 1, is not
-    finite, or sigma_v2 is negative, or when T is not a positive integer.
+    S and W are the per-firm sum of r_it = y_it - z_it' pi (level term not
+    yet removed) and its square sum about the firm's mean; sigma_v2 maps
+    each firm to its group's noise variance; T is the number of periods.
+    Each array is kept as a read-only, contiguous float64 copy. Raises
+    ``InputError`` naming the field when S, W or sigma_v2 is not 1-D of one
+    length >= 1, is not finite, or W or sigma_v2 is negative, or when T is
+    not a positive integer.
 
     A zero sigma_v2, a noiseless group's, is valid here (firm intercepts
     read S alone) but not in the likelihood: ``prefix`` raises
@@ -78,7 +79,7 @@ class CompositeStats:
     """
 
     S: np.ndarray
-    Q: np.ndarray
+    W: np.ndarray
     sigma_v2: np.ndarray
     T: int
 
@@ -87,7 +88,7 @@ class CompositeStats:
         if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
             raise InputError(f"T must be a positive integer, got {T!r}")
         object.__setattr__(self, "T", int(T))
-        for name in ("S", "Q", "sigma_v2"):
+        for name in ("S", "W", "sigma_v2"):
             try:
                 a = np.array(getattr(self, name), dtype=np.float64, order="C")
             except (TypeError, ValueError) as exc:
@@ -96,15 +97,15 @@ class CompositeStats:
                 raise InputError(f"{name} must be 1-D and non-empty, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise InputError(f"{name} must be finite")
+            if name != "S" and np.any(a < 0.0):
+                raise InputError(f"{name} must not be negative")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        if not len(self.S) == len(self.Q) == len(self.sigma_v2):
+        if not len(self.S) == len(self.W) == len(self.sigma_v2):
             raise InputError(
-                "S, Q and sigma_v2 must have one length, got "
-                f"{len(self.S)}, {len(self.Q)} and {len(self.sigma_v2)}"
+                "S, W and sigma_v2 must have one length, got "
+                f"{len(self.S)}, {len(self.W)} and {len(self.sigma_v2)}"
             )
-        if np.any(self.sigma_v2 < 0.0):
-            raise InputError("sigma_v2 must not be negative")
 
     def __len__(self):
         return len(self.S)
@@ -113,16 +114,13 @@ class CompositeStats:
     def prefix(self):
         """Each firm's part of the log density that no parameter enters,
         (N,), computed on first use and kept."""
-        S, Q, sv2, T = self.S, self.Q, self.sigma_v2, self.T
+        W, sv2, T = self.W, self.sigma_v2, self.T
         if not np.all(sv2 > 0.0):
             raise InputError(
                 "sigma_v2 must be positive for the likelihood; firms "
                 f"{np.flatnonzero(sv2 <= 0.0)[:10].tolist()} have 0"
             )
-        # the within-firm square sum W = Q - S (S / T), Q less S times the
-        # firm mean
-        within = Q - S * (S / T)
-        prefix = LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2) - within / (2.0 * sv2)
+        prefix = LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2) - W / (2.0 * sv2)
         prefix.flags.writeable = False
         return prefix
 

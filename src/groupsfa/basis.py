@@ -75,11 +75,3 @@ def coefficient_curves(pi, s, m):
     W[1:, 0] = pi[: m - 1]
     W[:, 1:] = pi[m - 1 :].reshape(p, m).T
     return basis_matrix(s, m) @ W
-
-
-def within_demean(series, axis=0):
-    """Subtract the mean along ``axis``; the result sums to zero there."""
-    a = np.asarray(series, dtype=float)
-    if a.size == 0:
-        raise InputError("cannot demean an empty series")
-    return a - a.mean(axis=axis, keepdims=True)

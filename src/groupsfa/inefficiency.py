@@ -2,8 +2,8 @@
 
 After the frontiers are estimated, each firm's composite residuals
 r_it = y_it - z_it' pi_hat carry the level term and the one-sided
-inefficiency draw; their per-firm sums come from one (N_k, T, cols) design
-per group. The single-law model estimates (alpha0, sigma_u2) by
+inefficiency draw; their per-firm sums S_i and W_i come with Step 3's
+group fits. The single-law model estimates (alpha0, sigma_u2) by
 maximizing the panel half-normal likelihood; the mixture model estimates
 (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2). A penalized likelihood
 comparison then chooses between them.
@@ -55,7 +55,6 @@ from ._kernels import (
     loglik_unique_terms_grad,
     loglik_unique_total,
 )
-from .basis import design_matrix
 from .errors import ConvergenceError, HessianError, InputError
 
 _ETA_CLIP = 60.0
@@ -118,9 +117,10 @@ class Step5Choice:
 
 
 def composite_residual_stats(panel, group_fits):
-    """Compute per-firm residual statistics under the fitted frontiers.
+    """The group fits' per-firm S, W and sigma_v^2 as one ``CompositeStats``.
 
-    The fits' members must partition the firms 0..N-1.
+    The fits' members must partition the firms 0..N-1, and each fit must
+    hold one S and one W value per member.
     """
     members = np.concatenate([fit.members for fit in group_fits] or [[]])
     if not np.array_equal(np.sort(members), np.arange(panel.N)):
@@ -128,15 +128,14 @@ def composite_residual_stats(panel, group_fits):
             f"group fit members do not partition the {panel.N} firms: "
             "a firm is missing, repeated or out of range"
         )
-    S, Q, sv2 = np.empty((3, panel.N))
+    S, W, sv2 = np.empty((3, panel.N))
     for fit in group_fits:
         mem = fit.members
-        Z = design_matrix(panel.x[mem], fit.m_under, with_intercept=False)
-        r = panel.y[mem] - Z @ fit.pi
-        S[mem] = r.sum(axis=1)
-        Q[mem] = np.vecdot(r, r)
-        sv2[mem] = fit.sigma_v ** 2
-    return CompositeStats(S=S, Q=Q, sigma_v2=sv2, T=panel.T)
+        if not len(fit.S) == len(fit.W) == len(mem):
+            raise InputError(f"a group fit of {len(mem)} members has "
+                             f"{len(fit.S)} S and {len(fit.W)} W values")
+        S[mem], W[mem], sv2[mem] = fit.S, fit.W, fit.sigma_v ** 2
+    return CompositeStats(S=S, W=W, sigma_v2=sv2, T=panel.T)
 
 
 def firm_intercepts(stats):

@@ -3,7 +3,8 @@
 Within each candidate group the outcome and a longer sieve design are
 demeaned firm by firm over time, pooled, and fit by OLS; the design is
 built once per group as an (N_k, T, cols) array. The pooled sieve
-length grows with the group's sample size. An information criterion
+length grows with the group's sample size; each fit keeps its members'
+residual sums for Step 4. An information criterion
 
     IC(K) = sum_k { N_k T log(sigma_v_k) + N_k (T-1) } + lambda K
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import design_matrix, within_demean
+from .basis import design_matrix
 from .errors import DegenerateICError, InputError
 from .estimation import _solve_ls
 from .grouping import hac_cluster
@@ -24,12 +25,15 @@ from .grouping import hac_cluster
 
 @dataclass
 class GroupFit:
-    """Pooled sieve coefficients and noise level for one group."""
+    """Pooled sieve coefficients and noise level for one group, and its
+    members' residual sums S and W (``fit_group``), aligned with members."""
 
     members: np.ndarray
     pi: np.ndarray
     sigma_v: float
     m_under: int
+    S: np.ndarray
+    W: np.ndarray
 
     @property
     def size(self):
@@ -72,21 +76,27 @@ def default_lambda(N, T, c_lambda=1.0):
 def fit_group(panel, members, m_under):
     """Pooled OLS on within-demeaned data for one set of firms.
 
-    sigma_v^2 is the pooled residual sum of squares over N_k (T-1).
+    sigma_v^2 is the pooled residual sum of squares over N_k (T-1). Member
+    i's S_i = T (ybar_i - zbar_i' pi), W_i its demeaned residuals' square sum.
     """
     members = np.asarray(sorted(members), dtype=int)
     if members.size == 0:
         raise InputError("cannot fit an empty group")
     Z = design_matrix(panel.x[members], m_under, False)
-    Z -= Z.mean(axis=1, keepdims=True)
-    yv = within_demean(panel.y[members], axis=1)
-    coef, resid = _solve_ls(Z.reshape(-1, Z.shape[-1]), yv.ravel())
+    zbar = Z.mean(axis=1)
+    Z -= zbar[:, None, :]
+    y = panel.y[members]
+    ybar = y.mean(axis=1, keepdims=True)
+    coef, resid = _solve_ls(Z.reshape(-1, Z.shape[-1]), (y - ybar).ravel())
     sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))
+    e = resid.reshape(members.size, panel.T)
     return GroupFit(
         members=members,
         pi=coef,
         sigma_v=float(np.sqrt(sigma_v2)),
         m_under=m_under,
+        S=panel.T * (ybar[:, 0] - zbar @ coef),
+        W=np.vecdot(e, e),
     )
 
 

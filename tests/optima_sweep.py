@@ -1,0 +1,146 @@
+"""Record the likelihood fits of a fixed panel sweep, and compare two records.
+
+Not a test: run it on two checkouts and compare what it writes, e.g.
+
+    PYTHONPATH=/path/to/other/src python tests/optima_sweep.py run old.json
+    PYTHONPATH=src python tests/optima_sweep.py run new.json
+    PYTHONPATH=src python tests/optima_sweep.py compare old.json new.json
+
+The sweep is every design at (50, 30), (100, 50) and (250, 100) for reps
+0-8, and dgp1m (2000, 50) for reps 0-1: 164 panels, each
+``generate(design, N, T, seed=0, rep=rep)`` run through
+``estimate_panel(panel, k_max=4, seed=rep)``. ``run`` writes per panel
+the selected K, a digest of the membership, the chosen model, and both
+fits' log-likelihood, parameters and standard errors; a panel whose
+estimation raises records the error instead. ``compare`` prints the K,
+membership and choice flips, the largest relative log-likelihood moves in
+each direction with counts beyond 1e-12 and 1e-9, every standard error
+that turned null or stopped being null, and the largest relative
+standard-error move on a chosen and on a runner-up fit. Only public calls are used, so the script runs on
+any checkout that has them.
+"""
+
+import hashlib
+import json
+import sys
+import warnings
+
+import numpy as np
+
+from groupsfa.dgp import DESIGNS, generate
+from groupsfa.errors import GroupSfaError
+from groupsfa.pipeline import estimate_panel
+
+SIZES = ((50, 30), (100, 50), (250, 100))
+FITS = ("unique", "mixture")
+
+
+def _panels():
+    cases = [(d, N, T, rep) for d in DESIGNS for N, T in SIZES for rep in range(9)]
+    cases += [("dgp1m", 2000, 50, rep) for rep in range(2)]
+    for design, N, T, rep in cases:
+        yield f"{design} ({N},{T}) rep {rep}", design, N, T, rep
+
+
+def _fit_record(fit):
+    names = ("alpha0", "sigma_u2") if not hasattr(fit, "tau") else (
+        "tau", "alpha0_1", "sigma_u2_1", "alpha0_2", "sigma_u2_2")
+    return {
+        "loglik": float(fit.loglik),
+        "params": [float(getattr(fit, name)) for name in names],
+        "se": None if fit.se is None else [float(v) for v in fit.se],
+    }
+
+
+def run(path):
+    warnings.simplefilter("ignore")  # the runs' warnings are not outputs
+    records = {}
+    for label, design, N, T, rep in _panels():
+        panel, _ = generate(design, N, T, seed=0, rep=rep)
+        try:
+            result = estimate_panel(panel, k_max=4, seed=rep)
+        except GroupSfaError as exc:
+            records[label] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        membership = np.ascontiguousarray(result.assignment.membership, dtype=np.int64)
+        records[label] = {
+            "K": int(result.selected_K),
+            "membership": hashlib.sha256(membership.tobytes()).hexdigest()[:16],
+            "choice": result.choice.chosen,
+            "unique": _fit_record(result.unique_fit),
+            "mixture": _fit_record(result.mixture_fit),
+        }
+        print(label, flush=True)
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=1)
+
+
+def _relative(new, old):
+    return (new - old) / abs(old) if old != 0.0 else new - old
+
+
+def compare(old_path, new_path):
+    with open(old_path) as fh:
+        old = json.load(fh)
+    with open(new_path) as fh:
+        new = json.load(fh)
+    common = [label for label in old if label in new]
+    print(f"{len(common)} panels in both records "
+          f"({len(old)} old, {len(new)} new)")
+    flips = {"error": [], "K": [], "membership": [], "choice": []}
+    moves = []  # (relative loglik move, panel, fit)
+    se_flips = []
+    se_moves = {"chosen": (0.0, None), "runner-up": (0.0, None)}
+    for label in common:
+        a, b = old[label], new[label]
+        if "error" in a or "error" in b:
+            if a.get("error") != b.get("error"):
+                flips["error"].append(f"{label}: {a.get('error')} -> {b.get('error')}")
+            continue
+        for key in ("K", "membership", "choice"):
+            if a[key] != b[key]:
+                flips[key].append(f"{label}: {a[key]} -> {b[key]}")
+        for fit in FITS:
+            fa, fb = a[fit], b[fit]
+            moves.append((_relative(fb["loglik"], fa["loglik"]), label, fit))
+            if (fa["se"] is None) != (fb["se"] is None):
+                se_flips.append(f"{label} {fit}: {fa['se']} -> {fb['se']}")
+            elif fa["se"] is not None:
+                role = "chosen" if a["choice"] == fit else "runner-up"
+                for sa, sb in zip(fa["se"], fb["se"]):
+                    rel = abs(_relative(sb, sa))
+                    if rel > se_moves[role][0]:
+                        se_moves[role] = (rel, f"{label} {fit}")
+    for key, items in flips.items():
+        print(f"{key} flips: {len(items)}")
+        for item in items:
+            print(f"  {item}")
+    if moves:
+        up = max(moves)
+        down = min(moves)
+        print(f"largest log-likelihood rise: {up[0]:.3e} relative, {up[1]} {up[2]}")
+        print(f"largest log-likelihood fall: {down[0]:.3e} relative, {down[1]} {down[2]}")
+        for tol in (1e-12, 1e-9):
+            higher = sum(m > tol for m, _, _ in moves)
+            lower = sum(m < -tol for m, _, _ in moves)
+            print(f"beyond {tol:g} relative: {higher} higher, {lower} lower "
+                  f"of {len(moves)} fits")
+    print(f"se null flips: {len(se_flips)}")
+    for item in se_flips:
+        print(f"  {item}")
+    for role, (rel, where) in se_moves.items():
+        print(f"largest relative se move, {role} fits: {rel:.3e}"
+              + (f", {where}" if where else ""))
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "run":
+        run(argv[1])
+    elif len(argv) == 3 and argv[0] == "compare":
+        compare(argv[1], argv[2])
+    else:
+        sys.exit("usage: optima_sweep.py run OUT.json | compare OLD.json NEW.json")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -16,7 +16,8 @@ a faster library path returns the same values bit for bit:
   blocks, as the library did before it built all designs in one call and
   solved all firms in one stacked SVD; they share the one-firm design and
   the solve's formulas with the library, and the 50-digit oracle above
-  judges accuracy;
+  judges accuracy (the per-firm residual sums are the exception: they are
+  ``math.fsum`` references that judge the library's sums to a tolerance);
 * scipy's Nelder-Mead, run one start at a time on the objective the
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
@@ -47,7 +48,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
-from groupsfa.basis import design_matrix, within_demean
+from groupsfa.basis import design_matrix
 from groupsfa.dgp import (
     _ROLE_COMPONENT,
     _ROLE_U,
@@ -122,6 +123,14 @@ def _unique_logdensity_mp(resid_sum, resid_sumsq, T, sigma_v2, sigma_u2, alpha0)
         + z * z / 2
         - qe / (2 * sv2)
     )
+
+
+def square_sum_mp(resid_sum, within_sumsq, T, dps=80):
+    """The raw square sum Q = W + S^2 / T that the mpmath oracles take, as
+    an mpf formed at ``dps`` digits from the library's (S, W)."""
+    with mp.workdps(dps):
+        S = mp.mpf(resid_sum)
+        return mp.mpf(within_sumsq) + S * S / T
 
 
 def unique_loglik_mpmath(resid_sum, resid_sumsq, T, sigma_v2, sigma_u2,
@@ -248,35 +257,50 @@ def fit_all_loop(panel, m):
 
 
 def fit_group_loop(panel, members, m_under):
-    """Pooled within OLS from per-firm demeaned blocks stacked by vstack."""
+    """Pooled within OLS from per-firm demeaned blocks stacked by vstack.
+
+    The members' residual sums S and W are ``composite_stats_loop``'s.
+    """
     members = np.asarray(sorted(members), dtype=int)
     rows = []
     ys = []
     for i in members:
         Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
-        rows.append(within_demean(Zi, axis=0))
-        ys.append(within_demean(panel.y[i]))
+        rows.append(Zi - Zi.mean(axis=0))
+        ys.append(panel.y[i] - panel.y[i].mean(axis=0))
     Z, y = np.vstack(rows), np.concatenate(ys)
     coef = np.linalg.lstsq(Z, y, rcond=None)[0]
     resid = y - Z @ coef
     sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))
+    S, W = np.array([_firm_sums(panel, i, coef, m_under) for i in members]).T
     return GroupFit(members=members, pi=coef, sigma_v=float(np.sqrt(sigma_v2)),
-                    m_under=m_under)
+                    m_under=m_under, S=S, W=W)
+
+
+def _firm_sums(panel, i, pi, m_under):
+    """Firm i's composite residual sum and its square sum about the firm's
+    mean, each by ``math.fsum``, the square sum in a second pass."""
+    Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
+    r = panel.y[i] - Zi @ pi
+    S = math.fsum(r)
+    return S, math.fsum((r - S / panel.T) ** 2)
 
 
 def composite_stats_loop(panel, group_fits):
-    """Per-firm (S, Q, sigma_v2) of the composite residuals, firm by firm."""
+    """Per-firm (S, W, sigma_v2) of the composite residuals, firm by firm.
+
+    S and W are ``_firm_sums``': correctly rounded sums of the residuals
+    r = y - Z pi and, in a second pass, of their squares about the firm's
+    mean, so W has no cancellation when the level is far from 0.
+    """
     S = np.full(panel.N, np.nan)
-    Q = np.full(panel.N, np.nan)
+    W = np.full(panel.N, np.nan)
     sv2 = np.full(panel.N, np.nan)
     for fit in group_fits:
         for i in fit.members:
-            Zi = design_matrix(panel.x[i], fit.m_under, with_intercept=False)
-            r = panel.y[i] - Zi @ fit.pi
-            S[i] = r.sum()
-            Q[i] = r @ r
+            S[i], W[i] = _firm_sums(panel, i, fit.pi, fit.m_under)
             sv2[i] = fit.sigma_v ** 2
-    return S, Q, sv2
+    return S, W, sv2
 
 
 # --- scipy's simplex, per start ----------------------------------------------
@@ -360,7 +384,7 @@ def mixture_optimum_dense(stats, unique, seed):
 # --- single-law terms, one point at a time -----------------------------------
 
 
-def unique_terms_grad_reference(S, Q, sv2, T, alpha0, sigma_u2):
+def unique_terms_grad_reference(S, W, sv2, T, alpha0, sigma_u2):
     """Per-firm terms and their derivatives in alpha0 and log sigma_u2.
 
     The closed forms of the kernel module docstring, each written out as
@@ -374,7 +398,7 @@ def unique_terms_grad_reference(S, Q, sv2, T, alpha0, sigma_u2):
     log_cdf = log_ndtr(z)
     terms = (
         (math.log(2.0) - 0.5 * T * log2pi - 0.5 * (T - 1) * np.log(sv2)
-         - (Q - S * (S / T)) / (2.0 * sv2))
+         - W / (2.0 * sv2))
         - 0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
     )
     dz = np.exp(-0.5 * z * z - 0.5 * log2pi - log_cdf) + z

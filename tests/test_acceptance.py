@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from groupsfa import _kernels
 from groupsfa._kernels import CompositeStats
-from groupsfa.basis import basis_matrix, design_matrix, within_demean
+from groupsfa.basis import basis_matrix, design_matrix
 from groupsfa.dgp import sample_half_normal
 from groupsfa.estimation import fit_all
 from groupsfa.grouping import hac_cluster
@@ -148,7 +148,8 @@ def test_criterion_5_likelihood_quadrature_oracle():
         sigma_v = float(rng.uniform(0.4, 2.0))
         sigma_u = float(rng.uniform(0.3, 2.0))
         eps = rng.normal(0, sigma_v, size=T) - sample_half_normal(sigma_u, rng)
-        stats = CompositeStats([eps.sum()], [eps @ eps], [sigma_v ** 2], T)
+        dev = eps - eps.mean()
+        stats = CompositeStats([eps.sum()], [dev @ dev], [sigma_v ** 2], T)
         (ll,) = _kernels.loglik_unique_total(stats, np.array([[0.0]]),
                                              np.array([[sigma_u ** 2]]))
         ref = halfnormal_marginal_density(eps, sigma_v, sigma_u)
@@ -208,9 +209,9 @@ def test_criterion_7_least_squares_oracle():
             y = rng.normal(size=(nk, T))
             panel = PanelData(y=y, x=x)
             est = fit_group(panel, range(nk), m).pi
-            rows = [within_demean(design_matrix(x[i], m, False), axis=0)
-                    for i in range(nk)]
-            ys = [within_demean(y[i]) for i in range(nk)]
+            rows = [design_matrix(x[i], m, False) for i in range(nk)]
+            rows = [Zi - Zi.mean(axis=0) for Zi in rows]
+            ys = [y[i] - y[i].mean() for i in range(nk)]
             ref = normal_equations_solve(np.vstack(rows), np.concatenate(ys))
         worst = max(worst, float(np.max(np.abs(est - ref))))
     ok = worst <= 1e-8
@@ -243,8 +244,8 @@ def test_criterion_8_numerical_hygiene():
     rng = np.random.default_rng(4)
     n, T = 30, 20
     S = rng.normal(-5, 6, size=n)
-    Q = S ** 2 / T + rng.uniform(4, 40, size=n)
-    stats = CompositeStats(S, Q, rng.uniform(0.5, 2.0, size=n), T)
+    W = rng.uniform(4, 40, size=n)
+    stats = CompositeStats(S, W, rng.uniform(0.5, 2.0, size=n), T)
 
     def f(theta):
         return _kernels.loglik_unique_total(stats, theta[:1, None], theta[1:, None])[0]
@@ -264,7 +265,7 @@ def test_criterion_8_numerical_hygiene():
     z = np.linspace(-40, 40, 8001)
     S_z = -np.sqrt(5.0) * z
     ones = np.ones_like(z)
-    stats_z = CompositeStats(S_z, S_z ** 2 / 4 + 1.0, ones, 4)
+    stats_z = CompositeStats(S_z, ones, ones, 4)
     vals = _kernels.loglik_unique_terms_grad(stats_z, np.array([[0.0]]), np.array([[1.0]]))[0]
     if not np.all(np.isfinite(vals)):
         problems.append("log-CDF not finite on [-40, 40]")
@@ -279,7 +280,8 @@ def test_criterion_8_numerical_hygiene():
     rss = 0.0
     for i in range(nk):
         Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
-        r = within_demean(panel.y[i]) - within_demean(Zi, axis=0) @ fit.pi
+        r = panel.y[i] - Zi @ fit.pi
+        r -= r.mean()
         rss += float(r @ r)
     identity = rss / fit.sigma_v ** 2
     if abs(identity - nk * (T2 - 1)) > 1e-8 * nk * (T2 - 1):

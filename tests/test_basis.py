@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from groupsfa.basis import (
-    basis_matrix,
-    coefficient_curves,
-    design_matrix,
-    within_demean,
-)
+from groupsfa.basis import basis_matrix, coefficient_curves, design_matrix
 from groupsfa.dgp import generate
 from groupsfa.errors import InputError
 from groupsfa.estimation import default_m, fit_all
@@ -180,38 +172,3 @@ def test_design_matrix_rejects_other_ranks(shape):
     with pytest.raises(InputError, match=r"\(T, p\) or \(n, T, p\)"):
         design_matrix(np.zeros(shape), m=3, with_intercept=True)
 
-
-def test_within_demean_constant_and_symmetric():
-    np.testing.assert_allclose(within_demean([3.0, 3.0, 3.0]), [0, 0, 0])
-    np.testing.assert_allclose(within_demean([1.0, 2.0, 3.0]), [-1, 0, 1])
-
-
-def test_within_demean_random_mean_tiny():
-    rng = np.random.default_rng(11)
-    out = within_demean(rng.normal(size=7))
-    assert abs(out.mean()) < 1e-12
-
-
-def test_within_demean_empty_rejected():
-    with pytest.raises(InputError):
-        within_demean(np.array([]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(arrays(float, st.integers(1, 20),
-              elements=st.floats(-1e6, 1e6, allow_nan=False)))
-def test_within_demean_idempotent(a):
-    once = within_demean(a)
-    np.testing.assert_allclose(within_demean(once), once, atol=1e-6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    arrays(float, 9, elements=st.floats(-1e3, 1e3)),
-    arrays(float, 9, elements=st.floats(-1e3, 1e3)),
-    st.floats(-10, 10),
-)
-def test_within_demean_linear(a, b, c):
-    lhs = within_demean(a + c * b)
-    rhs = within_demean(a) + c * within_demean(b)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-8)

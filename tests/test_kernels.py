@@ -12,6 +12,7 @@ from groupsfa.errors import InputError
 
 from oracles import (
     mixture_loglik_mpmath,
+    square_sum_mp,
     unique_loglik_mpmath,
     unique_terms_grad_reference,
 )
@@ -32,11 +33,11 @@ def test_unique_terms_finite_at_extreme_z():
     z = np.array([-1e4, -500.0, -40.0, 40.0, 500.0])
     S = -np.sqrt(5.0) * z
     ones = np.ones_like(S)
-    stats = CompositeStats(S, S ** 2 / T + 1.0, ones, T)
+    stats = CompositeStats(S, ones, ones, T)
     (terms,) = _kernels.loglik_unique_terms_grad(stats, _col(0.0), _col(1.0))[0]
     assert np.all(np.isfinite(terms))
     np.testing.assert_array_equal(
-        terms, unique_terms_grad_reference(S, S ** 2 / T + 1.0, ones, T, 0.0, 1.0)[0]
+        terms, unique_terms_grad_reference(S, ones, ones, T, 0.0, 1.0)[0]
     )
 
 
@@ -46,8 +47,9 @@ def test_unique_terms_finite_at_extreme_z():
 TAU_CLIP = (1.0 / (1.0 + np.exp(30.0)), 1.0 / (1.0 + np.exp(-30.0)))
 
 
-def _assert_totals_match_mpmath(S, Q, sv2, T, unique_rows, mixture_rows):
-    stats = CompositeStats([S], [Q], [sv2], T)
+def _assert_totals_match_mpmath(S, W, sv2, T, unique_rows, mixture_rows):
+    # the oracles take the raw square sum, formed from (S, W) in mpmath
+    stats, Q = CompositeStats([S], [W], [sv2], T), square_sum_mp(S, W, T)
     for alpha0, su2 in unique_rows:
         (got,) = _kernels.loglik_unique_total(stats, _col(alpha0), _col(su2))
         ref = unique_loglik_mpmath(S, Q, T, sv2, su2, alpha0=alpha0)
@@ -66,18 +68,20 @@ def test_totals_match_mpmath_at_extreme_z(z):
     T = 4
     S = -np.sqrt(5.0) * z
     mixtures = [(tau, 0.0, 1.0, 0.5, 0.3) for tau in (0.3, *TAU_CLIP)]
-    _assert_totals_match_mpmath(S, S ** 2 / T + 1.0, 1.0, T, [(0.0, 1.0)], mixtures)
+    _assert_totals_match_mpmath(S, 1.0, 1.0, T, [(0.0, 1.0)], mixtures)
 
 
 def test_totals_match_mpmath_for_a_level_heavy_firm():
-    # level 50 over T = 200 periods: Q is about 5e5 and the within-firm
-    # square sum W = Q - S^2 / T about 200, so W loses about 11 bits
+    # level 50 over T = 200 periods: the raw square sum is about 5e5 and
+    # the within-firm square sum W about 200, which a difference of the two
+    # raw sums would get with about 11 bits lost
     T = 200
     r = 50.0 + np.random.default_rng(4).normal(0.0, 1.0, size=T)
-    S, Q = float(r.sum()), float(r @ r)
-    assert Q / (Q - S ** 2 / T) > 1e3
+    S = float(r.sum())
+    W = float((r - S / T) @ (r - S / T))
+    assert float(r @ r) / W > 1e3
     mixtures = [(tau, 50.3, 0.4, 49.8, 0.1) for tau in (0.4, *TAU_CLIP)]
-    _assert_totals_match_mpmath(S, Q, 1.0, T, [(50.3, 0.4), (49.0, 2.5)], mixtures)
+    _assert_totals_match_mpmath(S, W, 1.0, T, [(50.3, 0.4), (49.0, 2.5)], mixtures)
 
 
 # --- batched totals ---------------------------------------------------------
@@ -87,9 +91,9 @@ def _stats(N=37, T=20, seed=0):
     # an odd N leaves a remainder after any SIMD width
     rng = np.random.default_rng(seed)
     S = rng.normal(-5, 6, size=N)
-    Q = S ** 2 / T + rng.uniform(2, 40, size=N)
+    W = rng.uniform(2, 40, size=N)
     sv2 = rng.uniform(0.3, 2.5, size=N)
-    return CompositeStats(S, Q, sv2, T)
+    return CompositeStats(S, W, sv2, T)
 
 
 def _mixture_total(stats, rows):
@@ -138,7 +142,7 @@ def test_batched_unique_rows_equal_scalar_calls():
             assert one.shape == (1,)
             assert total == one[0]
             terms = unique_terms_grad_reference(
-                stats.S, stats.Q, stats.sigma_v2, stats.T, float(alpha0), float(su2)
+                stats.S, stats.W, stats.sigma_v2, stats.T, float(alpha0), float(su2)
             )[0]
             assert one[0] == np.sum(terms)
 
@@ -147,7 +151,7 @@ def test_gradient_kernel_equals_the_written_out_forms():
     stats = _stats(seed=3)
     for alpha0, su2 in ((0.3, 0.8), (-2.0, 4.5), (1.0, np.exp(-6.0)), (0.2, np.exp(60.0))):
         got = _kernels.loglik_unique_terms_grad(stats, _col(alpha0), _col(su2))
-        ref = unique_terms_grad_reference(stats.S, stats.Q, stats.sigma_v2, stats.T, alpha0, su2)
+        ref = unique_terms_grad_reference(stats.S, stats.W, stats.sigma_v2, stats.T, alpha0, su2)
         for (g,), r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
 
@@ -157,17 +161,15 @@ def test_gradient_kernel_equals_the_written_out_forms():
 
 @st.composite
 def _stats_inputs(draw):
-    """(S, Q, sigma_v2, T) with N in 1..40, T in 1..200, finite S,
-    Q >= S^2 / T and positive sigma_v2."""
+    """(S, W, sigma_v2, T) with N in 1..40, T in 1..200, finite S,
+    W >= 0 and positive sigma_v2."""
     N = draw(st.integers(1, 40))
     T = draw(st.integers(1, 200))
 
     def floats(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=N, max_size=N)))
 
-    S = floats(-1e3, 1e3)
-    Q = S * (S / T) + floats(0.0, 1e3)
-    return S, Q, floats(1e-3, 1e2), T
+    return floats(-1e3, 1e3), floats(0.0, 1e3), floats(1e-3, 1e2), T
 
 
 # unconstrained coordinates with the optimizer's clip bounds drawn often:
@@ -205,13 +207,13 @@ def test_batched_totals_equal_one_row_totals(inputs, rows):
 @settings(max_examples=40, deadline=None)
 @given(_stats_inputs(), _ROWS)
 def test_stats_from_lists_and_strided_views_equal_contiguous(inputs, rows):
-    S, Q, sv2, T = inputs
-    contiguous = CompositeStats(S, Q, sv2, T)
-    wide = np.stack([S, Q, sv2], axis=1)  # each column a strided view
+    S, W, sv2, T = inputs
+    contiguous = CompositeStats(S, W, sv2, T)
+    wide = np.stack([S, W, sv2], axis=1)  # each column a strided view
     assert wide[:, 0].strides == (3 * 8,)
-    for stats in (CompositeStats(S.tolist(), Q.tolist(), sv2.tolist(), T),
+    for stats in (CompositeStats(S.tolist(), W.tolist(), sv2.tolist(), T),
                   CompositeStats(wide[:, 0], wide[:, 1], wide[:, 2], np.int64(T))):
-        for name in ("S", "Q", "sigma_v2", "prefix"):
+        for name in ("S", "W", "sigma_v2", "prefix"):
             a = getattr(stats, name)
             assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
         assert stats.T == T and type(stats.T) is int and len(stats) == len(S)
@@ -236,18 +238,18 @@ def test_boundary_weight_rows_equal_the_single_law(inputs, a1, eta1, a2, eta2):
 
 
 def _good():
-    return dict(S=np.array([1.0, -2.0]), Q=np.array([3.0, 5.0]),
+    return dict(S=np.array([1.0, -2.0]), W=np.array([3.0, 5.0]),
                 sigma_v2=np.array([0.5, 1.5]), T=4)
 
 
 @pytest.mark.parametrize("field, value", [
     ("S", np.ones((2, 1))),
-    ("Q", np.array([3.0])),  # one element short
+    ("W", np.array([3.0])),  # one element short
     ("sigma_v2", np.array([0.5, 1.5, 1.0])),
     ("S", np.array([])),
-    ("Q", 3.0),
+    ("W", 3.0),
     ("S", np.array([1.0, np.inf])),
-    ("Q", np.array([np.nan, 5.0])),
+    ("W", np.array([np.nan, 5.0])),
     ("sigma_v2", np.array([np.nan, 1.5])),
     ("sigma_v2", np.array([-1.0, 1.5])),
     ("S", ["a", "b"]),
@@ -263,6 +265,16 @@ def test_non_positive_integer_T_raises_input_error(T):
         CompositeStats(**{**_good(), "T": T})
 
 
+def test_negative_within_sum_raises_input_error():
+    # W = -9 is what Q - S^2 / T gives for S = 10, Q = 1 and T = 10, stats
+    # that once built and gave a finite log-likelihood
+    with pytest.raises(InputError, match="W must not be negative"):
+        CompositeStats(S=[10.0], W=[-9.0], sigma_v2=[1.0], T=10)
+    with pytest.raises(InputError, match="W must not be negative"):
+        CompositeStats(**{**_good(), "W": np.array([3.0, -1e-300])})
+    assert CompositeStats(**{**_good(), "W": np.array([0.0, 5.0])}).prefix.shape == (2,)
+
+
 def test_zero_noise_variance_is_valid_stats_but_not_a_likelihood():
     # a noiseless group's stats still give firm intercepts (S / T)
     stats = CompositeStats(**{**_good(), "sigma_v2": np.array([0.5, 0.0])})
@@ -273,7 +285,7 @@ def test_zero_noise_variance_is_valid_stats_but_not_a_likelihood():
 
 
 def test_single_period_and_single_firm_are_valid():
-    stats = CompositeStats([0.5], [0.25], [1.0], 1)
+    stats = CompositeStats([0.5], [0.0], [1.0], 1)
     assert len(stats) == 1 and stats.prefix.shape == (1,)
     assert np.isfinite(_kernels.loglik_unique_total(stats, _col(0.0), _col(1.0))[0])
 
@@ -285,7 +297,7 @@ def test_stats_are_read_only():
         stats.S = np.zeros(2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats.T = 5
-    for name in ("S", "Q", "sigma_v2", "prefix"):
+    for name in ("S", "W", "sigma_v2", "prefix"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(stats, name)[0] = 0.0
     # the caller's arrays are copied, so writing into them leaves the stats

@@ -155,6 +155,53 @@ def test_mixture_reaches_the_dense_start_optimum(design, N, T, rep):
     assert mixture.loglik >= oracle - 1e-9 * abs(oracle)
 
 
+def _partition(result):
+    """The selected groups as a set of firm-id sets."""
+    ids = result.firm_ids
+    return {frozenset(ids[i] for i in fit.members) for fit in result.group_fits}
+
+
+def _assert_same_estimate(got, want):
+    """Same K, groups by firm id and chosen model; both log-likelihoods
+    within 1e-9 relative."""
+    assert got.selected_K == want.selected_K
+    assert _partition(got) == _partition(want)
+    assert got.choice.chosen == want.choice.chosen
+    for g, w in ((got.unique_fit, want.unique_fit), (got.mixture_fit, want.mixture_fit)):
+        assert g.loglik == pytest.approx(w.loglik, rel=1e-9, abs=0)
+
+
+# the four panels where y + 100 flips Step 5's choice: (design, N, T, rep)
+_SHIFT_PANELS = [
+    ("dgp1m", 50, 30, 2), ("dgp2m", 50, 30, 3), ("dgp2m", 100, 50, 1),
+    ("dgp3m", 100, 50, 0),
+]
+
+
+@pytest.mark.parametrize("design, N, T, rep", _SHIFT_PANELS)
+def test_estimate_is_invariant_to_the_firm_order(design, N, T, rep):
+    panel, _ = generate(design, N, T, seed=0, rep=rep)
+    order = np.random.default_rng(rep).permutation(N)
+    permuted = PanelData(y=panel.y[order], x=panel.x[order],
+                         firm_ids=[panel.firm_ids[i] for i in order])
+    _assert_same_estimate(estimate_panel(permuted, k_max=4, seed=rep),
+                          estimate_panel(panel, k_max=4, seed=rep))
+
+
+# y -> y + 100 maps an exact MLE's alpha0 to alpha0 + 100 and keeps every
+# log-likelihood; the partition is kept, but the mixture optimum falls by
+# 1.05e-3 to 3.5e-3 relative because the optimizer is not unit-free, and
+# the choice flips from mixture to unique
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the mixture fit depends "
+                   "on the units of y")
+@pytest.mark.parametrize("design, N, T, rep", _SHIFT_PANELS)
+def test_estimate_is_equivariant_to_a_shift_of_y(design, N, T, rep):
+    panel, _ = generate(design, N, T, seed=0, rep=rep)
+    shifted = PanelData(y=panel.y + 100.0, x=panel.x)
+    _assert_same_estimate(estimate_panel(shifted, k_max=4, seed=rep),
+                          estimate_panel(panel, k_max=4, seed=rep))
+
+
 @pytest.mark.slow
 def test_application_shaped_recovery(tmp_path):
     # exercised through the CLI so the CSV ingestion and report files are

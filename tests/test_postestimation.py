@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from groupsfa import postestimation
-from groupsfa.basis import coefficient_curves, design_matrix, within_demean
+from groupsfa.basis import coefficient_curves, design_matrix
 from groupsfa.dgp import generate
 from groupsfa.errors import DegenerateICError, InputError
 from groupsfa.estimation import default_m, fit_all
@@ -73,8 +73,8 @@ def test_fit_group_matches_extended_precision_oracle():
     rows, ys = [], []
     for i in range(Nk):
         Zi = design_matrix(x[i], m_under, with_intercept=False)
-        rows.append(within_demean(Zi, axis=0))
-        ys.append(within_demean(y[i]))
+        rows.append(Zi - Zi.mean(axis=0))
+        ys.append(y[i] - y[i].mean())
     ref = normal_equations_solve(np.vstack(rows), np.concatenate(ys))
     np.testing.assert_allclose(fit.pi, ref, atol=1e-8)
 
@@ -97,23 +97,33 @@ def test_fit_group_equals_per_firm_loop(design):
         np.testing.assert_array_equal(fit.pi, want.pi)
         assert fit.sigma_v == want.sigma_v
         assert fit.m_under == want.m_under
+        # the residual sums against the loop's math.fsum sums
+        T = panel.T
+        assert np.max(np.abs(fit.S - want.S) / (np.abs(want.S) + T)) <= 1e-13
+        assert np.max(np.abs(fit.W - want.W) / want.W) <= 1e-13
+
+
+def _fit(n, sigma_v):
+    """A GroupFit of firms 0..n-1 with the given noise level."""
+    return GroupFit(members=np.arange(n), pi=np.zeros(3), sigma_v=sigma_v, m_under=2,
+                    S=np.zeros(n), W=np.ones(n))
 
 
 def test_ic_value_log_one_gives_dof_term():
-    fits = [GroupFit(members=np.arange(10), pi=np.zeros(3), sigma_v=1.0, m_under=2)]
+    fits = [_fit(10, 1.0)]
     assert ic_value(fits, lam=0.0, T=50) == pytest.approx(10 * 49)
     assert ic_value(fits, lam=100.0, T=50) == pytest.approx(590.0)
 
 
 def test_ic_value_doubling_sigma():
-    fits = [GroupFit(members=np.arange(5), pi=np.zeros(3), sigma_v=1.0, m_under=2)]
+    fits = [_fit(5, 1.0)]
     base = ic_value(fits, 0.0, T=50)
-    fits2 = [GroupFit(members=np.arange(5), pi=np.zeros(3), sigma_v=2.0, m_under=2)]
+    fits2 = [_fit(5, 2.0)]
     assert ic_value(fits2, 0.0, T=50) - base == pytest.approx(5 * 50 * np.log(2))
 
 
 def test_ic_value_degenerate_sigma():
-    fits = [GroupFit(members=np.arange(5), pi=np.zeros(3), sigma_v=0.0, m_under=2)]
+    fits = [_fit(5, 0.0)]
     with pytest.raises(DegenerateICError):
         ic_value(fits, 0.0, T=50)
 
@@ -125,9 +135,12 @@ def test_ic_residual_identity():
     rss = 0.0
     for i in range(12):
         Zi = design_matrix(panel.x[i], 4, with_intercept=False)
-        r = within_demean(panel.y[i]) - within_demean(Zi, axis=0) @ fit.pi
+        r = panel.y[i] - Zi @ fit.pi
+        r -= r.mean()
         rss += float(r @ r)
     assert rss / fit.sigma_v ** 2 == pytest.approx(12 * 49, rel=1e-8)
+    # the fit's within-firm square sums are the same residuals'
+    assert fit.W.sum() == pytest.approx(rss, rel=1e-12)
 
 
 def test_select_k_monotone_in_lambda():
