@@ -99,13 +99,14 @@ def test_replication_classification_only_skips_mle():
 # so the level parameters are scored on the refit at the true K: a
 # mixture-law refit (dgp3m) and a unique-law refit (dgp3u). Each tuple is
 # (k_hat, cls_error, choice at the selected K, errors). Every entry is
-# compared exactly except the level errors (_LEVEL_KEYS, the fields of
-# dgp.UniqueLaw and dgp.MixtureLaw). Those come from a likelihood
-# optimum, which a change to the optimizer or to the last bits of the
-# residual sums need reproduce only within 1e-6: the dgp3m errors were
-# recorded with eight mixture starts, and the five starts that replaced
-# them move them by up to 1.9e-7; the residual sums read from Step 3's
-# fit move the dgp3u errors by 1.5e-10.
+# compared exactly except the level errors of the mixture-law refit
+# (_MIXTURE_LEVEL_KEYS, the fields of dgp.MixtureLaw). Those come
+# from the mixture optimum, which an optimizer change need reproduce only
+# within 1e-6: they were recorded with eight mixture starts, and the five
+# starts that replaced them move the dgp3m errors by up to 1.9e-7. The
+# dgp3u level errors come from fit_unique and stay exact; they were
+# re-recorded when Step 4 began reading S and W from Step 3's fit, whose
+# last bits moved them by 6.1e-11 (alpha0) and 1.5e-10 (sigma_u).
 _REFIT_RECORDS = {
     "dgp3m": (2, 0.1, "mixture", {
         "sigma_v_1": 0.08575621268384159, "sigma_v_2": 0.258408142808942,
@@ -115,11 +116,11 @@ _REFIT_RECORDS = {
     }),
     "dgp3u": (1, 0.14, "mixture", {
         "sigma_v_1": 0.3631026523584462, "sigma_v_2": 0.48342889020202207,
-        "sigma_v_3": 0.18335263385046163, "alpha0": 0.14933512530112336,
-        "sigma_u": 0.18536252888617577,
+        "sigma_v_3": 0.18335263385046163, "alpha0": 0.14933512523997483,
+        "sigma_u": 0.18536252873970938,
     }),
 }
-_LEVEL_KEYS = {"alpha0", "sigma_u", "tau", "alpha0_1", "sigma_u_1", "alpha0_2", "sigma_u_2"}
+_MIXTURE_LEVEL_KEYS = {"tau", "alpha0_1", "sigma_u_1", "alpha0_2", "sigma_u_2"}
 
 
 @pytest.mark.parametrize("design", sorted(_REFIT_RECORDS))
@@ -131,7 +132,7 @@ def test_refit_at_true_k_pinned(design):
     assert (rec.k_hat, rec.cls_error, rec.choice) == (k_hat, cls_error, choice)
     assert rec.errors.keys() == errors.keys()
     for name, value in errors.items():
-        if name in _LEVEL_KEYS:
+        if name in _MIXTURE_LEVEL_KEYS:
             assert rec.errors[name] == pytest.approx(value, rel=0, abs=1e-6), name
         else:
             assert rec.errors[name] == value, name
