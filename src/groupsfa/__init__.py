@@ -30,7 +30,6 @@ from .inefficiency import (
     firm_intercepts,
     fit_mixture,
     fit_unique,
-    mle_standard_errors,
     step5_select,
 )
 from .montecarlo import (

@@ -26,7 +26,6 @@ numpy's SeedSequence hashing instead of one SeedSequence object per
 stream; the draws, and so every generated number, are unchanged.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +33,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.integrate import quad
 
-from .errors import InputError
+from .errors import InputError, as_integer
 from .panel import PanelData
 
 DESIGNS = ("dgp1u", "dgp1m", "dgp2u", "dgp2m", "dgp3u", "dgp3m")
@@ -252,13 +251,6 @@ class _Fixed(ISeedSequence):
         return self.words
 
 
-def _integer(name, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _equal_split(N, K):
     sizes = [N // K + (1 if k < N % K else 0) for k in range(K)]
     membership = np.concatenate([np.full(s, k + 1) for k, s in enumerate(sizes)])
@@ -284,7 +276,7 @@ def generate(design, N, T, seed, rep=0):
         (PanelData, DgpTruth)
     """
     base, law_code = _parse_design(design)
-    N, T, seed, rep = (_integer(name, value) for name, value in
+    N, T, seed, rep = (as_integer(name, value) for name, value in
                        (("N", N), ("T", T), ("seed", seed), ("rep", rep)))
     if seed < 0 or rep < 0:
         raise InputError(f"seed and rep must be non-negative, got {seed} and {rep}")

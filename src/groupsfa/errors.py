@@ -2,8 +2,11 @@
 
 Three broad failure classes map onto the CLI exit codes: bad input data
 (exit 2), numerical failures during estimation (exit 3), and malformed
-configuration (exit 4).
+configuration (exit 4). ``as_integer`` is the one integer-argument check
+that raises ``InputError``.
 """
+
+import operator
 
 
 class GroupSfaError(Exception):
@@ -49,3 +52,13 @@ class ConvergenceError(NumericalError):
         super().__init__(message)
         self.best_params = best_params
         self.best_value = best_value
+
+
+def as_integer(name, value):
+    """``value`` as an int by ``operator.index``: Python and numpy integers
+    pass, floats and strings do not. Raises ``InputError`` naming the
+    argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

@@ -33,7 +33,7 @@ class GroupAssignment:
     def __post_init__(self):
         self.membership = np.asarray(self.membership, dtype=int)
         labels = np.unique(self.membership)
-        if len(labels) != self.K or labels[0] != 1 or labels[-1] != self.K:
+        if self.K < 1 or len(labels) != self.K or labels[0] != 1 or labels[-1] != self.K:
             raise InputError(
                 f"membership labels {labels.tolist()} do not form 1..{self.K}"
             )

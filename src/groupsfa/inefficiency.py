@@ -23,21 +23,20 @@ arrays, -inf for a start that did not converge, and each fit takes the
 argmax. The mixture gradient comes from the
 component gradients, both from one kernel pass with the components as two
 parameter rows, weighted by the firms' responsibilities. Standard errors
-come from a central-difference Hessian of the log-likelihood in the
-original parameterization, whose whole stencil is one batched kernel
-call. A boundary optimum gets none: a mixing weight within
-``_TAU_BOUNDARY`` of 0 or 1, or a variance within one stencil step of
-0. Nor does a mixture whose two components coincide within one stencil
-step, where tau is not identified.
+come from the exact Hessian of the log-likelihood in the original
+parameterization, from the same kernel pass with second derivatives
+(``loglik_unique_terms_hess``). The mixture's follows from the
+components' by the missing-information identity (Louis 1982). A boundary
+optimum gets none: a mixing weight within ``_TAU_BOUNDARY`` of 0 or 1, or
+a variance of ``_VARIANCE_BOUNDARY`` or less. Nor does a mixture whose two
+components coincide (``_COINCIDE_RTOL``), where tau is not identified.
 
 Every likelihood value goes through ``loglik_unique_total`` or
 ``loglik_mixture_total`` with one convention: the fit's ``CompositeStats``,
 bound once, and the parameter rows as (R, 1) kernel columns in, an (R,)
 array of totals out. ``_unique_columns`` and ``_mixture_columns`` map
 (R, n) unconstrained rows to those columns in one pass, for the
-optimizer's objectives and for the reported fits alike; the standard
-errors pass their stencil rows, already natural parameters, as the same
-columns.
+optimizer's objectives and for the reported fits alike.
 """
 
 import math
@@ -53,6 +52,7 @@ from ._kernels import (
     log_mixture_terms,
     loglik_mixture_total,
     loglik_unique_terms_grad,
+    loglik_unique_terms_hess,
     loglik_unique_total,
 )
 from .errors import ConvergenceError, HessianError, InputError
@@ -65,6 +65,11 @@ _UNIQUE_BOUNDS = np.array([np.inf, _ETA_CLIP])
 _MIXTURE_BOUNDS = np.array([_XI_CLIP, np.inf, _ETA_CLIP, np.inf, _ETA_CLIP])
 # a fitted mixing weight this close to 0 or 1 is a degenerate mixture
 _TAU_BOUNDARY = 1e-4
+# a fitted variance this close to 0 is at the likelihood's boundary
+_VARIANCE_BOUNDARY = 1e-5
+# mixture components closer than max(_COINCIDE_FLOOR, _COINCIDE_RTOL |theta|)
+# in both alpha0 and sigma_u2 coincide
+_COINCIDE_FLOOR, _COINCIDE_RTOL = 1e-5, 1e-4
 # E|N(0,1)| and Var|N(0,1)| enter the method-of-moments initialization
 _HN_MEAN = math.sqrt(2.0 / math.pi)
 _HN_VAR = 1.0 - 2.0 / math.pi
@@ -397,17 +402,14 @@ def fit_unique(stats):
 
 
 def unique_standard_errors(stats, fit):
-    """Numerical-Hessian standard errors of (alpha0, sigma_u2).
+    """Exact-Hessian standard errors of (alpha0, sigma_u2).
 
     Returns None at a boundary variance (``_near_variance_boundary``).
     """
     if _near_variance_boundary(fit.sigma_u2):
         return None
-
-    def objective(X):
-        return loglik_unique_total(stats, X[:, :1], X[:, 1:])
-
-    return mle_standard_errors(objective, np.array([fit.alpha0, fit.sigma_u2]))
+    hess = loglik_unique_terms_hess(stats, np.array([[fit.alpha0]]), np.array([[fit.sigma_u2]]))[2]
+    return _standard_errors(hess[:, :, 0].sum(axis=-1))
 
 
 def _mixture_starts(unique, sd_a, seed):
@@ -484,26 +486,41 @@ def fit_mixture(stats, unique_fit, seed=0):
 
 
 def mixture_standard_errors(stats, fit):
-    """Numerical-Hessian standard errors of the five mixture parameters.
+    """Exact-Hessian standard errors of the five mixture parameters.
 
     Returns None for boundary optima: a mixing weight within
     ``_TAU_BOUNDARY`` of 0 or 1, where the information matrix is singular
     by construction, or a boundary variance (``_near_variance_boundary``).
     Nor do coinciding components, whose alpha0 and sigma_u2 each differ by
-    no more than one stencil step: tau is not identified there, and the
-    Hessian is singular. Elsewhere every stencil point has tau in (0, 1)
-    and both variances above 0.
+    no more than max(``_COINCIDE_FLOOR``, ``_COINCIDE_RTOL`` |theta|): tau
+    is not identified there, and the Hessian is singular.
+
+    Per firm, with responsibilities w_j and each component's complete-data
+    score G_j and Hessian H_j of log(tau_j f_j) in (tau, alpha0_1,
+    sigma_u2_1, alpha0_2, sigma_u2_2), where tau_1 = tau and
+    tau_2 = 1 - tau, the Hessian is sum_j w_j (H_j + G_j G_j') - s s'
+    with s = sum_j w_j G_j (Louis 1982); the firms' Hessians are summed.
     """
-    one, two = fit.params[1:3], fit.params[3:5]
-    if (not _TAU_BOUNDARY <= fit.tau <= 1.0 - _TAU_BOUNDARY
+    X = fit.params[None]
+    tau, one, two = fit.tau, X[0, 1:3], X[0, 3:5]
+    tol = np.maximum(_COINCIDE_FLOOR, _COINCIDE_RTOL * np.maximum(np.abs(one), np.abs(two)))
+    if (not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
             or _near_variance_boundary(fit.sigma_u2_1, fit.sigma_u2_2)
-            or np.all(np.abs(one - two) <= np.maximum(_stencil_steps(one), _stencil_steps(two)))):
+            or np.all(np.abs(one - two) <= tol)):
         return None
-
-    def objective(X):
-        return loglik_mixture_total(stats, X[:, :1], _components(X, 1), _components(X, 2))
-
-    return mle_standard_errors(objective, fit.params)
+    # both components in one pass, as (2, 1) parameter columns
+    terms, grad, hess = loglik_unique_terms_hess(stats, _components(X, 1), _components(X, 2))
+    x1, lm = log_mixture_terms(terms[0], terms[1], tau)
+    w = np.array([np.exp(x1 - lm), -np.expm1(x1 - lm)])
+    G = np.zeros((2, 5, len(stats)))
+    G[0, 0], G[1, 0] = 1.0 / tau, -1.0 / (1.0 - tau)
+    G[0, 1:3], G[1, 3:5] = grad[:, 0], grad[:, 1]
+    s = np.einsum("jn,jpn->pn", w, G)
+    H = np.einsum("jn,jpn,jqn->pq", w, G, G) - s @ s.T
+    H[0, 0] -= w[0].sum() / tau ** 2 + w[1].sum() / (1.0 - tau) ** 2
+    H[1:3, 1:3] += hess[:, :, 0] @ w[0]
+    H[3:5, 3:5] += hess[:, :, 1] @ w[1]
+    return _standard_errors(H)
 
 
 # --- model choice and inference ----------------------------------------------
@@ -526,47 +543,23 @@ def step5_select(unique, mixture, lambda_tilde):
     )
 
 
-def _stencil_steps(theta):
-    """Per-coordinate steps of the difference stencil."""
-    return np.maximum(1e-5, 1e-4 * np.abs(theta))
-
-
 def _near_variance_boundary(*variances):
-    """Whether a variance lies within one stencil step of 0.
+    """Whether a variance is ``_VARIANCE_BOUNDARY`` or less.
 
     The likelihood's boundary is sigma_u2 = 0. An optimum that close to it
-    is not a root of the score, and a difference Hessian there measures
-    the step size, not the curvature, so it gets no standard errors.
+    is not a root of the score, so the curvature there does not measure
+    its sampling spread, and it gets no standard errors.
     """
-    v = np.array(variances)
-    return bool(np.any(v <= _stencil_steps(v)))
+    return bool(np.any(np.array(variances) <= _VARIANCE_BOUNDARY))
 
 
-def mle_standard_errors(objective, at):
-    """Standard errors from a central-difference Hessian at the optimum.
+def _standard_errors(H):
+    """Square roots of the diagonal of (-H)^-1 for the log-likelihood
+    Hessian ``H`` at the optimum.
 
-    ``objective`` maps an (R, n) array of parameter rows to their R
-    log-likelihoods; the whole stencil, 2 n^2 + 1 rows, goes through one
-    call. Per-coordinate steps are max(1e-5, 1e-4 |theta_j|). The Hessian
-    must be negative definite; otherwise a HessianError carrying its
-    eigenvalues is raised.
+    ``H`` must be finite and negative definite; otherwise a HessianError,
+    carrying its eigenvalues when they exist, is raised.
     """
-    theta = np.asarray(at, dtype=float)
-    n = len(theta)
-    h = _stencil_steps(theta)
-    step = np.diag(h)
-    i, j = np.triu_indices(n, 1)
-    both, cross = step[i] + step[j], step[i] - step[j]
-    f = objective(theta + np.concatenate(
-        [np.zeros((1, n)), step, -step, both, -both, cross, -cross]
-    ))
-    f0, f_plus, f_minus, f_pp, f_mm, f_pm, f_mp = np.split(
-        f, np.cumsum([1, n, n, len(i), len(i), len(i)])
-    )
-    H = np.empty((n, n))
-    H[np.diag_indices(n)] = (f_plus + f_minus - 2.0 * f0) / h ** 2
-    H[i, j] = H[j, i] = (f_pp + f_mm - f_pm - f_mp) / (4.0 * h[i] * h[j])
-
     if not np.all(np.isfinite(H)):
         raise HessianError(
             "Hessian has non-finite entries; the objective is not smooth "

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .basis import coefficient_curves
-from .errors import HessianError, InputError
+from .errors import HessianError, InputError, as_integer
 from .estimation import default_m, fit_all
 from .inefficiency import (
     composite_residual_stats,
@@ -181,7 +181,14 @@ def fit_levels(panel, group_fits, c_tilde, seed):
 
 
 def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
-    """Run the full estimation pipeline on a balanced panel."""
+    """Run the full estimation pipeline on a balanced panel.
+
+    ``m`` (when given), ``k_max`` and ``seed`` must be integers; anything
+    else raises ``InputError`` naming the argument.
+    """
+    k_max, seed = as_integer("k_max", k_max), as_integer("seed", seed)
+    if m is not None:
+        m = as_integer("m", m)
     if panel.N < 2:
         raise InputError("estimation requires at least 2 firms")
     if seed < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import design_matrix
-from .errors import DegenerateICError, InputError
+from .errors import DegenerateICError, InputError, as_integer
 from .estimation import _solve_ls
 from .grouping import hac_cluster
 
@@ -78,10 +78,18 @@ def fit_group(panel, members, m_under):
 
     sigma_v^2 is the pooled residual sum of squares over N_k (T-1). Member
     i's S_i = T (ybar_i - zbar_i' pi), W_i its demeaned residuals' square sum.
+    ``members`` must be distinct firm indices in 0..N-1.
     """
-    members = np.asarray(sorted(members), dtype=int)
+    members = np.asarray(sorted(members))
     if members.size == 0:
         raise InputError("cannot fit an empty group")
+    if (members.dtype.kind not in "iu" or members[0] < 0 or members[-1] >= panel.N
+            or np.any(members[1:] == members[:-1])):
+        raise InputError(
+            f"group members must be distinct firm indices in 0..{panel.N - 1}, "
+            f"got {members.tolist()[:10]}"
+        )
+    members = members.astype(int)
     Z = design_matrix(panel.x[members], m_under, False)
     zbar = Z.mean(axis=1)
     Z -= zbar[:, None, :]
@@ -122,8 +130,9 @@ def select_K(panel, firm_fits, K_max, c_lambda):
     the smaller K. The merge history is computed once and cut at each K.
     Cuts are nested, so a group recurs across K; each distinct member set
     is fit once (2 K_max - 1 fits at most) and its GroupFit shared by
-    every record that holds it.
+    every record that holds it. ``K_max`` must be an integer.
     """
+    K_max = as_integer("K_max", K_max)
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
     if K_max > panel.N:

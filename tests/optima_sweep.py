@@ -16,8 +16,12 @@ estimation raises records the error instead. ``compare`` prints the K,
 membership and choice flips, the largest relative log-likelihood moves in
 each direction with counts beyond 1e-12 and 1e-9, every standard error
 that turned null or stopped being null, and the largest relative
-standard-error move on a chosen and on a runner-up fit. Only public calls are used, so the script runs on
-any checkout that has them.
+standard-error move on a chosen and on a runner-up fit. It exits 1 when
+the records differ in an error, K, membership or choice, in which
+standard errors are null, or by a log-likelihood more than 1e-12
+relative lower in the new record, so a likelihood change can quote it as
+its gate. Only public calls are used, so the script runs on any checkout
+that has them.
 """
 
 import hashlib
@@ -33,6 +37,8 @@ from groupsfa.pipeline import estimate_panel
 
 SIZES = ((50, 30), (100, 50), (250, 100))
 FITS = ("unique", "mixture")
+# the largest relative log-likelihood fall that ``compare`` accepts
+FALL_TOL = 1e-12
 
 
 def _panels():
@@ -80,6 +86,8 @@ def _relative(new, old):
 
 
 def compare(old_path, new_path):
+    """Print the differences of two records; return whether they pass the
+    gate (no flip of any kind, no fall beyond ``FALL_TOL``)."""
     with open(old_path) as fh:
         old = json.load(fh)
     with open(new_path) as fh:
@@ -120,7 +128,7 @@ def compare(old_path, new_path):
         down = min(moves)
         print(f"largest log-likelihood rise: {up[0]:.3e} relative, {up[1]} {up[2]}")
         print(f"largest log-likelihood fall: {down[0]:.3e} relative, {down[1]} {down[2]}")
-        for tol in (1e-12, 1e-9):
+        for tol in (FALL_TOL, 1e-9):
             higher = sum(m > tol for m, _, _ in moves)
             lower = sum(m < -tol for m, _, _ in moves)
             print(f"beyond {tol:g} relative: {higher} higher, {lower} lower "
@@ -131,13 +139,19 @@ def compare(old_path, new_path):
     for role, (rel, where) in se_moves.items():
         print(f"largest relative se move, {role} fits: {rel:.3e}"
               + (f", {where}" if where else ""))
+    falls = sum(m < -FALL_TOL for m, _, _ in moves)
+    passed = not (any(flips.values()) or se_flips or falls)
+    print("gate:", "pass" if passed else
+          f"FAIL ({falls} log-likelihood falls beyond {FALL_TOL:g}, "
+          f"{sum(map(len, flips.values()))} flips, {len(se_flips)} se null flips)")
+    return passed
 
 
 def main(argv):
     if len(argv) == 2 and argv[0] == "run":
         run(argv[1])
     elif len(argv) == 3 and argv[0] == "compare":
-        compare(argv[1], argv[2])
+        sys.exit(0 if compare(argv[1], argv[2]) else 1)
     else:
         sys.exit("usage: optima_sweep.py run OUT.json | compare OLD.json NEW.json")
 

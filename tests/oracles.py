@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the estimators.
 
 Everything here is deliberately slow and simple: normal equations solved
-in 50-digit arithmetic, likelihoods by adaptive quadrature or mpmath, and
-agglomeration that recomputes every pairwise cost from raw points at each
-step. None of it shares code with the library paths it checks.
+in 50-digit arithmetic, likelihoods by adaptive quadrature or mpmath,
+their derivatives by ``mpmath.diff``, and agglomeration that recomputes
+every pairwise cost from raw points at each step. None of it shares code
+with the library paths it checks.
 
 The exceptions are the reference paths at the end, which judge only that
 a faster library path returns the same values bit for bit:
@@ -22,9 +23,6 @@ a faster library path returns the same values bit for bit:
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
   expression per quantity, for the batched and the gradient kernels;
-* the central-difference Hessian standard errors evaluated one stencil
-  point per call, as the library did before it sent the whole stencil
-  through one call;
 * the eight mixture starts, each split in both component orderings, that
   the library used before it kept one start per label-swapping orbit;
 * the mixture optimum from dense starts, which reuses the library's
@@ -63,7 +61,7 @@ from groupsfa.dgp import (
     _parse_design,
     sample_half_normal,
 )
-from groupsfa.errors import HessianError, InputError
+from groupsfa.errors import InputError
 from groupsfa.estimation import FirmFits
 from groupsfa.inefficiency import _mixture_objectives, _mixture_starts
 from groupsfa.panel import PanelData
@@ -151,6 +149,53 @@ def mixture_loglik_mpmath(resid_sum, resid_sumsq, T, sigma_v2,
             for a, su2 in ((a1, su2_1), (a2, su2_2))
         )
         return float(mp.log(mp.mpf(tau) * f1 + (1 - mp.mpf(tau)) * f2))
+
+
+def unique_hessian_mpmath(resid_sum, within_sumsq, T, sigma_v2, sigma_u2,
+                          alpha0, dps=40):
+    """Gradient (2,) and Hessian (2, 2) of one firm's closed-form log
+    density in (alpha0, sigma_u2), by ``mpmath.diff`` at ``dps`` digits.
+
+    Takes the library's (S, W); the raw square sum is formed in mpmath.
+    """
+    Q = square_sum_mp(resid_sum, within_sumsq, T)
+    with mp.workdps(dps):
+        def f(a, v):
+            return _unique_logdensity_mp(resid_sum, Q, T, sigma_v2, v, a)
+
+        at = (mp.mpf(alpha0), mp.mpf(sigma_u2))
+        grad = [mp.diff(f, at, order) for order in ((1, 0), (0, 1))]
+        aa, av, vv = (mp.diff(f, at, order) for order in ((2, 0), (1, 1), (0, 2)))
+        return (np.array([float(g) for g in grad]),
+                np.array([[float(aa), float(av)], [float(av), float(vv)]]))
+
+
+def mixture_hessian_mpmath(resid_sum, within_sumsq, T, sigma_v2, params, dps=30):
+    """Hessian (5, 5) of the mixture log-likelihood summed over firms, in
+    (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2), by ``mpmath.diff``
+    at ``dps`` digits of the closed-form component densities.
+
+    ``resid_sum``, ``within_sumsq`` and ``sigma_v2`` are per-firm arrays.
+    """
+    firms = [(square_sum_mp(S, W, T), sv2)
+             for S, W, sv2 in zip(resid_sum, within_sumsq, sigma_v2)]
+    with mp.workdps(dps):
+        def f(tau, a1, v1, a2, v2):
+            return mp.fsum(
+                mp.log(tau * mp.exp(_unique_logdensity_mp(S, Q, T, sv2, v1, a1))
+                       + (1 - tau) * mp.exp(_unique_logdensity_mp(S, Q, T, sv2, v2, a2)))
+                for S, (Q, sv2) in zip(resid_sum, firms)
+            )
+
+        at = tuple(mp.mpf(float(p)) for p in params)
+        H = np.empty((5, 5))
+        for i in range(5):
+            for j in range(i, 5):
+                order = [0] * 5
+                order[i] += 1
+                order[j] += 1
+                H[i, j] = H[j, i] = float(mp.diff(f, at, order))
+        return H
 
 
 def ward_cost_from_points(points_a, points_b):
@@ -405,48 +450,6 @@ def unique_terms_grad_reference(S, W, sv2, T, alpha0, sigma_u2):
     d_alpha0 = dz * T * scale + se / sv2
     d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
     return terms, d_alpha0, d_eta
-
-
-# --- standard errors, one stencil point per call ----------------------------
-
-
-def mle_standard_errors_per_point(objective, at):
-    """Central-difference Hessian standard errors, one point per call.
-
-    ``objective`` maps an (R, n) array of parameter rows to R values, as
-    the library's ``mle_standard_errors`` takes it; here every call holds
-    one row. The steps, the stencil, the arithmetic order and the
-    HessianError checks are the library's.
-    """
-    theta = np.asarray(at, dtype=float)
-    n = len(theta)
-    h = np.maximum(1e-5, 1e-4 * np.abs(theta))
-    H = np.empty((n, n))
-    f0 = objective(theta[None])[0]
-
-    def at_offset(i, si, j=None, sj=0.0):
-        x = theta.copy()
-        x[i] += si * h[i]
-        if j is not None:
-            x[j] += sj * h[j]
-        return objective(x[None])[0]
-
-    for i in range(n):
-        H[i, i] = (at_offset(i, 1.0) + at_offset(i, -1.0) - 2.0 * f0) / h[i] ** 2
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = (
-                at_offset(i, 1.0, j, 1.0)
-                + at_offset(i, -1.0, j, -1.0)
-                - at_offset(i, 1.0, j, -1.0)
-                - at_offset(i, -1.0, j, 1.0)
-            ) / (4.0 * h[i] * h[j])
-
-    if not np.all(np.isfinite(H)):
-        raise HessianError("Hessian has non-finite entries", eigenvalues=None)
-    eig = np.linalg.eigvalsh(H)
-    if eig[-1] >= 0.0:
-        raise HessianError("Hessian not negative definite", eigenvalues=eig)
-    return np.sqrt(np.diag(np.linalg.inv(-H)))
 
 
 # --- label matching by enumeration -------------------------------------------

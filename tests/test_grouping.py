@@ -373,3 +373,9 @@ def test_classification_error_size_mismatch():
 def test_group_assignment_validates_partition():
     with pytest.raises(InputError):
         GroupAssignment(K=3, membership=np.array([1, 1, 2, 2]))  # empty group 3
+
+
+def test_group_assignment_rejects_zero_groups():
+    # once a bare IndexError
+    with pytest.raises(InputError, match=r"do not form 1\.\.0"):
+        GroupAssignment(K=0, membership=[])

@@ -28,20 +28,19 @@ from groupsfa.inefficiency import (
     fit_mixture,
     fit_unique,
     mixture_standard_errors,
-    mle_standard_errors,
     step5_select,
     unique_standard_errors,
 )
 from groupsfa.panel import PanelData
-from groupsfa.pipeline import fit_levels
+from groupsfa.pipeline import estimate_panel, fit_levels
 from groupsfa.postestimation import fit_group, select_K
 
 from oracles import (
     composite_stats_loop,
     halfnormal_marginal_density,
+    mixture_hessian_mpmath,
     mixture_loglik_mpmath,
     mixture_starts_eight,
-    mle_standard_errors_per_point,
     square_sum_mp,
     unique_loglik_mpmath,
 )
@@ -235,66 +234,76 @@ def test_finite_difference_gradients_cross_check():
 # --- standard errors ---------------------------------------------------------
 
 
-# mle_standard_errors takes a row objective: (R, n) parameter rows in, the
-# R values out
+# _standard_errors takes a log-likelihood Hessian at the optimum and
+# returns the square roots of the diagonal of its negative inverse
 
 
 def test_se_quadratic_objective_recovers_scales():
+    # the Hessian of a Gaussian log density with covariance C is -C^-1
     scales = np.array([0.5, 2.0, 7.0])
-
-    def obj(X):
-        return -0.5 * np.sum((X / scales) ** 2, axis=1)
-
-    se = mle_standard_errors(obj, np.zeros(3))
-    np.testing.assert_allclose(se, scales, rtol=1e-6)
+    corr = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]])
+    C = corr * np.outer(scales, scales)
+    se = inefficiency._standard_errors(-np.linalg.inv(C))
+    np.testing.assert_allclose(se, scales, rtol=1e-12)
 
 
 def test_se_one_dimensional():
-    se = mle_standard_errors(lambda X: -0.5 * (X[:, 0] - 3.0) ** 2, np.array([3.0]))
-    assert se[0] == pytest.approx(1.0, rel=1e-6)
+    se = inefficiency._standard_errors(np.array([[-4.0]]))
+    assert se[0] == 0.5
 
 
 def test_se_rejects_indefinite_hessian():
-    with pytest.raises(HessianError) as err:
-        mle_standard_errors(lambda X: 0.5 * (X[:, 0] ** 2 - X[:, 1] ** 2),
-                            np.array([0.0, 0.0]))
-    assert err.value.eigenvalues is not None
+    with pytest.raises(HessianError, match="not negative definite") as err:
+        inefficiency._standard_errors(np.diag([1.0, -1.0]))
+    np.testing.assert_array_equal(err.value.eigenvalues, [-1.0, 1.0])
 
 
-# Panels for the stencil checks: test_pipeline's recorded (50, 30) panels
-# (seed 3), dgp2m and dgp1u (100, 50) (seed 0) and the est_mixture size,
-# dgp2m (250, 100): (design, N, T, seed, rep)
-_SE_PANELS = [
-    ("dgp2m", 50, 30, 3, 0), ("dgp1u", 50, 30, 3, 2), ("dgp3m", 50, 30, 3, 1),
-    ("dgp2m", 100, 50, 0, 0), ("dgp1u", 100, 50, 0, 1), ("dgp3u", 100, 50, 0, 2),
-    ("dgp2m", 250, 100, 0, 0),
-]
+def test_se_rejects_a_non_finite_hessian():
+    with pytest.raises(HessianError, match="non-finite") as err:
+        inefficiency._standard_errors(np.array([[-1.0, np.nan], [np.nan, -1.0]]))
+    assert err.value.eigenvalues is None
 
 
-@pytest.mark.parametrize("design, N, T, seed, rep", _SE_PANELS)
-def test_se_stencil_equals_per_point_reference(monkeypatch, design, N, T, seed, rep):
-    panel, _ = generate(design, N, T, seed=seed, rep=rep)
-    fits = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0).selected.fits
-    stats, unique, mixture, _ = fit_levels(panel, fits, 1.0, rep)
-    got = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
-    # tau is interior on every panel here; 3 of the 7 mixtures have a
-    # component variance at the boundary (9e-27 to 3e-12), where no SE is
-    # reported, and the other 4 keep both variances above 0.07
-    assert got[0] is not None
-    low = min(mixture.sigma_u2_1, mixture.sigma_u2_2)
-    assert low < 1e-11 or low > 1e-3
-    assert (got[1] is None) == (low < 1e-11)
-    monkeypatch.setattr(inefficiency, "mle_standard_errors", mle_standard_errors_per_point)
-    ref = [unique_standard_errors(stats, unique), mixture_standard_errors(stats, mixture)]
-    for g, r in zip(got, ref):
-        np.testing.assert_array_equal(g, r)
+@pytest.mark.slow
+def test_mixture_se_matches_the_mpmath_hessian():
+    # a runner-up mixture on a unique-law panel, where the central-difference
+    # stencil the SEs once came from was 5.7e-3 relative off
+    panel, _ = generate("dgp1u", 250, 100, seed=0, rep=3)
+    result = estimate_panel(panel, k_max=4, seed=3)
+    stats = composite_residual_stats(panel, result.group_fits)
+    fit = result.mixture_fit
+    H = mixture_hessian_mpmath(stats.S, stats.W, stats.T, stats.sigma_v2, fit.params)
+    np.testing.assert_allclose(fit.se, np.sqrt(np.diag(np.linalg.inv(-H))), rtol=1e-8)
+
+
+def _tail_stats(T=6, sigma_v2=0.8):
+    """Five firms whose sums put z near -30, -3, 0, 3 and 30 at
+    (alpha0, sigma_u2) = (0.1, 0.4) and (-0.3, 1.5)."""
+    scale = math.sqrt(0.4 / (sigma_v2 * (sigma_v2 + T * 0.4)))
+    S = T * 0.1 - np.array([-30.0, -3.0, 0.0, 3.0, 30.0]) / scale
+    return CompositeStats(S=S, W=np.linspace(1.0, 5.0, 5), sigma_v2=np.full(5, sigma_v2), T=T)
+
+
+@pytest.mark.parametrize("tau", [0.7, 0.5, 0.02])
+def test_mixture_hessian_matches_mpmath(monkeypatch, tau):
+    # the Louis-identity Hessian that mixture_standard_errors inverts,
+    # against mpmath.diff of the mixture log-likelihood, with firms in both
+    # far tails of z; within 1e-8 of the Hessian's largest entry
+    stats = _tail_stats()
+    fit = MixtureFit(tau=tau, alpha0_1=0.1, sigma_u2_1=0.4, alpha0_2=-0.3,
+                     sigma_u2_2=1.5, loglik=0.0)
+    seen = []
+    monkeypatch.setattr(inefficiency, "_standard_errors", lambda H: seen.append(H) or H)
+    mixture_standard_errors(stats, fit)
+    ref = mixture_hessian_mpmath(stats.S, stats.W, stats.T, stats.sigma_v2, fit.params)
+    np.testing.assert_allclose(seen[0], ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
 
 
 def test_no_mixture_se_at_a_boundary_variance():
     # the chosen mixture has sigma_u2_2 at the log-variance clip exp(-60);
-    # a difference stencil there would report its step size as the SE
-    # (3.17e-4, 1.00e-4 and 3.16e-5 for step floors 1e-5, 1e-6 and 1e-7
-    # when the variance was 8.6e-14)
+    # the difference stencil the SEs once came from reported its step size
+    # as the SE there (3.17e-4, 1.00e-4 and 3.16e-5 for step floors 1e-5,
+    # 1e-6 and 1e-7 when the variance was 8.6e-14)
     panel, _ = generate("dgp2m", 50, 30, seed=3, rep=0)
     fits = select_K(panel, fit_all(panel, default_m(30)), 4, 1.0).selected.fits
     stats, _, mixture, choice = fit_levels(panel, fits, 1.0, 0)
@@ -304,8 +313,9 @@ def test_no_mixture_se_at_a_boundary_variance():
 
 
 def test_no_se_within_one_stencil_step_of_a_zero_variance():
-    # the stencil's smallest step is 1e-5: a variance no larger would be
-    # stepped to 0 or below it
+    # a variance of 1e-5 or less gets no SE: the threshold is the smallest
+    # step of the difference stencil the SEs once came from, kept so that
+    # no SE turned null or stopped being null when it went
     assert inefficiency._near_variance_boundary(1e-5)
     assert not inefficiency._near_variance_boundary(np.nextafter(1e-5, 1.0))
     assert inefficiency._near_variance_boundary(0.3, 1e-5)
@@ -331,13 +341,13 @@ def test_no_mixture_se_when_the_components_coincide(design, rep):
 
 
 @pytest.mark.parametrize("alpha0_2, sigma_u2_2, coincide", [
-    (1e-5, 0.3, True),  # alpha0 one stencil step (the 1e-5 floor) apart
+    (1e-5, 0.3, True),  # alpha0 apart by the 1e-5 floor
     (np.nextafter(1e-5, 1.0), 0.3, False),
-    (0.0, 0.3 + 3e-5, True),  # sigma_u2 one step, 1e-4 * 0.3, apart
+    (0.0, 0.3 + 3e-5, True),  # sigma_u2 apart by 1e-4 * 0.3
     (0.0, 0.3 + 3.1e-5, False),
 ])
 def test_coinciding_components_rule(monkeypatch, alpha0_2, sigma_u2_2, coincide):
-    monkeypatch.setattr(inefficiency, "mle_standard_errors", lambda f, at: np.ones(5))
+    monkeypatch.setattr(inefficiency, "_standard_errors", lambda H: np.ones(5))
     mixture = MixtureFit(tau=0.6, alpha0_1=0.0, sigma_u2_1=0.3, alpha0_2=alpha0_2,
                          sigma_u2_2=sigma_u2_2, loglik=0.0)
     stats = CompositeStats(S=np.zeros(3), W=np.ones(3), sigma_v2=np.ones(3), T=10)
@@ -349,6 +359,8 @@ def test_coinciding_components_rule(monkeypatch, alpha0_2, sigma_u2_2, coincide)
     ("loglik_mixture_total", mixture_standard_errors, 5),
 ])
 def test_se_makes_one_kernel_call(monkeypatch, kernel, se_fn, n):
+    # n SEs from one Hessian-kernel call with one row per component, and
+    # no call of the fit's likelihood-total kernel
     rng = np.random.default_rng(22)
     comp = rng.uniform(size=200) < 0.6
     levels = np.where(comp, 0.8, -0.7) - sample_half_normal(0.8, rng, size=200)
@@ -356,15 +368,20 @@ def test_se_makes_one_kernel_call(monkeypatch, kernel, se_fn, n):
     unique = fit_unique(stats)
     fit = unique if n == 2 else fit_mixture(stats, unique, seed=0)
     rows = []
-    target = getattr(inefficiency, kernel)
+    hess = inefficiency.loglik_unique_terms_hess
 
-    def counted(stats, tau_or_alpha0, *columns):
-        rows.append(len(tau_or_alpha0))
-        return target(stats, tau_or_alpha0, *columns)
+    def counted(stats, alpha0, sigma_u2):
+        rows.append(len(alpha0))
+        return hess(stats, alpha0, sigma_u2)
 
-    monkeypatch.setattr(inefficiency, kernel, counted)
-    assert se_fn(stats, fit) is not None
-    assert rows == [2 * n * n + 1]
+    def forbidden(*args):
+        raise AssertionError(f"{kernel} called")
+
+    monkeypatch.setattr(inefficiency, "loglik_unique_terms_hess", counted)
+    monkeypatch.setattr(inefficiency, kernel, forbidden)
+    se = se_fn(stats, fit)
+    assert se is not None and len(se) == n
+    assert rows == [1 if n == 2 else 2]
 
 
 @pytest.mark.parametrize("sigma_v2", [0.0, np.nan])

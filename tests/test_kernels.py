@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from groupsfa.errors import InputError
 from oracles import (
     mixture_loglik_mpmath,
     square_sum_mp,
+    unique_hessian_mpmath,
     unique_loglik_mpmath,
     unique_terms_grad_reference,
 )
@@ -154,6 +156,84 @@ def test_gradient_kernel_equals_the_written_out_forms():
         ref = unique_terms_grad_reference(stats.S, stats.W, stats.sigma_v2, stats.T, alpha0, su2)
         for (g,), r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
+
+
+# --- natural-coordinate derivatives against the 40-digit oracle -------------
+
+
+@pytest.mark.parametrize("sigma_u2", [1e-4, 0.3, 50.0])
+@pytest.mark.parametrize("z", [-30.0, -10.0, -1.0, 0.0, 1.0, 10.0, 30.0])
+def test_hessian_kernel_matches_mpmath(z, sigma_u2):
+    # one firm whose S puts z = -sqrt(su2 / (sv2 si2)) se where asked
+    T, sv2, alpha0, W = 4, 0.7, 0.2, 2.0
+    S = T * alpha0 - z / math.sqrt(sigma_u2 / (sv2 * (sv2 + T * sigma_u2)))
+    stats = CompositeStats([S], [W], [sv2], T)
+    terms, grad, hess = _kernels.loglik_unique_terms_hess(stats, _col(alpha0), _col(sigma_u2))
+    assert terms.shape == (1, 1) and grad.shape == (2, 1, 1) and hess.shape == (2, 2, 1, 1)
+    ref_grad, ref_hess = unique_hessian_mpmath(S, W, T, sv2, sigma_u2, alpha0)
+    np.testing.assert_allclose(grad[:, 0, 0], ref_grad, rtol=1e-8, atol=0)
+    # within 1e-8 of the largest entry: at z = -30 the closed form of
+    # d2/(d alpha0 d sigma_u2) cancels to about 3e-5 of the other entries
+    # (its per-entry error is 1.7e-5 relative, and 3e-8 with an exact
+    # Mills ratio), while the Hessian as a whole is good to 5e-10
+    np.testing.assert_allclose(hess[:, :, 0, 0], ref_hess, rtol=1e-8,
+                               atol=1e-8 * np.abs(ref_hess).max())
+
+
+def test_hessian_kernel_rows_equal_one_row_calls():
+    stats = _stats(seed=5)
+    alpha0s, su2s = np.array([0.3, -2.0, 1.0]), np.array([0.8, 4.5, np.exp(-6.0)])
+    terms, grad, hess = _kernels.loglik_unique_terms_hess(stats, _col(alpha0s), _col(su2s))
+    np.testing.assert_array_equal(
+        terms, _kernels.loglik_unique_terms_grad(stats, _col(alpha0s), _col(su2s))[0]
+    )
+    for r, (alpha0, su2) in enumerate(zip(alpha0s, su2s)):
+        one = _kernels.loglik_unique_terms_hess(stats, _col(alpha0), _col(su2))
+        np.testing.assert_array_equal(one[0], terms[r:r + 1])
+        np.testing.assert_array_equal(one[1], grad[:, r:r + 1])
+        np.testing.assert_array_equal(one[2], hess[:, :, r:r + 1])
+
+
+# --- the (R, 1) parameter columns ---------------------------------------------
+
+
+def test_parameter_lists_give_the_array_results():
+    # T * [[0.5]] is list repetition: list columns once gave T = 10 totals,
+    # each -11.87 where one total of -11.89 is right
+    stats = CompositeStats([1.0], [4.0], [1.0], 10)
+    (want,) = _kernels.loglik_unique_total(stats, _col(0.5), _col(1.0))
+    got = _kernels.loglik_unique_total(stats, [[0.5]], [[1.0]])
+    assert got.shape == (1,) and got[0] == want
+    for kernel in (_kernels.loglik_unique_terms_grad, _kernels.loglik_unique_terms_hess):
+        for g, w in zip(kernel(stats, [[0.5]], [[1.0]]), kernel(stats, _col(0.5), _col(1.0))):
+            np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(
+        _kernels.loglik_mixture_total(stats, [[0.3]], [[0.5], [-1]], [[1.0], [2]]),
+        _kernels.loglik_mixture_total(stats, _col(0.3), _col(0.5, -1.0), _col(1.0, 2.0)),
+    )
+
+
+@pytest.mark.parametrize("alpha0, sigma_u2, name", [
+    (0.5, _col(1.0), "alpha0"),
+    (np.array([0.5]), _col(1.0), "alpha0"),
+    (_col(0.5), np.ones((1, 2)), "sigma_u2"),
+    (_col(0.5), np.ones((1, 1, 1)), "sigma_u2"),
+    (_col(0.5), [["a"]], "sigma_u2"),
+])
+def test_malformed_parameter_columns_raise_input_error(alpha0, sigma_u2, name):
+    stats = _stats(N=3)
+    for kernel in (_kernels.loglik_unique_total, _kernels.loglik_unique_terms_grad,
+                   _kernels.loglik_unique_terms_hess):
+        with pytest.raises(InputError, match=name):
+            kernel(stats, alpha0, sigma_u2)
+
+
+def test_malformed_mixture_columns_raise_input_error():
+    stats = _stats(N=3)
+    with pytest.raises(InputError, match="tau"):
+        _kernels.loglik_mixture_total(stats, [0.3], _col(0.5, -1.0), _col(1.0, 2.0))
+    with pytest.raises(InputError, match="2R = 2 rows"):
+        _kernels.loglik_mixture_total(stats, _col(0.3), _col(0.5), _col(1.0))
 
 
 # --- properties of the one-stats, column convention ---------------------------

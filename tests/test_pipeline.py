@@ -41,6 +41,14 @@ def test_estimate_panel_rejects_kmax_above_firm_count():
         estimate_panel(panel, k_max=4)
 
 
+@pytest.mark.parametrize("name, value", [("seed", 1.5), ("k_max", 2.5), ("m", 2.5)])
+def test_estimate_panel_rejects_non_integer_arguments(name, value):
+    # each once ended in a bare TypeError from deep inside a stage
+    panel, _ = generate("dgp2u", 20, 30, seed=9)
+    with pytest.raises(InputError, match=f"{name} must be an integer, got {value}"):
+        estimate_panel(panel, **{name: value})
+
+
 @pytest.mark.parametrize("kw", [dict(c_lambda=-1.0), dict(c_tilde=-0.5)])
 def test_estimate_panel_rejects_negative_penalty_constants(kw):
     # a negative constant would reward more groups and the larger model

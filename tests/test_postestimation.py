@@ -85,6 +85,21 @@ def test_fit_group_empty_rejected():
         fit_group(panel, [], 2)
 
 
+@pytest.mark.parametrize("members", [[0, 0, 1], [-1, 0], [0, 30], [0.5, 1.7]])
+def test_fit_group_rejects_members_that_are_not_distinct_firms(members):
+    # a repeated firm was fitted twice, -1 fitted firm N - 1, 30 raised a
+    # bare IndexError, and 0.5 and 1.7 fitted firms 0 and 1
+    panel, _ = generate("dgp1u", 30, 30, seed=3)
+    with pytest.raises(InputError, match=r"distinct firm indices in 0\.\.29"):
+        fit_group(panel, members, 2)
+
+
+def test_select_K_rejects_a_non_integer_K_max():
+    panel, _ = generate("dgp1u", 30, 30, seed=3)
+    with pytest.raises(InputError, match="K_max must be an integer, got 2.5"):
+        select_K(panel, fit_all(panel, 2), 2.5, 1.0)
+
+
 @pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
 def test_fit_group_equals_per_firm_loop(design):
     panel, _ = generate(design, 100, 50, seed=3)
