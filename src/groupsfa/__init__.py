@@ -45,11 +45,13 @@ from .pipeline import EstimateResult, estimate_panel
 from .postestimation import (
     GroupFit,
     ICReport,
+    WithinFactors,
     default_lambda,
     default_m_under,
     fit_group,
     ic_value,
     select_K,
+    within_factors,
 )
 
 __version__ = "0.1.0"

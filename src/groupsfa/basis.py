@@ -10,9 +10,10 @@ and one full basis block per regressor:
 
     [intercept? | B_1(tau)..B_{m-1}(tau) | x_1*B_0..B_{m-1} | ... | x_p*B_0..B_{m-1}]
 
-This module is the one owner of that layout: ``design_matrix`` builds it
-and ``coefficient_curves`` reads the curves back out of a coefficient
-vector laid out the same way.
+This module is the one owner of that layout: ``design_matrix`` builds it,
+``coefficient_curves`` reads the curves back out of a coefficient vector
+laid out the same way, and ``nested_columns`` finds a shorter sieve's
+columns among a longer one's.
 """
 
 import numpy as np
@@ -58,6 +59,18 @@ def design_matrix(x, m, with_intercept):
     blocks.append(np.broadcast_to(B[:, 1:], (*lead, T, m - 1)))
     blocks.append((x[..., None] * B[:, None, :]).reshape(*lead, T, p * m))
     return np.concatenate(blocks, axis=-1)
+
+
+def nested_columns(m_short, m, p):
+    """Indices of ``design_matrix(x, m_short, False)``'s columns among
+    ``design_matrix(x, m, False)``'s, for m_short <= m and p regressors.
+
+    B_j does not depend on m, so the shorter design is this column subset
+    of the longer one, bit for bit.
+    """
+    blocks = [np.arange(m_short - 1)]
+    blocks += [(m - 1) + j * m + np.arange(m_short) for j in range(p)]
+    return np.concatenate(blocks)
 
 
 def coefficient_curves(pi, s, m):

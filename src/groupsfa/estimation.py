@@ -57,15 +57,6 @@ def min_periods(m, p):
     return m * (p + 1) + 2
 
 
-def _solve_ls(Z, y):
-    """Least squares via SVD with a rank check; returns (coef, residuals)."""
-    coef, _, rank, sv = np.linalg.lstsq(Z, y, rcond=None)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rank < Z.shape[1] or rcond < RCOND_MIN:
-        raise RankDeficientError(_RANK_DEFICIENT.format(rcond), rcond=rcond)
-    return coef, y - Z @ coef
-
-
 def fit_all(panel, m):
     """Fit every firm; rank failures are aggregated with their firm labels.
 

@@ -1,10 +1,16 @@
 """Pooled within-group estimation and selection of the group count (Step 3).
 
 Within each candidate group the outcome and a longer sieve design are
-demeaned firm by firm over time, pooled, and fit by OLS; the design is
-built once per group as an (N_k, T, cols) array. The pooled sieve
-length grows with the group's sample size; each fit keeps its members'
-residual sums for Step 4. An information criterion
+demeaned firm by firm over time, pooled, and fit by OLS. The pooled sieve
+length grows with the group's sample size. Each firm's demeaned [Z | y]
+is reduced once per panel to its R factor (``within_factors``), at the
+longest sieve length any group can use; the sieve layout nests, so a
+shorter length is a subset of those columns. A group's fit is one QR of
+its members' stacked factors restricted to its columns (TSQR: Demmel,
+Grigori, Hoemmen & Langou 2012): a triangular solve gives the
+coefficients, and the last diagonal entry squared is the pooled residual
+sum of squares. Each fit keeps its members' residual sums for Step 4. An
+information criterion
 
     IC(K) = sum_k { N_k T log(sigma_v_k) + N_k (T-1) } + lambda K
 
@@ -16,11 +22,15 @@ mean squared residual with that normalization.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .basis import design_matrix
-from .errors import DegenerateICError, InputError, as_integer
-from .estimation import _solve_ls
+from .basis import design_matrix, nested_columns
+from .errors import DegenerateICError, InputError, RankDeficientError, as_integer
+from .estimation import _RANK_DEFICIENT, RCOND_MIN
 from .grouping import hac_cluster
+
+# firms per batched QR in ``within_factors``, so no (N, T, cols) array is held whole
+_CHUNK = 256
 
 
 @dataclass
@@ -73,37 +83,90 @@ def default_lambda(N, T, c_lambda=1.0):
     return c_lambda * np.sqrt(N * T) * np.log(N * T) / 2.0
 
 
-def fit_group(panel, members, m_under):
+@dataclass(frozen=True)
+class WithinFactors:
+    """Each firm's within-demeaned [Z(m) | y] reduced to its R factor.
+
+    Z(m) has c = (m - 1) + m p columns in the ``design_matrix`` layout,
+    without intercept. R is (N, c + 1, c + 1): firm i's R_i satisfies
+    R_i' R_i = A_i' A_i for its demeaned A_i = [Z_i | y_i] (rows past T
+    are zero when T < c + 1). zbar (N, c) and ybar (N,) are the firm means
+    that the demeaning removed.
+    """
+
+    R: np.ndarray
+    zbar: np.ndarray
+    ybar: np.ndarray
+    m: int
+    p: int
+    N: int
+    T: int
+
+
+def within_factors(panel, m):
+    """Factor every firm's within-demeaned [Z(m) | y], ``_CHUNK`` firms per
+    batched QR."""
+    N, T, p = panel.N, panel.T, panel.p
+    c = (m - 1) + m * p
+    R = np.zeros((N, c + 1, c + 1))
+    means = np.empty((N, c + 1))
+    for lo in range(0, N, _CHUNK):
+        A = np.concatenate(
+            [design_matrix(panel.x[lo:lo + _CHUNK], m, False), panel.y[lo:lo + _CHUNK, :, None]],
+            axis=-1,
+        )
+        mean = np.ones(T) @ A / T  # one BLAS pass; A.mean(axis=1) is several times slower
+        A -= mean[:, None, :]
+        means[lo:lo + _CHUNK] = mean
+        R[lo:lo + _CHUNK, : min(T, c + 1)] = np.linalg.qr(A, mode="r")
+    return WithinFactors(R=R, zbar=means[:, :c], ybar=means[:, c], m=m, p=p, N=N, T=T)
+
+
+def fit_group(factors, members, m_under):
     """Pooled OLS on within-demeaned data for one set of firms.
 
-    sigma_v^2 is the pooled residual sum of squares over N_k (T-1). Member
-    i's S_i = T (ybar_i - zbar_i' pi), W_i its demeaned residuals' square sum.
-    ``members`` must be distinct firm indices in 0..N-1.
+    ``factors`` is ``within_factors(panel, m)`` with m >= m_under. The
+    members' R factors, restricted to Z(m_under)'s columns and y's, are
+    stacked and factored once more; with that R = [[R11, r12], [0, r22]],
+    pi solves R11 pi = r12 and the pooled residual sum of squares is
+    r22^2, so sigma_v^2 = r22^2 / (N_k (T-1)). Member i's
+    S_i = T (ybar_i - zbar_i' pi) and W_i = |R_i (-pi, 1)|^2, its demeaned
+    residuals' square sum. The design is rank deficient, as for lstsq,
+    when R11's numerical rank is below its columns or its reciprocal
+    condition number below ``RCOND_MIN``. ``members`` must be distinct firm
+    indices in 0..N-1.
     """
     members = np.asarray(sorted(members))
     if members.size == 0:
         raise InputError("cannot fit an empty group")
-    if (members.dtype.kind not in "iu" or members[0] < 0 or members[-1] >= panel.N
+    if (members.dtype.kind not in "iu" or members[0] < 0 or members[-1] >= factors.N
             or np.any(members[1:] == members[:-1])):
         raise InputError(
-            f"group members must be distinct firm indices in 0..{panel.N - 1}, "
+            f"group members must be distinct firm indices in 0..{factors.N - 1}, "
             f"got {members.tolist()[:10]}"
         )
+    if not 2 <= m_under <= factors.m:
+        raise InputError(f"m_under must be in 2..{factors.m}, got {m_under}")
     members = members.astype(int)
-    Z = design_matrix(panel.x[members], m_under, False)
-    zbar = Z.mean(axis=1)
-    Z -= zbar[:, None, :]
-    y = panel.y[members]
-    ybar = y.mean(axis=1, keepdims=True)
-    coef, resid = _solve_ls(Z.reshape(-1, Z.shape[-1]), (y - ybar).ravel())
-    sigma_v2 = float(resid @ resid) / (members.size * (panel.T - 1))
-    e = resid.reshape(members.size, panel.T)
+    cols = nested_columns(m_under, factors.m, factors.p)
+    k = cols.size
+    block = factors.R[members][..., np.append(cols, -1)]  # y's column is last
+    R = np.linalg.qr(block.reshape(-1, k + 1), mode="r")
+    sv = np.linalg.svd(R[:k, :k], compute_uv=False)
+    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    # lstsq's default cutoff for the (N_k T, k) design
+    rank = np.sum(sv > sv[0] * np.finfo(float).eps * max(members.size * factors.T, k))
+    if rank < k or rcond < RCOND_MIN:
+        raise RankDeficientError(_RANK_DEFICIENT.format(rcond), rcond=rcond)
+    pi = solve_triangular(R[:k, :k], R[:k, k], check_finite=False)
+    e = block @ np.append(-pi, 1.0)
+    sigma_v2 = float(R[k, k] ** 2) / (members.size * (factors.T - 1))
     return GroupFit(
         members=members,
-        pi=coef,
+        pi=pi,
         sigma_v=float(np.sqrt(sigma_v2)),
         m_under=m_under,
-        S=panel.T * (ybar[:, 0] - zbar @ coef),
+        S=factors.T * (factors.ybar[members] - factors.zbar[np.ix_(members, cols)] @ pi),
         W=np.vecdot(e, e),
     )
 
@@ -127,12 +190,19 @@ def select_K(panel, firm_fits, K_max, c_lambda):
 
     The features are ``firm_fits.features``, from ``fit_all``, and the
     penalty is ``default_lambda(N, T, c_lambda)``. Ties are broken toward
-    the smaller K. The merge history is computed once and cut at each K.
-    Cuts are nested, so a group recurs across K; each distinct member set
-    is fit once (2 K_max - 1 fits at most) and its GroupFit shared by
-    every record that holds it. ``K_max`` must be an integer.
+    the smaller K. The merge history is computed once and cut at each K,
+    and every firm is factored once, by ``within_factors`` at
+    ``default_m_under(N, T)``, the longest sieve any group uses. Cuts are
+    nested, so a group recurs across K; each distinct member set is fit
+    once (2 K_max - 1 fits at most) and its GroupFit shared by every
+    record that holds it. ``K_max`` must be an integer, and ``firm_fits``
+    must hold the panel's N firms.
     """
     K_max = as_integer("K_max", K_max)
+    if len(firm_fits.features) != panel.N:
+        raise InputError(
+            f"firm_fits hold {len(firm_fits.features)} firms but the panel has N={panel.N}"
+        )
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
     if K_max > panel.N:
@@ -140,6 +210,7 @@ def select_K(panel, firm_fits, K_max, c_lambda):
             f"K_max={K_max} exceeds the number of firms N={panel.N}"
         )
     history = hac_cluster(firm_fits.features)
+    factors = within_factors(panel, default_m_under(panel.N, panel.T))
     lam = default_lambda(panel.N, panel.T, c_lambda)
     group_fits = {}
     records = []
@@ -151,7 +222,7 @@ def select_K(panel, firm_fits, K_max, c_lambda):
             key = members.tobytes()
             if key not in group_fits:
                 group_fits[key] = fit_group(
-                    panel, members, default_m_under(len(members), panel.T)
+                    factors, members, default_m_under(len(members), panel.T)
                 )
             fits.append(group_fits[key])
         records.append(KRecord(K=K, assignment=assignment, fits=fits, ic=ic_value(fits, lam, panel.T)))

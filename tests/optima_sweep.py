@@ -10,18 +10,22 @@ The sweep is every design at (50, 30), (100, 50) and (250, 100) for reps
 0-8, and dgp1m (2000, 50) for reps 0-1: 164 panels, each
 ``generate(design, N, T, seed=0, rep=rep)`` run through
 ``estimate_panel(panel, k_max=4, seed=rep)``. ``run`` writes per panel
-the selected K, a digest of the membership, the chosen model, and both
-fits' log-likelihood, parameters and standard errors; a panel whose
+the selected K, a digest of the membership, the chosen model, both fits'
+log-likelihood, parameters and standard errors, and the Step-3 group fits
+of every K (each group's ``sigma_v`` and ``pi``); a panel whose
 estimation raises records the error instead. ``compare`` prints the K,
 membership and choice flips, the largest relative log-likelihood moves in
 each direction with counts beyond 1e-12 and 1e-9, every standard error
-that turned null or stopped being null, and the largest relative
-standard-error move on a chosen and on a runner-up fit. It exits 1 when
-the records differ in an error, K, membership or choice, in which
-standard errors are null, or by a log-likelihood more than 1e-12
-relative lower in the new record, so a likelihood change can quote it as
-its gate. Only public calls are used, so the script runs on any checkout
-that has them.
+that turned null or stopped being null, the largest relative
+standard-error move on a chosen and on a runner-up fit, and the largest
+relative move of a group's ``sigma_v`` and ``pi`` (``pi`` relative to
+its largest entry). It exits 1 when the records differ in an error, K,
+membership or choice, in which standard errors are null, by a
+log-likelihood more than 1e-12 relative lower in the new record, or by a
+group ``sigma_v`` or ``pi`` more than 1e-12 relative, so a likelihood or
+Step-3 change can quote it as its gate. Records written before the group
+fits were recorded are compared on the rest. Only public calls are used,
+so the script runs on any checkout that has them.
 """
 
 import hashlib
@@ -39,6 +43,8 @@ SIZES = ((50, 30), (100, 50), (250, 100))
 FITS = ("unique", "mixture")
 # the largest relative log-likelihood fall that ``compare`` accepts
 FALL_TOL = 1e-12
+# the largest relative move of a group's sigma_v or pi that ``compare`` accepts
+GROUP_TOL = 1e-12
 
 
 def _panels():
@@ -75,6 +81,8 @@ def run(path):
             "choice": result.choice.chosen,
             "unique": _fit_record(result.unique_fit),
             "mixture": _fit_record(result.mixture_fit),
+            "groups": [[{"sigma_v": float(f.sigma_v), "pi": [float(v) for v in f.pi]}
+                        for f in record.fits] for record in result.ic_report.records],
         }
         print(label, flush=True)
     with open(path, "w") as fh:
@@ -85,9 +93,24 @@ def _relative(new, old):
     return (new - old) / abs(old) if old != 0.0 else new - old
 
 
+def _group_moves(a, b):
+    """Largest relative moves (sigma_v, pi) over the group fits of two
+    records of one panel; pi's move is relative to its largest entry."""
+    sigma, pi = 0.0, 0.0
+    for groups_a, groups_b in zip(a, b):
+        for ga, gb in zip(groups_a, groups_b):
+            sigma = max(sigma, abs(_relative(gb["sigma_v"], ga["sigma_v"])))
+            old, new = np.asarray(ga["pi"]), np.asarray(gb["pi"])
+            scale = np.max(np.abs(old))
+            move = np.max(np.abs(new - old))
+            pi = max(pi, float(move / scale if scale > 0.0 else move))
+    return sigma, pi
+
+
 def compare(old_path, new_path):
     """Print the differences of two records; return whether they pass the
-    gate (no flip of any kind, no fall beyond ``FALL_TOL``)."""
+    gate (no flip of any kind, no fall beyond ``FALL_TOL``, no group move
+    beyond ``GROUP_TOL``)."""
     with open(old_path) as fh:
         old = json.load(fh)
     with open(new_path) as fh:
@@ -99,6 +122,8 @@ def compare(old_path, new_path):
     moves = []  # (relative loglik move, panel, fit)
     se_flips = []
     se_moves = {"chosen": (0.0, None), "runner-up": (0.0, None)}
+    group_moves = {"sigma_v": (0.0, None), "pi": (0.0, None)}
+    group_panels, group_fails = 0, 0  # panels compared, and with a move beyond GROUP_TOL
     for label in common:
         a, b = old[label], new[label]
         if "error" in a or "error" in b:
@@ -108,6 +133,13 @@ def compare(old_path, new_path):
         for key in ("K", "membership", "choice"):
             if a[key] != b[key]:
                 flips[key].append(f"{label}: {a[key]} -> {b[key]}")
+        if "groups" in a and "groups" in b:
+            panel_moves = _group_moves(a["groups"], b["groups"])
+            group_panels += 1
+            group_fails += max(panel_moves) > GROUP_TOL
+            for name, move in zip(group_moves, panel_moves):
+                if move > group_moves[name][0]:
+                    group_moves[name] = (move, label)
         for fit in FITS:
             fa, fb = a[fit], b[fit]
             moves.append((_relative(fb["loglik"], fa["loglik"]), label, fit))
@@ -139,11 +171,16 @@ def compare(old_path, new_path):
     for role, (rel, where) in se_moves.items():
         print(f"largest relative se move, {role} fits: {rel:.3e}"
               + (f", {where}" if where else ""))
+    print(f"group fits compared on {group_panels} panels")
+    for name, (rel, where) in group_moves.items():
+        print(f"largest relative group {name} move: {rel:.3e}"
+              + (f", {where}" if where else ""))
     falls = sum(m < -FALL_TOL for m, _, _ in moves)
-    passed = not (any(flips.values()) or se_flips or falls)
+    passed = not (any(flips.values()) or se_flips or falls or group_fails)
     print("gate:", "pass" if passed else
           f"FAIL ({falls} log-likelihood falls beyond {FALL_TOL:g}, "
-          f"{sum(map(len, flips.values()))} flips, {len(se_flips)} se null flips)")
+          f"{sum(map(len, flips.values()))} flips, {len(se_flips)} se null flips, "
+          f"{group_fails} panels with group moves beyond {GROUP_TOL:g})")
     return passed
 
 

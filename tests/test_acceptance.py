@@ -22,7 +22,7 @@ from groupsfa.estimation import fit_all
 from groupsfa.grouping import hac_cluster
 from groupsfa.montecarlo import McConfig, run_monte_carlo, sensitivity_sweep
 from groupsfa.panel import PanelData
-from groupsfa.postestimation import fit_group
+from groupsfa.postestimation import fit_group, within_factors
 
 from oracles import (
     brute_force_agglomerate,
@@ -208,7 +208,7 @@ def test_criterion_7_least_squares_oracle():
             x = rng.normal(1.0, 1.0, size=(nk, T, p))
             y = rng.normal(size=(nk, T))
             panel = PanelData(y=y, x=x)
-            est = fit_group(panel, range(nk), m).pi
+            est = fit_group(within_factors(panel, m), range(nk), m).pi
             rows = [design_matrix(x[i], m, False) for i in range(nk)]
             rows = [Zi - Zi.mean(axis=0) for Zi in rows]
             ys = [y[i] - y[i].mean() for i in range(nk)]
@@ -276,7 +276,7 @@ def test_criterion_8_numerical_hygiene():
     x = rng2.normal(size=(nk, T2, 1))
     y = rng2.normal(size=(nk, T2))
     panel = PanelData(y=y, x=x)
-    fit = fit_group(panel, range(nk), m_under)
+    fit = fit_group(within_factors(panel, m_under), range(nk), m_under)
     rss = 0.0
     for i in range(nk):
         Zi = design_matrix(panel.x[i], m_under, with_intercept=False)

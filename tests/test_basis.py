@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from groupsfa.basis import basis_matrix, coefficient_curves, design_matrix
+from groupsfa.basis import basis_matrix, coefficient_curves, design_matrix, nested_columns
 from groupsfa.dgp import generate
 from groupsfa.errors import InputError
 from groupsfa.estimation import default_m, fit_all
@@ -165,6 +165,17 @@ def test_design_matrix_on_a_stack_equals_per_firm_designs(p, with_intercept):
     per_firm = np.stack([design_matrix(xi, m=3, with_intercept=with_intercept) for xi in x])
     assert Z.shape == (5, 7, int(with_intercept) + 2 + 3 * p)
     np.testing.assert_array_equal(Z, per_firm)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_nested_columns_pick_the_shorter_sieve_from_the_longer(p):
+    x = np.random.default_rng(6).normal(size=(2, 17, p))
+    longer = design_matrix(x, 6, with_intercept=False)
+    for m_short in range(2, 7):
+        np.testing.assert_array_equal(
+            longer[..., nested_columns(m_short, 6, p)],
+            design_matrix(x, m_short, with_intercept=False),
+        )
 
 
 @pytest.mark.parametrize("shape", [(7,), (2, 5, 7, 1)])

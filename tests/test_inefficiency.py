@@ -33,7 +33,7 @@ from groupsfa.inefficiency import (
 )
 from groupsfa.panel import PanelData
 from groupsfa.pipeline import estimate_panel, fit_levels
-from groupsfa.postestimation import fit_group, select_K
+from groupsfa.postestimation import fit_group, select_K, within_factors
 
 from oracles import (
     composite_stats_loop,
@@ -327,16 +327,25 @@ def test_no_se_within_one_stencil_step_of_a_zero_variance():
     assert mixture_standard_errors(stats, mixture) is None
 
 
-@pytest.mark.parametrize("design, rep", [("dgp2u", 3), ("dgp3u", 5)])
-def test_no_mixture_se_when_the_components_coincide(design, rep):
+@pytest.mark.parametrize("design, rep, tau_may_sit_at_a_bound", [
+    pytest.param("dgp2u", 3, False, id="dgp2u-3"),
+    # on the unique law's flat ridge the optimizer's end point follows last
+    # bits: with Step 3 solved by QR this fit ends at tau = 1 - 1.1e-10,
+    # component 1 at the unique law, where it used to end at coinciding
+    # components; either way tau is not identified
+    pytest.param("dgp3u", 5, True, id="dgp3u-5"),
+])
+def test_no_mixture_se_when_the_components_coincide(design, rep, tau_may_sit_at_a_bound):
     # runner-up mixtures whose two components agree to within 1e-5 in alpha0
     # and sigma_u2: tau is not identified, and the SEs they reported
     # (se(tau) 37.2 and 52.4) followed last-bit changes of the arithmetic
     panel, _ = generate(design, 100, 50, seed=0, rep=rep)
     fits = select_K(panel, fit_all(panel, default_m(50)), 4, 1.0).selected.fits
     stats, _, mixture, _ = fit_levels(panel, fits, 1.0, rep)
-    assert abs(mixture.alpha0_1 - mixture.alpha0_2) < 1e-5
-    assert abs(mixture.sigma_u2_1 - mixture.sigma_u2_2) < 1e-5
+    coincide = (abs(mixture.alpha0_1 - mixture.alpha0_2) < 1e-5
+                and abs(mixture.sigma_u2_1 - mixture.sigma_u2_2) < 1e-5)
+    at_bound = not inefficiency._TAU_BOUNDARY <= mixture.tau <= 1 - inefficiency._TAU_BOUNDARY
+    assert coincide or (tau_may_sit_at_a_bound and at_bound)
     assert mixture_standard_errors(stats, mixture) is None
 
 
@@ -612,7 +621,8 @@ def test_composite_stats_equal_per_firm_loop(design):
 ])
 def test_composite_stats_reject_fits_that_do_not_partition(groups):
     panel, _ = generate("dgp2u", 6, 30, seed=3)
-    fits = [fit_group(panel, members, m_under=2) for members in groups]
+    factors = within_factors(panel, 2)
+    fits = [fit_group(factors, members, m_under=2) for members in groups]
     with pytest.raises(InputError, match="do not partition the 6 firms"):
         composite_residual_stats(panel, fits)
 
@@ -620,7 +630,7 @@ def test_composite_stats_reject_fits_that_do_not_partition(groups):
 def test_composite_stats_reject_fits_whose_sums_do_not_match_their_members():
     # once numpy's bare ValueError from the scatter into the panel arrays
     panel, _ = generate("dgp2u", 6, 30, seed=3)
-    fit = fit_group(panel, range(6), m_under=2)
+    fit = fit_group(within_factors(panel, 2), range(6), m_under=2)
     for name, counts in (("S", "5 S and 6 W"), ("W", "6 S and 5 W")):
         short = dataclasses.replace(fit, **{name: getattr(fit, name)[:-1]})
         with pytest.raises(InputError, match=f"6 members has {counts} values"):
@@ -636,7 +646,7 @@ def _noiseless_panel(N, T, level):
 
 def test_firm_intercepts_noiseless_level():
     panel = _noiseless_panel(4, 30, 2.0)
-    fits = [fit_group(panel, np.arange(4), m_under=2)]
+    fits = [fit_group(within_factors(panel, 2), np.arange(4), m_under=2)]
     vals = firm_intercepts(composite_residual_stats(panel, fits))
     np.testing.assert_allclose(vals, 2.0, atol=1e-8)
 
@@ -644,13 +654,13 @@ def test_firm_intercepts_noiseless_level():
 def test_firm_intercepts_shift_locality():
     rng = np.random.default_rng(15)
     panel, _ = _make_small_dgp_panel(rng)
-    fits = [fit_group(panel, np.arange(panel.N), m_under=2)]
+    fits = [fit_group(within_factors(panel, 2), np.arange(panel.N), m_under=2)]
     base = firm_intercepts(composite_residual_stats(panel, fits))
 
     y2 = panel.y.copy()
     y2[2] += 1.7
     shifted = PanelData(y=y2, x=panel.x)
-    fits2 = [fit_group(shifted, np.arange(panel.N), m_under=2)]
+    fits2 = [fit_group(within_factors(shifted, 2), np.arange(panel.N), m_under=2)]
     moved = firm_intercepts(composite_residual_stats(shifted, fits2))
     # the pooled frontier shifts a little, but firm 2 moves by ~1.7 net
     assert moved[2] - base[2] == pytest.approx(1.7, abs=0.05)

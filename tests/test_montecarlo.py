@@ -106,18 +106,21 @@ def test_replication_classification_only_skips_mle():
 # starts that replaced them move the dgp3m errors by up to 1.9e-7. The
 # dgp3u level errors come from fit_unique and stay exact; they were
 # re-recorded when Step 4 began reading S and W from Step 3's fit, whose
-# last bits moved them by 6.1e-11 (alpha0) and 1.5e-10 (sigma_u).
+# last bits moved them by 6.1e-11 (alpha0) and 1.5e-10 (sigma_u). The
+# sigma_v errors and the dgp3u level errors were re-recorded again when
+# Step 3 moved from lstsq to a QR of the firms' stacked R factors: sigma_v
+# moved by at most 2.2e-16, alpha0 by 6.1e-11 and sigma_u by 1.5e-10.
 _REFIT_RECORDS = {
     "dgp3m": (2, 0.1, "mixture", {
         "sigma_v_1": 0.08575621268384159, "sigma_v_2": 0.258408142808942,
-        "sigma_v_3": 0.4054441406203839, "tau": 0.058895485846597095,
+        "sigma_v_3": 0.4054441406203837, "tau": 0.058895485846597095,
         "alpha0_1": -0.24981034646025357, "sigma_u_1": -0.11814682810827792,
         "alpha0_2": -0.2030746797489138, "sigma_u_2": 0.19925889806440922,
     }),
     "dgp3u": (1, 0.14, "mixture", {
-        "sigma_v_1": 0.3631026523584462, "sigma_v_2": 0.48342889020202207,
-        "sigma_v_3": 0.18335263385046163, "alpha0": 0.14933512523997483,
-        "sigma_u": 0.18536252873970938,
+        "sigma_v_1": 0.36310265235844597, "sigma_v_2": 0.48342889020202207,
+        "sigma_v_3": 0.18335263385046185, "alpha0": 0.14933512530121607,
+        "sigma_u": 0.18536252888617688,
     }),
 }
 _MIXTURE_LEVEL_KEYS = {"tau", "alpha0_1", "sigma_u_1", "alpha0_2", "sigma_u_2"}

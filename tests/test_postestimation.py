@@ -4,8 +4,8 @@ import pytest
 from groupsfa import postestimation
 from groupsfa.basis import coefficient_curves, design_matrix
 from groupsfa.dgp import generate
-from groupsfa.errors import DegenerateICError, InputError
-from groupsfa.estimation import default_m, fit_all
+from groupsfa.errors import DegenerateICError, InputError, RankDeficientError
+from groupsfa.estimation import _RANK_DEFICIENT, RCOND_MIN, default_m, fit_all
 from groupsfa.grouping import GroupAssignment, best_label_permutation, hac_cluster
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import (
@@ -15,6 +15,7 @@ from groupsfa.postestimation import (
     fit_group,
     ic_value,
     select_K,
+    within_factors,
 )
 
 from oracles import fit_group_loop, normal_equations_solve
@@ -46,7 +47,7 @@ def test_fit_group_single_member_noiseless():
     Z = design_matrix(x[0], m_under, with_intercept=False)
     pi = rng.normal(size=Z.shape[1])
     y = (Z @ pi + 5.0)[None, :]  # level drops out under demeaning
-    fit = fit_group(PanelData(y=y, x=x), [0], m_under)
+    fit = fit_group(within_factors(PanelData(y=y, x=x), m_under), [0], m_under)
     np.testing.assert_allclose(fit.pi, pi, atol=1e-8)
     assert fit.sigma_v == pytest.approx(0.0, abs=1e-8)
 
@@ -57,8 +58,8 @@ def test_fit_group_duplicated_firm_unchanged():
     x1 = rng.normal(size=(T, 1))
     y1 = rng.normal(size=T)
     panel = PanelData(y=np.vstack([y1, y1]), x=np.stack([x1, x1]))
-    single = fit_group(PanelData(y=y1[None], x=x1[None]), [0], 3)
-    double = fit_group(panel, [0, 1], 3)
+    single = fit_group(within_factors(PanelData(y=y1[None], x=x1[None]), 3), [0], 3)
+    double = fit_group(within_factors(panel, 3), [0, 1], 3)
     np.testing.assert_allclose(double.pi, single.pi, atol=1e-10)
     assert double.sigma_v == pytest.approx(single.sigma_v, rel=1e-10)
 
@@ -69,7 +70,7 @@ def test_fit_group_matches_extended_precision_oracle():
     x = rng.normal(size=(Nk, T, 1))
     y = rng.normal(size=(Nk, T))
     panel = PanelData(y=y, x=x)
-    fit = fit_group(panel, range(Nk), m_under)
+    fit = fit_group(within_factors(panel, m_under), range(Nk), m_under)
     rows, ys = [], []
     for i in range(Nk):
         Zi = design_matrix(x[i], m_under, with_intercept=False)
@@ -82,7 +83,7 @@ def test_fit_group_matches_extended_precision_oracle():
 def test_fit_group_empty_rejected():
     panel, _ = generate("dgp1u", 4, 30, seed=3)
     with pytest.raises(InputError):
-        fit_group(panel, [], 2)
+        fit_group(within_factors(panel, 2), [], 2)
 
 
 @pytest.mark.parametrize("members", [[0, 0, 1], [-1, 0], [0, 30], [0.5, 1.7]])
@@ -91,7 +92,74 @@ def test_fit_group_rejects_members_that_are_not_distinct_firms(members):
     # bare IndexError, and 0.5 and 1.7 fitted firms 0 and 1
     panel, _ = generate("dgp1u", 30, 30, seed=3)
     with pytest.raises(InputError, match=r"distinct firm indices in 0\.\.29"):
-        fit_group(panel, members, 2)
+        fit_group(within_factors(panel, 2), members, 2)
+
+
+def test_fit_group_rejects_a_sieve_longer_than_its_factors():
+    panel, _ = generate("dgp1u", 30, 30, seed=3)
+    with pytest.raises(InputError, match=r"m_under must be in 2\.\.3, got 4"):
+        fit_group(within_factors(panel, 3), range(30), 4)
+
+
+def test_within_factors_in_chunks_equal_one_chunk(monkeypatch):
+    panel, _ = generate("dgp3m", 30, 40, seed=11)
+    whole = within_factors(panel, 4)
+    monkeypatch.setattr(postestimation, "_CHUNK", 7)
+    chunked = within_factors(panel, 4)
+    for name in ("R", "zbar", "ybar"):
+        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+    assert (chunked.m, chunked.p, chunked.N, chunked.T) == (4, panel.p, 30, 40)
+
+
+@pytest.mark.parametrize("T", [8, 40])
+def test_within_factors_reproduce_each_firms_demeaned_gram(T):
+    # with m = 4 and p = 2 a factor has 12 columns, more than T = 8 rows
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, T, 2))
+    y = rng.normal(size=(3, T))
+    factors = within_factors(PanelData(y=y, x=x), 4)
+    for i in range(3):
+        A = np.column_stack([design_matrix(x[i], 4, False), y[i]])
+        mean = A.mean(axis=0)
+        np.testing.assert_allclose(factors.zbar[i], mean[:-1], rtol=1e-13, atol=1e-15)
+        assert factors.ybar[i] == pytest.approx(mean[-1], rel=1e-13, abs=1e-15)
+        A -= mean
+        gram = factors.R[i].T @ factors.R[i]
+        assert np.max(np.abs(gram - A.T @ A)) <= 1e-13 * np.max(np.abs(A.T @ A))
+        assert not factors.R[i][T:].any()
+
+
+def test_rank_deficient_pooled_design_raises_with_lstsq_rcond():
+    # the second regressor is the first plus 1e-10 noise
+    rng = np.random.default_rng(13)
+    N, T = 5, 30
+    x1 = rng.normal(size=(N, T, 1))
+    x = np.concatenate([x1, x1 + 1e-10 * rng.normal(size=(N, T, 1))], axis=-1)
+    panel = PanelData(y=rng.normal(size=(N, T)), x=x)
+    with pytest.raises(RankDeficientError) as info:
+        fit_group(within_factors(panel, 3), range(N), 3)
+    rows = [design_matrix(x[i], 3, False) for i in range(N)]
+    sv = np.linalg.svd(np.vstack([Z - Z.mean(axis=0) for Z in rows]), compute_uv=False)
+    assert info.value.rcond < RCOND_MIN
+    assert info.value.rcond == pytest.approx(sv[-1] / sv[0], rel=1e-4)
+    assert str(info.value) == _RANK_DEFICIENT.format(info.value.rcond)
+
+
+def test_rank_deficient_when_a_regressor_is_constant_over_time():
+    # its demeaned x * B_0 column is 0
+    rng = np.random.default_rng(14)
+    x = np.repeat(rng.normal(size=(4, 1, 1)), 30, axis=1)
+    panel = PanelData(y=rng.normal(size=(4, 30)), x=x)
+    with pytest.raises(RankDeficientError, match="numerically rank deficient"):
+        fit_group(within_factors(panel, 3), range(4), 3)
+
+
+def test_select_K_rejects_firm_fits_of_another_panel():
+    # 40-firm fits with a 60-firm panel returned K = 1 and a 40-entry membership
+    panel, _ = generate("dgp1u", 60, 30, seed=3)
+    other, _ = generate("dgp1u", 40, 30, seed=3)
+    with pytest.raises(InputError, match="firm_fits hold 40 firms but the panel has N=60"):
+        select_K(panel, fit_all(other, 2), 4, 1.0)
 
 
 def test_select_K_rejects_a_non_integer_K_max():
@@ -109,8 +177,9 @@ def test_fit_group_equals_per_firm_loop(design):
     for fit in fits:
         want = fit_group_loop(panel, fit.members, fit.m_under)
         np.testing.assert_array_equal(fit.members, want.members)
-        np.testing.assert_array_equal(fit.pi, want.pi)
-        assert fit.sigma_v == want.sigma_v
+        # a QR solve against lstsq's SVD: pi relative to its largest entry
+        assert np.max(np.abs(fit.pi - want.pi)) <= 1e-12 * np.max(np.abs(want.pi))
+        assert abs(fit.sigma_v - want.sigma_v) <= 1e-12 * want.sigma_v
         assert fit.m_under == want.m_under
         # the residual sums against the loop's math.fsum sums
         T = panel.T
@@ -146,7 +215,7 @@ def test_ic_value_degenerate_sigma():
 def test_ic_residual_identity():
     # the residual quadratic term equals Nk (T-1) by construction
     panel, _ = generate("dgp3u", 12, 50, seed=4)
-    fit = fit_group(panel, range(12), 4)
+    fit = fit_group(within_factors(panel, 4), range(12), 4)
     rss = 0.0
     for i in range(12):
         Zi = design_matrix(panel.x[i], 4, with_intercept=False)
@@ -186,11 +255,12 @@ def test_select_k_fits_each_member_set_once(monkeypatch):
     K_max, lam = 4, default_lambda(panel.N, panel.T)
 
     # the records without reuse: every group of every cut fit afresh
+    factors = within_factors(panel, default_m_under(panel.N, panel.T))
     expected = []
     for K in range(1, K_max + 1):
         assignment = hac_cluster(th).cut(K)
         fits = [
-            fit_group(panel, assignment.members(k),
+            fit_group(factors, assignment.members(k),
                       default_m_under(len(assignment.members(k)), panel.T))
             for k in range(1, K + 1)
         ]
@@ -198,9 +268,9 @@ def test_select_k_fits_each_member_set_once(monkeypatch):
 
     calls = []
 
-    def counting_fit_group(panel_, members, m_under):
+    def counting_fit_group(factors_, members, m_under):
         calls.append(tuple(int(i) for i in members))
-        return fit_group(panel_, members, m_under)
+        return fit_group(factors_, members, m_under)
 
     monkeypatch.setattr(postestimation, "fit_group", counting_fit_group)
     report = select_K(panel, firm_fits, K_max, 1.0)
@@ -241,7 +311,7 @@ def test_frontier_eval_recovers_noiseless_alpha():
     tau = np.arange(1, T + 1) / T
     alpha = np.sqrt(2) * np.cos(np.pi * tau)  # exactly B1
     y = alpha[None, :] + 0.0 * x[:, :, 0]
-    fit = fit_group(PanelData(y=y, x=x), range(N), m_under)
+    fit = fit_group(within_factors(PanelData(y=y, x=x), m_under), range(N), m_under)
     assert coefficient_curves(fit.pi, [0.25], m_under)[0, 0] == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(InputError):
         coefficient_curves(fit.pi, [1.2], m_under)
@@ -256,7 +326,7 @@ def test_noiseless_group_recovery_exact():
     for i in range(N):
         Zi = design_matrix(x[i], m_under, with_intercept=False)
         y[i] = Zi @ pi + rng.normal()  # firm level, removed by demeaning
-    fit = fit_group(PanelData(y=y, x=x), range(N), m_under)
+    fit = fit_group(within_factors(PanelData(y=y, x=x), m_under), range(N), m_under)
     np.testing.assert_allclose(fit.pi, pi, atol=1e-8)
 
 
