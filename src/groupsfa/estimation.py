@@ -4,8 +4,9 @@ Each firm's outcome series is regressed on its sieve design with intercept.
 The slope block together with the residual variance forms the feature
 vector used later for classification (``FirmFits.features``); the
 intercept estimates the firm's level term and is excluded from
-classification. One (N, T, cols) design serves all firms, and one stacked
-SVD solves them all: coef = V ((U' y) / s) for each firm.
+classification. Firms are designed and solved ``_CHUNK`` at a time, so no
+(N, T, cols) design is held whole: one stacked SVD per chunk gives
+coef = V ((U' y) / s) for each of its firms.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ from .basis import design_matrix
 from .errors import InputError, RankDeficientError
 
 RCOND_MIN = 1e-10
+# firms per stacked design and factorization, here and in Step 3
+_CHUNK = 256
 _RANK_DEFICIENT = "design matrix numerically rank deficient (reciprocal condition number {:.2e})"
 
 
@@ -70,9 +73,20 @@ def fit_all(panel, m):
         raise InputError(
             f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}"
         )
-    Z = design_matrix(panel.x, m, with_intercept=True)
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    rcond = s[:, -1] / s[:, 0]
+    N = panel.N
+    cols = m * (panel.p + 1)
+    rcond, coef, rss = np.empty(N), np.empty((N, cols)), np.empty(N)
+    for lo in range(0, N, _CHUNK):
+        hi = min(lo + _CHUNK, N)
+        Z = design_matrix(panel.x[lo:hi], m, with_intercept=True)
+        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+        rcond[lo:hi] = s[:, -1] / s[:, 0]
+        if not np.all(rcond[:hi] >= RCOND_MIN):
+            continue  # the fit fails; later chunks only add their rcond
+        y = panel.y[lo:hi]
+        coef[lo:hi] = ((y[:, None, :] @ U) / s[:, None, :] @ Vt)[:, 0]
+        resid = y - (Z @ coef[lo:hi, :, None])[..., 0]
+        rss[lo:hi] = np.vecdot(resid, resid)
     failed = np.flatnonzero(~(rcond >= RCOND_MIN))
     if failed.size:
         shown = "; ".join(
@@ -83,7 +97,4 @@ def fit_all(panel, m):
             f"per-firm estimation failed for: {shown}{more}",
             rcond=float(rcond[failed].min()),
         )
-    rows = panel.y[:, None, :]  # each firm's y as a (1, T) row
-    coef = ((rows @ U) / s[:, None, :] @ Vt)[:, 0]
-    resid = panel.y - (Z @ coef[:, :, None])[..., 0]
-    return FirmFits(coef=coef, sigma_v2=np.vecdot(resid, resid) / (panel.T - 1))
+    return FirmFits(coef=coef, sigma_v2=rss / (panel.T - 1))

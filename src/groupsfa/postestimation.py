@@ -4,12 +4,15 @@ Within each candidate group the outcome and a longer sieve design are
 demeaned firm by firm over time, pooled, and fit by OLS. The pooled sieve
 length grows with the group's sample size. Each firm's demeaned [Z | y]
 is reduced once per panel to its R factor (``within_factors``), at the
-longest sieve length any group can use; the sieve layout nests, so a
-shorter length is a subset of those columns. A group's fit is one QR of
-its members' stacked factors restricted to its columns (TSQR: Demmel,
-Grigori, Hoemmen & Langou 2012): a triangular solve gives the
-coefficients, and the last diagonal entry squared is the pooled residual
-sum of squares. Each fit keeps its members' residual sums for Step 4. An
+longest sieve length any group can use; a factor keeps min(T, c + 1)
+rows for c + 1 columns. The sieve layout nests, so a shorter length is a
+subset of those columns. A group's fit is a QR of its members' stacked
+factors restricted to its columns (TSQR: Demmel, Grigori, Hoemmen &
+Langou 2012), folded ``_CHUNK`` (256) firms at a time into one running
+triangle, so no copy of the members' factors is held whole: a triangular
+solve gives the coefficients, and the last diagonal entry squared is the
+pooled residual sum of squares. Each fit keeps its members' residual
+sums for Step 4. An
 information criterion
 
     IC(K) = sum_k { N_k T log(sigma_v_k) + N_k (T-1) } + lambda K
@@ -26,11 +29,8 @@ from scipy.linalg import solve_triangular
 
 from .basis import design_matrix, nested_columns
 from .errors import DegenerateICError, InputError, RankDeficientError, as_integer
-from .estimation import _RANK_DEFICIENT, RCOND_MIN
+from .estimation import _CHUNK, _RANK_DEFICIENT, RCOND_MIN
 from .grouping import hac_cluster
-
-# firms per batched QR in ``within_factors``, so no (N, T, cols) array is held whole
-_CHUNK = 256
 
 
 @dataclass
@@ -88,10 +88,10 @@ class WithinFactors:
     """Each firm's within-demeaned [Z(m) | y] reduced to its R factor.
 
     Z(m) has c = (m - 1) + m p columns in the ``design_matrix`` layout,
-    without intercept. R is (N, c + 1, c + 1): firm i's R_i satisfies
-    R_i' R_i = A_i' A_i for its demeaned A_i = [Z_i | y_i] (rows past T
-    are zero when T < c + 1). zbar (N, c) and ybar (N,) are the firm means
-    that the demeaning removed.
+    without intercept. R is (N, min(T, c + 1), c + 1): firm i's R_i
+    satisfies R_i' R_i = A_i' A_i for its demeaned A_i = [Z_i | y_i], with
+    no zero rows added when T < c + 1. zbar (N, c) and ybar (N,) are the
+    firm means that the demeaning removed.
     """
 
     R: np.ndarray
@@ -108,7 +108,7 @@ def within_factors(panel, m):
     batched QR."""
     N, T, p = panel.N, panel.T, panel.p
     c = (m - 1) + m * p
-    R = np.zeros((N, c + 1, c + 1))
+    R = np.empty((N, min(T, c + 1), c + 1))
     means = np.empty((N, c + 1))
     for lo in range(0, N, _CHUNK):
         A = np.concatenate(
@@ -118,7 +118,7 @@ def within_factors(panel, m):
         mean = np.ones(T) @ A / T  # one BLAS pass; A.mean(axis=1) is several times slower
         A -= mean[:, None, :]
         means[lo:lo + _CHUNK] = mean
-        R[lo:lo + _CHUNK, : min(T, c + 1)] = np.linalg.qr(A, mode="r")
+        R[lo:lo + _CHUNK] = np.linalg.qr(A, mode="r")
     return WithinFactors(R=R, zbar=means[:, :c], ybar=means[:, c], m=m, p=p, N=N, T=T)
 
 
@@ -127,14 +127,16 @@ def fit_group(factors, members, m_under):
 
     ``factors`` is ``within_factors(panel, m)`` with m >= m_under. The
     members' R factors, restricted to Z(m_under)'s columns and y's, are
-    stacked and factored once more; with that R = [[R11, r12], [0, r22]],
-    pi solves R11 pi = r12 and the pooled residual sum of squares is
-    r22^2, so sigma_v^2 = r22^2 / (N_k (T-1)). Member i's
-    S_i = T (ybar_i - zbar_i' pi) and W_i = |R_i (-pi, 1)|^2, its demeaned
-    residuals' square sum. The design is rank deficient, as for lstsq,
-    when R11's numerical rank is below its columns or its reciprocal
-    condition number below ``RCOND_MIN``. ``members`` must be distinct firm
-    indices in 0..N-1.
+    stacked ``_CHUNK`` firms at a time, and each chunk is folded into a
+    running triangle, R = qr([R; chunk]); a group of at most ``_CHUNK``
+    firms takes one QR of its whole stack. With the final
+    R = [[R11, r12], [0, r22]], pi solves R11 pi = r12 and the pooled
+    residual sum of squares is r22^2, so sigma_v^2 = r22^2 / (N_k (T-1)).
+    Member i's S_i = T (ybar_i - zbar_i' pi) and W_i = |R_i (-pi, 1)|^2,
+    its demeaned residuals' square sum, formed chunk by chunk. The design
+    is rank deficient, as for lstsq, when R11's numerical rank is below
+    its columns or its reciprocal condition number below ``RCOND_MIN``.
+    ``members`` must be distinct firm indices in 0..N-1.
     """
     members = np.asarray(sorted(members))
     if members.size == 0:
@@ -148,10 +150,17 @@ def fit_group(factors, members, m_under):
     if not 2 <= m_under <= factors.m:
         raise InputError(f"m_under must be in 2..{factors.m}, got {m_under}")
     members = members.astype(int)
-    cols = nested_columns(m_under, factors.m, factors.p)
-    k = cols.size
-    block = factors.R[members][..., np.append(cols, -1)]  # y's column is last
-    R = np.linalg.qr(block.reshape(-1, k + 1), mode="r")
+    cols = np.append(nested_columns(m_under, factors.m, factors.p), -1)  # y's column is last
+    k = cols.size - 1
+
+    def block(lo):  # the factors of members lo..lo + _CHUNK - 1 in the group's columns
+        return factors.R[members[lo:lo + _CHUNK]][..., cols]
+
+    R = np.linalg.qr(block(0).reshape(-1, k + 1), mode="r")
+    for lo in range(_CHUNK, members.size, _CHUNK):
+        R = np.linalg.qr(np.concatenate([R, block(lo).reshape(-1, k + 1)]), mode="r")
+    if R.shape[0] <= k:  # fewer stacked rows than columns: R's missing rows are zero
+        R = np.pad(R, ((0, k + 1 - R.shape[0]), (0, 0)))
     sv = np.linalg.svd(R[:k, :k], compute_uv=False)
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     # lstsq's default cutoff for the (N_k T, k) design
@@ -159,15 +168,18 @@ def fit_group(factors, members, m_under):
     if rank < k or rcond < RCOND_MIN:
         raise RankDeficientError(_RANK_DEFICIENT.format(rcond), rcond=rcond)
     pi = solve_triangular(R[:k, :k], R[:k, k], check_finite=False)
-    e = block @ np.append(-pi, 1.0)
+    W = np.empty(members.size)
+    for lo in range(0, members.size, _CHUNK):
+        e = block(lo) @ np.append(-pi, 1.0)
+        W[lo:lo + _CHUNK] = np.vecdot(e, e)
     sigma_v2 = float(R[k, k] ** 2) / (members.size * (factors.T - 1))
     return GroupFit(
         members=members,
         pi=pi,
         sigma_v=float(np.sqrt(sigma_v2)),
         m_under=m_under,
-        S=factors.T * (factors.ybar[members] - factors.zbar[np.ix_(members, cols)] @ pi),
-        W=np.vecdot(e, e),
+        S=factors.T * (factors.ybar[members] - factors.zbar[np.ix_(members, cols[:-1])] @ pi),
+        W=W,
     )
 
 

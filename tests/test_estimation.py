@@ -4,6 +4,7 @@ import pytest
 from groupsfa.basis import design_matrix
 from groupsfa.dgp import generate
 from groupsfa.errors import InputError, RankDeficientError
+from groupsfa import estimation
 from groupsfa.estimation import default_m, fit_all
 from groupsfa.panel import PanelData
 
@@ -132,6 +133,16 @@ def test_fit_all_equals_per_firm_loop(design):
         np.testing.assert_array_equal(got.sigma_v2, want.sigma_v2)
 
 
+def test_fit_all_in_chunks_equals_one_chunk(monkeypatch):
+    # the SVD is per firm, so 15 chunks of at most 7 firms give one chunk's bytes
+    panel, _ = generate("dgp3m", 100, 50, seed=3)
+    whole = fit_all(panel, 3)
+    monkeypatch.setattr(estimation, "_CHUNK", 7)
+    chunked = fit_all(panel, 3)
+    np.testing.assert_array_equal(chunked.coef, whole.coef)
+    np.testing.assert_array_equal(chunked.sigma_v2, whole.sigma_v2)
+
+
 def test_features_match_per_firm_lstsq():
     # the stacked SVD against the solver it replaced, np.linalg.lstsq one
     # firm at a time; the two differ by about 2e-14 relative
@@ -190,6 +201,28 @@ def test_fit_all_names_ten_rank_deficient_firms_and_counts_the_rest():
     assert "firm 11" not in message and message.endswith(" and 30 more")
     each = []
     for i in range(panel.N):
+        one = PanelData(y=panel.y[i:i + 1], x=panel.x[i:i + 1], firm_ids=[i + 1])
+        with pytest.raises(RankDeficientError) as single:
+            fit_all(one, 2)
+        each.append(single.value.rcond)
+    assert info.value.rcond == min(each)
+
+
+def test_fit_all_names_rank_deficient_firms_across_chunks(monkeypatch):
+    # firms 11-40 fail; in chunks of 7 they start in the second chunk, the
+    # ten named span two chunks, all 30 span five, and the smallest rcond
+    # may sit in any of them
+    monkeypatch.setattr(estimation, "_CHUNK", 7)
+    panel, _ = generate("dgp1m", 40, 30, seed=0)
+    panel.x[10:, :, 0] = 1.0
+    with pytest.raises(RankDeficientError) as info:
+        fit_all(panel, 2)
+    message = str(info.value)
+    assert all(f"firm {i}: " in message for i in range(11, 21))
+    assert "firm 10:" not in message and "firm 21" not in message
+    assert message.endswith(" and 20 more")
+    each = []
+    for i in range(10, panel.N):
         one = PanelData(y=panel.y[i:i + 1], x=panel.x[i:i + 1], firm_ids=[i + 1])
         with pytest.raises(RankDeficientError) as single:
             fit_all(one, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,7 @@ def test_within_factors_reproduce_each_firms_demeaned_gram(T):
     x = rng.normal(size=(3, T, 2))
     y = rng.normal(size=(3, T))
     factors = within_factors(PanelData(y=y, x=x), 4)
+    assert factors.R.shape == (3, min(T, 12), 12)
     for i in range(3):
         A = np.column_stack([design_matrix(x[i], 4, False), y[i]])
         mean = A.mean(axis=0)
@@ -126,7 +129,62 @@ def test_within_factors_reproduce_each_firms_demeaned_gram(T):
         A -= mean
         gram = factors.R[i].T @ factors.R[i]
         assert np.max(np.abs(gram - A.T @ A)) <= 1e-13 * np.max(np.abs(A.T @ A))
-        assert not factors.R[i][T:].any()
+
+
+def _assert_fits_close(got, want, T, rel):
+    """pi relative to its largest entry, S relative to |S| + T, the rest
+    relative to themselves."""
+    np.testing.assert_array_equal(got.members, want.members)
+    assert got.m_under == want.m_under
+    assert np.max(np.abs(got.pi - want.pi)) <= rel * np.max(np.abs(want.pi))
+    assert abs(got.sigma_v - want.sigma_v) <= rel * want.sigma_v
+    assert np.max(np.abs(got.S - want.S) / (np.abs(want.S) + T)) <= rel
+    assert np.max(np.abs(got.W - want.W) / want.W) <= rel
+
+
+def test_fit_group_in_chunks_matches_one_chunk(monkeypatch):
+    # 30 firms fold in chunks of 7, 7, 7, 7 and 2
+    panel, _ = generate("dgp3m", 30, 40, seed=11)
+    factors = within_factors(panel, 4)
+    whole = fit_group(factors, range(30), 4)
+    monkeypatch.setattr(postestimation, "_CHUNK", 7)
+    _assert_fits_close(fit_group(factors, range(30), 4), whole, panel.T, 1e-13)
+
+
+@pytest.mark.parametrize("members", [range(0, 600, 3), range(100, 400), range(600)],
+                         ids=["every-third", "100-399", "all"])
+def test_fit_group_folded_over_chunks_equals_per_firm_loop(members):
+    # 200, 300 and 600 members: one, two and three chunks of 256
+    panel, _ = generate("dgp3m", 600, 30, seed=5)
+    factors = within_factors(panel, default_m_under(panel.N, panel.T))
+    m_under = default_m_under(len(members), panel.T)
+    fit = fit_group(factors, members, m_under)
+    _assert_fits_close(fit, fit_group_loop(panel, members, m_under), panel.T, 1e-13)
+
+
+def test_all_firm_fit_holds_no_copy_of_the_factor_stack():
+    # stacking every member's factor at once traced 2.0x the stack
+    panel, _ = generate("dgp1m", 2000, 50, seed=0)
+    factors = within_factors(panel, default_m_under(panel.N, panel.T))
+    tracemalloc.start()
+    try:
+        fit_group(factors, range(panel.N), factors.m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factors.R.nbytes / 2
+
+
+def test_group_with_fewer_stacked_rows_than_columns_is_rank_deficient():
+    # one firm's T = 8 rows against k + 1 = 12 columns
+    rng = np.random.default_rng(12)
+    panel = PanelData(y=rng.normal(size=(1, 8)), x=rng.normal(size=(1, 8, 2)))
+    factors = within_factors(panel, 4)
+    assert factors.R.shape == (1, 8, 12)
+    with pytest.raises(RankDeficientError) as info:
+        fit_group(factors, [0], 4)
+    assert info.value.rcond == 0.0
+    assert str(info.value) == _RANK_DEFICIENT.format(0.0)
 
 
 def test_rank_deficient_pooled_design_raises_with_lstsq_rcond():
