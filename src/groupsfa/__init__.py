@@ -20,7 +20,14 @@ from .errors import (
     NumericalError,
     RankDeficientError,
 )
-from .estimation import FirmFits, default_m, fit_all
+from .estimation import (
+    FirmFits,
+    WithinFactors,
+    default_m,
+    default_m_under,
+    fit_all,
+    within_factors,
+)
 from .grouping import GroupAssignment, MergeHistory, hac_cluster
 from .inefficiency import (
     DegenerateMixtureWarning,
@@ -45,13 +52,10 @@ from .pipeline import EstimateResult, estimate_panel
 from .postestimation import (
     GroupFit,
     ICReport,
-    WithinFactors,
     default_lambda,
-    default_m_under,
     fit_group,
     ic_value,
     select_K,
-    within_factors,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ a stack of firms at once, stacks the time-varying intercept block (which
 drops B_0 because the intercept curve is normalized to integrate to zero)
 and one full basis block per regressor:
 
-    [intercept? | B_1(tau)..B_{m-1}(tau) | x_1*B_0..B_{m-1} | ... | x_p*B_0..B_{m-1}]
+    [B_1(tau)..B_{m-1}(tau) | x_1*B_0..B_{m-1} | ... | x_p*B_0..B_{m-1}]
 
 This module is the one owner of that layout: ``design_matrix`` builds it,
 ``coefficient_curves`` reads the curves back out of a coefficient vector
@@ -35,13 +35,12 @@ def basis_matrix(s, m):
     return np.column_stack(cols)
 
 
-def design_matrix(x, m, with_intercept):
+def design_matrix(x, m):
     """Stack design rows for one firm's time series, or for n firms'.
 
     Args:
         x: (T, p) regressors of one firm, or (n, T, p) of n firms (p may be 0).
         m: number of sieve terms.
-        with_intercept: prepend a constant column.
 
     Returns:
         (T, cols) or (n, T, cols), rows laid out as in the module docstring.
@@ -53,17 +52,16 @@ def design_matrix(x, m, with_intercept):
         raise InputError(f"design matrices need m >= 2, got {m}")
     *lead, T, p = x.shape
     B = basis_matrix(np.arange(1, T + 1) / T, m)
-    blocks = []
-    if with_intercept:
-        blocks.append(np.ones((*lead, T, 1)))
-    blocks.append(np.broadcast_to(B[:, 1:], (*lead, T, m - 1)))
-    blocks.append((x[..., None] * B[:, None, :]).reshape(*lead, T, p * m))
-    return np.concatenate(blocks, axis=-1)
+    return np.concatenate(
+        [np.broadcast_to(B[:, 1:], (*lead, T, m - 1)),
+         (x[..., None] * B[:, None, :]).reshape(*lead, T, p * m)],
+        axis=-1,
+    )
 
 
 def nested_columns(m_short, m, p):
-    """Indices of ``design_matrix(x, m_short, False)``'s columns among
-    ``design_matrix(x, m, False)``'s, for m_short <= m and p regressors.
+    """Indices of ``design_matrix(x, m_short)``'s columns among
+    ``design_matrix(x, m)``'s, for m_short <= m and p regressors.
 
     B_j does not depend on m, so the shorter design is this column subset
     of the longer one, bit for bit.
@@ -76,7 +74,7 @@ def nested_columns(m_short, m, p):
 def coefficient_curves(pi, s, m):
     """Evaluate the curves of a no-intercept sieve coefficient vector.
 
-    ``pi`` is laid out as the columns of ``design_matrix(x, m, False)``:
+    ``pi`` is laid out as the columns of ``design_matrix(x, m)``:
     (m-1) intercept-curve coefficients, then m per regressor. Returns the
     (len(s), 1 + p) values alpha(s), beta_1(s), ..., beta_p(s), one
     product of the basis with the coefficients arranged one curve per

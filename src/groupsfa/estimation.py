@@ -1,25 +1,46 @@
-"""Per-firm sieve regressions (Step 1).
+"""Per-firm sieve regressions (Step 1) and the per-firm factors Step 3 reuses.
 
 Each firm's outcome series is regressed on its sieve design with intercept.
 The slope block together with the residual variance forms the feature
 vector used later for classification (``FirmFits.features``); the
 intercept estimates the firm's level term and is excluded from
-classification. Firms are designed and solved ``_CHUNK`` at a time, so no
-(N, T, cols) design is held whole: one stacked SVD per chunk gives
-coef = V ((U' y) / s) for each of its firms.
+classification. Each firm's demeaned [Z | y] is factored once per panel
+(``within_factors``). By Frisch-Waugh the slopes and residual sum of
+squares are those of the demeaned regression, read from the factor's
+Z(m) columns (Golub & Van Loan 6.5), and the intercept is ybar - zbar' b.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import design_matrix
+from .basis import design_matrix, nested_columns
 from .errors import InputError, RankDeficientError
 
 RCOND_MIN = 1e-10
-# firms per stacked design and factorization, here and in Step 3
+# firms per design build and factorization, here and in Step 3
 _CHUNK = 256
 _RANK_DEFICIENT = "design matrix numerically rank deficient (reciprocal condition number {:.2e})"
+
+
+@dataclass(frozen=True)
+class WithinFactors:
+    """Each firm's within-demeaned [Z(m) | y] reduced to its R factor.
+
+    Z(m) has c = (m - 1) + m p columns in the ``design_matrix`` layout,
+    without intercept. R is (N, min(T, c + 1), c + 1): firm i's R_i
+    satisfies R_i' R_i = A_i' A_i for its demeaned A_i = [Z_i | y_i], with
+    no zero rows added when T < c + 1. zbar (N, c) and ybar (N,) are the
+    firm means that the demeaning removed.
+    """
+
+    R: np.ndarray
+    zbar: np.ndarray
+    ybar: np.ndarray
+    m: int
+    p: int
+    N: int
+    T: int
 
 
 @dataclass
@@ -28,11 +49,13 @@ class FirmFits:
 
     coef is (N, cols): each firm's level term, then its (m-1) + m*p slope
     coefficients. sigma_v2 is (N,): each firm's residual variance, the sum
-    of squared residuals over T-1.
+    of squared residuals over T-1. factors, the panel's ``WithinFactors``,
+    are what Step 3 fits its groups from.
     """
 
     coef: np.ndarray
     sigma_v2: np.ndarray
+    factors: WithinFactors
 
     @property
     def features(self):
@@ -55,46 +78,79 @@ def default_m(T):
     return max(2, int(np.floor(T ** 0.2)))
 
 
+def default_m_under(Nk, T):
+    """Pooled sieve length floor((Nk*T)^(1/4.8)), floored at 2."""
+    if Nk * T < 2:
+        raise InputError(f"pooled sample too small: Nk*T = {Nk * T}")
+    return max(2, int(np.floor((Nk * T) ** (1.0 / 4.8))))
+
+
 def min_periods(m, p):
     """Fewest periods a per-firm fit with sieve length m and p regressors needs."""
     return m * (p + 1) + 2
 
 
+def within_factors(panel, m):
+    """Factor every firm's within-demeaned [Z(m) | y], ``_CHUNK`` firms per
+    batched QR."""
+    N, T, p = panel.N, panel.T, panel.p
+    c = (m - 1) + m * p
+    R = np.empty((N, min(T, c + 1), c + 1))
+    means = np.empty((N, c + 1))
+    for lo in range(0, N, _CHUNK):
+        A = np.concatenate([design_matrix(panel.x[lo:lo + _CHUNK], m),
+                            panel.y[lo:lo + _CHUNK, :, None]], axis=-1)
+        mean = np.ones(T) @ A / T  # one BLAS pass; A.mean(axis=1) is several times slower
+        A -= mean[:, None, :]
+        means[lo:lo + _CHUNK] = mean
+        R[lo:lo + _CHUNK] = np.linalg.qr(A, mode="r")
+    return WithinFactors(R=R, zbar=means[:, :c], ybar=means[:, c], m=m, p=p, N=N, T=T)
+
+
+def _solve_triangles(R, n_rows):
+    """Solve fits of y on k columns from their (n, k + 1, k + 1) R factors
+    [[R11, r12], [0, r22]]: coef (n, k) by back substitution of
+    R11 coef = r12, with residual sum of squares r22^2. A fit is rank
+    deficient, as for lstsq on ``n_rows`` rows, when R11's singular values
+    give a rank below k or an rcond below ``RCOND_MIN``. Returns (coef,
+    rcond, indices of the rank-deficient fits); coef is None if any are.
+    """
+    k = R.shape[-1] - 1
+    sv = np.linalg.svd(R[:, :k, :k], compute_uv=False)
+    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+    # lstsq's default cutoff for an (n_rows, k) design
+    rank = np.sum(sv > sv[:, :1] * np.finfo(float).eps * max(n_rows, k), axis=1)
+    failed = np.flatnonzero((rank < k) | ~(rcond >= RCOND_MIN))
+    if failed.size:
+        return None, rcond, failed
+    coef = np.empty((R.shape[0], k))
+    for j in range(k - 1, -1, -1):
+        coef[:, j] = (R[:, j, k] - np.vecdot(R[:, j, j + 1:k], coef[:, j + 1:])) / R[:, j, j]
+    return coef, rcond, failed
+
+
 def fit_all(panel, m):
     """Fit every firm; rank failures are aggregated with their firm labels.
 
-    A firm fails when the ratio of its design's smallest to largest
-    singular value is below RCOND_MIN. The error names the first 10 failed
-    firms and counts the rest; its rcond is the smallest of the failed
-    firms' values.
+    Firms are factored by ``within_factors`` at max(m, ``default_m_under(N,
+    T)``), and one batched QR of the factors' Z(m) and y columns gives each
+    firm's triangle for ``_solve_triangles``. The error names the first 10
+    failed firms, counts the rest, and carries their smallest rcond.
     """
     need = min_periods(m, panel.p)
     if panel.T < need:
-        raise InputError(
-            f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}"
-        )
-    N = panel.N
-    cols = m * (panel.p + 1)
-    rcond, coef, rss = np.empty(N), np.empty((N, cols)), np.empty(N)
-    for lo in range(0, N, _CHUNK):
-        hi = min(lo + _CHUNK, N)
-        Z = design_matrix(panel.x[lo:hi], m, with_intercept=True)
-        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-        rcond[lo:hi] = s[:, -1] / s[:, 0]
-        if not np.all(rcond[:hi] >= RCOND_MIN):
-            continue  # the fit fails; later chunks only add their rcond
-        y = panel.y[lo:hi]
-        coef[lo:hi] = ((y[:, None, :] @ U) / s[:, None, :] @ Vt)[:, 0]
-        resid = y - (Z @ coef[lo:hi, :, None])[..., 0]
-        rss[lo:hi] = np.vecdot(resid, resid)
-    failed = np.flatnonzero(~(rcond >= RCOND_MIN))
+        raise InputError(f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}")
+    T = panel.T
+    factors = within_factors(panel, max(m, default_m_under(panel.N, T)))
+    cols = nested_columns(m, factors.m, panel.p)
+    R = np.linalg.qr(factors.R[..., np.append(cols, -1)], mode="r")  # y's column is last
+    slopes, rcond, failed = _solve_triangles(R, T)
     if failed.size:
         shown = "; ".join(
             f"firm {panel.firm_ids[i]}: {_RANK_DEFICIENT.format(rcond[i])}" for i in failed[:10]
         )
         more = "" if failed.size <= 10 else f" and {failed.size - 10} more"
-        raise RankDeficientError(
-            f"per-firm estimation failed for: {shown}{more}",
-            rcond=float(rcond[failed].min()),
-        )
-    return FirmFits(coef=coef, sigma_v2=rss / (panel.T - 1))
+        raise RankDeficientError(f"per-firm estimation failed for: {shown}{more}",
+                                 rcond=float(rcond[failed].min()))
+    coef = np.column_stack([factors.ybar - np.vecdot(factors.zbar[:, cols], slopes), slopes])
+    return FirmFits(coef=coef, sigma_v2=R[:, -1, -1] ** 2 / (T - 1), factors=factors)

@@ -1,19 +1,12 @@
 """Pooled within-group estimation and selection of the group count (Step 3).
 
 Within each candidate group the outcome and a longer sieve design are
-demeaned firm by firm over time, pooled, and fit by OLS. The pooled sieve
-length grows with the group's sample size. Each firm's demeaned [Z | y]
-is reduced once per panel to its R factor (``within_factors``), at the
-longest sieve length any group can use; a factor keeps min(T, c + 1)
-rows for c + 1 columns. The sieve layout nests, so a shorter length is a
-subset of those columns. A group's fit is a QR of its members' stacked
-factors restricted to its columns (TSQR: Demmel, Grigori, Hoemmen &
-Langou 2012), folded ``_CHUNK`` (256) firms at a time into one running
-triangle, so no copy of the members' factors is held whole: a triangular
-solve gives the coefficients, and the last diagonal entry squared is the
-pooled residual sum of squares. Each fit keeps its members' residual
-sums for Step 4. An
-information criterion
+demeaned firm by firm over time, pooled, and fit by OLS; the pooled sieve
+length grows with the group's sample size. A group is fit from its
+members' R factors, which Step 1 took (``FirmFits.factors``): one QR of
+the factors restricted to its columns, folded ``_CHUNK`` firms at a time
+(TSQR: Demmel, Grigori, Hoemmen & Langou 2012). Each fit keeps its
+members' residual sums for Step 4. An information criterion
 
     IC(K) = sum_k { N_k T log(sigma_v_k) + N_k (T-1) } + lambda K
 
@@ -25,11 +18,10 @@ mean squared residual with that normalization.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .basis import design_matrix, nested_columns
+from .basis import nested_columns
 from .errors import DegenerateICError, InputError, RankDeficientError, as_integer
-from .estimation import _CHUNK, _RANK_DEFICIENT, RCOND_MIN
+from .estimation import _CHUNK, _RANK_DEFICIENT, _solve_triangles, default_m_under
 from .grouping import hac_cluster
 
 
@@ -71,55 +63,9 @@ class ICReport:
         return self.records[self.selected_K - 1]
 
 
-def default_m_under(Nk, T):
-    """Pooled sieve length floor((Nk*T)^(1/4.8)), floored at 2."""
-    if Nk * T < 2:
-        raise InputError(f"pooled sample too small: Nk*T = {Nk * T}")
-    return max(2, int(np.floor((Nk * T) ** (1.0 / 4.8))))
-
-
 def default_lambda(N, T, c_lambda=1.0):
     """Group-count penalty c * sqrt(NT) log(NT) / 2."""
     return c_lambda * np.sqrt(N * T) * np.log(N * T) / 2.0
-
-
-@dataclass(frozen=True)
-class WithinFactors:
-    """Each firm's within-demeaned [Z(m) | y] reduced to its R factor.
-
-    Z(m) has c = (m - 1) + m p columns in the ``design_matrix`` layout,
-    without intercept. R is (N, min(T, c + 1), c + 1): firm i's R_i
-    satisfies R_i' R_i = A_i' A_i for its demeaned A_i = [Z_i | y_i], with
-    no zero rows added when T < c + 1. zbar (N, c) and ybar (N,) are the
-    firm means that the demeaning removed.
-    """
-
-    R: np.ndarray
-    zbar: np.ndarray
-    ybar: np.ndarray
-    m: int
-    p: int
-    N: int
-    T: int
-
-
-def within_factors(panel, m):
-    """Factor every firm's within-demeaned [Z(m) | y], ``_CHUNK`` firms per
-    batched QR."""
-    N, T, p = panel.N, panel.T, panel.p
-    c = (m - 1) + m * p
-    R = np.empty((N, min(T, c + 1), c + 1))
-    means = np.empty((N, c + 1))
-    for lo in range(0, N, _CHUNK):
-        A = np.concatenate(
-            [design_matrix(panel.x[lo:lo + _CHUNK], m, False), panel.y[lo:lo + _CHUNK, :, None]],
-            axis=-1,
-        )
-        mean = np.ones(T) @ A / T  # one BLAS pass; A.mean(axis=1) is several times slower
-        A -= mean[:, None, :]
-        means[lo:lo + _CHUNK] = mean
-        R[lo:lo + _CHUNK] = np.linalg.qr(A, mode="r")
-    return WithinFactors(R=R, zbar=means[:, :c], ybar=means[:, c], m=m, p=p, N=N, T=T)
 
 
 def fit_group(factors, members, m_under):
@@ -127,15 +73,12 @@ def fit_group(factors, members, m_under):
 
     ``factors`` is ``within_factors(panel, m)`` with m >= m_under. The
     members' R factors, restricted to Z(m_under)'s columns and y's, are
-    stacked ``_CHUNK`` firms at a time, and each chunk is folded into a
-    running triangle, R = qr([R; chunk]); a group of at most ``_CHUNK``
-    firms takes one QR of its whole stack. With the final
-    R = [[R11, r12], [0, r22]], pi solves R11 pi = r12 and the pooled
-    residual sum of squares is r22^2, so sigma_v^2 = r22^2 / (N_k (T-1)).
+    stacked ``_CHUNK`` firms at a time and folded into one running
+    triangle, R = qr([R; chunk]), which ``_solve_triangles`` solves for pi
+    under lstsq's rule for the (N_k T, k) stacked design; r22^2 is the
+    pooled residual sum of squares, so sigma_v^2 = r22^2 / (N_k (T-1)).
     Member i's S_i = T (ybar_i - zbar_i' pi) and W_i = |R_i (-pi, 1)|^2,
-    its demeaned residuals' square sum, formed chunk by chunk. The design
-    is rank deficient, as for lstsq, when R11's numerical rank is below
-    its columns or its reciprocal condition number below ``RCOND_MIN``.
+    its demeaned residuals' square sum, are formed chunk by chunk.
     ``members`` must be distinct firm indices in 0..N-1.
     """
     members = np.asarray(sorted(members))
@@ -161,13 +104,10 @@ def fit_group(factors, members, m_under):
         R = np.linalg.qr(np.concatenate([R, block(lo).reshape(-1, k + 1)]), mode="r")
     if R.shape[0] <= k:  # fewer stacked rows than columns: R's missing rows are zero
         R = np.pad(R, ((0, k + 1 - R.shape[0]), (0, 0)))
-    sv = np.linalg.svd(R[:k, :k], compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    # lstsq's default cutoff for the (N_k T, k) design
-    rank = np.sum(sv > sv[0] * np.finfo(float).eps * max(members.size * factors.T, k))
-    if rank < k or rcond < RCOND_MIN:
-        raise RankDeficientError(_RANK_DEFICIENT.format(rcond), rcond=rcond)
-    pi = solve_triangular(R[:k, :k], R[:k, k], check_finite=False)
+    pi, rcond, failed = _solve_triangles(R[None], members.size * factors.T)
+    if failed.size:
+        raise RankDeficientError(_RANK_DEFICIENT.format(rcond[0]), rcond=float(rcond[0]))
+    pi = pi[0]
     W = np.empty(members.size)
     for lo in range(0, members.size, _CHUNK):
         e = block(lo) @ np.append(-pi, 1.0)
@@ -203,26 +143,23 @@ def select_K(panel, firm_fits, K_max, c_lambda):
     The features are ``firm_fits.features``, from ``fit_all``, and the
     penalty is ``default_lambda(N, T, c_lambda)``. Ties are broken toward
     the smaller K. The merge history is computed once and cut at each K,
-    and every firm is factored once, by ``within_factors`` at
-    ``default_m_under(N, T)``, the longest sieve any group uses. Cuts are
-    nested, so a group recurs across K; each distinct member set is fit
-    once (2 K_max - 1 fits at most) and its GroupFit shared by every
-    record that holds it. ``K_max`` must be an integer, and ``firm_fits``
-    must hold the panel's N firms.
+    and the groups are fit from ``firm_fits.factors``. Cuts are nested, so
+    a group recurs across K; each distinct member set is fit once
+    (2 K_max - 1 fits at most) and its GroupFit shared by every record that
+    holds it. ``K_max`` must be an integer, and ``firm_fits`` must hold the
+    panel's N firms and T periods.
     """
     K_max = as_integer("K_max", K_max)
-    if len(firm_fits.features) != panel.N:
-        raise InputError(
-            f"firm_fits hold {len(firm_fits.features)} firms but the panel has N={panel.N}"
-        )
+    factors = firm_fits.factors
+    if factors.N != panel.N:
+        raise InputError(f"firm_fits hold {factors.N} firms but the panel has N={panel.N}")
+    if factors.T != panel.T:
+        raise InputError(f"firm_fits hold T={factors.T} periods but the panel has T={panel.T}")
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
     if K_max > panel.N:
-        raise InputError(
-            f"K_max={K_max} exceeds the number of firms N={panel.N}"
-        )
+        raise InputError(f"K_max={K_max} exceeds the number of firms N={panel.N}")
     history = hac_cluster(firm_fits.features)
-    factors = within_factors(panel, default_m_under(panel.N, panel.T))
     lam = default_lambda(panel.N, panel.T, c_lambda)
     group_fits = {}
     records = []
@@ -233,9 +170,8 @@ def select_K(panel, firm_fits, K_max, c_lambda):
             members = assignment.members(k)
             key = members.tobytes()
             if key not in group_fits:
-                group_fits[key] = fit_group(
-                    factors, members, default_m_under(len(members), panel.T)
-                )
+                m_under = default_m_under(len(members), panel.T)
+                group_fits[key] = fit_group(factors, members, m_under)
             fits.append(group_fits[key])
         records.append(KRecord(K=K, assignment=assignment, fits=fits, ic=ic_value(fits, lam, panel.T)))
     best = min(records, key=lambda r: (r.ic, r.K))

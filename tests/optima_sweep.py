@@ -11,20 +11,24 @@ The sweep is every design at (50, 30), (100, 50) and (250, 100) for reps
 ``generate(design, N, T, seed=0, rep=rep)`` run through
 ``estimate_panel(panel, k_max=4, seed=rep)``. ``run`` writes per panel
 the selected K, a digest of the membership, the chosen model, both fits'
-log-likelihood, parameters and standard errors, and the Step-3 group fits
-of every K (each group's ``sigma_v`` and ``pi``); a panel whose
-estimation raises records the error instead. ``compare`` prints the K,
+log-likelihood, parameters and standard errors, the Step-3 group fits of
+every K (each group's ``sigma_v`` and ``pi``), and the Step-1
+``features`` of ``fit_all(panel, default_m(T))``, the call
+``estimate_panel`` makes; a panel whose estimation raises records the
+error instead. ``compare`` prints the K,
 membership and choice flips, the largest relative log-likelihood moves in
 each direction with counts beyond 1e-12 and 1e-9, every standard error
 that turned null or stopped being null, the largest relative
-standard-error move on a chosen and on a runner-up fit, and the largest
+standard-error move on a chosen and on a runner-up fit, the largest
 relative move of a group's ``sigma_v`` and ``pi`` (``pi`` relative to
-its largest entry). It exits 1 when the records differ in an error, K,
+its largest entry), and that of a Step-1 feature (relative to the largest
+entry of its column). It exits 1 when the records differ in an error, K,
 membership or choice, in which standard errors are null, by a
 log-likelihood more than 1e-12 relative lower in the new record, or by a
-group ``sigma_v`` or ``pi`` more than 1e-12 relative, so a likelihood or
-Step-3 change can quote it as its gate. Records written before the group
-fits were recorded are compared on the rest. Only public calls are used,
+group ``sigma_v`` or ``pi`` or a feature more than 1e-12 relative, so a
+likelihood, Step-1 or Step-3 change can quote it as its gate. Records
+written before the group fits or the features were recorded are compared
+on the rest. Only public calls are used,
 so the script runs on any checkout that has them.
 """
 
@@ -37,13 +41,15 @@ import numpy as np
 
 from groupsfa.dgp import DESIGNS, generate
 from groupsfa.errors import GroupSfaError
+from groupsfa.estimation import default_m, fit_all
 from groupsfa.pipeline import estimate_panel
 
 SIZES = ((50, 30), (100, 50), (250, 100))
 FITS = ("unique", "mixture")
 # the largest relative log-likelihood fall that ``compare`` accepts
 FALL_TOL = 1e-12
-# the largest relative move of a group's sigma_v or pi that ``compare`` accepts
+# the largest relative move of a group's sigma_v or pi, or of a Step-1
+# feature, that ``compare`` accepts
 GROUP_TOL = 1e-12
 
 
@@ -83,6 +89,7 @@ def run(path):
             "mixture": _fit_record(result.mixture_fit),
             "groups": [[{"sigma_v": float(f.sigma_v), "pi": [float(v) for v in f.pi]}
                         for f in record.fits] for record in result.ic_report.records],
+            "features": fit_all(panel, default_m(T)).features.tolist(),
         }
         print(label, flush=True)
     with open(path, "w") as fh:
@@ -107,6 +114,15 @@ def _group_moves(a, b):
     return sigma, pi
 
 
+def _feature_move(a, b):
+    """Largest move of a Step-1 feature between two records of one panel,
+    relative to the largest entry of the feature's column."""
+    old, new = np.asarray(a), np.asarray(b)
+    scale = np.max(np.abs(old), axis=0)
+    move = np.max(np.abs(new - old), axis=0)
+    return float(np.max(np.where(scale > 0.0, move / np.where(scale > 0.0, scale, 1.0), move)))
+
+
 def compare(old_path, new_path):
     """Print the differences of two records; return whether they pass the
     gate (no flip of any kind, no fall beyond ``FALL_TOL``, no group move
@@ -124,6 +140,7 @@ def compare(old_path, new_path):
     se_moves = {"chosen": (0.0, None), "runner-up": (0.0, None)}
     group_moves = {"sigma_v": (0.0, None), "pi": (0.0, None)}
     group_panels, group_fails = 0, 0  # panels compared, and with a move beyond GROUP_TOL
+    feature_move, feature_panels, feature_fails = (0.0, None), 0, 0
     for label in common:
         a, b = old[label], new[label]
         if "error" in a or "error" in b:
@@ -140,6 +157,12 @@ def compare(old_path, new_path):
             for name, move in zip(group_moves, panel_moves):
                 if move > group_moves[name][0]:
                     group_moves[name] = (move, label)
+        if "features" in a and "features" in b:
+            move = _feature_move(a["features"], b["features"])
+            feature_panels += 1
+            feature_fails += move > GROUP_TOL
+            if move > feature_move[0]:
+                feature_move = (move, label)
         for fit in FITS:
             fa, fb = a[fit], b[fit]
             moves.append((_relative(fb["loglik"], fa["loglik"]), label, fit))
@@ -175,12 +198,16 @@ def compare(old_path, new_path):
     for name, (rel, where) in group_moves.items():
         print(f"largest relative group {name} move: {rel:.3e}"
               + (f", {where}" if where else ""))
+    print(f"features compared on {feature_panels} panels")
+    print(f"largest relative feature move: {feature_move[0]:.3e}"
+          + (f", {feature_move[1]}" if feature_move[1] else ""))
     falls = sum(m < -FALL_TOL for m, _, _ in moves)
-    passed = not (any(flips.values()) or se_flips or falls or group_fails)
+    passed = not (any(flips.values()) or se_flips or falls or group_fails or feature_fails)
     print("gate:", "pass" if passed else
           f"FAIL ({falls} log-likelihood falls beyond {FALL_TOL:g}, "
           f"{sum(map(len, flips.values()))} flips, {len(se_flips)} se null flips, "
-          f"{group_fails} panels with group moves beyond {GROUP_TOL:g})")
+          f"{group_fails} panels with group moves and {feature_fails} with feature "
+          f"moves beyond {GROUP_TOL:g})")
     return passed
 
 

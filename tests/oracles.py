@@ -13,12 +13,13 @@ a faster library path returns the same values bit for bit:
   point, one design row, and the frontier curves at one point, one dot
   product per curve, as the library did before it evaluated the basis on
   arrays of points;
-* the per-firm loops build each firm's design on its own and stack the
-  blocks, as the library did before it built all designs in one call and
-  solved all firms in one stacked SVD; they share the one-firm design and
-  the solve's formulas with the library, and the 50-digit oracle above
-  judges accuracy (the per-firm residual sums are the exception: they are
-  ``math.fsum`` references that judge the library's sums to a tolerance);
+* the per-firm loops build each firm's design on its own, Step 1's with
+  its own column of ones, and solve it by SVD (or stack the blocks for
+  lstsq), where the library factors each firm once and solves Steps 1
+  and 3 from the factors; they share the one-firm design with the
+  library and agree with it to rounding, and the 50-digit oracle above
+  judges accuracy (the per-firm residual sums are ``math.fsum``
+  references that judge the library's sums to a tolerance);
 * scipy's Nelder-Mead, run one start at a time on the objective the
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
@@ -62,7 +63,6 @@ from groupsfa.dgp import (
     sample_half_normal,
 )
 from groupsfa.errors import InputError
-from groupsfa.estimation import FirmFits
 from groupsfa.inefficiency import _mixture_objectives, _mixture_starts
 from groupsfa.panel import PanelData
 from groupsfa.postestimation import GroupFit
@@ -263,12 +263,11 @@ def basis_point(j, s):
     return math.sqrt(2.0) * np.cos(j * np.pi * s)
 
 
-def design_row(x_it, t, T, m, with_intercept):
+def design_row(x_it, t, T, m):
     """One design row for regressors x_it observed at time t of T."""
     s = t / T
     b = np.array([basis_point(j, s) for j in range(m)])
-    parts = [[1.0]] if with_intercept else []
-    parts.append(b[1:])
+    parts = [b[1:]]
     for xl in np.asarray(x_it, dtype=float):
         parts.append(xl * b)
     return np.concatenate(parts)
@@ -290,15 +289,16 @@ def frontier_eval_per_point(pi, s, m):
 
 
 def fit_all_loop(panel, m):
-    """Per-firm OLS, designing and solving one firm at a time by its SVD."""
+    """Per-firm OLS with intercept, designing and solving one firm at a time
+    by its SVD; returns ``FirmFits``' coef and sigma_v2."""
     coef, rss = [], []
     for i in range(panel.N):
-        Z = design_matrix(panel.x[i], m, with_intercept=True)
+        Z = np.column_stack([np.ones(panel.T), design_matrix(panel.x[i], m)])
         U, s, Vt = np.linalg.svd(Z, full_matrices=False)
         coef.append(((panel.y[i] @ U) / s) @ Vt)
         resid = panel.y[i] - Z @ coef[-1]
         rss.append(resid @ resid)
-    return FirmFits(coef=np.array(coef), sigma_v2=np.array(rss) / (panel.T - 1))
+    return np.array(coef), np.array(rss) / (panel.T - 1)
 
 
 def fit_group_loop(panel, members, m_under):
@@ -310,7 +310,7 @@ def fit_group_loop(panel, members, m_under):
     rows = []
     ys = []
     for i in members:
-        Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
+        Zi = design_matrix(panel.x[i], m_under)
         rows.append(Zi - Zi.mean(axis=0))
         ys.append(panel.y[i] - panel.y[i].mean(axis=0))
     Z, y = np.vstack(rows), np.concatenate(ys)
@@ -325,7 +325,7 @@ def fit_group_loop(panel, members, m_under):
 def _firm_sums(panel, i, pi, m_under):
     """Firm i's composite residual sum and its square sum about the firm's
     mean, each by ``math.fsum``, the square sum in a second pass."""
-    Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
+    Zi = design_matrix(panel.x[i], m_under)
     r = panel.y[i] - Zi @ pi
     S = math.fsum(r)
     return S, math.fsum((r - S / panel.T) ** 2)

@@ -18,11 +18,11 @@ from groupsfa import _kernels
 from groupsfa._kernels import CompositeStats
 from groupsfa.basis import basis_matrix, design_matrix
 from groupsfa.dgp import sample_half_normal
-from groupsfa.estimation import fit_all
+from groupsfa.estimation import fit_all, within_factors
 from groupsfa.grouping import hac_cluster
 from groupsfa.montecarlo import McConfig, run_monte_carlo, sensitivity_sweep
 from groupsfa.panel import PanelData
-from groupsfa.postestimation import fit_group, within_factors
+from groupsfa.postestimation import fit_group
 
 from oracles import (
     brute_force_agglomerate,
@@ -201,7 +201,7 @@ def test_criterion_7_least_squares_oracle():
             y = rng.normal(size=(1, T))
             panel = PanelData(y=y, x=x)
             est = fit_all(panel, m).coef[0]
-            Z = design_matrix(x[0], m, with_intercept=True)
+            Z = np.column_stack([np.ones(T), design_matrix(x[0], m)])
             ref = normal_equations_solve(Z, y[0])
         else:
             nk = int(rng.integers(2, 4))
@@ -209,7 +209,7 @@ def test_criterion_7_least_squares_oracle():
             y = rng.normal(size=(nk, T))
             panel = PanelData(y=y, x=x)
             est = fit_group(within_factors(panel, m), range(nk), m).pi
-            rows = [design_matrix(x[i], m, False) for i in range(nk)]
+            rows = [design_matrix(x[i], m) for i in range(nk)]
             rows = [Zi - Zi.mean(axis=0) for Zi in rows]
             ys = [y[i] - y[i].mean() for i in range(nk)]
             ref = normal_equations_solve(np.vstack(rows), np.concatenate(ys))
@@ -279,7 +279,7 @@ def test_criterion_8_numerical_hygiene():
     fit = fit_group(within_factors(panel, m_under), range(nk), m_under)
     rss = 0.0
     for i in range(nk):
-        Zi = design_matrix(panel.x[i], m_under, with_intercept=False)
+        Zi = design_matrix(panel.x[i], m_under)
         r = panel.y[i] - Zi @ fit.pi
         r -= r.mean()
         rss += float(r @ r)

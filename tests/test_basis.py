@@ -70,22 +70,21 @@ def test_grid_near_orthonormality():
 
 
 def test_design_row_no_regressors():
-    row = design_matrix(np.zeros((7, 0)), m=2, with_intercept=True)[6]
-    np.testing.assert_allclose(row, [1.0, -SQRT2], atol=1e-12)
+    row = design_matrix(np.zeros((7, 0)), m=2)[6]
+    np.testing.assert_allclose(row, [-SQRT2], atol=1e-12)
 
 
 def test_design_row_single_regressor_quarter_period():
-    row = design_matrix([[2.0], [5.0]], m=2, with_intercept=False)[0]
+    row = design_matrix([[2.0], [5.0]], m=2)[0]
     np.testing.assert_allclose(row, [0.0, 2.0, 0.0], atol=1e-12)
 
 
 def test_design_row_matches_scalar_evaluation():
     x = [1.5, -0.5]
-    row = design_matrix([[0.0, 0.0], [0.0, 0.0], x, [0.0, 0.0]], m=3,
-                        with_intercept=True)[2]
-    assert len(row) == 1 + 2 + 6
+    row = design_matrix([[0.0, 0.0], [0.0, 0.0], x, [0.0, 0.0]], m=3)[2]
+    assert len(row) == 2 + 6
     s = 3 / 4
-    expected = [1.0, B(1, s), B(2, s)]
+    expected = [B(1, s), B(2, s)]
     for xl in x:
         expected += [xl * B(j, s) for j in range(3)]
     np.testing.assert_allclose(row, expected, atol=1e-12)
@@ -94,22 +93,19 @@ def test_design_row_matches_scalar_evaluation():
 def test_design_matrix_stacks_rows():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 2))
-    Z = design_matrix(x, m=3, with_intercept=True)
-    assert Z.shape == (6, 1 + 2 + 6)
+    Z = design_matrix(x, m=3)
+    assert Z.shape == (6, 2 + 6)
     for t in range(6):
-        np.testing.assert_allclose(
-            Z[t], design_row(x[t], t=t + 1, T=6, m=3, with_intercept=True)
-        )
+        np.testing.assert_allclose(Z[t], design_row(x[t], t=t + 1, T=6, m=3))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_design_matrix_equals_rows_built_one_at_a_time(p):
     x = np.random.default_rng(20 + p).normal(size=(7, p))
     for m in range(2, 10):
-        for with_intercept in (False, True):
-            Z = design_matrix(x, m, with_intercept)
-            rows = [design_row(x[t], t + 1, 7, m, with_intercept) for t in range(7)]
-            np.testing.assert_array_equal(Z, np.array(rows))
+        Z = design_matrix(x, m)
+        rows = [design_row(x[t], t + 1, 7, m) for t in range(7)]
+        np.testing.assert_array_equal(Z, np.array(rows))
 
 
 def _assert_curves_match_per_point(pi, m, grid):
@@ -157,29 +153,31 @@ def test_curves_read_each_block():
         np.testing.assert_array_equal(coefficient_curves(pi, s, m), want)
 
 
-@pytest.mark.parametrize("with_intercept", [False, True])
+@pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize("p", [0, 1, 2])
-def test_design_matrix_on_a_stack_equals_per_firm_designs(p, with_intercept):
-    x = np.random.default_rng(p).normal(size=(5, 7, p))
-    Z = design_matrix(x, m=3, with_intercept=with_intercept)
-    per_firm = np.stack([design_matrix(xi, m=3, with_intercept=with_intercept) for xi in x])
-    assert Z.shape == (5, 7, int(with_intercept) + 2 + 3 * p)
+def test_design_matrix_on_a_stack_equals_per_firm_designs(p, strided):
+    # a strided stack is every other firm of a larger one, a view
+    x = np.random.default_rng(p).normal(size=(10 if strided else 5, 7, p))
+    x = x[::2] if strided else x
+    Z = design_matrix(x, m=3)
+    per_firm = np.stack([design_matrix(xi, m=3) for xi in x])
+    assert Z.shape == (5, 7, 2 + 3 * p)
     np.testing.assert_array_equal(Z, per_firm)
 
 
 @pytest.mark.parametrize("p", [0, 1, 3])
 def test_nested_columns_pick_the_shorter_sieve_from_the_longer(p):
     x = np.random.default_rng(6).normal(size=(2, 17, p))
-    longer = design_matrix(x, 6, with_intercept=False)
+    longer = design_matrix(x, 6)
     for m_short in range(2, 7):
         np.testing.assert_array_equal(
             longer[..., nested_columns(m_short, 6, p)],
-            design_matrix(x, m_short, with_intercept=False),
+            design_matrix(x, m_short),
         )
 
 
 @pytest.mark.parametrize("shape", [(7,), (2, 5, 7, 1)])
 def test_design_matrix_rejects_other_ranks(shape):
     with pytest.raises(InputError, match=r"\(T, p\) or \(n, T, p\)"):
-        design_matrix(np.zeros(shape), m=3, with_intercept=True)
+        design_matrix(np.zeros(shape), m=3)
 

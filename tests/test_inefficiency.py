@@ -13,7 +13,7 @@ from groupsfa._kernels import (
 )
 from groupsfa.dgp import generate, sample_half_normal
 from groupsfa.errors import ConvergenceError, HessianError, InputError
-from groupsfa.estimation import default_m, fit_all
+from groupsfa.estimation import default_m, fit_all, within_factors
 from groupsfa.inefficiency import (
     CompositeStats,
     _mixture_objectives,
@@ -33,7 +33,7 @@ from groupsfa.inefficiency import (
 )
 from groupsfa.panel import PanelData
 from groupsfa.pipeline import estimate_panel, fit_levels
-from groupsfa.postestimation import fit_group, select_K, within_factors
+from groupsfa.postestimation import fit_group, select_K
 
 from oracles import (
     composite_stats_loop,

@@ -7,18 +7,18 @@ from groupsfa import postestimation
 from groupsfa.basis import coefficient_curves, design_matrix
 from groupsfa.dgp import generate
 from groupsfa.errors import DegenerateICError, InputError, RankDeficientError
-from groupsfa.estimation import _RANK_DEFICIENT, RCOND_MIN, default_m, fit_all
-from groupsfa.grouping import GroupAssignment, best_label_permutation, hac_cluster
-from groupsfa.panel import PanelData
-from groupsfa.postestimation import (
-    GroupFit,
-    default_lambda,
+from groupsfa import estimation
+from groupsfa.estimation import (
+    _RANK_DEFICIENT,
+    RCOND_MIN,
+    default_m,
     default_m_under,
-    fit_group,
-    ic_value,
-    select_K,
+    fit_all,
     within_factors,
 )
+from groupsfa.grouping import GroupAssignment, best_label_permutation, hac_cluster
+from groupsfa.panel import PanelData
+from groupsfa.postestimation import GroupFit, default_lambda, fit_group, ic_value, select_K
 
 from oracles import fit_group_loop, normal_equations_solve
 
@@ -46,7 +46,7 @@ def test_fit_group_single_member_noiseless():
     rng = np.random.default_rng(0)
     T, m_under = 40, 3
     x = rng.normal(size=(1, T, 1))
-    Z = design_matrix(x[0], m_under, with_intercept=False)
+    Z = design_matrix(x[0], m_under)
     pi = rng.normal(size=Z.shape[1])
     y = (Z @ pi + 5.0)[None, :]  # level drops out under demeaning
     fit = fit_group(within_factors(PanelData(y=y, x=x), m_under), [0], m_under)
@@ -75,7 +75,7 @@ def test_fit_group_matches_extended_precision_oracle():
     fit = fit_group(within_factors(panel, m_under), range(Nk), m_under)
     rows, ys = [], []
     for i in range(Nk):
-        Zi = design_matrix(x[i], m_under, with_intercept=False)
+        Zi = design_matrix(x[i], m_under)
         rows.append(Zi - Zi.mean(axis=0))
         ys.append(y[i] - y[i].mean())
     ref = normal_equations_solve(np.vstack(rows), np.concatenate(ys))
@@ -106,7 +106,7 @@ def test_fit_group_rejects_a_sieve_longer_than_its_factors():
 def test_within_factors_in_chunks_equal_one_chunk(monkeypatch):
     panel, _ = generate("dgp3m", 30, 40, seed=11)
     whole = within_factors(panel, 4)
-    monkeypatch.setattr(postestimation, "_CHUNK", 7)
+    monkeypatch.setattr(estimation, "_CHUNK", 7)
     chunked = within_factors(panel, 4)
     for name in ("R", "zbar", "ybar"):
         np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
@@ -122,7 +122,7 @@ def test_within_factors_reproduce_each_firms_demeaned_gram(T):
     factors = within_factors(PanelData(y=y, x=x), 4)
     assert factors.R.shape == (3, min(T, 12), 12)
     for i in range(3):
-        A = np.column_stack([design_matrix(x[i], 4, False), y[i]])
+        A = np.column_stack([design_matrix(x[i], 4), y[i]])
         mean = A.mean(axis=0)
         np.testing.assert_allclose(factors.zbar[i], mean[:-1], rtol=1e-13, atol=1e-15)
         assert factors.ybar[i] == pytest.approx(mean[-1], rel=1e-13, abs=1e-15)
@@ -196,7 +196,7 @@ def test_rank_deficient_pooled_design_raises_with_lstsq_rcond():
     panel = PanelData(y=rng.normal(size=(N, T)), x=x)
     with pytest.raises(RankDeficientError) as info:
         fit_group(within_factors(panel, 3), range(N), 3)
-    rows = [design_matrix(x[i], 3, False) for i in range(N)]
+    rows = [design_matrix(x[i], 3) for i in range(N)]
     sv = np.linalg.svd(np.vstack([Z - Z.mean(axis=0) for Z in rows]), compute_uv=False)
     assert info.value.rcond < RCOND_MIN
     assert info.value.rcond == pytest.approx(sv[-1] / sv[0], rel=1e-4)
@@ -217,6 +217,15 @@ def test_select_K_rejects_firm_fits_of_another_panel():
     panel, _ = generate("dgp1u", 60, 30, seed=3)
     other, _ = generate("dgp1u", 40, 30, seed=3)
     with pytest.raises(InputError, match="firm_fits hold 40 firms but the panel has N=60"):
+        select_K(panel, fit_all(other, 2), 4, 1.0)
+
+
+def test_select_K_rejects_firm_fits_of_a_panel_with_other_periods():
+    # same N, T = 40 fits with a T = 30 panel: the fits' features were
+    # clustered against the other panel's factors
+    panel, _ = generate("dgp1u", 40, 30, seed=3)
+    other, _ = generate("dgp1u", 40, 40, seed=3)
+    with pytest.raises(InputError, match="firm_fits hold T=40 periods but the panel has T=30"):
         select_K(panel, fit_all(other, 2), 4, 1.0)
 
 
@@ -276,7 +285,7 @@ def test_ic_residual_identity():
     fit = fit_group(within_factors(panel, 4), range(12), 4)
     rss = 0.0
     for i in range(12):
-        Zi = design_matrix(panel.x[i], 4, with_intercept=False)
+        Zi = design_matrix(panel.x[i], 4)
         r = panel.y[i] - Zi @ fit.pi
         r -= r.mean()
         rss += float(r @ r)
@@ -382,7 +391,7 @@ def test_noiseless_group_recovery_exact():
     pi = rng.normal(size=(m_under - 1) + m_under * 2)
     y = np.empty((N, T))
     for i in range(N):
-        Zi = design_matrix(x[i], m_under, with_intercept=False)
+        Zi = design_matrix(x[i], m_under)
         y[i] = Zi @ pi + rng.normal()  # firm level, removed by demeaning
     fit = fit_group(within_factors(PanelData(y=y, x=x), m_under), range(N), m_under)
     np.testing.assert_allclose(fit.pi, pi, atol=1e-8)
