@@ -98,8 +98,10 @@ def within_factors(panel, m):
     R = np.empty((N, min(T, c + 1), c + 1))
     means = np.empty((N, c + 1))
     for lo in range(0, N, _CHUNK):
-        A = np.concatenate([design_matrix(panel.x[lo:lo + _CHUNK], m),
-                            panel.y[lo:lo + _CHUNK, :, None]], axis=-1)
+        A = np.concatenate(
+            [design_matrix(panel.x[lo:lo + _CHUNK], m), panel.y[lo:lo + _CHUNK, :, None]],
+            axis=-1,
+        )
         mean = np.ones(T) @ A / T  # one BLAS pass; A.mean(axis=1) is several times slower
         A -= mean[:, None, :]
         means[lo:lo + _CHUNK] = mean
@@ -112,15 +114,17 @@ def _solve_triangles(R, n_rows):
     [[R11, r12], [0, r22]]: coef (n, k) by back substitution of
     R11 coef = r12, with residual sum of squares r22^2. A fit is rank
     deficient, as for lstsq on ``n_rows`` rows, when R11's singular values
-    give a rank below k or an rcond below ``RCOND_MIN``. Returns (coef,
-    rcond, indices of the rank-deficient fits); coef is None if any are.
+    give a rank below k (its rcond then reads 0) or an rcond below
+    ``RCOND_MIN``. Returns (coef, rcond, indices of the rank-deficient
+    fits); coef is None if any are.
     """
     k = R.shape[-1] - 1
     sv = np.linalg.svd(R[:, :k, :k], compute_uv=False)
-    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
-    # lstsq's default cutoff for an (n_rows, k) design
+    # lstsq's default cutoff for an (n_rows, k) design; below full rank the
+    # singular-value ratio is rounding noise of the factorization, so rcond is 0
     rank = np.sum(sv > sv[:, :1] * np.finfo(float).eps * max(n_rows, k), axis=1)
-    failed = np.flatnonzero((rank < k) | ~(rcond >= RCOND_MIN))
+    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=rank == k)
+    failed = np.flatnonzero(~(rcond >= RCOND_MIN))
     if failed.size:
         return None, rcond, failed
     coef = np.empty((R.shape[0], k))
@@ -139,7 +143,9 @@ def fit_all(panel, m):
     """
     need = min_periods(m, panel.p)
     if panel.T < need:
-        raise InputError(f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}")
+        raise InputError(
+            f"T={panel.T} too small for m={m} with p={panel.p}: need T >= {need}"
+        )
     T = panel.T
     factors = within_factors(panel, max(m, default_m_under(panel.N, T)))
     cols = nested_columns(m, factors.m, panel.p)
@@ -150,7 +156,9 @@ def fit_all(panel, m):
             f"firm {panel.firm_ids[i]}: {_RANK_DEFICIENT.format(rcond[i])}" for i in failed[:10]
         )
         more = "" if failed.size <= 10 else f" and {failed.size - 10} more"
-        raise RankDeficientError(f"per-firm estimation failed for: {shown}{more}",
-                                 rcond=float(rcond[failed].min()))
+        raise RankDeficientError(
+            f"per-firm estimation failed for: {shown}{more}",
+            rcond=float(rcond[failed].min()),
+        )
     coef = np.column_stack([factors.ybar - np.vecdot(factors.zbar[:, cols], slopes), slopes])
     return FirmFits(coef=coef, sigma_v2=R[:, -1, -1] ** 2 / (T - 1), factors=factors)

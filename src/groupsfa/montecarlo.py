@@ -168,6 +168,7 @@ def run_replication(config, size, rep):
 
         stage = "selection"
         report = select_K(panel, firm_fits, config.k_max, config.c_lambda)
+        del firm_fits  # its per-firm factors are not needed past Step 3
         rec.k_hat = report.selected_K
 
         stage = "classification"

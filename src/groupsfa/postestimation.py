@@ -152,13 +152,19 @@ def select_K(panel, firm_fits, K_max, c_lambda):
     K_max = as_integer("K_max", K_max)
     factors = firm_fits.factors
     if factors.N != panel.N:
-        raise InputError(f"firm_fits hold {factors.N} firms but the panel has N={panel.N}")
+        raise InputError(
+            f"firm_fits hold {factors.N} firms but the panel has N={panel.N}"
+        )
     if factors.T != panel.T:
-        raise InputError(f"firm_fits hold T={factors.T} periods but the panel has T={panel.T}")
+        raise InputError(
+            f"firm_fits hold T={factors.T} periods but the panel has T={panel.T}"
+        )
     if K_max < 1:
         raise InputError(f"K_max must be >= 1, got {K_max}")
     if K_max > panel.N:
-        raise InputError(f"K_max={K_max} exceeds the number of firms N={panel.N}")
+        raise InputError(
+            f"K_max={K_max} exceeds the number of firms N={panel.N}"
+        )
     history = hac_cluster(firm_fits.features)
     lam = default_lambda(panel.N, panel.T, c_lambda)
     group_fits = {}
@@ -170,8 +176,9 @@ def select_K(panel, firm_fits, K_max, c_lambda):
             members = assignment.members(k)
             key = members.tobytes()
             if key not in group_fits:
-                m_under = default_m_under(len(members), panel.T)
-                group_fits[key] = fit_group(factors, members, m_under)
+                group_fits[key] = fit_group(
+                    factors, members, default_m_under(len(members), panel.T)
+                )
             fits.append(group_fits[key])
         records.append(KRecord(K=K, assignment=assignment, fits=fits, ic=ic_value(fits, lam, panel.T)))
     best = min(records, key=lambda r: (r.ic, r.K))

@@ -259,15 +259,12 @@ def test_fit_all_names_each_rank_deficient_firm():
 
 def test_fit_all_names_ten_rank_deficient_firms_and_counts_the_rest():
     # a constant regressor makes x*B0 constant, which demeaning zeroes, for
-    # every firm. An exactly singular design's rcond is rounding noise of
-    # its factorization, so the fits use m = default_m_under(40, 30) = 4,
-    # at which a firm is factored at the same length in the panel and alone
-    m = 4
-    assert default_m_under(40, 30) == m
+    # every firm; each fit's rank is below its columns, so its rcond reads 0
+    # in the panel and alone
     panel, _ = generate("dgp1m", 40, 30, seed=0)
     panel.x[:, :, 0] = 1.0
     with pytest.raises(RankDeficientError) as info:
-        fit_all(panel, m)
+        fit_all(panel, 2)
     message = str(info.value)
     assert all(f"firm {i}: " in message for i in range(1, 11))
     assert "firm 11" not in message and message.endswith(" and 30 more")
@@ -275,7 +272,7 @@ def test_fit_all_names_ten_rank_deficient_firms_and_counts_the_rest():
     for i in range(panel.N):
         one = PanelData(y=panel.y[i:i + 1], x=panel.x[i:i + 1], firm_ids=[i + 1])
         with pytest.raises(RankDeficientError) as single:
-            fit_all(one, m)
+            fit_all(one, 2)
         each.append(single.value.rcond)
     assert info.value.rcond == min(each)
 
@@ -283,12 +280,12 @@ def test_fit_all_names_ten_rank_deficient_firms_and_counts_the_rest():
 def test_fit_all_names_rank_deficient_firms_across_chunks(monkeypatch):
     # firms 11-40 fail; in chunks of 7 they start in the second chunk, the
     # ten named span two chunks, all 30 span five, and the smallest rcond
-    # may sit in any of them; m = 4 as in the test above
+    # may sit in any of them
     monkeypatch.setattr(estimation, "_CHUNK", 7)
     panel, _ = generate("dgp1m", 40, 30, seed=0)
     panel.x[10:, :, 0] = 1.0
     with pytest.raises(RankDeficientError) as info:
-        fit_all(panel, 4)
+        fit_all(panel, 2)
     message = str(info.value)
     assert all(f"firm {i}: " in message for i in range(11, 21))
     assert "firm 10:" not in message and "firm 21" not in message
@@ -297,7 +294,7 @@ def test_fit_all_names_rank_deficient_firms_across_chunks(monkeypatch):
     for i in range(10, panel.N):
         one = PanelData(y=panel.y[i:i + 1], x=panel.x[i:i + 1], firm_ids=[i + 1])
         with pytest.raises(RankDeficientError) as single:
-            fit_all(one, 4)
+            fit_all(one, 2)
         each.append(single.value.rcond)
     assert info.value.rcond == min(each)
 

@@ -204,12 +204,14 @@ def test_rank_deficient_pooled_design_raises_with_lstsq_rcond():
 
 
 def test_rank_deficient_when_a_regressor_is_constant_over_time():
-    # its demeaned x * B_0 column is 0
+    # its demeaned x * B_0 column is 0, so R11's rank is below its columns
+    # and the rcond reads 0 rather than rounding noise
     rng = np.random.default_rng(14)
     x = np.repeat(rng.normal(size=(4, 1, 1)), 30, axis=1)
     panel = PanelData(y=rng.normal(size=(4, 30)), x=x)
-    with pytest.raises(RankDeficientError, match="numerically rank deficient"):
+    with pytest.raises(RankDeficientError, match="numerically rank deficient") as info:
         fit_group(within_factors(panel, 3), range(4), 3)
+    assert info.value.rcond == 0.0
 
 
 def test_select_K_rejects_firm_fits_of_another_panel():
