@@ -9,9 +9,12 @@ is merged, ties broken by the lexicographically smallest pair of cluster
 ids, where a cluster's id is its smallest member index. The merges are
 found by a nearest-neighbour chain over cluster centroids and sizes
 (Muellner 2011, arXiv:1109.2378), so memory is O(N d) and no N x N cost
-matrix is held. A full merge history is kept so the dendrogram can be
-cut at any K without re-clustering. Group labels are assigned 1..K by
-ascending smallest member index, which makes runs bit-reproducible.
+matrix is held. From 256 clusters up, the chain keeps the cost rows of
+its top 8 positions and patches them after a merge rather than
+recomputing them. A full merge
+history is kept so the dendrogram can be cut at any K without
+re-clustering. Group labels are assigned 1..K by ascending smallest
+member index, which makes runs bit-reproducible.
 """
 
 import math
@@ -78,19 +81,50 @@ class MergeHistory:
         return GroupAssignment(K=K, membership=membership)
 
 
+_HELD_ROWS = 8  # chain positions, from the tip down, that keep their cost rows
+_HOLD_FROM = 256  # fewest rows at which cost rows are kept
+
+
+def _ward_costs(centroids, sizes, centroid, size, diff=None, weight=None):
+    """Ward costs from one cluster (centroid, size) to each row.
+
+    The squared distance is the dot product ``diff @ diff``; ``diff`` and
+    ``weight``, when given, are buffers of the rows' shape to write into.
+    A row at an inf centroid costs inf.
+    """
+    diff = np.subtract(centroids, centroid, out=diff)
+    cost = np.vecdot(diff, diff)
+    weight = np.multiply(sizes, size, out=weight)
+    weight /= sizes + size
+    cost *= weight
+    return cost
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _agglomerate(X):
     """Run the full merge sequence of the (N, d) features X down to one cluster.
 
     Nearest-neighbour chain (Murtagh 1983; Muellner 2011, arXiv:1109.2378,
     section 3) on rows of member sums, sizes and centroids, O(N d) memory.
-    A merged row is parked at an inf centroid until merged rows are the
-    majority and are dropped. A chain step computes the Ward cost from the
-    tip to every row, the squared distance by the dot product of
-    ``diff @ diff``, and moves to the first argmin. Pairs are thus ordered
-    strictly by (cost, id pair) with costs symmetric to the bit, so the
-    chain cannot cycle; a tip merges with its predecessor when that is its
-    nearest neighbour, and the merged cluster keeps the smaller id.
+    A merged row is parked at an inf centroid until parked rows outnumber
+    a quarter of the live ones and are dropped. A chain step takes the
+    tip's Ward cost to every row, the squared distance by the dot product
+    of ``diff @ diff``, and moves to the first argmin. Pairs are thus
+    ordered strictly by (cost, id pair) with costs symmetric to the bit, so
+    the chain cannot cycle; a tip merges with its predecessor when that is
+    its nearest neighbour, and the merged cluster keeps the smaller id.
+
+    A tip new to the chain gets its cost row in one vectorised pass. The
+    top ``_HELD_ROWS`` (8) chain positions keep their rows, each with the
+    number of merges it has seen, so when merges pop the chain back to one
+    of them only the merged rows' entries are recomputed, by the same
+    arithmetic: the parked row's becomes inf and the kept row's is its one
+    new cost. The row is then the one a full pass would give, bit for bit.
+    A position further down recomputes its row when the chain returns to
+    it, which keeps the held rows at 8 N floats at most, however long the
+    chain.
+    Rows are kept only while there are ``_HOLD_FROM`` (256) rows or more:
+    below that a full pass costs no more than a patch.
 
     Ward is reducible (a merged cluster is no nearer to a third one than
     the nearer of its parts), so reciprocal nearest neighbours stay so
@@ -108,20 +142,46 @@ def _agglomerate(X):
     sums = X.copy()
     centroids = X.copy()
     sizes = np.ones(n)
+    diff, weight = np.empty_like(X), np.empty(n)
     found, last = [], {}
+    merged = []  # (kept row, parked row) of each merge since the last compaction
     chain = [0]
+    held = [None]  # per chain position: [cost row, merges seen] or None
+
+    def catch_up(row, tip):
+        """The held row of chain tip ``tip``, patched for the merges since."""
+        cost, seen = row
+        if seen < len(merged):
+            changed = np.array(merged[seen:]).ravel()
+            cost[changed] = _ward_costs(
+                centroids[changed], sizes[changed], centroids[tip], sizes[tip]
+            )
+            row[1] = len(merged)
+        return cost
+
     while len(found) < n - 1:
-        if 2 * (n - len(found)) < len(ids):
+        live = n - len(found)
+        if 4 * (len(ids) - live) > live:
             keep = np.flatnonzero(ids >= 0)
+            # every held row: below _HOLD_FROM rows none is stored, so
+            # pushes no longer drop rows from under the top 8 positions
+            for tip, row in zip(chain, held):
+                if row is not None:
+                    row[0], row[1] = catch_up(row, tip)[keep], 0
             ids, sums, centroids, sizes = ids[keep], sums[keep], centroids[keep], sizes[keep]
             chain = np.searchsorted(keep, chain).tolist()
+            merged = []
+            diff, weight = np.empty_like(centroids), np.empty(len(ids))
         tip = chain[-1]
-        diff = centroids - centroids[tip]
-        cost = np.vecdot(diff, diff)
-        weight = sizes * sizes[tip]
-        weight /= sizes + sizes[tip]
-        cost *= weight
-        cost[tip] = np.inf
+        if held[-1] is None:
+            cost = _ward_costs(centroids, sizes, centroids[tip], sizes[tip], diff, weight)
+            cost[tip] = np.inf
+            if len(ids) >= _HOLD_FROM:
+                held[-1] = [cost, len(merged)]
+                if len(held) > _HELD_ROWS:
+                    held[-1 - _HELD_ROWS] = None
+        else:
+            cost = catch_up(held[-1], tip)
         near = int(cost.argmin())
         best = float(cost[near])
         if not math.isfinite(best):
@@ -131,14 +191,16 @@ def _agglomerate(X):
             )
         if len(chain) < 2 or near != chain[-2]:
             chain.append(near)
+            held.append(None)
             continue
-        del chain[-2:]
+        del chain[-2:], held[-2:]
         ra, rb = min(tip, near), max(tip, near)
         a, b = int(ids[ra]), int(ids[rb])
         # a merge sorts no earlier than the merges that built its clusters
         key = max([(best, a, b)] + [found[last[c]][0] for c in (a, b) if c in last])
         last[a] = len(found)
         found.append((key, len(found), a, b, best))
+        merged.append((ra, rb))
         sums[ra] += sums[rb]
         sizes[ra] += sizes[rb]
         centroids[ra] = sums[ra] / sizes[ra]
@@ -146,6 +208,7 @@ def _agglomerate(X):
         ids[rb] = -1
         if not chain:
             chain.append(ra)
+            held.append(None)
     return [(a, b, cost) for *_, a, b, cost in sorted(found)]
 
 
@@ -153,8 +216,9 @@ def hac_cluster(thetas):
     """Ward merge history of firm feature vectors, cut at any K by ``cut``.
 
     The merges come from a nearest-neighbour chain on cluster centroids
-    (see ``_agglomerate``): O(N d) memory and one vectorised cost pass
-    per chain step.
+    (see ``_agglomerate``): O(N d) memory, one vectorised cost pass per
+    chain step onto a new tip, and, from 256 clusters up, the cost rows of
+    the top 8 chain positions kept and patched after a merge.
 
     Raises:
         InputError: thetas is not 2-D with at least one column, holds NaN

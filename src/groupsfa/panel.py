@@ -79,8 +79,8 @@ def write_panel_csv(panel, path):
         w.writerows(zip(ids, times, y, *x))
 
 
-# One CSV dialect for every column read: the csv module's default quoting
-# ("" escapes a quote inside a quoted field), no comment character.
+# numpy reads the csv module's dialect: its default quoting ("" escapes a
+# quote inside a quoted field), no comment character.
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1)
 _INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
@@ -93,13 +93,6 @@ def _data_rows(path):
         for fields in reader:
             if fields:
                 yield reader.line_num, fields
-
-
-def _column(fh, usecols, dtype):
-    """One column (1-D) or several (2-D) of the data rows, parsed in C."""
-    fh.seek(0)
-    ndmin = 2 if isinstance(usecols, list) else 1
-    return np.loadtxt(fh, dtype=dtype, usecols=usecols, ndmin=ndmin, **_LOADTXT)
 
 
 def _line(path, row):
@@ -155,8 +148,8 @@ def read_panel_csv(path, firm_col="firm_id", time_col="t", y_col="y", x_cols=Non
     non-numeric or non-finite values, and duplicate or missing (firm,
     time) cells are input errors.
 
-    Each column is parsed whole by numpy's C reader, and cells are placed
-    by array index.
+    The file is parsed in one pass of numpy's C reader into a record per
+    row, and cells are placed by array index.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -191,26 +184,32 @@ def read_panel_csv(path, firm_col="firm_id", time_col="t", y_col="y", x_cols=Non
         if not any(reader):
             raise InputError(f"{path}: no data rows")
         value_cols = [cols[c] for c in (y_col, *x_cols)]
+        dtype = np.dtype([
+            ("firm", object), ("time", np.int64),
+            ("values", np.float64, (len(value_cols),)),
+        ])
         try:
             # numpy releases that still parse "1.0" as an integer do so
             # with a DeprecationWarning; as an error it is a ValueError
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                # ids and times become codes before the next column is
-                # read: a str object per row lives for one column only
-                firms, first, firm_of_row = np.unique(
-                    _column(fh, cols[firm_col], object),
-                    return_index=True, return_inverse=True,
+                fh.seek(0)
+                rows = np.loadtxt(
+                    fh, dtype=dtype, usecols=[cols[firm_col], cols[time_col], *value_cols],
+                    ndmin=1, **_LOADTXT,
                 )
-                times, time_of_row = np.unique(
-                    _column(fh, cols[time_col], np.int64), return_inverse=True
-                )
-                values = _column(fh, value_cols, np.float64)
         except ValueError as exc:
             need = max(cols[firm_col], cols[time_col], *value_cols) + 1
             checks = [(time_col, cols[time_col], _is_int, "an integer")]
             checks += [(c, cols[c], _is_float, "a number") for c in (y_col, *x_cols)]
             raise _row_error(path, need, checks, exc) from exc
+    # one pass parses every column: the records hold a str object per
+    # row, besides the numbers, until the function returns
+    firms, first, firm_of_row = np.unique(
+        rows["firm"], return_index=True, return_inverse=True
+    )
+    times, time_of_row = np.unique(rows["time"], return_inverse=True)
+    values = rows["values"]
     if not np.isfinite(values).all():
         row, j = np.argwhere(~np.isfinite(values))[0]
         raise InputError(

@@ -29,6 +29,9 @@ a faster library path returns the same values bit for bit:
 * the mixture optimum from dense starts, which reuses the library's
   mixture objective and exact gradient but not its optimizer;
 * the brute-force label matching over all K! permutations;
+* Ward's nearest-neighbour chain with a full cost pass at every chain
+  step, as the library ran it before it kept and patched the cost rows
+  of the chain's tips;
 * the CSV reader that parses one row at a time into a dict per cell, and
   the writer that formats one row at a time, as the library did before
   it parsed and wrote whole columns;
@@ -467,6 +470,64 @@ def best_label_permutation_brute(assignment, truth):
         if wrong < best:
             best_perm, best = perm, wrong
     return best_perm, best
+
+
+# --- Ward's chain with a full cost pass at every step -------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def agglomerate_full_pass(X):
+    """Ward merges by a nearest-neighbour chain that recomputes every cost row.
+
+    Each chain step computes the Ward cost from the tip to every row, and
+    merged rows, parked at an inf centroid, are dropped once they are the
+    majority. Merges are sorted by (cost, id pair), a merge lifted to the
+    key of the merges that built its clusters.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    ids = np.arange(n)
+    sums = X.copy()
+    centroids = X.copy()
+    sizes = np.ones(n)
+    found, last = [], {}
+    chain = [0]
+    while len(found) < n - 1:
+        if 2 * (n - len(found)) < len(ids):
+            keep = np.flatnonzero(ids >= 0)
+            ids, sums, centroids, sizes = ids[keep], sums[keep], centroids[keep], sizes[keep]
+            chain = np.searchsorted(keep, chain).tolist()
+        tip = chain[-1]
+        diff = centroids - centroids[tip]
+        cost = np.vecdot(diff, diff)
+        weight = sizes * sizes[tip]
+        weight /= sizes + sizes[tip]
+        cost *= weight
+        cost[tip] = np.inf
+        near = int(cost.argmin())
+        best = float(cost[near])
+        if not math.isfinite(best):
+            raise InputError(
+                f"Ward costs overflow: merge {len(found) + 1} of {n - 1} has "
+                f"cost {best}, beyond double precision"
+            )
+        if len(chain) < 2 or near != chain[-2]:
+            chain.append(near)
+            continue
+        del chain[-2:]
+        ra, rb = min(tip, near), max(tip, near)
+        a, b = int(ids[ra]), int(ids[rb])
+        key = max([(best, a, b)] + [found[last[c]][0] for c in (a, b) if c in last])
+        last[a] = len(found)
+        found.append((key, len(found), a, b, best))
+        sums[ra] += sums[rb]
+        sizes[ra] += sizes[rb]
+        centroids[ra] = sums[ra] / sizes[ra]
+        centroids[rb] = np.inf
+        ids[rb] = -1
+        if not chain:
+            chain.append(ra)
+    return [(a, b, cost) for *_, a, b, cost in sorted(found)]
 
 
 # --- CSV round trip, one row at a time ---------------------------------------

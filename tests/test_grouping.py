@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
+from groupsfa import grouping
 from groupsfa.errors import InputError
 from groupsfa.grouping import (
     GroupAssignment,
@@ -13,6 +16,7 @@ from groupsfa.grouping import (
 )
 
 from oracles import (
+    agglomerate_full_pass,
     best_label_permutation_brute,
     brute_force_agglomerate,
     brute_force_cut,
@@ -188,6 +192,15 @@ def _traced_peak(X):
         tracemalloc.stop()
 
 
+def _shrinking_gaps(n):
+    """n points on a line whose gaps shrink to the right.
+
+    Each point's nearest neighbour is the next one, so the chain runs
+    through all n points before its first merge.
+    """
+    return np.cumsum(np.linspace(2.0, 1.0, n))[:, None]
+
+
 def test_cost_memory_grows_linearly_in_n():
     # an N x N cost matrix alone takes 8 N^2 bytes (8 MB at N=1000) and
     # grows 16-fold when N grows 4-fold
@@ -196,6 +209,57 @@ def test_cost_memory_grows_linearly_in_n():
     large = _traced_peak(rng.normal(size=(4000, 4)))
     assert small < 1_000_000
     assert large < 6 * small
+    # so would a cost row kept for every position of a chain through all
+    # N points; this input's traced peak, mostly the merge list's Python
+    # objects, grows 7-fold from N=1000 to 4000 with or without kept rows,
+    # so it is held to 1 KB per point
+    for n in (1000, 4000):
+        assert _traced_peak(_shrinking_gaps(n)) < 1000 * n
+
+
+@st.composite
+def _chain_inputs(draw):
+    """Normal features or a small-integer grid, n in 1..300 and d in 1..4.
+
+    The grids hold exact cost ties and duplicate rows.
+    """
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)
+    return rng.normal(size=(n, d))
+
+
+def test_rows_kept_above_the_threshold_stay_exact_below_it():
+    # from _HOLD_FROM rows down no row is kept, so pushes stop dropping
+    # rows from under the top 8 chain positions: a compaction must patch
+    # and compact those deeper rows too (3 of these 60 inputs fail
+    # when it patches only the top 8)
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        X = rng.normal(size=(int(rng.integers(257, 320)), int(rng.integers(1, 3))))
+        assert hac_cluster(X).merges == agglomerate_full_pass(X)
+
+
+# Gaps growing by 1.5 to the right: from row 0 the chain is 4 long, and
+# from the far end (rows reversed) it runs through all 60 points, past
+# the 8 positions that keep rows when rows are kept at every size.
+_GROWING_GAPS = np.cumsum(1.5 ** np.arange(60))[:, None]
+
+
+# rows are kept from _HOLD_FROM rows up; at 1 every input here keeps them
+@pytest.mark.parametrize("hold_from", [grouping._HOLD_FROM, 1])
+@settings(max_examples=150, deadline=None)
+@given(X=_chain_inputs())
+@example(X=_GROWING_GAPS)
+@example(X=_GROWING_GAPS[::-1])
+@example(X=_shrinking_gaps(300))
+def test_merges_equal_the_full_pass_chain(hold_from, X):
+    # the kept cost rows are patched with the full pass's arithmetic, so
+    # pairs and costs are equal to the bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouping, "_HOLD_FROM", hold_from)
+        assert hac_cluster(X).merges == agglomerate_full_pass(X)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

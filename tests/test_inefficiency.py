@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,11 +342,15 @@ def test_no_mixture_se_when_the_components_coincide(design, rep, tau_may_sit_at_
     # (se(tau) 37.2 and 52.4) followed last-bit changes of the arithmetic
     panel, _ = generate(design, 100, 50, seed=0, rep=rep)
     fits = select_K(panel, fit_all(panel, default_m(50)), 4, 1.0).selected.fits
-    stats, _, mixture, _ = fit_levels(panel, fits, 1.0, rep)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stats, _, mixture, _ = fit_levels(panel, fits, 1.0, rep)
     coincide = (abs(mixture.alpha0_1 - mixture.alpha0_2) < 1e-5
                 and abs(mixture.sigma_u2_1 - mixture.sigma_u2_2) < 1e-5)
     at_bound = not inefficiency._TAU_BOUNDARY <= mixture.tau <= 1 - inefficiency._TAU_BOUNDARY
     assert coincide or (tau_may_sit_at_a_bound and at_bound)
+    # the fit warns exactly when tau sits at its bound, and of nothing else
+    assert [w.category for w in caught] == [DegenerateMixtureWarning] * at_bound
     assert mixture_standard_errors(stats, mixture) is None
 
 

@@ -283,9 +283,9 @@ def _peak_bytes(reader, path):
 
 
 # Peak traced bytes per data row allowed while reading (p = 1, ids of 5
-# characters). The reader peaks at about 103, while np.unique codes the id
-# column and a str object per row is alive; the dict-per-cell oracle
-# peaks at about 256.
+# characters). The reader peaks at about 136, while np.unique codes the id
+# column and a str object and the parsed record per row are alive; the
+# dict-per-cell oracle peaks at about 256.
 BYTES_PER_ROW = 150
 
 
