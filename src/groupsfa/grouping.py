@@ -9,10 +9,9 @@ is merged, ties broken by the lexicographically smallest pair of cluster
 ids, where a cluster's id is its smallest member index. The merges are
 found by a nearest-neighbour chain over cluster centroids and sizes
 (Muellner 2011, arXiv:1109.2378), so memory is O(N d) and no N x N cost
-matrix is held. From 256 clusters up, the chain keeps the cost rows of
-its top 8 positions and patches them after a merge rather than
-recomputing them. A full merge
-history is kept so the dendrogram can be cut at any K without
+matrix is held. The chain keeps the cost rows of its top 8 positions
+and patches them after a merge rather than recomputing them. A full
+merge history is kept so the dendrogram can be cut at any K without
 re-clustering. Group labels are assigned 1..K by ascending smallest
 member index, which makes runs bit-reproducible.
 """
@@ -82,7 +81,6 @@ class MergeHistory:
 
 
 _HELD_ROWS = 8  # chain positions, from the tip down, that keep their cost rows
-_HOLD_FROM = 256  # fewest rows at which cost rows are kept
 
 
 def _ward_costs(centroids, sizes, centroid, size, diff=None, weight=None):
@@ -122,9 +120,8 @@ def _agglomerate(X):
     new cost. The row is then the one a full pass would give, bit for bit.
     A position further down recomputes its row when the chain returns to
     it, which keeps the held rows at 8 N floats at most, however long the
-    chain.
-    Rows are kept only while there are ``_HOLD_FROM`` (256) rows or more:
-    below that a full pass costs no more than a patch.
+    chain; so does every position after a compaction, which drops the
+    held rows with the parked ones.
 
     Ward is reducible (a merged cluster is no nearer to a third one than
     the nearer of its parts), so reciprocal nearest neighbours stay so
@@ -146,42 +143,28 @@ def _agglomerate(X):
     found, last = [], {}
     merged = []  # (kept row, parked row) of each merge since the last compaction
     chain = [0]
-    held = [None]  # per chain position: [cost row, merges seen] or None
-
-    def catch_up(row, tip):
-        """The held row of chain tip ``tip``, patched for the merges since."""
-        cost, seen = row
-        if seen < len(merged):
-            changed = np.array(merged[seen:]).ravel()
-            cost[changed] = _ward_costs(
-                centroids[changed], sizes[changed], centroids[tip], sizes[tip]
-            )
-            row[1] = len(merged)
-        return cost
-
+    held = [None]  # per chain position: (cost row, merges seen) or None
     while len(found) < n - 1:
         live = n - len(found)
         if 4 * (len(ids) - live) > live:
             keep = np.flatnonzero(ids >= 0)
-            # every held row: below _HOLD_FROM rows none is stored, so
-            # pushes no longer drop rows from under the top 8 positions
-            for tip, row in zip(chain, held):
-                if row is not None:
-                    row[0], row[1] = catch_up(row, tip)[keep], 0
             ids, sums, centroids, sizes = ids[keep], sums[keep], centroids[keep], sizes[keep]
             chain = np.searchsorted(keep, chain).tolist()
-            merged = []
+            merged, held = [], [None] * len(chain)
             diff, weight = np.empty_like(centroids), np.empty(len(ids))
         tip = chain[-1]
         if held[-1] is None:
             cost = _ward_costs(centroids, sizes, centroids[tip], sizes[tip], diff, weight)
             cost[tip] = np.inf
-            if len(ids) >= _HOLD_FROM:
-                held[-1] = [cost, len(merged)]
-                if len(held) > _HELD_ROWS:
-                    held[-1 - _HELD_ROWS] = None
+            if len(held) > _HELD_ROWS:
+                held[-1 - _HELD_ROWS] = None
         else:
-            cost = catch_up(held[-1], tip)
+            cost, seen = held[-1]
+            changed = np.array(merged[seen:]).ravel()
+            cost[changed] = _ward_costs(
+                centroids[changed], sizes[changed], centroids[tip], sizes[tip]
+            )
+        held[-1] = (cost, len(merged))
         near = int(cost.argmin())
         best = float(cost[near])
         if not math.isfinite(best):
@@ -217,8 +200,8 @@ def hac_cluster(thetas):
 
     The merges come from a nearest-neighbour chain on cluster centroids
     (see ``_agglomerate``): O(N d) memory, one vectorised cost pass per
-    chain step onto a new tip, and, from 256 clusters up, the cost rows of
-    the top 8 chain positions kept and patched after a merge.
+    chain step onto a new tip, and the cost rows of the top 8 chain
+    positions kept and patched after a merge.
 
     Raises:
         InputError: thetas is not 2-D with at least one column, holds NaN

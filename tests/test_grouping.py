@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from groupsfa import grouping
 from groupsfa.errors import InputError
 from groupsfa.grouping import (
     GroupAssignment,
@@ -230,36 +229,21 @@ def _chain_inputs(draw):
     return rng.normal(size=(n, d))
 
 
-def test_rows_kept_above_the_threshold_stay_exact_below_it():
-    # from _HOLD_FROM rows down no row is kept, so pushes stop dropping
-    # rows from under the top 8 chain positions: a compaction must patch
-    # and compact those deeper rows too (3 of these 60 inputs fail
-    # when it patches only the top 8)
-    rng = np.random.default_rng(15)
-    for _ in range(60):
-        X = rng.normal(size=(int(rng.integers(257, 320)), int(rng.integers(1, 3))))
-        assert hac_cluster(X).merges == agglomerate_full_pass(X)
-
-
 # Gaps growing by 1.5 to the right: from row 0 the chain is 4 long, and
 # from the far end (rows reversed) it runs through all 60 points, past
-# the 8 positions that keep rows when rows are kept at every size.
+# the 8 positions that keep rows.
 _GROWING_GAPS = np.cumsum(1.5 ** np.arange(60))[:, None]
 
 
-# rows are kept from _HOLD_FROM rows up; at 1 every input here keeps them
-@pytest.mark.parametrize("hold_from", [grouping._HOLD_FROM, 1])
 @settings(max_examples=150, deadline=None)
 @given(X=_chain_inputs())
 @example(X=_GROWING_GAPS)
 @example(X=_GROWING_GAPS[::-1])
 @example(X=_shrinking_gaps(300))
-def test_merges_equal_the_full_pass_chain(hold_from, X):
+def test_merges_equal_the_full_pass_chain(X):
     # the kept cost rows are patched with the full pass's arithmetic, so
     # pairs and costs are equal to the bit
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grouping, "_HOLD_FROM", hold_from)
-        assert hac_cluster(X).merges == agglomerate_full_pass(X)
+    assert hac_cluster(X).merges == agglomerate_full_pass(X)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
