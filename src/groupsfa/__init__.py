@@ -9,7 +9,7 @@ two-component mixture.
 """
 
 from .basis import basis_matrix, coefficient_curves, design_matrix
-from .dgp import DESIGNS, centering_constant, design_shape, generate, sample_half_normal
+from .dgp import DESIGNS, centering_constant, design_shape, generate
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -22,10 +22,12 @@ from .errors import (
 )
 from .estimation import (
     FirmFits,
+    GroupFit,
     WithinFactors,
     default_m,
     default_m_under,
     fit_all,
+    fit_group,
     within_factors,
 )
 from .grouping import GroupAssignment, MergeHistory, hac_cluster
@@ -49,13 +51,6 @@ from .montecarlo import (
 )
 from .panel import PanelData, read_panel_csv, write_panel_csv
 from .pipeline import EstimateResult, estimate_panel
-from .postestimation import (
-    GroupFit,
-    ICReport,
-    default_lambda,
-    fit_group,
-    ic_value,
-    select_K,
-)
+from .postestimation import ICReport, default_lambda, ic_value, select_K
 
 __version__ = "0.1.0"

@@ -7,12 +7,11 @@ Exit codes: 0 success, 2 input or validation error, 3 numerical failure,
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 from .dgp import DESIGNS, generate
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, as_integer, as_penalty
 from .montecarlo import (
     McConfig,
     format_report_text,
@@ -57,8 +56,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    if args.grid < 1:
-        raise InputError(f"--grid must be >= 1, got {args.grid}")
+    as_integer("--grid", args.grid, low=1)
     x_cols = args.x_cols.split(",") if args.x_cols else None
     panel = read_panel_csv(
         args.input, firm_col=args.firm_col, time_col=args.time_col,
@@ -86,15 +84,14 @@ def _cmd_estimate(args):
 
 
 def _as_c_list(value, name):
+    """A penalty constant, or a nonempty list of them, as a list of floats."""
     values = value if isinstance(value, list) else [value]
-    if values and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < math.inf
-        for v in values
-    ):
-        return [float(v) for v in values]
-    raise ConfigError(
-        f"{name} must be a finite number >= 0 or a nonempty list of such numbers"
-    )
+    if not values:
+        raise ConfigError(f"{name} must be a number or a nonempty list of numbers, got []")
+    try:
+        return [as_penalty(name, v) for v in values]
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_montecarlo(args):

@@ -13,8 +13,7 @@ variant for the level term:
 Intercept curves are centered to integrate to zero over [0, 1]; centering
 constants are computed by quadrature once per family. Two of the slope
 curves diverge at an endpoint of [0, 1], so frontier formulas evaluate on
-arguments clamped to [1e-3, 1 - 1e-3]; the clamp is recorded in the truth
-metadata.
+arguments clamped to [1e-3, 1 - 1e-3].
 
 Every random draw comes from a counter-derived stream keyed by (seed,
 design, replication, firm, role): the stream of one firm and role is
@@ -81,7 +80,6 @@ class DgpTruth:
     law: object
     u: np.ndarray
     component: np.ndarray
-    clamp: tuple = (CLAMP_LO, CLAMP_HI)
 
 
 def logistic_cdf(s, mu, sigma):
@@ -164,13 +162,6 @@ def design_shape(design):
     """(group count K, regressor count p) of a design."""
     alphas, betas, _, _ = _design_curves(_parse_design(design)[0])
     return len(alphas), len(betas[0])
-
-
-def sample_half_normal(sigma, rng, size=None):
-    """Draw |N(0, sigma^2)|."""
-    if sigma < 0:
-        raise InputError(f"sigma must be nonnegative, got {sigma}")
-    return np.abs(rng.standard_normal(size)) * sigma
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), part
@@ -270,18 +261,15 @@ def generate(design, N, T, seed, rep=0):
         rep: replication index for Monte Carlo use, non-negative.
 
     ``N``, ``T``, ``seed`` and ``rep`` must be integers (numpy integers
-    included); anything else raises ``InputError`` naming the argument.
+    included, bools not) within those bounds; anything else raises
+    ``InputError`` naming the argument.
 
     Returns:
         (PanelData, DgpTruth)
     """
     base, law_code = _parse_design(design)
-    N, T, seed, rep = (as_integer(name, value) for name, value in
-                       (("N", N), ("T", T), ("seed", seed), ("rep", rep)))
-    if seed < 0 or rep < 0:
-        raise InputError(f"seed and rep must be non-negative, got {seed} and {rep}")
-    if T < 2:
-        raise InputError(f"need T >= 2, got {T}")
+    N, T = as_integer("N", N), as_integer("T", T, low=2)
+    seed, rep = as_integer("seed", seed, low=0), as_integer("rep", rep, low=0)
     alphas, betas, sigma_v, (x_mean, x_sd) = _design_curves(base)
     K = len(alphas)
     p = len(betas[0])

@@ -2,10 +2,16 @@
 
 Three broad failure classes map onto the CLI exit codes: bad input data
 (exit 2), numerical failures during estimation (exit 3), and malformed
-configuration (exit 4). ``as_integer`` is the one integer-argument check
-that raises ``InputError``.
+configuration (exit 4).
+
+Every entry point checks its scalar arguments by the two rules here, both
+raising ``InputError`` that names the argument: ``as_integer`` for counts,
+indices and seeds (an optional lower bound), ``as_penalty`` for penalty
+constants (finite and >= 0). Booleans pass neither rule.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -54,11 +60,24 @@ class ConvergenceError(NumericalError):
         self.best_value = best_value
 
 
-def as_integer(name, value):
+def as_integer(name, value, low=None):
     """``value`` as an int by ``operator.index``: Python and numpy integers
-    pass, floats and strings do not. Raises ``InputError`` naming the
-    argument."""
+    pass; bools, floats and strings do not, nor an integer below ``low``
+    when it is given."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def as_penalty(name, value):
+    """``value`` as a float if it is a finite real number >= 0; bools and
+    strings do not pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise InputError(f"{name} must be a finite real number >= 0, got {value!r}")
+    return float(value)

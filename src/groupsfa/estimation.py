@@ -1,4 +1,5 @@
-"""Per-firm sieve regressions (Step 1) and the per-firm factors Step 3 reuses.
+"""Per-firm sieve regressions (Step 1), their per-firm factors, and the
+pooled group fits (Step 3) made from those factors.
 
 Each firm's outcome series is regressed on its sieve design with intercept.
 The slope block together with the residual variance forms the feature
@@ -8,6 +9,12 @@ classification. Each firm's demeaned [Z | y] is factored once per panel
 (``within_factors``). By Frisch-Waugh the slopes and residual sum of
 squares are those of the demeaned regression, read from the factor's
 Z(m) columns (Golub & Van Loan 6.5), and the intercept is ybar - zbar' b.
+
+Step 3 fits a group from its members' factors (``fit_group``): one QR of
+the factors restricted to its columns, folded ``_CHUNK`` firms at a time
+(TSQR: Demmel, Grigori, Hoemmen & Langou 2012), whose triangle gives the
+pooled within-group OLS fit. Each fit keeps its members' residual sums
+for Step 4.
 """
 
 from dataclasses import dataclass
@@ -18,7 +25,7 @@ from .basis import design_matrix, nested_columns
 from .errors import InputError, RankDeficientError
 
 RCOND_MIN = 1e-10
-# firms per design build and factorization, here and in Step 3
+# firms per design build and factorization, per firm and per group
 _CHUNK = 256
 _RANK_DEFICIENT = "design matrix numerically rank deficient (reciprocal condition number {:.2e})"
 
@@ -65,6 +72,23 @@ class FirmFits:
         than the standard deviation would.
         """
         return np.column_stack([self.coef[:, 1:], self.sigma_v2])
+
+
+@dataclass
+class GroupFit:
+    """Pooled sieve coefficients and noise level for one group, and its
+    members' residual sums S and W (``fit_group``), aligned with members."""
+
+    members: np.ndarray
+    pi: np.ndarray
+    sigma_v: float
+    m_under: int
+    S: np.ndarray
+    W: np.ndarray
+
+    @property
+    def size(self):
+        return len(self.members)
 
 
 def default_m(T):
@@ -162,3 +186,58 @@ def fit_all(panel, m):
         )
     coef = np.column_stack([factors.ybar - np.vecdot(factors.zbar[:, cols], slopes), slopes])
     return FirmFits(coef=coef, sigma_v2=R[:, -1, -1] ** 2 / (T - 1), factors=factors)
+
+
+def fit_group(factors, members, m_under):
+    """Pooled OLS on within-demeaned data for one set of firms.
+
+    ``factors`` is ``within_factors(panel, m)`` with m >= m_under. The
+    members' R factors, restricted to Z(m_under)'s columns and y's, are
+    stacked ``_CHUNK`` firms at a time and folded into one running
+    triangle, R = qr([R; chunk]), which ``_solve_triangles`` solves for pi
+    under lstsq's rule for the (N_k T, k) stacked design; r22^2 is the
+    pooled residual sum of squares, so sigma_v^2 = r22^2 / (N_k (T-1)).
+    Member i's S_i = T (ybar_i - zbar_i' pi) and W_i = |R_i (-pi, 1)|^2,
+    its demeaned residuals' square sum, are formed chunk by chunk.
+    ``members`` must be distinct firm indices in 0..N-1.
+    """
+    members = np.asarray(sorted(members))
+    if members.size == 0:
+        raise InputError("cannot fit an empty group")
+    if (members.dtype.kind not in "iu" or members[0] < 0 or members[-1] >= factors.N
+            or np.any(members[1:] == members[:-1])):
+        raise InputError(
+            f"group members must be distinct firm indices in 0..{factors.N - 1}, "
+            f"got {members.tolist()[:10]}"
+        )
+    if not 2 <= m_under <= factors.m:
+        raise InputError(f"m_under must be in 2..{factors.m}, got {m_under}")
+    members = members.astype(int)
+    cols = np.append(nested_columns(m_under, factors.m, factors.p), -1)  # y's column is last
+    k = cols.size - 1
+
+    def block(lo):  # the factors of members lo..lo + _CHUNK - 1 in the group's columns
+        return factors.R[members[lo:lo + _CHUNK]][..., cols]
+
+    R = np.linalg.qr(block(0).reshape(-1, k + 1), mode="r")
+    for lo in range(_CHUNK, members.size, _CHUNK):
+        R = np.linalg.qr(np.concatenate([R, block(lo).reshape(-1, k + 1)]), mode="r")
+    if R.shape[0] <= k:  # fewer stacked rows than columns: R's missing rows are zero
+        R = np.pad(R, ((0, k + 1 - R.shape[0]), (0, 0)))
+    pi, rcond, failed = _solve_triangles(R[None], members.size * factors.T)
+    if failed.size:
+        raise RankDeficientError(_RANK_DEFICIENT.format(rcond[0]), rcond=float(rcond[0]))
+    pi = pi[0]
+    W = np.empty(members.size)
+    for lo in range(0, members.size, _CHUNK):
+        e = block(lo) @ np.append(-pi, 1.0)
+        W[lo:lo + _CHUNK] = np.vecdot(e, e)
+    sigma_v2 = float(R[k, k] ** 2) / (members.size * (factors.T - 1))
+    return GroupFit(
+        members=members,
+        pi=pi,
+        sigma_v=float(np.sqrt(sigma_v2)),
+        m_under=m_under,
+        S=factors.T * (factors.ybar[members] - factors.zbar[np.ix_(members, cols[:-1])] @ pi),
+        W=W,
+    )

@@ -20,7 +20,6 @@ reproducible.
 """
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -28,16 +27,12 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .dgp import DESIGNS, design_shape, generate
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, as_integer, as_penalty
 from .estimation import default_m, fit_all, min_periods
 from .grouping import GroupAssignment, best_label_permutation
 from .inefficiency import composite_residual_stats, fit_unique
 from .pipeline import fit_levels
 from .postestimation import select_K
-
-
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -57,24 +52,20 @@ class McConfig:
     def __post_init__(self):
         if not isinstance(self.design, str):
             raise ConfigError(f"design must be a string, got {self.design!r}")
-        for name in ("replications", "k_max", "seed", "workers"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("c_lambda", "c_tilde"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 <= value < math.inf):
-                raise ConfigError(f"{name} must be a finite real number >= 0, got {value!r}")
+        try:  # the scalars are checked and kept as given
+            for name, low in (("replications", 1), ("k_max", None), ("seed", 0), ("workers", 1)):
+                as_integer(name, getattr(self, name), low)
+            for name in ("c_lambda", "c_tilde"):
+                as_penalty(name, getattr(self, name))
+            self.sizes = [(as_integer("sizes: N", n), as_integer("sizes: T", t, low=2))
+                          for n, t in self.sizes]
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
         self.design = self.design.lower()
         if self.design not in DESIGNS:
             raise ConfigError(
                 f"unknown design {self.design!r}; expected one of {DESIGNS}"
             )
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if not all(_is_integer(v) for size in self.sizes for v in size):
-            raise ConfigError(f"sizes must hold integer (N, T) pairs, got {self.sizes!r}")
-        self.sizes = [(int(n), int(t)) for n, t in self.sizes]
         if not self.sizes:
             raise ConfigError("sizes must be a nonempty list of (N, T) pairs")
         true_K, p = design_shape(self.design)
@@ -85,16 +76,12 @@ class McConfig:
         for n, t in self.sizes:
             if n < self.k_max:
                 raise ConfigError(f"sizes: N={n} is below k_max={self.k_max}")
-            if t < 2 or t < min_periods(default_m(t), p):
+            if t < min_periods(default_m(t), p):
                 raise ConfigError(
                     f"sizes: T={t} is too short for a per-firm fit on {self.design} (p={p})"
                 )
         if self.stages not in ("full", "classification"):
             raise ConfigError("stages must be 'full' or 'classification'")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
     @classmethod
     def from_dict(cls, d):
@@ -167,7 +154,7 @@ def run_replication(config, size, rep):
         firm_fits = fit_all(panel, default_m(T))
 
         stage = "selection"
-        report = select_K(panel, firm_fits, config.k_max, config.c_lambda)
+        report = select_K(firm_fits, config.k_max, config.c_lambda)
         del firm_fits  # its per-firm factors are not needed past Step 3
         rec.k_hat = report.selected_K
 

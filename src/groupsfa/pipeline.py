@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .basis import coefficient_curves
-from .errors import HessianError, InputError, as_integer
+from .errors import HessianError, InputError, as_integer, as_penalty
 from .estimation import default_m, fit_all
 from .inefficiency import (
     composite_residual_stats,
@@ -183,24 +183,19 @@ def fit_levels(panel, group_fits, c_tilde, seed):
 def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
     """Run the full estimation pipeline on a balanced panel.
 
-    ``m`` (when given), ``k_max`` and ``seed`` must be integers; anything
-    else raises ``InputError`` naming the argument.
+    ``m`` (>= 1 when given), ``k_max`` and ``seed`` (>= 0) must be integers, and
+    ``c_lambda`` and ``c_tilde`` finite real numbers >= 0; anything else
+    raises ``InputError`` naming the argument.
     """
-    k_max, seed = as_integer("k_max", k_max), as_integer("seed", seed)
+    k_max, seed = as_integer("k_max", k_max), as_integer("seed", seed, low=0)
+    c_lambda, c_tilde = as_penalty("c_lambda", c_lambda), as_penalty("c_tilde", c_tilde)
     if m is not None:
-        m = as_integer("m", m)
+        m = as_integer("m", m, low=1)
     if panel.N < 2:
         raise InputError("estimation requires at least 2 firms")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    if not (0 <= c_lambda < np.inf and 0 <= c_tilde < np.inf):
-        raise InputError(
-            "c_lambda and c_tilde must be finite and non-negative, "
-            f"got {c_lambda} and {c_tilde}"
-        )
     if m is None:
         m = default_m(panel.T)
-    report = select_K(panel, fit_all(panel, m), k_max, c_lambda)
+    report = select_K(fit_all(panel, m), k_max, c_lambda)
     group_fits = report.selected.fits
     stats, unique, mixture, choice = fit_levels(panel, group_fits, c_tilde, seed)
     # the chosen model must deliver standard errors; the runner-up is
@@ -223,8 +218,8 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
         "m": int(m),
         "m_under_by_group": [int(f.m_under) for f in group_fits],
         "k_max": int(k_max),
-        "c_lambda": float(c_lambda),
-        "c_tilde": float(c_tilde),
+        "c_lambda": c_lambda,
+        "c_tilde": c_tilde,
         "lambda": report.lam,
         "lambda_tilde": choice.lambda_tilde,
         "seed": int(seed),

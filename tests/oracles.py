@@ -37,7 +37,9 @@ a faster library path returns the same values bit for bit:
   it parsed and wrote whole columns;
 * the panel generator that seeds each firm-role stream with its own
   ``SeedSequence`` and assembles one firm at a time, as the library did
-  before it seeded all of a panel's streams in one pass.
+  before it seeded all of a panel's streams in one pass, with the
+  half-normal sampler it draws inefficiencies from, which the tests also
+  use to simulate levels.
 """
 
 import csv
@@ -63,12 +65,11 @@ from groupsfa.dgp import (
     _design_curves,
     _equal_split,
     _parse_design,
-    sample_half_normal,
 )
 from groupsfa.errors import InputError
+from groupsfa.estimation import GroupFit
 from groupsfa.inefficiency import _mixture_objectives, _mixture_starts
 from groupsfa.panel import PanelData
-from groupsfa.postestimation import GroupFit
 
 
 def normal_equations_solve(Z, y, dps=50):
@@ -609,6 +610,13 @@ def read_panel_csv_loop(path, firm_col="firm_id", time_col="t", y_col="y",
 
 
 # --- panel generation, one SeedSequence per stream ----------------------------
+
+
+def sample_half_normal(sigma, rng, size=None):
+    """Draw |N(0, sigma^2)|."""
+    if sigma < 0:
+        raise InputError(f"sigma must be nonnegative, got {sigma}")
+    return np.abs(rng.standard_normal(size)) * sigma
 
 
 def firm_rng(seed, design_code, rep, firm, role):

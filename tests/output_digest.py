@@ -1,9 +1,10 @@
 """Print sha256 digests of the outputs that byte-identity claims rest on.
 
-Not a test: run it on two checkouts and diff what it prints, e.g.
+Not a test: run each checkout's own copy on its own source and diff what
+they print, e.g.
 
     PYTHONPATH=src python tests/output_digest.py > new.txt
-    PYTHONPATH=/path/to/other/src python tests/output_digest.py > old.txt
+    (cd /path/to/other && PYTHONPATH=src python tests/output_digest.py) > old.txt
     diff old.txt new.txt
 
 Each line is the first 16 hex digits of one output's sha256 and a label;
@@ -19,7 +20,7 @@ run only those (default: all of them):
   (100, 50) for reps 0-2, and on dgp2m (250, 100) for reps 0-7; every
   panel is ``generate(design, N, T, seed=0, rep=rep)``.
 * ``groups``: on every ``estimate`` panel, each Step-3 candidate of
-  ``select_K(panel, fit_all(panel, default_m(T)), min(4, N), 1.0)``, the
+  ``select_K(fit_all(panel, default_m(T)), min(4, N), 1.0)``, the
   call ``estimate_panel`` makes: per K, the membership (dtype, shape and
   bytes), and per group fit, ``pi`` (bytes), ``sigma_v`` and ``m_under``.
   ``estimate`` shows only the selected K's groups; this set covers every
@@ -100,7 +101,7 @@ def _estimate():
 def _groups():
     for name, panel, _ in _estimate_panels():
         try:
-            report = select_K(panel, fit_all(panel, default_m(panel.T)),
+            report = select_K(fit_all(panel, default_m(panel.T)),
                               min(4, panel.N), 1.0)
         except GroupSfaError as exc:
             yield f"groups {name} raised {type(exc).__name__}", f"{exc}".encode()

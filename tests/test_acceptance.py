@@ -17,18 +17,17 @@ from scipy.integrate import quad
 from groupsfa import _kernels
 from groupsfa._kernels import CompositeStats
 from groupsfa.basis import basis_matrix, design_matrix
-from groupsfa.dgp import sample_half_normal
-from groupsfa.estimation import fit_all, within_factors
+from groupsfa.estimation import fit_all, fit_group, within_factors
 from groupsfa.grouping import hac_cluster
 from groupsfa.montecarlo import McConfig, run_monte_carlo, sensitivity_sweep
 from groupsfa.panel import PanelData
-from groupsfa.postestimation import fit_group
 
 from oracles import (
     brute_force_agglomerate,
     brute_force_cut,
     halfnormal_marginal_density,
     normal_equations_solve,
+    sample_half_normal,
 )
 
 pytestmark = pytest.mark.acceptance

@@ -128,7 +128,7 @@ def test_curves_equal_per_point_on_random_coefficients(p):
 @pytest.mark.parametrize("design", ["dgp1m", "dgp2u", "dgp3m"])
 def test_curves_equal_per_point_on_group_fits(design):
     panel, _ = generate(design, 100, 50, seed=4)
-    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    report = select_K(fit_all(panel, default_m(panel.T)), 4, 1.0)
     grid = np.linspace(0.0, 1.0, 101)
     for record in report.records:
         for fit in record.fits:

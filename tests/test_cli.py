@@ -142,7 +142,7 @@ def test_simulate_negative_seed_or_rep_is_input_error(tmp_path, capsys, flag, va
     out = tmp_path / "panel.csv"
     assert _run(["simulate", "--design", "dgp1u", "--n", "4", "--t", "10",
                  flag, value, "--out", str(out)]) == 2
-    assert "must be non-negative" in capsys.readouterr().err
+    assert f"{flag[2:]} must be >= 0, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -165,17 +165,23 @@ def test_estimate_bad_seed_or_grid_is_input_error(tmp_path, capsys, extra):
     _assert_estimate_input_error(tmp_path, capsys, extra)
 
 
+def _penalty_message(extra):
+    """The error an ``estimate`` penalty flag with a bad value raises."""
+    flag, value = extra if len(extra) == 2 else extra[0].split("=")
+    return f"{flag[2:].replace('-', '_')} must be a finite real number >= 0, got {float(value)!r}"
+
+
 @pytest.mark.parametrize("extra", [["--c-lambda", "nan"], ["--c-tilde", "inf"],
                                    ["--c-lambda=-inf"]])
 def test_estimate_non_finite_penalty_is_input_error(tmp_path, capsys, extra):
     err = _assert_estimate_input_error(tmp_path, capsys, extra)
-    assert "c_lambda and c_tilde must be finite" in err
+    assert _penalty_message(extra) in err
 
 
 @pytest.mark.parametrize("extra", [["--c-lambda=-1"], ["--c-tilde=-1"]])
 def test_estimate_negative_penalty_is_input_error(tmp_path, capsys, extra):
     err = _assert_estimate_input_error(tmp_path, capsys, extra)
-    assert "c_lambda and c_tilde must be finite and non-negative" in err
+    assert _penalty_message(extra) in err
 
 
 def test_estimate_missing_file_is_input_error(tmp_path):

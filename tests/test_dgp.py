@@ -18,11 +18,10 @@ from groupsfa.dgp import (
     design_shape,
     generate,
     logistic_cdf,
-    sample_half_normal,
 )
 from groupsfa.errors import InputError
 
-from oracles import firm_rng, generate_per_firm
+from oracles import firm_rng, generate_per_firm, sample_half_normal
 
 HN_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -86,11 +85,11 @@ def test_generate_deterministic():
 def test_generate_rejects_bad_inputs():
     with pytest.raises(InputError):
         generate("dgp9u", 10, 20, seed=0)
-    with pytest.raises(InputError, match="T >= 2"):
+    with pytest.raises(InputError, match="^T must be >= 2, got 1$"):
         generate("dgp1u", 10, 1, seed=0)
-    with pytest.raises(InputError, match="non-negative"):
+    with pytest.raises(InputError, match="^seed must be >= 0, got -1$"):
         generate("dgp1u", 10, 20, seed=-1)
-    with pytest.raises(InputError, match="non-negative"):
+    with pytest.raises(InputError, match="^rep must be >= 0, got -2$"):
         generate("dgp1u", 10, 20, seed=0, rep=-2)
     for name in ("N", "T", "seed", "rep"):
         for bad in (1.5, "3", None):

@@ -12,9 +12,9 @@ from groupsfa._kernels import (
     loglik_unique_terms_grad,
     loglik_unique_total,
 )
-from groupsfa.dgp import generate, sample_half_normal
+from groupsfa.dgp import generate
 from groupsfa.errors import ConvergenceError, HessianError, InputError
-from groupsfa.estimation import default_m, fit_all, within_factors
+from groupsfa.estimation import default_m, fit_all, fit_group, within_factors
 from groupsfa.inefficiency import (
     CompositeStats,
     _mixture_objectives,
@@ -34,7 +34,7 @@ from groupsfa.inefficiency import (
 )
 from groupsfa.panel import PanelData
 from groupsfa.pipeline import estimate_panel, fit_levels
-from groupsfa.postestimation import fit_group, select_K
+from groupsfa.postestimation import select_K
 
 from oracles import (
     composite_stats_loop,
@@ -42,6 +42,7 @@ from oracles import (
     mixture_hessian_mpmath,
     mixture_loglik_mpmath,
     mixture_starts_eight,
+    sample_half_normal,
     square_sum_mp,
     unique_loglik_mpmath,
 )
@@ -306,7 +307,7 @@ def test_no_mixture_se_at_a_boundary_variance():
     # as the SE there (3.17e-4, 1.00e-4 and 3.16e-5 for step floors 1e-5,
     # 1e-6 and 1e-7 when the variance was 8.6e-14)
     panel, _ = generate("dgp2m", 50, 30, seed=3, rep=0)
-    fits = select_K(panel, fit_all(panel, default_m(30)), 4, 1.0).selected.fits
+    fits = select_K(fit_all(panel, default_m(30)), 4, 1.0).selected.fits
     stats, _, mixture, choice = fit_levels(panel, fits, 1.0, 0)
     if choice.chosen != "mixture" or not mixture.sigma_u2_2 < 1e-12:
         pytest.fail("the panel no longer picks a mixture with a boundary variance")
@@ -341,7 +342,7 @@ def test_no_mixture_se_when_the_components_coincide(design, rep, tau_may_sit_at_
     # and sigma_u2: tau is not identified, and the SEs they reported
     # (se(tau) 37.2 and 52.4) followed last-bit changes of the arithmetic
     panel, _ = generate(design, 100, 50, seed=0, rep=rep)
-    fits = select_K(panel, fit_all(panel, default_m(50)), 4, 1.0).selected.fits
+    fits = select_K(fit_all(panel, default_m(50)), 4, 1.0).selected.fits
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stats, _, mixture, _ = fit_levels(panel, fits, 1.0, rep)
@@ -554,7 +555,7 @@ _ORBIT_PANELS = [
 def test_one_start_per_orbit_matches_the_eight_starts(monkeypatch, design, N, T,
                                                       seed, rep):
     panel, _ = generate(design, N, T, seed=seed, rep=rep)
-    fits = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0).selected.fits
+    fits = select_K(fit_all(panel, default_m(T)), 4, 1.0).selected.fits
     _, unique, fit, choice = fit_levels(panel, fits, 1.0, rep)
     monkeypatch.setattr(inefficiency, "_mixture_starts", mixture_starts_eight)
     _, unique_ref, ref, choice_ref = fit_levels(panel, fits, 1.0, rep)
@@ -610,7 +611,7 @@ def test_composite_stats_equal_per_firm_loop(design):
     T = panel.T
     for level in (0.0, 100.0):
         shifted = PanelData(y=panel.y + level, x=panel.x)
-        report = select_K(shifted, fit_all(shifted, default_m(T)), 4, 1.0)
+        report = select_K(fit_all(shifted, default_m(T)), 4, 1.0)
         for record in report.records:
             stats = composite_residual_stats(shifted, record.fits)
             S, W, sv2 = composite_stats_loop(shifted, record.fits)
@@ -677,7 +678,7 @@ def _make_small_dgp_panel(rng):
 
 def test_firm_intercept_clt_bound():
     panel, truth = generate("dgp2u", 60, 100, seed=21)
-    rep = select_K(panel, fit_all(panel, default_m(panel.T)), 2, 1.0)
+    rep = select_K(fit_all(panel, default_m(panel.T)), 2, 1.0)
     vals = firm_intercepts(composite_residual_stats(panel, rep.records[1].fits))
     target = truth.law.alpha0 - truth.u
     sigma_firm = truth.sigma_v[truth.membership - 1]

@@ -5,14 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupsfa.dgp import generate, sample_half_normal
+from groupsfa.dgp import generate
 from groupsfa.errors import InputError
 from groupsfa.estimation import default_m, fit_all
 from groupsfa.panel import PanelData
 from groupsfa.pipeline import estimate_panel, fit_levels
 from groupsfa.postestimation import select_K
 
-from oracles import mixture_optimum_dense
+from oracles import mixture_optimum_dense, sample_half_normal
 
 # K, the chosen model and both log-likelihoods of 36 panels: six designs
 # x {(50, 30), (100, 50), (250, 100)} x replications 0-1 at seed 0
@@ -53,7 +53,8 @@ def test_estimate_panel_rejects_non_integer_arguments(name, value):
 def test_estimate_panel_rejects_negative_penalty_constants(kw):
     # a negative constant would reward more groups and the larger model
     panel, _ = generate("dgp2u", 20, 30, seed=9)
-    with pytest.raises(InputError, match="finite and non-negative"):
+    (name, value), = kw.items()
+    with pytest.raises(InputError, match=f"^{name} must be a finite real number >= 0, got {value}$"):
         estimate_panel(panel, k_max=2, **kw)
 
 
@@ -141,7 +142,7 @@ def test_recorded_optima_are_kept(rec):
     # a change to the likelihood or its optimizer must keep K and the
     # chosen model, and may raise an optimum but not lower it
     panel, _ = generate(rec["design"], rec["N"], rec["T"], seed=0, rep=rec["rep"])
-    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    report = select_K(fit_all(panel, default_m(panel.T)), 4, 1.0)
     _, unique, mixture, choice = fit_levels(panel, report.selected.fits, 1.0, rec["rep"])
     assert (report.selected_K, choice.chosen) == (rec["K"], rec["chosen"])
     for fit, recorded in ((unique, rec["loglik_unique"]), (mixture, rec["loglik_mixture"])):
@@ -157,7 +158,7 @@ def test_recorded_optima_are_kept(rec):
 ])
 def test_mixture_reaches_the_dense_start_optimum(design, N, T, rep):
     panel, _ = generate(design, N, T, seed=0, rep=rep)
-    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    report = select_K(fit_all(panel, default_m(panel.T)), 4, 1.0)
     stats, unique, mixture, _ = fit_levels(panel, report.selected.fits, 1.0, rep)
     oracle = mixture_optimum_dense(stats, unique, rep)
     assert mixture.loglik >= oracle - 1e-9 * abs(oracle)

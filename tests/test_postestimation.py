@@ -11,14 +11,16 @@ from groupsfa import estimation
 from groupsfa.estimation import (
     _RANK_DEFICIENT,
     RCOND_MIN,
+    GroupFit,
     default_m,
     default_m_under,
     fit_all,
+    fit_group,
     within_factors,
 )
 from groupsfa.grouping import GroupAssignment, best_label_permutation, hac_cluster
 from groupsfa.panel import PanelData
-from groupsfa.postestimation import GroupFit, default_lambda, fit_group, ic_value, select_K
+from groupsfa.postestimation import default_lambda, ic_value, select_K
 
 from oracles import fit_group_loop, normal_equations_solve
 
@@ -147,7 +149,7 @@ def test_fit_group_in_chunks_matches_one_chunk(monkeypatch):
     panel, _ = generate("dgp3m", 30, 40, seed=11)
     factors = within_factors(panel, 4)
     whole = fit_group(factors, range(30), 4)
-    monkeypatch.setattr(postestimation, "_CHUNK", 7)
+    monkeypatch.setattr(estimation, "_CHUNK", 7)
     _assert_fits_close(fit_group(factors, range(30), 4), whole, panel.T, 1e-13)
 
 
@@ -214,33 +216,16 @@ def test_rank_deficient_when_a_regressor_is_constant_over_time():
     assert info.value.rcond == 0.0
 
 
-def test_select_K_rejects_firm_fits_of_another_panel():
-    # 40-firm fits with a 60-firm panel returned K = 1 and a 40-entry membership
-    panel, _ = generate("dgp1u", 60, 30, seed=3)
-    other, _ = generate("dgp1u", 40, 30, seed=3)
-    with pytest.raises(InputError, match="firm_fits hold 40 firms but the panel has N=60"):
-        select_K(panel, fit_all(other, 2), 4, 1.0)
-
-
-def test_select_K_rejects_firm_fits_of_a_panel_with_other_periods():
-    # same N, T = 40 fits with a T = 30 panel: the fits' features were
-    # clustered against the other panel's factors
-    panel, _ = generate("dgp1u", 40, 30, seed=3)
-    other, _ = generate("dgp1u", 40, 40, seed=3)
-    with pytest.raises(InputError, match="firm_fits hold T=40 periods but the panel has T=30"):
-        select_K(panel, fit_all(other, 2), 4, 1.0)
-
-
 def test_select_K_rejects_a_non_integer_K_max():
     panel, _ = generate("dgp1u", 30, 30, seed=3)
     with pytest.raises(InputError, match="K_max must be an integer, got 2.5"):
-        select_K(panel, fit_all(panel, 2), 2.5, 1.0)
+        select_K(fit_all(panel, 2), 2.5, 1.0)
 
 
 @pytest.mark.parametrize("design", ["dgp2m", "dgp3m"])
 def test_fit_group_equals_per_firm_loop(design):
     panel, _ = generate(design, 100, 50, seed=3)
-    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    report = select_K(fit_all(panel, default_m(panel.T)), 4, 1.0)
     fits = {id(f): f for r in report.records for f in r.fits}.values()
     assert len(fits) == 7
     for fit in fits:
@@ -301,7 +286,7 @@ def test_select_k_monotone_in_lambda():
     panel, _ = generate("dgp1u", 30, 50, seed=5)
     fits = fit_all(panel, default_m(panel.T))
     selected = [
-        select_K(panel, fits, 4, c_lambda).selected_K
+        select_K(fits, 4, c_lambda).selected_K
         for c_lambda in (0.0, 0.1, 10.0, 1e4)
     ]
     assert all(a >= b for a, b in zip(selected, selected[1:]))
@@ -312,7 +297,7 @@ def test_select_k_ties_toward_smaller():
     # lambda=0 with a loss-free tie cannot happen on continuous data, so
     # check the tie rule directly on the record list ordering
     panel, _ = generate("dgp1u", 8, 40, seed=6)
-    report = select_K(panel, fit_all(panel, 2), 3, c_lambda=0.0)
+    report = select_K(fit_all(panel, 2), 3, c_lambda=0.0)
     best = min(report.records, key=lambda r: (r.ic, r.K))
     assert report.selected_K == best.K
 
@@ -342,7 +327,7 @@ def test_select_k_fits_each_member_set_once(monkeypatch):
         return fit_group(factors_, members, m_under)
 
     monkeypatch.setattr(postestimation, "fit_group", counting_fit_group)
-    report = select_K(panel, firm_fits, K_max, 1.0)
+    report = select_K(firm_fits, K_max, 1.0)
 
     assert report.lam == lam
     distinct = {tuple(int(i) for i in f.members) for _, fits, _ in expected for f in fits}
@@ -421,7 +406,7 @@ def test_frontier_rmse_shrinks_with_t():
     rmses = []
     for T in (50, 100):
         panel, truth = generate("dgp3m", 500, T, seed=9)
-        report = select_K(panel, fit_all(panel, default_m(T)), 4, 1.0)
+        report = select_K(fit_all(panel, default_m(T)), 4, 1.0)
         rec = report.records[truth.K - 1]
         rmses.append(_frontier_rmse(panel, truth, rec.assignment, rec.fits))
     assert rmses[1] < rmses[0]

@@ -51,7 +51,7 @@ def assert_same_runs(mine, ref):
 
 def _selected_stats(design):
     panel, _ = generate(design, 100, 50, seed=3)
-    report = select_K(panel, fit_all(panel, default_m(panel.T)), 4, 1.0)
+    report = select_K(fit_all(panel, default_m(panel.T)), 4, 1.0)
     return composite_residual_stats(panel, report.selected.fits)
 
 
