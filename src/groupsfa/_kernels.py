@@ -1,42 +1,32 @@
-"""Likelihood kernels: vectorized numpy over firms.
-
-The inefficiency MLE evaluates the panel log-likelihood thousands of times
-per fit; each evaluation is a handful of numpy expressions over the firm
-axis.
+"""Likelihood kernels: the panel log-likelihood that the inefficiency MLE
+evaluates thousands of times per fit, as numpy expressions over firms.
 
 Per-firm sufficient statistics are the residual sum S_i = sum_t r_it and
 the within-firm square sum W_i = sum_t (r_it - S_i / T)^2 of the composite
 residuals r_it (outcome minus fitted frontier, level term NOT yet
 removed), both from Step 3's demeaned fit (``GroupFit``), so no raw square
 sum cancels. A level value a gives the centered sum se = S_i - T a, and
-
-    sum_t (r_it - a)^2 = W_i + se^2 / T,
-
-so the optimizer never touches the T-long series.
-
-The per-firm log density of the panel half-normal model (Pitt & Lee 1981)
-is, with si2 = sv2 + T su2 and z = -sqrt(su2 / (sv2 si2)) se,
+sum_t (r_it - a)^2 = W_i + se^2 / T: the optimizer never touches the
+T-long series. The per-firm log density of the panel half-normal model
+(Pitt & Lee 1981) is, with si2 = sv2 + T su2 and
+z = -sqrt(su2 / (sv2 si2)) se,
 
     log 2 - (T/2) log(2 pi) - ((T-1)/2) log sv2 - W / (2 sv2)
     - (1/2) log si2 - se^2 / (2 T si2) + log Phi(z).
 
-The first line is the per-firm prefix; the within-firm square sum W sits
-there because it carries no parameter. The constant is written out in full
-because model choice later compares likelihood levels across
-specifications.
+The first line, free of parameters, is the per-firm prefix; its constant
+is kept because model choice compares likelihood levels across models.
 
-Its derivatives (Pitt & Lee 1981; Battese & Coelli 1988) use the inverse
-Mills ratio lambda(z) = phi(z) / Phi(z), computed as
-exp(-z^2/2 - log sqrt(2 pi) - log Phi(z)) so that it stays finite in both
-tails. With eta = log su2, the optimizer's coordinate,
+The derivatives (Pitt & Lee 1981; Battese & Coelli 1988) use the scale
+k = sqrt(su2 / (sv2 si2)), so z = -k se, and the inverse Mills ratio
+lambda = phi(z) / Phi(z), computed as exp(-z^2/2 - log sqrt(2 pi) -
+log Phi(z)) so that it stays finite in both tails. In the optimizer's
+coordinates alpha0 and eta = log su2 they are
 
-    d/d alpha0 = (lambda + z) T sqrt(su2 / (sv2 si2)) + se / sv2
-    d/d eta    = -T su2 / (2 si2) + (lambda + z) z sv2 / (2 si2).
+    (lambda + z) T k + se / sv2   and   (-T su2 + (lambda + z) z sv2) / (2 si2).
 
-The standard errors take first and second derivatives in the natural
-coordinates (a, v) = (alpha0, su2). With k = sqrt(su2 / (sv2 si2)), so
-z = -k se, its derivatives k_v = 1 / (2 k si2^2) and
-k_vv = -1 / (4 k^3 si2^4) - T / (k si2^3), and
+The standard errors take them in (a, v) = (alpha0, su2), with
+k_v = 1 / (2 k si2^2), k_vv = -1 / (4 k^3 si2^4) - T / (k si2^3) and
 lambda' = d lambda / dz = -lambda (lambda + z),
 
     l_a  = se / si2 + lambda T k
@@ -46,18 +36,19 @@ lambda' = d lambda / dz = -lambda (lambda + z),
     l_vv = T^2 / (2 si2^2) - T se^2 / si2^3 + lambda' (se k_v)^2
            - lambda se k_vv.
 
-Every kernel takes one data argument, a ``CompositeStats``: read-only
-copies of S, W and sv2, bound once per fit, whose prefix is computed at
-the first kernel call and kept, so a call does only parameter work. The
-parameters come as (R, 1) columns, one row per parameter point, and
-broadcast the terms to (R, N); anything that is not a 2-D one-column
-array of numbers raises ``InputError``. ``loglik_unique_total`` and
-``loglik_mixture_total`` return an (R,) array of totals: the optimizer's
-simplex sends the candidate points of all its starts through one call.
-The mixture takes its two components stacked as 2R rows, component 1's
-first, makes one single-law pass over them and combines the halves by
-log-sum-exp. Every row is computed by the same expressions whatever the
-batch size, so it is bit for bit the value that a one-row call returns.
+log Phi(z) is log(ndtr(z)) from z = -37 up and scipy's ``log_ndtr`` below,
+where ``ndtr`` nears its subnormal range (z < -37.52); both are within
+5.3e-16 relative of 50-digit mpmath for z <= 0, 1.2e-16 absolute above.
+
+Every kernel takes one data argument, a ``CompositeStats`` bound once per
+fit that keeps the distinct sv2 values (one per group), each firm's index
+into them, the prefix and its sum. The parameters are (R, 1) columns, one
+row per point. A call computes si2, k, -(1/2) log si2 and 2 T si2 on
+(R, G) and gathers them to the firms at once. The totals, (R,), add the
+prefix's sum once to the summed terms. The mixture takes its components
+stacked as 2R rows, component 1's first, with log tau and log(1 - tau) in
+their level constants, and combines the halves by max + log1p(exp(min -
+max)) in place. Each row's value is bit for bit what a one-row call gives.
 """
 
 import math
@@ -65,30 +56,24 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import InputError
 
 LOG2 = math.log(2.0)
 LOG2PI = math.log(2.0 * math.pi)
-_HALF_LOG2PI = 0.5 * LOG2PI
+_TAIL = -37.0  # log Phi(z) takes log_ndtr below it
 
 
 @dataclass(frozen=True)
 class CompositeStats:
-    """Per-firm sufficient statistics of the composite residuals.
+    """Per-firm S, W and group noise variance sigma_v2, and the periods T.
 
-    S and W are the per-firm sum of r_it = y_it - z_it' pi (level term not
-    yet removed) and its square sum about the firm's mean; sigma_v2 maps
-    each firm to its group's noise variance; T is the number of periods.
-    Each array is kept as a read-only, contiguous float64 copy. Raises
-    ``InputError`` naming the field when S, W or sigma_v2 is not 1-D of one
-    length >= 1, is not finite, or W or sigma_v2 is negative, or when T is
-    not a positive integer.
-
-    A zero sigma_v2, a noiseless group's, is valid here (firm intercepts
-    read S alone) but not in the likelihood: ``prefix`` raises
-    ``InputError`` for it, and the kernels read ``prefix`` first.
+    Each array is kept as a read-only, contiguous float64 copy. A field that
+    is not 1-D of one length >= 1 or not finite, a negative W or sigma_v2,
+    or a T that is not a positive integer raises ``InputError`` naming it.
+    A zero sigma_v2 (a noiseless group) is valid here but not in the
+    likelihood: ``levels``, which every kernel reads first, raises.
     """
 
     S: np.ndarray
@@ -97,10 +82,9 @@ class CompositeStats:
     T: int
 
     def __post_init__(self):
-        T = self.T
-        if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
-            raise InputError(f"T must be a positive integer, got {T!r}")
-        object.__setattr__(self, "T", int(T))
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)) or self.T < 1:
+            raise InputError(f"T must be a positive integer, got {self.T!r}")
+        object.__setattr__(self, "T", int(self.T))
         for name in ("S", "W", "sigma_v2"):
             try:
                 a = np.array(getattr(self, name), dtype=np.float64, order="C")
@@ -115,33 +99,40 @@ class CompositeStats:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         if not len(self.S) == len(self.W) == len(self.sigma_v2):
-            raise InputError(
-                "S, W and sigma_v2 must have one length, got "
-                f"{len(self.S)}, {len(self.W)} and {len(self.sigma_v2)}"
-            )
+            lengths = f"{len(self.S)}, {len(self.W)} and {len(self.sigma_v2)}"
+            raise InputError(f"S, W and sigma_v2 must have one length, got {lengths}")
 
     def __len__(self):
         return len(self.S)
 
     @cached_property
-    def prefix(self):
-        """Each firm's part of the log density that no parameter enters,
-        (N,), computed on first use and kept."""
-        W, sv2, T = self.W, self.sigma_v2, self.T
+    def levels(self):
+        """The distinct sigma_v2 values, (G,), and each firm's index, (N,)."""
+        sv2 = self.sigma_v2
         if not np.all(sv2 > 0.0):
-            raise InputError(
-                "sigma_v2 must be positive for the likelihood; firms "
-                f"{np.flatnonzero(sv2 <= 0.0)[:10].tolist()} have 0"
-            )
-        prefix = LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2) - W / (2.0 * sv2)
+            bad = np.flatnonzero(sv2 <= 0.0)[:10].tolist()
+            raise InputError(f"sigma_v2 must be positive for the likelihood; firms {bad} have 0")
+        values, index = np.unique(sv2, return_inverse=True)
+        values.flags.writeable = index.flags.writeable = False
+        return values, index
+
+    @cached_property
+    def prefix(self):
+        """Each firm's part of the log density that no parameter enters, (N,)."""
+        (sv2, at), T = self.levels, self.T
+        per_level = LOG2 - 0.5 * T * LOG2PI - 0.5 * (T - 1) * np.log(sv2)
+        prefix = per_level[at] - self.W / (2.0 * self.sigma_v2)
         prefix.flags.writeable = False
         return prefix
 
+    @cached_property
+    def prefix_sum(self):
+        return float(np.sum(self.prefix))
+
 
 def _column(name, value):
-    """``value`` as an (R, 1) float64 column; a float64 array passes
-    through uncopied. Raises ``InputError`` naming the argument for
-    anything else, so a nested list cannot meet ``T *`` as a sequence."""
+    """``value`` as an (R, 1) float64 column, a float64 array uncopied;
+    anything else, a nested list too, raises ``InputError`` naming it."""
     try:
         a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -151,67 +142,78 @@ def _column(name, value):
     return a
 
 
-def _unique_parts(stats, alpha0, su2):
-    """Per-firm terms with the intermediates their derivatives reuse.
+def _log_cdf(z):
+    """log Phi(z): log(ndtr(z)) from z = ``_TAIL`` up, log_ndtr(z) below."""
+    if z.min() >= _TAIL:
+        return np.log(ndtr(z))
+    out = np.log(ndtr(np.maximum(z, _TAIL)))
+    tail = z < _TAIL
+    out[tail] = log_ndtr(z[tail])
+    return out
 
-    ``alpha0`` and ``su2`` are (R, 1) float columns that broadcast the
-    terms to (R, N).
-    """
-    prefix, S, sv2, T = stats.prefix, stats.S, stats.sigma_v2, stats.T
-    se = S - T * alpha0
+
+def _unique_parts(stats, alpha0, su2, log_weight=0.0):
+    """(terms less the prefix, se, z, log Phi(z), -scale), each (R, N), and
+    si2, (R, G), of (R, 1) columns ``alpha0`` and ``su2``; ``log_weight``,
+    (R, 1), joins the level constant -(1/2) log si2."""
+    (sv2, at), T = stats.levels, stats.T
     si2 = sv2 + T * su2
     scale = np.sqrt(su2 / (sv2 * si2))
-    z = -scale * se
-    log_cdf = log_ndtr(z)
-    terms = prefix - 0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
-    return terms, se, si2, scale, z, log_cdf
+    level = np.empty((3,) + si2.shape)
+    np.negative(scale, out=level[0])
+    np.multiply(-0.5, np.log(si2), out=level[1])
+    level[1] += log_weight
+    np.multiply(2.0 * T, si2, out=level[2])
+    neg_scale, terms, two_t_si2 = np.take(level, at, axis=2)
+    se = stats.S - T * alpha0
+    z = neg_scale * se
+    log_cdf = _log_cdf(z)
+    terms -= se * se / two_t_si2
+    terms += log_cdf
+    return terms, se, z, log_cdf, neg_scale, si2
 
 
 def _mills_parts(stats, alpha0, su2):
-    """``_unique_parts`` with the inverse Mills ratio lambda(z) in place of
-    log Phi(z), for the derivative kernels."""
-    terms, se, si2, scale, z, log_cdf = _unique_parts(stats, alpha0, su2)
-    return terms, se, si2, scale, z, np.exp(-0.5 * z * z - _HALF_LOG2PI - log_cdf)
+    """Per-firm terms, se, si2, scale, z and lambda(z), each (R, N)."""
+    terms, se, z, log_cdf, neg_scale, si2 = _unique_parts(stats, alpha0, su2)
+    mills = np.exp(-0.5 * z * z - 0.5 * LOG2PI - log_cdf)
+    si2 = np.take(si2, stats.levels[1], axis=1)
+    return stats.prefix + terms, se, si2, -neg_scale, z, mills
+
+
+def _log_add_exp(x1, x2):
+    """log(exp(x1) + exp(x2)) as max + log1p(exp(min - max)), written over
+    ``x2``; where one input is -inf it is the other exactly."""
+    hi = np.maximum(x1, x2)
+    np.subtract(np.minimum(x1, x2, out=x2), hi, out=x2)
+    np.log1p(np.exp(x2, out=x2), out=x2)
+    return np.add(x2, hi, out=x2)
 
 
 def log_mixture_terms(l1, l2, tau):
-    """Per-firm log(tau f_1) and log(tau f_1 + (1 - tau) f_2).
-
-    ``l1`` and ``l2`` are the component log densities; the difference of
-    the two outputs is the log responsibility of component 1. The sum is
-    max + log1p(exp(min - max)) of the two logs, so at tau = 0 or 1 it is
-    the other component's log density exactly.
-    """
+    """Per-firm log(tau f_1) and log(tau f_1 + (1 - tau) f_2) of component
+    log densities ``l1`` and ``l2``; their difference is the log
+    responsibility of component 1."""
     with np.errstate(divide="ignore"):
         x1 = np.log(tau) + l1
-        x2 = np.log1p(-tau) + l2
-    hi = np.maximum(x1, x2)
-    return x1, hi + np.log1p(np.exp(np.minimum(x1, x2) - hi))
+        return x1, _log_add_exp(x1, np.log1p(-tau) + l2)
 
 
 def loglik_unique_terms_grad(stats, alpha0, sigma_u2):
-    """Per-firm terms and their derivatives in alpha0 and eta = log sigma_u2.
-
-    ``alpha0`` and ``sigma_u2`` are (R, 1) columns. Returns (terms,
-    d_alpha0, d_eta), each (R, N); the terms are the per-firm
-    log-likelihood contributions of the single-law model.
-    """
+    """Per-firm single-law terms and their derivatives in alpha0 and
+    eta = log sigma_u2, each (R, N), of (R, 1) columns."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
     terms, se, si2, scale, z, mills = _mills_parts(stats, alpha0, sigma_u2)
-    dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
     T, sv2 = stats.T, stats.sigma_v2
+    dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
     d_alpha0 = dz * T * scale + se / sv2
     d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
     return terms, d_alpha0, d_eta
 
 
 def loglik_unique_terms_hess(stats, alpha0, sigma_u2):
-    """Per-firm terms with their gradient and Hessian in (alpha0, sigma_u2).
-
-    ``alpha0`` and ``sigma_u2`` are (R, 1) columns. Returns (terms, grad,
-    hess), shaped (R, N), (2, R, N) and (2, 2, R, N); the derivatives are
-    the natural-coordinate forms of the module docstring.
-    """
+    """Per-firm single-law terms, (R, N), with their gradient (2, R, N) and
+    Hessian (2, 2, R, N) in (alpha0, sigma_u2), of (R, 1) columns."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
     terms, se, si2, k, z, lam = _mills_parts(stats, alpha0, sigma_u2)
     T = stats.T
@@ -229,22 +231,20 @@ def loglik_unique_terms_hess(stats, alpha0, sigma_u2):
 
 
 def loglik_unique_total(stats, alpha0, sigma_u2):
-    """Single-law log-likelihood of each (R, 1) parameter row, as an (R,)
-    array."""
+    """Single-law log-likelihood of each (R, 1) parameter row, (R,)."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
-    return _unique_parts(stats, alpha0, sigma_u2)[0].sum(axis=1)
+    return _unique_parts(stats, alpha0, sigma_u2)[0].sum(axis=1) + stats.prefix_sum
 
 
 def loglik_mixture_total(stats, tau, alpha0, sigma_u2):
-    """Mixture log-likelihood of each parameter row, as an (R,) array.
-
-    ``tau`` is an (R, 1) column; ``alpha0`` and ``sigma_u2`` are (2R, 1)
-    columns holding component 1's R rows, then component 2's.
-    """
+    """Mixture log-likelihood of each (R, 1) ``tau`` row, (R,); ``alpha0``
+    and ``sigma_u2`` are (2R, 1), component 1's R rows, then component 2's."""
     tau = _column("tau", tau)
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
     R = len(tau)
     if len(alpha0) != 2 * R:
         raise InputError(f"alpha0 must hold 2R = {2 * R} rows for {R} tau rows, got {len(alpha0)}")
-    terms = _unique_parts(stats, alpha0, sigma_u2)[0]
-    return log_mixture_terms(terms[:R], terms[R:], tau)[1].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_weight = np.concatenate([np.log(tau), np.log1p(-tau)])
+    terms = _unique_parts(stats, alpha0, sigma_u2, log_weight)[0]
+    return _log_add_exp(terms[:R], terms[R:]).sum(axis=1) + stats.prefix_sum

@@ -272,12 +272,13 @@ def _maximize(objective, value_and_grad, starts):
     """Simplex search for each start's basin, polished by exact-gradient BFGS.
 
     ``objective`` maps an (R, n) array of points to their R
-    log-likelihoods, and ``value_and_grad`` returns one point's value with
-    its gradient. The Nelder-Mead pass runs all starts in lockstep
-    (``_simplex``) and stops at a coarse tolerance (``_XATOL``, ``_FATOL``):
-    its job is to pick each start's local optimum, which a gradient method
-    started at the start does not always reach on multimodal or boundary
-    panels. BFGS then converges on the exact gradient, one start at a time.
+    log-likelihoods, and ``value_and_grad`` returns one point's value, the
+    one ``objective`` gives bit for bit, with its gradient. The Nelder-Mead
+    pass runs all starts in lockstep (``_simplex``) and stops at a coarse
+    tolerance (``_XATOL``, ``_FATOL``): its job is to pick each start's
+    local optimum, which a gradient method started at the start does not
+    always reach on multimodal or boundary panels. BFGS then converges on
+    the exact gradient, one start at a time.
 
     This is the one place that decides convergence. A start has converged
     when its simplex pass stopped below the cap, its BFGS pass succeeded,
@@ -347,9 +348,9 @@ def _unique_objectives(stats):
         return loglik_unique_total(stats, *_unique_columns(X))
 
     def value_and_grad(x):
-        terms, d_alpha0, d_eta = loglik_unique_terms_grad(stats, *_unique_columns(x[None]))
+        _, d_alpha0, d_eta = loglik_unique_terms_grad(stats, *_unique_columns(x[None]))
         grad = np.array([np.sum(d_alpha0), np.sum(d_eta)])
-        return float(np.sum(terms)), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
+        return float(objective(x[None])[0]), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
 
     return objective, value_and_grad
 
@@ -375,7 +376,7 @@ def _mixture_objectives(stats):
         w1 = np.exp(x1 - lm)
         w2 = -np.expm1(x1 - lm)
         grad = np.array([np.sum(w1 - tau), w1 @ da1, w1 @ de1, w2 @ da2, w2 @ de2])
-        return float(np.sum(lm)), grad * (np.abs(x) <= _MIXTURE_BOUNDS)
+        return float(objective(x[None])[0]), grad * (np.abs(x) <= _MIXTURE_BOUNDS)
 
     return objective, value_and_grad
 

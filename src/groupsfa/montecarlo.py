@@ -307,15 +307,19 @@ def sensitivity_sweep(config, c_lambda_values, c_tilde_values):
     """Rerun the harness over a grid of penalty constants.
 
     Per-replication seeds depend only on (seed, replication), so results
-    across grid points differ only through the constants. Every grid
-    point's configuration is checked before the first run.
+    across grid points differ only through the constants. Every grid value,
+    then every grid point's configuration, is checked before the first
+    run; a bad value raises ``ConfigError`` naming its argument.
     """
+    try:
+        c_lambdas = [as_penalty("c_lambda", v) for v in c_lambda_values]
+        c_tildes = [as_penalty("c_tilde", v) for v in c_tilde_values]
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
     configs = [
-        McConfig.from_dict(
-            {**config.to_dict(), "c_lambda": float(cl), "c_tilde": float(ct)}
-        )
-        for cl in c_lambda_values
-        for ct in c_tilde_values
+        McConfig.from_dict({**config.to_dict(), "c_lambda": cl, "c_tilde": ct})
+        for cl in c_lambdas
+        for ct in c_tildes
     ]
     return [(cfg.c_lambda, cfg.c_tilde, run_monte_carlo(cfg)) for cfg in configs]
 

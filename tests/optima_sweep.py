@@ -15,10 +15,10 @@ log-likelihood, parameters and standard errors, the Step-3 group fits of
 every K (each group's ``sigma_v`` and ``pi``), and the Step-1
 ``features`` of ``fit_all(panel, default_m(T))``, the call
 ``estimate_panel`` makes; a panel whose estimation raises records the
-error instead. ``compare`` prints the K,
-membership and choice flips, the largest relative log-likelihood moves in
-each direction with counts beyond 1e-12 and 1e-9, every standard error
-that turned null or stopped being null, the largest relative
+error instead. ``compare`` prints the K, membership and choice flips, the
+largest relative log-likelihood moves in each direction with counts
+beyond 1e-12 and 1e-9, how many log-likelihoods are bit-identical, every
+standard error that turned null or stopped being null, the largest relative
 standard-error move on a chosen and on a runner-up fit, the largest
 relative move of a group's ``sigma_v`` and ``pi`` (``pi`` relative to
 its largest entry), and that of a Step-1 feature (relative to the largest
@@ -136,6 +136,7 @@ def compare(old_path, new_path):
           f"({len(old)} old, {len(new)} new)")
     flips = {"error": [], "K": [], "membership": [], "choice": []}
     moves = []  # (relative loglik move, panel, fit)
+    identical = 0  # fits whose log-likelihood has the same bits in both
     se_flips = []
     se_moves = {"chosen": (0.0, None), "runner-up": (0.0, None)}
     group_moves = {"sigma_v": (0.0, None), "pi": (0.0, None)}
@@ -166,6 +167,7 @@ def compare(old_path, new_path):
         for fit in FITS:
             fa, fb = a[fit], b[fit]
             moves.append((_relative(fb["loglik"], fa["loglik"]), label, fit))
+            identical += fb["loglik"] == fa["loglik"]
             if (fa["se"] is None) != (fb["se"] is None):
                 se_flips.append(f"{label} {fit}: {fa['se']} -> {fb['se']}")
             elif fa["se"] is not None:
@@ -188,6 +190,7 @@ def compare(old_path, new_path):
             lower = sum(m < -tol for m, _, _ in moves)
             print(f"beyond {tol:g} relative: {higher} higher, {lower} lower "
                   f"of {len(moves)} fits")
+        print(f"bit-identical log-likelihoods: {identical} of {len(moves)} fits")
     print(f"se null flips: {len(se_flips)}")
     for item in se_flips:
         print(f"  {item}")

@@ -23,7 +23,10 @@ a faster library path returns the same values bit for bit:
 * scipy's Nelder-Mead, run one start at a time on the objective the
   library's lockstep simplex minimizes;
 * the single-law per-firm terms and derivatives written out as one
-  expression per quantity, for the batched and the gradient kernels;
+  expression per quantity, with the kernels' log Phi rule (log of
+  ``ndtr`` from z = -37 up, ``log_ndtr`` below), and the single-law total
+  as their sum plus the summed prefix, for the batched and the gradient
+  kernels;
 * the eight mixture starts, each split in both component orderings, that
   the library used before it kept one start per label-swapping orbit;
 * the mixture optimum from dense starts, which reuses the library's
@@ -50,7 +53,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from groupsfa.basis import design_matrix
 from groupsfa.dgp import (
@@ -172,6 +175,27 @@ def unique_hessian_mpmath(resid_sum, within_sumsq, T, sigma_v2, sigma_u2,
         aa, av, vv = (mp.diff(f, at, order) for order in ((2, 0), (1, 1), (0, 2)))
         return (np.array([float(g) for g in grad]),
                 np.array([[float(aa), float(av)], [float(av), float(vv)]]))
+
+
+def log_phi_mpmath(z, dps=50):
+    """log Phi(z) at ``dps`` digits, as a float."""
+    with mp.workdps(dps):
+        return float(mp.log(mp.ncdf(mp.mpf(float(z)))))
+
+
+def unique_grad_mpmath(resid_sum, within_sumsq, T, sigma_v2, sigma_u2, alpha0, dps=40):
+    """Derivatives of one firm's closed-form log density in alpha0 and
+    eta = log sigma_u2, by ``mpmath.diff`` at ``dps`` digits.
+
+    Takes the library's (S, W); the raw square sum is formed in mpmath.
+    """
+    Q = square_sum_mp(resid_sum, within_sumsq, T)
+    with mp.workdps(dps):
+        def f(a, eta):
+            return _unique_logdensity_mp(resid_sum, Q, T, sigma_v2, mp.exp(eta), a)
+
+        at = (mp.mpf(alpha0), mp.log(mp.mpf(sigma_u2)))
+        return np.array([float(mp.diff(f, at, order)) for order in ((1, 0), (0, 1))])
 
 
 def mixture_hessian_mpmath(resid_sum, within_sumsq, T, sigma_v2, params, dps=30):
@@ -433,27 +457,44 @@ def mixture_optimum_dense(stats, unique, seed):
 # --- single-law terms, one point at a time -----------------------------------
 
 
+def unique_reference_parts(S, W, sv2, T, alpha0, sigma_u2):
+    """The prefix, the parameter part of the per-firm terms, and the
+    centered sum, scale and z of the kernel module docstring, each written
+    out as one expression on (N,) arrays with float parameters. log Phi(z)
+    is the log of ``ndtr`` from z = -37 up, and ``log_ndtr`` below."""
+    log2pi = math.log(2.0 * math.pi)
+    prefix = (math.log(2.0) - 0.5 * T * log2pi - 0.5 * (T - 1) * np.log(sv2)
+              - W / (2.0 * sv2))
+    se = S - T * alpha0
+    si2 = sv2 + T * sigma_u2
+    scale = np.sqrt(sigma_u2 / (sv2 * si2))
+    z = -scale * se
+    with np.errstate(divide="ignore"):
+        log_cdf = np.where(z < -37.0, log_ndtr(z), np.log(ndtr(z)))
+    rest = -0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
+    return prefix, rest, se, si2, scale, z, log_cdf
+
+
 def unique_terms_grad_reference(S, W, sv2, T, alpha0, sigma_u2):
     """Per-firm terms and their derivatives in alpha0 and log sigma_u2.
 
     The closed forms of the kernel module docstring, each written out as
     one expression on (N,) arrays with float parameters.
     """
-    log2pi = math.log(2.0 * math.pi)
-    se = S - T * alpha0
-    si2 = sv2 + T * sigma_u2
-    scale = np.sqrt(sigma_u2 / (sv2 * si2))
-    z = -scale * se
-    log_cdf = log_ndtr(z)
-    terms = (
-        (math.log(2.0) - 0.5 * T * log2pi - 0.5 * (T - 1) * np.log(sv2)
-         - W / (2.0 * sv2))
-        - 0.5 * np.log(si2) - se * se / (2.0 * T * si2) + log_cdf
+    prefix, rest, se, si2, scale, z, log_cdf = unique_reference_parts(
+        S, W, sv2, T, alpha0, sigma_u2
     )
-    dz = np.exp(-0.5 * z * z - 0.5 * log2pi - log_cdf) + z
+    dz = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_cdf) + z
     d_alpha0 = dz * T * scale + se / sv2
     d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
-    return terms, d_alpha0, d_eta
+    return prefix + rest, d_alpha0, d_eta
+
+
+def unique_total_reference(S, W, sv2, T, alpha0, sigma_u2):
+    """The single-law total: the parameter parts summed over firms, then
+    the summed prefix added once."""
+    prefix, rest = unique_reference_parts(S, W, sv2, T, alpha0, sigma_u2)[:2]
+    return np.sum(rest) + np.sum(prefix)
 
 
 # --- label matching by enumeration -------------------------------------------

@@ -13,9 +13,13 @@ seconds over the runs. A stage is timed by wrapping the function at the
 module attribute that ``estimate_panel`` calls it through: ``fit_all``
 (Step 1), ``hac_cluster`` (Step 2), ``fit_group`` (the Step-3 group fits
 of every K), ``composite_residual_stats``, ``fit_unique``, ``fit_mixture``
-and the two standard-error functions (``se``). ``estimate_panel`` is the
-whole call. Only these module attributes are used, so the script runs
-on older checkouts that have them too.
+and the two standard-error functions (``se``), and the mixture kernel
+``inefficiency.loglik_mixture_total`` (``mixture_kernel``).
+``estimate_panel`` is the whole call. A second ``mixture_kernel`` entry
+gives the kernel's calls, the parameter rows they evaluated and its
+seconds per row, which compare across checkouts whatever their batch
+sizes. Only these module attributes are used, so the script runs on
+older checkouts that have them too.
 """
 
 import os
@@ -29,7 +33,7 @@ import json  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 
-from groupsfa import pipeline, postestimation  # noqa: E402
+from groupsfa import inefficiency, pipeline, postestimation  # noqa: E402
 from groupsfa.dgp import generate  # noqa: E402
 
 T = 50
@@ -44,6 +48,7 @@ STAGES = [
     ("fit_mixture", pipeline, "fit_mixture"),
     ("se", pipeline, "unique_standard_errors"),
     ("se", pipeline, "mixture_standard_errors"),
+    ("mixture_kernel", inefficiency, "loglik_mixture_total"),
 ]
 
 
@@ -57,11 +62,24 @@ def _timed(fn, stage, seconds):
     return wrapper
 
 
+def _counted(fn, rows):
+    """``fn``, the mixture kernel, adding its calls and their parameter
+    rows (the length of ``tau``, its second argument) to ``rows``."""
+    def wrapper(stats, tau, *args):
+        rows["calls"] += 1
+        rows["rows"] += len(tau)
+        return fn(stats, tau, *args)
+    return wrapper
+
+
 def time_stages(panel):
-    """Seconds per stage, and in all, of one ``estimate_panel(panel)`` call."""
+    """Seconds per stage, and in all, of one ``estimate_panel(panel)`` call,
+    with the mixture kernel's seconds, and its calls and rows."""
     seconds = dict.fromkeys([stage for stage, *_ in STAGES] + ["estimate_panel"], 0.0)
+    rows = {"calls": 0, "rows": 0}
     originals = [(module, name, getattr(module, name)) for _, module, name in STAGES]
     try:
+        inefficiency.loglik_mixture_total = _counted(inefficiency.loglik_mixture_total, rows)
         for stage, module, name in STAGES:
             setattr(module, name, _timed(getattr(module, name), stage, seconds))
         t0 = time.perf_counter()
@@ -72,7 +90,7 @@ def time_stages(panel):
     finally:
         for module, name, fn in originals:
             setattr(module, name, fn)
-    return seconds
+    return seconds, rows
 
 
 def main(argv=None):
@@ -83,9 +101,12 @@ def main(argv=None):
     for N in args.sizes:
         panel, _ = generate("dgp1m", N, T, seed=0, rep=0)
         runs = [time_stages(panel) for _ in range(args.repeats)]
-        best = {stage: round(min(run[stage] for run in runs), 4) for stage in runs[0]}
-        print(json.dumps({"N": N, "T": T, "repeats": args.repeats, "seconds": best}),
-              flush=True)
+        best = {stage: round(min(run[stage] for run, _ in runs), 4) for stage in runs[0][0]}
+        rows = runs[0][1]  # the same in every run
+        per_row = min(run["mixture_kernel"] for run, _ in runs) / max(rows["rows"], 1)
+        kernel = {**rows, "s_per_row": float(f"{per_row:.3g}")}
+        print(json.dumps({"N": N, "T": T, "repeats": args.repeats, "seconds": best,
+                          "mixture_kernel": kernel}), flush=True)
 
 
 if __name__ == "__main__":

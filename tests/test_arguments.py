@@ -32,6 +32,12 @@ def _firm_fits():
     return fit_all(_panel(), 2)
 
 
+def _sweep(c_lambda=1.0, c_tilde=1.0):
+    """A one-point ``sensitivity_sweep`` grid of the raw values given."""
+    config = McConfig(design="dgp2u", sizes=[(20, 30)], replications=1)
+    return montecarlo.sensitivity_sweep(config, [c_lambda], [c_tilde])
+
+
 # entry point: (its error, a call with valid defaults overridden by kw,
 # integer arguments, integer arguments whose default is None, penalty arguments)
 ENTRY_POINTS = {
@@ -53,6 +59,9 @@ ENTRY_POINTS = {
             {"design": "dgp2u", "sizes": [[20, 30]], "replications": 1, **kw}),
         ("replications", "k_max", "seed", "workers"), (), ("c_lambda", "c_tilde"),
     ),
+    # the grid values, raw: a bool or string once ran as 1.0, and -1 was
+    # named as -1.0
+    "sensitivity_sweep": (ConfigError, _sweep, (), (), ("c_lambda", "c_tilde")),
 }
 
 CASES = [

@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, log_ndtr, ndtr
 
 from groupsfa import _kernels
 from groupsfa._kernels import CompositeStats
 from groupsfa.errors import InputError
 
 from oracles import (
+    log_phi_mpmath,
     mixture_loglik_mpmath,
     square_sum_mp,
+    unique_grad_mpmath,
     unique_hessian_mpmath,
     unique_loglik_mpmath,
+    unique_reference_parts,
     unique_terms_grad_reference,
+    unique_total_reference,
 )
 
 
@@ -143,10 +147,9 @@ def test_batched_unique_rows_equal_scalar_calls():
             one = _kernels.loglik_unique_total(stats, _col(alpha0), _col(su2))
             assert one.shape == (1,)
             assert total == one[0]
-            terms = unique_terms_grad_reference(
+            assert one[0] == unique_total_reference(
                 stats.S, stats.W, stats.sigma_v2, stats.T, float(alpha0), float(su2)
-            )[0]
-            assert one[0] == np.sum(terms)
+            )
 
 
 def test_gradient_kernel_equals_the_written_out_forms():
@@ -156,6 +159,125 @@ def test_gradient_kernel_equals_the_written_out_forms():
         ref = unique_terms_grad_reference(stats.S, stats.W, stats.sigma_v2, stats.T, alpha0, su2)
         for (g,), r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
+
+
+# --- log Phi's two branches against the mpmath oracles -----------------------
+
+# log Phi(z) is log(ndtr(z)) from z = -37 up and log_ndtr(z) below: a grid
+# over both branches, with -37 and its neighbours on either side
+TAIL = -37.0
+Z_GRID = np.array([-500.0, -40.0, np.nextafter(TAIL, -np.inf), TAIL, np.nextafter(TAIL, np.inf),
+                   -36.0, -20.0, -5.0, -1.0, -0.1, 0.0, 0.3, 2.0, 8.0, 40.0])
+# the level layouts: one sigma_v2 for all firms, one per group of three,
+# and one per firm. Each keeps the scale k between 0.65 and 0.97, so that
+# -k S steps by less than a spacing of z near -37 and meets the
+# threshold's three grid points exactly
+LAYOUTS = {
+    "G=1": np.full(len(Z_GRID), 0.4),
+    "G=K": np.resize([0.25, 0.35, 0.5], len(Z_GRID)),
+    "G=N": np.linspace(0.25, 0.5, len(Z_GRID)),
+}
+# at alpha0 = 0 the centered sum se is S itself
+GRID_T, GRID_ALPHA0, GRID_SU2 = 4, 0.0, 0.8
+
+
+def _stats_on_grid(sv2):
+    """Stats whose firms sit at ``Z_GRID`` at (GRID_ALPHA0, GRID_SU2): each
+    S is the float, within 8 spacings of -z / k, whose written-out
+    z = -k S is nearest the grid point. The z at and next to the threshold
+    are its grid points bit for bit, the others within two spacings."""
+    W = np.full(len(Z_GRID), 3.0)
+    k = np.sqrt(GRID_SU2 / (sv2 * (sv2 + GRID_T * GRID_SU2)))
+    S = -Z_GRID / k
+    for i, target in enumerate(Z_GRID):
+        candidates = S[i] + np.spacing(S[i]) * np.arange(-8, 9)
+        S[i] = candidates[np.argmin(np.abs(-k[i] * candidates - target))]
+    stats = CompositeStats(S, W, sv2, GRID_T)
+    z = unique_reference_parts(S, W, sv2, GRID_T, GRID_ALPHA0, GRID_SU2)[5]
+    np.testing.assert_array_equal(z[2:5], Z_GRID[2:5])
+    assert np.all(np.abs(z - Z_GRID) <= 2 * np.spacing(np.abs(Z_GRID)))
+    return stats
+
+
+def test_log_cdf_switches_branch_below_the_threshold(monkeypatch):
+    # ndtr is a normal double at the threshold and 0 a unit below it
+    assert ndtr(TAIL) >= np.finfo(float).tiny and ndtr(TAIL - 1.0) == 0.0
+    # near -37 the two branches agree to the bit, so record which elements
+    # reach log_ndtr
+    seen = []
+
+    def recording_log_ndtr(z):
+        seen.append(np.array(z))
+        return log_ndtr(z)
+
+    monkeypatch.setattr(_kernels, "log_ndtr", recording_log_ndtr)
+    below = [np.nextafter(TAIL, -np.inf), -40.0, -500.0]
+    above = [TAIL, np.nextafter(TAIL, np.inf), -1.0, 0.0, 40.0]
+    z = np.array([[above[0], below[0], np.nan, above[1], below[1], above[4], below[2]]])
+    got = _kernels._log_cdf(z)
+    np.testing.assert_array_equal(np.concatenate(seen), below)
+    np.testing.assert_array_equal(got[0, [1, 4, 6]], log_ndtr(below))
+    np.testing.assert_array_equal(got[0, [0, 3, 5]], np.log(ndtr(z[0, [0, 3, 5]])))
+    assert np.isnan(got[0, 2])
+    seen.clear()
+    np.testing.assert_array_equal(_kernels._log_cdf(np.array([above])),
+                                  np.log(ndtr(np.array([above]))))
+    assert not seen
+    # within 5.3e-16 relative of 50 digits for z <= 0, 1.2e-16 absolute above
+    for point in Z_GRID:
+        ref = log_phi_mpmath(point)
+        (got,) = _kernels._log_cdf(np.array([point]))
+        assert abs(got - ref) <= (5.3e-16 * abs(ref) if point <= 0.0 else 1.2e-16)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_terms_and_gradient_on_the_z_grid_match_mpmath(layout):
+    # terms to 1e-12 relative, as the totals; the gradient to 1e-10
+    # relative, but d/d eta at z = -500 to 1e-6: there lambda + z cancels to
+    # about -1/z, and lambda = exp(-z^2/2 - ... - log Phi(z)) carries the
+    # rounding of two exponents near 1.25e5, as with log_ndtr throughout
+    sv2 = LAYOUTS[layout]
+    stats = _stats_on_grid(sv2)
+    terms, d_alpha0, d_eta = (
+        a[0] for a in _kernels.loglik_unique_terms_grad(stats, _col(GRID_ALPHA0), _col(GRID_SU2))
+    )
+    for i, z in enumerate(Z_GRID):
+        S, W = stats.S[i], stats.W[i]
+        ref = unique_loglik_mpmath(S, square_sum_mp(S, W, GRID_T), GRID_T, sv2[i], GRID_SU2,
+                                   alpha0=GRID_ALPHA0)
+        assert terms[i] == pytest.approx(ref, rel=1e-12, abs=0)
+        ref_alpha0, ref_eta = unique_grad_mpmath(S, W, GRID_T, sv2[i], GRID_SU2, GRID_ALPHA0)
+        assert d_alpha0[i] == pytest.approx(ref_alpha0, rel=1e-10, abs=0)
+        assert d_eta[i] == pytest.approx(ref_eta, rel=1e-10 if abs(z) <= 40.0 else 1e-6, abs=0)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_grid_rows_equal_one_row_calls_and_the_written_out_forms(layout):
+    sv2 = LAYOUTS[layout]
+    stats = _stats_on_grid(sv2)
+    rows = [(GRID_ALPHA0, GRID_SU2), (-3.0, 0.05), (2.0, np.exp(-60.0)), (0.5, np.exp(60.0))]
+    alpha0s, su2s = np.array(rows).T
+    unique = _kernels.loglik_unique_total(stats, _col(alpha0s), _col(su2s))
+    grad = _kernels.loglik_unique_terms_grad(stats, _col(alpha0s), _col(su2s))
+    hess = _kernels.loglik_unique_terms_hess(stats, _col(alpha0s), _col(su2s))
+    taus = _col(0.3, 1.0, 0.0, 1e-13)
+    mixture = _kernels.loglik_mixture_total(stats, taus, _col(alpha0s, alpha0s[::-1]),
+                                            _col(su2s, su2s[::-1]))
+    for r, (alpha0, su2) in enumerate(rows):
+        one = _col(alpha0), _col(su2)
+        assert unique[r] == _kernels.loglik_unique_total(stats, *one)[0]
+        assert unique[r] == unique_total_reference(stats.S, stats.W, sv2, GRID_T, alpha0, su2)
+        for g, ref in zip(grad, unique_terms_grad_reference(stats.S, stats.W, sv2, GRID_T,
+                                                           alpha0, su2)):
+            np.testing.assert_array_equal(g[r], ref)
+        for g, o in zip(grad, _kernels.loglik_unique_terms_grad(stats, *one)):
+            np.testing.assert_array_equal(g[r:r + 1], o)
+        for h, o in zip(hess, _kernels.loglik_unique_terms_hess(stats, *one)):
+            np.testing.assert_array_equal(h[..., r:r + 1, :], o)
+        (one_mixture,) = _kernels.loglik_mixture_total(
+            stats, taus[r:r + 1], _col(alpha0, alpha0s[::-1][r]), _col(su2, su2s[::-1][r])
+        )
+        assert mixture[r] == one_mixture
 
 
 # --- natural-coordinate derivatives against the 40-digit oracle -------------
