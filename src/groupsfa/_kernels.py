@@ -36,9 +36,12 @@ lambda' = d lambda / dz = -lambda (lambda + z),
     l_vv = T^2 / (2 si2^2) - T se^2 / si2^3 + lambda' (se k_v)^2
            - lambda se k_vv.
 
-log Phi(z) is log(ndtr(z)) from z = -37 up and scipy's ``log_ndtr`` below,
-where ``ndtr`` nears its subnormal range (z < -37.52); both are within
-5.3e-16 relative of 50-digit mpmath for z <= 0, 1.2e-16 absolute above.
+log Phi(z) is 0.0 from z = ``_Z_ONE`` up, the least double where ndtr(z)
+rounds to 1.0 (about 8.29236), so those elements are not evaluated: the
+skip is bit for bit, as log(1.0) is 0.0. Below it, log Phi(z) is
+log(ndtr(z)) from z = -37 up and scipy's ``log_ndtr`` below, where
+``ndtr`` nears its subnormal range (z < -37.52); both are within 5.3e-16
+relative of 50-digit mpmath for z <= 0, 1.2e-16 absolute above.
 
 Every kernel takes one data argument, a ``CompositeStats`` bound once per
 fit that keeps the distinct sv2 values (one per group), each firm's index
@@ -49,6 +52,10 @@ prefix's sum once to the summed terms. The mixture takes its components
 stacked as 2R rows, component 1's first, with log tau and log(1 - tau) in
 their level constants, and combines the halves by max + log1p(exp(min -
 max)) in place. Each row's value is bit for bit what a one-row call gives.
+The optimizer's gradients come with the value from the same pass:
+``loglik_unique_total_grad`` and ``loglik_mixture_total_grad`` return the
+totals bit for bit as the value kernels do, with the derivatives summed
+over the firms, the mixture's weighted by the responsibilities.
 """
 
 import math
@@ -142,13 +149,40 @@ def _column(name, value):
     return a
 
 
+def _least_z_at_one():
+    """The least double z with ndtr(z) == 1.0, by bisection over the
+    doubles in [8, 9]: positive doubles order as their bit patterns do."""
+    lo, hi = np.array([8.0, 9.0]).view(np.int64).tolist()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ndtr(np.int64(mid).view(np.float64)) == 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+_Z_ONE = _least_z_at_one()  # 8.29236...: log Phi(z) is 0.0 from here up
+
+
 def _log_cdf(z):
-    """log Phi(z): log(ndtr(z)) from z = ``_TAIL`` up, log_ndtr(z) below."""
+    """log Phi(z): 0.0 from z = ``_Z_ONE`` up, where ndtr(z) is 1.0 and so
+    its log is 0.0; log(ndtr(z)) from ``_TAIL`` up, and log_ndtr(z) below.
+    Only the elements below ``_Z_ONE``, NaN included, are evaluated."""
+    below = z >= _Z_ONE
+    np.logical_not(below, out=below)
+    (at,) = below.ravel().nonzero()
+    out = np.zeros_like(z)
+    if not at.size:
+        return out
+    z = z.take(at)
     if z.min() >= _TAIL:
-        return np.log(ndtr(z))
-    out = np.log(ndtr(np.maximum(z, _TAIL)))
-    tail = z < _TAIL
-    out[tail] = log_ndtr(z[tail])
+        value = np.log(ndtr(z))
+    else:
+        value = np.log(ndtr(np.maximum(z, _TAIL)))
+        tail = z < _TAIL
+        value[tail] = log_ndtr(z[tail])
+    out.put(at, value)
     return out
 
 
@@ -173,12 +207,23 @@ def _unique_parts(stats, alpha0, su2, log_weight=0.0):
     return terms, se, z, log_cdf, neg_scale, si2
 
 
-def _mills_parts(stats, alpha0, su2):
-    """Per-firm terms, se, si2, scale, z and lambda(z), each (R, N)."""
-    terms, se, z, log_cdf, neg_scale, si2 = _unique_parts(stats, alpha0, su2)
+def _mills_parts(stats, alpha0, su2, log_weight=0.0):
+    """Per-firm terms less the prefix, se, si2, scale, z and lambda(z),
+    each (R, N); ``log_weight`` as in ``_unique_parts``."""
+    terms, se, z, log_cdf, neg_scale, si2 = _unique_parts(stats, alpha0, su2, log_weight)
     mills = np.exp(-0.5 * z * z - 0.5 * LOG2PI - log_cdf)
-    si2 = np.take(si2, stats.levels[1], axis=1)
-    return stats.prefix + terms, se, si2, -neg_scale, z, mills
+    return terms, se, np.take(si2, stats.levels[1], axis=1), -neg_scale, z, mills
+
+
+def _terms_grad(stats, alpha0, su2, log_weight=0.0):
+    """Per-firm terms less the prefix and their derivatives in alpha0 and
+    eta = log su2, each (R, N); ``log_weight`` as in ``_unique_parts``."""
+    terms, se, si2, scale, z, mills = _mills_parts(stats, alpha0, su2, log_weight)
+    T, sv2 = stats.T, stats.sigma_v2
+    dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
+    d_alpha0 = dz * T * scale + se / sv2
+    d_eta = (-0.5 * T * su2 + 0.5 * dz * z * sv2) / si2
+    return terms, d_alpha0, d_eta
 
 
 def _log_add_exp(x1, x2):
@@ -203,12 +248,8 @@ def loglik_unique_terms_grad(stats, alpha0, sigma_u2):
     """Per-firm single-law terms and their derivatives in alpha0 and
     eta = log sigma_u2, each (R, N), of (R, 1) columns."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
-    terms, se, si2, scale, z, mills = _mills_parts(stats, alpha0, sigma_u2)
-    T, sv2 = stats.T, stats.sigma_v2
-    dz = mills + z  # d/dz of log Phi(z) + z^2 / 2
-    d_alpha0 = dz * T * scale + se / sv2
-    d_eta = (-0.5 * T * sigma_u2 + 0.5 * dz * z * sv2) / si2
-    return terms, d_alpha0, d_eta
+    terms, d_alpha0, d_eta = _terms_grad(stats, alpha0, sigma_u2)
+    return stats.prefix + terms, d_alpha0, d_eta
 
 
 def loglik_unique_terms_hess(stats, alpha0, sigma_u2):
@@ -216,6 +257,7 @@ def loglik_unique_terms_hess(stats, alpha0, sigma_u2):
     Hessian (2, 2, R, N) in (alpha0, sigma_u2), of (R, 1) columns."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
     terms, se, si2, k, z, lam = _mills_parts(stats, alpha0, sigma_u2)
+    terms += stats.prefix
     T = stats.T
     dlam = -lam * (lam + z)
     Tk = T * k
@@ -230,21 +272,56 @@ def loglik_unique_terms_hess(stats, alpha0, sigma_u2):
     return terms, np.array([l_a, l_v]), np.array([[l_aa, l_av], [l_av, l_vv]])
 
 
+def _mixture_rows(tau, alpha0, sigma_u2):
+    """The (R, 1) ``tau`` column, the (2R, 1) ``alpha0`` and ``sigma_u2``
+    columns, and the components' log weights, (2R, 1)."""
+    tau = _column("tau", tau)
+    alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
+    if len(alpha0) != 2 * len(tau):
+        raise InputError(f"alpha0 must hold 2R = {2 * len(tau)} rows for {len(tau)} tau rows, "
+                         f"got {len(alpha0)}")
+    with np.errstate(divide="ignore"):
+        log_weight = np.concatenate([np.log(tau), np.log1p(-tau)])
+    return tau, alpha0, sigma_u2, log_weight
+
+
 def loglik_unique_total(stats, alpha0, sigma_u2):
     """Single-law log-likelihood of each (R, 1) parameter row, (R,)."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
     return _unique_parts(stats, alpha0, sigma_u2)[0].sum(axis=1) + stats.prefix_sum
 
 
+def loglik_unique_total_grad(stats, alpha0, sigma_u2):
+    """``loglik_unique_total`` of each (R, 1) row, bit for bit, with its
+    derivatives in alpha0 and eta = log sigma_u2, each (R,), from one pass."""
+    alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
+    terms, d_alpha0, d_eta = _terms_grad(stats, alpha0, sigma_u2)
+    return terms.sum(axis=1) + stats.prefix_sum, d_alpha0.sum(axis=1), d_eta.sum(axis=1)
+
+
 def loglik_mixture_total(stats, tau, alpha0, sigma_u2):
     """Mixture log-likelihood of each (R, 1) ``tau`` row, (R,); ``alpha0``
     and ``sigma_u2`` are (2R, 1), component 1's R rows, then component 2's."""
-    tau = _column("tau", tau)
-    alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
-    R = len(tau)
-    if len(alpha0) != 2 * R:
-        raise InputError(f"alpha0 must hold 2R = {2 * R} rows for {R} tau rows, got {len(alpha0)}")
-    with np.errstate(divide="ignore"):
-        log_weight = np.concatenate([np.log(tau), np.log1p(-tau)])
+    tau, alpha0, sigma_u2, log_weight = _mixture_rows(tau, alpha0, sigma_u2)
     terms = _unique_parts(stats, alpha0, sigma_u2, log_weight)[0]
+    R = len(tau)
     return _log_add_exp(terms[:R], terms[R:]).sum(axis=1) + stats.prefix_sum
+
+
+def loglik_mixture_total_grad(stats, tau, alpha0, sigma_u2):
+    """``loglik_mixture_total`` of each row, bit for bit, with its gradient,
+    (R, 5), in (logit tau, alpha0_1, eta_1, alpha0_2, eta_2), eta_j =
+    log sigma_u2_j, from one pass. With the responsibilities w_j of the
+    components, d/dlogit tau = sum(w_1 - tau) and d/dtheta_j =
+    sum(w_j dl_j/dtheta_j)."""
+    tau, alpha0, sigma_u2, log_weight = _mixture_rows(tau, alpha0, sigma_u2)
+    terms, d_alpha0, d_eta = _terms_grad(stats, alpha0, sigma_u2, log_weight)
+    R = len(tau)
+    x1 = terms[:R].copy()
+    mixture = _log_add_exp(terms[:R], terms[R:])
+    x1 -= mixture  # log w_1
+    w1, w2 = np.exp(x1), -np.expm1(x1)
+    grad = np.stack([np.sum(w1 - tau, axis=1),
+                     np.vecdot(w1, d_alpha0[:R]), np.vecdot(w1, d_eta[:R]),
+                     np.vecdot(w2, d_alpha0[R:]), np.vecdot(w2, d_eta[R:])], axis=1)
+    return mixture.sum(axis=1) + stats.prefix_sum, grad

@@ -20,21 +20,29 @@ evaluated in one batched kernel call per phase of a step. BFGS then runs
 per start through scipy's ``minimize``. ``_maximize`` alone decides which
 starts converged; it returns every start's point and log-likelihood as
 arrays, -inf for a start that did not converge, and each fit takes the
-argmax. The mixture gradient comes from the
-component gradients, both from one kernel pass with the components as two
-parameter rows, weighted by the firms' responsibilities. Standard errors
-come from the exact Hessian of the log-likelihood in the original
-parameterization, from the same kernel pass with second derivatives
-(``loglik_unique_terms_hess``). The mixture's follows from the
-components' by the missing-information identity (Louis 1982). A boundary
-optimum gets none: a mixing weight within ``_TAU_BOUNDARY`` of 0 or 1, or
-a variance of ``_VARIANCE_BOUNDARY`` or less. Nor does a mixture whose two
-components coincide (``_COINCIDE_RTOL``), where tau is not identified.
+argmax. Each BFGS evaluation is one kernel pass that gives the value, bit
+for bit the simplex's, and the gradient: the mixture's comes from the
+component gradients, with the components as two parameter rows, weighted
+by the firms' responsibilities. Standard errors come from the exact
+Hessian of the log-likelihood in the original parameterization, from the
+same kernel pass with second derivatives (``loglik_unique_terms_hess``).
+The mixture's follows from the components' by the missing-information
+identity (Louis 1982). A boundary optimum gets none: a mixing weight
+within ``_TAU_BOUNDARY`` of 0 or 1, or a variance of
+``_VARIANCE_BOUNDARY`` or less. Nor does a mixture whose two components
+coincide (``_COINCIDE_RTOL``), where tau is not identified. The same
+Hessian, taken into the optimizer's coordinates (``_mixture_hessian``),
+gives the mixture's BFGS pass its starting inverse Hessian at the simplex's
+point wherever it is negative definite; at a clipped, boundary or
+coinciding-component point, and always for the single law, BFGS starts
+from scipy's default, the identity.
 
 Every likelihood value goes through ``loglik_unique_total`` or
-``loglik_mixture_total`` with one convention: the fit's ``CompositeStats``,
-bound once, and the parameter rows as (R, 1) kernel columns in, an (R,)
-array of totals out. ``_unique_columns`` and ``_mixture_columns`` map
+``loglik_mixture_total``, or their one-pass twins with the gradient
+(``loglik_unique_total_grad``, ``loglik_mixture_total_grad``), with one
+convention: the fit's ``CompositeStats``, bound once, and the parameter
+rows as (R, 1) kernel columns in, an (R,) array of totals out.
+``_unique_columns`` and ``_mixture_columns`` map
 (R, n) unconstrained rows to those columns in one pass, for the
 optimizer's objectives and for the reported fits alike.
 """
@@ -51,9 +59,10 @@ from ._kernels import (
     CompositeStats,
     log_mixture_terms,
     loglik_mixture_total,
-    loglik_unique_terms_grad,
+    loglik_mixture_total_grad,
     loglik_unique_terms_hess,
     loglik_unique_total,
+    loglik_unique_total_grad,
 )
 from .errors import ConvergenceError, HessianError, InputError
 
@@ -268,17 +277,36 @@ def _simplex(f, starts):
 _MAX_BFGS = 200
 
 
-def _maximize(objective, value_and_grad, starts):
+def _inverse_hessian(H):
+    """BFGS's starting inverse Hessian for minimizing -f, given the Hessian
+    ``H`` of f: the symmetrized inverse of -H. None where ``H`` is None or
+    not finite, or Cholesky fails on -H or on that inverse."""
+    if H is None or not np.all(np.isfinite(H)):
+        return None
+    try:
+        np.linalg.cholesky(-H)
+        inverse = np.linalg.inv(-H)
+        inverse = 0.5 * (inverse + inverse.T)
+        np.linalg.cholesky(inverse)
+    except np.linalg.LinAlgError:
+        return None
+    return inverse
+
+
+def _maximize(objective, value_and_grad, starts, hessian=None):
     """Simplex search for each start's basin, polished by exact-gradient BFGS.
 
     ``objective`` maps an (R, n) array of points to their R
     log-likelihoods, and ``value_and_grad`` returns one point's value, the
-    one ``objective`` gives bit for bit, with its gradient. The Nelder-Mead
-    pass runs all starts in lockstep (``_simplex``) and stops at a coarse
-    tolerance (``_XATOL``, ``_FATOL``): its job is to pick each start's
-    local optimum, which a gradient method started at the start does not
-    always reach on multimodal or boundary panels. BFGS then converges on
-    the exact gradient, one start at a time.
+    one ``objective`` gives bit for bit, with its gradient, from one kernel
+    pass. The Nelder-Mead pass runs all starts in lockstep (``_simplex``)
+    and stops at a coarse tolerance (``_XATOL``, ``_FATOL``): its job is
+    to pick each start's local optimum, which a gradient method started at
+    the start does not always reach on multimodal or boundary panels. BFGS
+    then converges on the exact gradient, one start at a time. ``hessian``,
+    where given, maps the simplex's point to the log-likelihood's Hessian
+    there, or None; BFGS starts from ``_inverse_hessian`` of it where that
+    is not None, and from scipy's default, the identity, elsewhere.
 
     This is the one place that decides convergence. A start has converged
     when its simplex pass stopped below the cap, its BFGS pass succeeded,
@@ -297,10 +325,11 @@ def _maximize(objective, value_and_grad, starts):
     x, fun, nit, _ = _simplex(lambda X: -objective(X), starts)
     converged = nit < _MAX_NM
     for r in range(len(x)):
-        bfgs = minimize(
-            neg_value_and_grad, x[r], jac=True, method="BFGS",
-            options=dict(maxiter=_MAX_BFGS),
-        )
+        options = dict(maxiter=_MAX_BFGS)
+        start = _inverse_hessian(hessian(x[r])) if hessian is not None else None
+        if start is not None:
+            options["hess_inv0"] = start
+        bfgs = minimize(neg_value_and_grad, x[r], jac=True, method="BFGS", options=options)
         if bfgs.fun <= fun[r]:
             x[r], fun[r] = bfgs.x, bfgs.fun
         converged[r] |= bfgs.success or np.max(np.abs(bfgs.jac)) < 1e-5 * (1.0 + abs(bfgs.fun))
@@ -348,9 +377,9 @@ def _unique_objectives(stats):
         return loglik_unique_total(stats, *_unique_columns(X))
 
     def value_and_grad(x):
-        _, d_alpha0, d_eta = loglik_unique_terms_grad(stats, *_unique_columns(x[None]))
-        grad = np.array([np.sum(d_alpha0), np.sum(d_eta)])
-        return float(objective(x[None])[0]), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
+        (value,), d_alpha0, d_eta = loglik_unique_total_grad(stats, *_unique_columns(x[None]))
+        grad = np.concatenate([d_alpha0, d_eta])
+        return float(value), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
 
     return objective, value_and_grad
 
@@ -360,23 +389,16 @@ def _mixture_objectives(stats):
     alpha0_2, log sigma_u2_2), clipped.
 
     Returns (objective, value_and_grad) for ``_maximize``; ``objective``
-    takes an (R, 5) array of points and returns their R values. With
-    responsibilities w_j, d/dxi = sum(w_1 - tau) and d/dtheta_j =
-    sum(w_j dl_j/dtheta_j); a clipped coordinate has derivative 0.
+    takes an (R, 5) array of points and returns their R values. A clipped
+    coordinate has derivative 0.
     """
 
     def objective(X):
         return loglik_mixture_total(stats, *_mixture_columns(X))
 
     def value_and_grad(x):
-        (tau,), alpha0, sigma_u2 = _mixture_columns(x[None])
-        # both components in one pass, as (2, 1) parameter columns
-        (l1, l2), (da1, da2), (de1, de2) = loglik_unique_terms_grad(stats, alpha0, sigma_u2)
-        x1, lm = log_mixture_terms(l1, l2, tau)
-        w1 = np.exp(x1 - lm)
-        w2 = -np.expm1(x1 - lm)
-        grad = np.array([np.sum(w1 - tau), w1 @ da1, w1 @ de1, w2 @ da2, w2 @ de2])
-        return float(objective(x[None])[0]), grad * (np.abs(x) <= _MIXTURE_BOUNDS)
+        (value,), (grad,) = loglik_mixture_total_grad(stats, *_mixture_columns(x[None]))
+        return float(value), grad * (np.abs(x) <= _MIXTURE_BOUNDS)
 
     return objective, value_and_grad
 
@@ -466,7 +488,8 @@ def fit_mixture(stats, unique_fit, seed=0):
     _, sd_a = _intercept_spread(stats)
 
     x, loglik = _maximize(
-        *_mixture_objectives(stats), _mixture_starts(unique_fit, sd_a, seed)
+        *_mixture_objectives(stats), _mixture_starts(unique_fit, sd_a, seed),
+        lambda x: _mixture_hessian(stats, x),
     )
     best = int(np.argmax(loglik))  # the first start on an exact tie
     (tau,), (a1, a2), (su2_1, su2_2) = (
@@ -489,26 +512,42 @@ def fit_mixture(stats, unique_fit, seed=0):
 def mixture_standard_errors(stats, fit):
     """Exact-Hessian standard errors of the five mixture parameters.
 
-    Returns None for boundary optima: a mixing weight within
-    ``_TAU_BOUNDARY`` of 0 or 1, where the information matrix is singular
-    by construction, or a boundary variance (``_near_variance_boundary``).
-    Nor do coinciding components, whose alpha0 and sigma_u2 each differ by
-    no more than max(``_COINCIDE_FLOOR``, ``_COINCIDE_RTOL`` |theta|): tau
-    is not identified there, and the Hessian is singular.
+    Returns None where ``_mixture_degenerate``: a boundary optimum, or
+    coinciding components.
+    """
+    if _mixture_degenerate(fit.params):
+        return None
+    return _standard_errors(_mixture_score_hessian(stats, fit.params)[1])
+
+
+def _mixture_degenerate(params):
+    """Whether the mixture Hessian at ``params`` = (tau, alpha0_1,
+    sigma_u2_1, alpha0_2, sigma_u2_2) is off the optimum's curvature by
+    construction. That holds at a mixing weight within ``_TAU_BOUNDARY`` of
+    0 or 1, where the information matrix is singular, at a boundary
+    variance (``_near_variance_boundary``), and for coinciding components,
+    whose alpha0 and sigma_u2 each differ by no more than
+    max(``_COINCIDE_FLOOR``, ``_COINCIDE_RTOL`` |theta|): tau is not
+    identified there, and the Hessian is singular.
+    """
+    tau, one, two = params[0], params[1:3], params[3:5]
+    tol = np.maximum(_COINCIDE_FLOOR, _COINCIDE_RTOL * np.maximum(np.abs(one), np.abs(two)))
+    return bool(not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
+                or _near_variance_boundary(one[1], two[1])
+                or np.all(np.abs(one - two) <= tol))
+
+
+def _mixture_score_hessian(stats, params):
+    """The mixture log-likelihood's exact score, (5,), and Hessian, (5, 5),
+    in ``params`` = (tau, alpha0_1, sigma_u2_1, alpha0_2, sigma_u2_2).
 
     Per firm, with responsibilities w_j and each component's complete-data
-    score G_j and Hessian H_j of log(tau_j f_j) in (tau, alpha0_1,
-    sigma_u2_1, alpha0_2, sigma_u2_2), where tau_1 = tau and
-    tau_2 = 1 - tau, the Hessian is sum_j w_j (H_j + G_j G_j') - s s'
-    with s = sum_j w_j G_j (Louis 1982); the firms' Hessians are summed.
+    score G_j and Hessian H_j of log(tau_j f_j), where tau_1 = tau and
+    tau_2 = 1 - tau, the score is s = sum_j w_j G_j and the Hessian is
+    sum_j w_j (H_j + G_j G_j') - s s' (Louis 1982); both are summed over
+    the firms.
     """
-    X = fit.params[None]
-    tau, one, two = fit.tau, X[0, 1:3], X[0, 3:5]
-    tol = np.maximum(_COINCIDE_FLOOR, _COINCIDE_RTOL * np.maximum(np.abs(one), np.abs(two)))
-    if (not _TAU_BOUNDARY <= tau <= 1.0 - _TAU_BOUNDARY
-            or _near_variance_boundary(fit.sigma_u2_1, fit.sigma_u2_2)
-            or np.all(np.abs(one - two) <= tol)):
-        return None
+    X, tau = params[None], params[0]
     # both components in one pass, as (2, 1) parameter columns
     terms, grad, hess = loglik_unique_terms_hess(stats, _components(X, 1), _components(X, 2))
     x1, lm = log_mixture_terms(terms[0], terms[1], tau)
@@ -521,7 +560,33 @@ def mixture_standard_errors(stats, fit):
     H[0, 0] -= w[0].sum() / tau ** 2 + w[1].sum() / (1.0 - tau) ** 2
     H[1:3, 1:3] += hess[:, :, 0] @ w[0]
     H[3:5, 3:5] += hess[:, :, 1] @ w[1]
-    return _standard_errors(H)
+    return s.sum(axis=1), H
+
+
+def _mixture_hessian(stats, x):
+    """The mixture log-likelihood's exact Hessian, (5, 5), at the
+    optimizer's point x = (logit tau, alpha0_1, log sigma_u2_1, alpha0_2,
+    log sigma_u2_2), in those coordinates; None where a coordinate of x is
+    clipped or the point is ``_mixture_degenerate``.
+
+    By the chain rule through tau = expit(xi) and sigma_u2 = exp(eta), it
+    is D H D + diag(c s) with the score s and Hessian H in (tau, alpha0_1,
+    sigma_u2_1, alpha0_2, sigma_u2_2), the first derivatives
+    D = diag(tau (1 - tau), 1, sigma_u2_1, 1, sigma_u2_2) of those in x,
+    and their second derivatives c = (tau (1 - tau) (1 - 2 tau), 0,
+    sigma_u2_1, 0, sigma_u2_2).
+    """
+    if np.any(np.abs(x) > _MIXTURE_BOUNDS):
+        return None
+    (tau,), (a1, a2), (v1, v2) = (c[:, 0] for c in _mixture_columns(x[None]))
+    params = np.array([tau, a1, v1, a2, v2])
+    if _mixture_degenerate(params):
+        return None
+    score, H = _mixture_score_hessian(stats, params)
+    dtau = tau * (1.0 - tau)
+    first = np.array([dtau, 1.0, v1, 1.0, v2])
+    second = np.array([dtau * (1.0 - 2.0 * tau), 0.0, v1, 0.0, v2])
+    return first[:, None] * H * first + np.diag(second * score)
 
 
 # --- model choice and inference ----------------------------------------------

@@ -18,8 +18,12 @@ and the two standard-error functions (``se``), and the mixture kernel
 ``estimate_panel`` is the whole call. A second ``mixture_kernel`` entry
 gives the kernel's calls, the parameter rows they evaluated and its
 seconds per row, which compare across checkouts whatever their batch
-sizes. Only these module attributes are used, so the script runs on
-older checkouts that have them too.
+sizes. A ``polish`` entry counts, per law, the BFGS polish's calls of
+``inefficiency.minimize`` (``calls``), their objective evaluations
+(``nfev``) and the calls started from an exact inverse Hessian
+(``hess_start``, those passed a ``hess_inv0`` option). Only these module
+attributes are used, so the script runs on older checkouts that have them
+too.
 """
 
 import os
@@ -72,13 +76,31 @@ def _counted(fn, rows):
     return wrapper
 
 
+def _polished(fn, polish):
+    """``fn``, scipy's ``minimize``, adding each call, its evaluations and
+    whether it was given a starting inverse Hessian to ``polish``, keyed by
+    the law: "unique" for 2 coordinates, "mixture" for 5."""
+    def wrapper(fun, x0, *args, **kwargs):
+        res = fn(fun, x0, *args, **kwargs)
+        law = polish["unique" if len(x0) == 2 else "mixture"]
+        law["calls"] += 1
+        law["nfev"] += int(res.nfev)
+        law["hess_start"] += "hess_inv0" in (kwargs.get("options") or {})
+        return res
+    return wrapper
+
+
 def time_stages(panel):
     """Seconds per stage, and in all, of one ``estimate_panel(panel)`` call,
-    with the mixture kernel's seconds, and its calls and rows."""
+    with the mixture kernel's seconds, its calls and rows, and the BFGS
+    polish's counts."""
     seconds = dict.fromkeys([stage for stage, *_ in STAGES] + ["estimate_panel"], 0.0)
     rows = {"calls": 0, "rows": 0}
+    polish = {law: {"calls": 0, "nfev": 0, "hess_start": 0} for law in ("unique", "mixture")}
     originals = [(module, name, getattr(module, name)) for _, module, name in STAGES]
+    originals.append((inefficiency, "minimize", inefficiency.minimize))
     try:
+        inefficiency.minimize = _polished(inefficiency.minimize, polish)
         inefficiency.loglik_mixture_total = _counted(inefficiency.loglik_mixture_total, rows)
         for stage, module, name in STAGES:
             setattr(module, name, _timed(getattr(module, name), stage, seconds))
@@ -90,7 +112,7 @@ def time_stages(panel):
     finally:
         for module, name, fn in originals:
             setattr(module, name, fn)
-    return seconds, rows
+    return seconds, rows, polish
 
 
 def main(argv=None):
@@ -101,12 +123,12 @@ def main(argv=None):
     for N in args.sizes:
         panel, _ = generate("dgp1m", N, T, seed=0, rep=0)
         runs = [time_stages(panel) for _ in range(args.repeats)]
-        best = {stage: round(min(run[stage] for run, _ in runs), 4) for stage in runs[0][0]}
-        rows = runs[0][1]  # the same in every run
-        per_row = min(run["mixture_kernel"] for run, _ in runs) / max(rows["rows"], 1)
+        best = {stage: round(min(run[stage] for run, *_ in runs), 4) for stage in runs[0][0]}
+        _, rows, polish = runs[0]  # the same in every run
+        per_row = min(run["mixture_kernel"] for run, *_ in runs) / max(rows["rows"], 1)
         kernel = {**rows, "s_per_row": float(f"{per_row:.3g}")}
         print(json.dumps({"N": N, "T": T, "repeats": args.repeats, "seconds": best,
-                          "mixture_kernel": kernel}), flush=True)
+                          "mixture_kernel": kernel, "polish": polish}), flush=True)
 
 
 if __name__ == "__main__":

@@ -523,6 +523,54 @@ def test_mixture_objective_invariant_under_label_swap():
                                    atol=1e-12 * np.max(np.abs(grad)))
 
 
+def _two_level_stats(seed=21, N=150, T=40):
+    rng = np.random.default_rng(seed)
+    comp = rng.uniform(size=N) < 0.35
+    levels = np.where(comp, 0.8, -0.6) - sample_half_normal(0.9, rng, size=N)
+    return _stats_from_levels(levels, 1.0, T, rng)
+
+
+# interior points of the mixture's optimizer coordinates (logit tau,
+# alpha0_1, log sigma_u2_1, alpha0_2, log sigma_u2_2)
+_INTERIOR = [[0.4, 0.8, -0.5, -1.0, 0.7], [-1.2, 0.3, 0.2, -0.5, -1.5],
+             [2.5, -0.2, -2.0, 0.9, 0.1]]
+
+
+def test_mixture_hessian_matches_differences_of_the_exact_gradient():
+    # the Louis-identity Hessian taken through logit tau and the log
+    # variances by the chain rule, against central differences of the
+    # optimizer's gradient
+    stats = _two_level_stats()
+    _, value_and_grad = _mixture_objectives(stats)
+    unique = fit_unique(stats)
+    starts = _mixture_starts(unique, inefficiency._intercept_spread(stats)[1], 0)
+    x_best, lls = inefficiency._maximize(*_mixture_objectives(stats), starts)
+    for x in [np.array(p) for p in _INTERIOR] + [x_best[np.argmax(lls)]]:
+        H = inefficiency._mixture_hessian(stats, x)
+        fd = np.empty((5, 5))
+        for j in range(5):
+            e = np.zeros(5)
+            e[j] = 1e-5 * max(1.0, abs(x[j]))
+            fd[:, j] = (value_and_grad(x + e)[1] - value_and_grad(x - e)[1]) / (2 * e[j])
+        np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+
+
+@pytest.mark.parametrize("x", [
+    [30.5, 0.8, -0.5, -1.0, 0.7],  # logit tau beyond its clip
+    [-31.0, 0.8, -0.5, -1.0, 0.7],
+    [0.4, 0.8, 60.5, -1.0, 0.7],  # a log variance beyond its clip
+    [0.4, 0.8, -0.5, -1.0, -65.0],
+    [9.3, 0.8, -0.5, -1.0, 0.7],  # tau within 1e-4 of 1
+    [-9.3, 0.8, -0.5, -1.0, 0.7],
+    [0.4, 0.8, -11.6, -1.0, 0.7],  # a variance below 1e-5
+    [0.4, 0.8, -0.5, 0.8, -0.5],  # coinciding components
+])
+def test_mixture_hessian_is_none_where_the_optimum_has_no_curvature(x):
+    stats = _two_level_stats()
+    assert inefficiency._mixture_hessian(stats, np.array(_INTERIOR[0])) is not None
+    assert inefficiency._mixture_hessian(stats, np.array(x)) is None
+
+
 def _mirror(a, b):
     return np.allclose(_swap(a), b, rtol=1e-12, atol=1e-15)
 
@@ -818,6 +866,60 @@ def test_maximize_counts_a_non_finite_value_as_unconverged(monkeypatch):
     monkeypatch.setattr(inefficiency, "_simplex", _simplex_stopped([np.nan, np.inf], 1))
     with pytest.raises(ConvergenceError, match="0 of 2 starts converged"):
         inefficiency._maximize(*BOWL, starts)
+
+
+def _recording_minimize(options):
+    """scipy's minimize, appending each call's options to ``options``."""
+    real = inefficiency.minimize
+
+    def recorded(*args, **kwargs):
+        options.append(kwargs["options"])
+        return real(*args, **kwargs)
+
+    return recorded
+
+
+def test_maximize_starts_bfgs_from_the_inverse_of_a_negative_definite_hessian(monkeypatch):
+    # a Hessian that is None, indefinite, singular or not finite leaves
+    # BFGS at scipy's default start; every start still reaches the optimum
+    hessians = {
+        1.0: -2.0 * np.eye(2), 2.0: None, 3.0: np.diag([-2.0, 1.0]),
+        4.0: np.zeros((2, 2)), 5.0: np.full((2, 2), np.nan),
+    }
+    starts = [np.array([key, 1.0]) for key in hessians]
+    options = []
+    monkeypatch.setattr(inefficiency, "_simplex", _simplex_stopped([2.0] * 5, 1))
+    monkeypatch.setattr(inefficiency, "minimize", _recording_minimize(options))
+    x, loglik = inefficiency._maximize(*BOWL, starts, lambda x: hessians[x[0]])
+    np.testing.assert_array_equal(options[0]["hess_inv0"], 0.5 * np.eye(2))
+    assert ["hess_inv0" in o for o in options] == [True] + [False] * 4
+    np.testing.assert_allclose(x, 0.0, atol=1e-6)
+    assert np.all(loglik > -1e-12)
+
+
+def test_fit_mixture_starts_bfgs_by_default_from_clipped_or_boundary_points(monkeypatch):
+    # the simplex is made to stop at the optimum, at points with a clipped
+    # or boundary coordinate, and at coinciding components; only the
+    # optimum's BFGS pass starts from the exact inverse Hessian
+    stats = _two_level_stats()
+    unique = fit_unique(stats)
+    fit = fit_mixture(stats, unique, seed=0)
+    optimum = [inefficiency._logit(fit.tau), fit.alpha0_1, math.log(fit.sigma_u2_1),
+               fit.alpha0_2, math.log(fit.sigma_u2_2)]
+    points = [optimum, [35.0, *optimum[1:]], [*optimum[:2], -70.0, *optimum[3:]],
+              [9.5, *optimum[1:]], [*optimum[:3], *optimum[1:3]]]
+    hessian = inefficiency._mixture_hessian(stats, np.array(optimum))
+    assert inefficiency._inverse_hessian(hessian) is not None
+
+    def stopped(f, starts):
+        return np.array(points), -f(np.array(points)), np.ones(5, dtype=int), np.ones(5, dtype=int)
+
+    options = []
+    monkeypatch.setattr(inefficiency, "_simplex", stopped)
+    monkeypatch.setattr(inefficiency, "minimize", _recording_minimize(options))
+    again = fit_mixture(stats, unique, seed=0)
+    assert ["hess_inv0" in o for o in options] == [True] + [False] * 4
+    assert again.loglik >= fit.loglik - 1e-9 * abs(fit.loglik)
 
 
 def test_fit_unique_raises_convergence_error(monkeypatch):

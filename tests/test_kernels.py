@@ -161,6 +161,45 @@ def test_gradient_kernel_equals_the_written_out_forms():
             np.testing.assert_array_equal(g, r)
 
 
+def _mixture_grad_reference(stats, row):
+    """The mixture value and gradient in (logit tau, alpha0_1, eta_1,
+    alpha0_2, eta_2) of one (tau, alpha0_1, sigma_u2_1, alpha0_2,
+    sigma_u2_2) row, from the per-firm single-law kernel and the
+    responsibilities of ``log_mixture_terms``."""
+    tau, a1, su2_1, a2, su2_2 = row
+    (l1, l2), (da1, da2), (de1, de2) = _kernels.loglik_unique_terms_grad(
+        stats, _col(a1, a2), _col(su2_1, su2_2))
+    x1, lm = _kernels.log_mixture_terms(l1, l2, tau)
+    w1 = np.exp(x1 - lm)
+    w2 = -np.expm1(x1 - lm)
+    return np.sum(lm), np.array([np.sum(w1 - tau), w1 @ da1, w1 @ de1, w2 @ da2, w2 @ de2])
+
+
+def test_one_pass_totals_equal_the_value_kernels():
+    # the value that comes with the gradient is the value kernel's bit for
+    # bit; the single law's derivatives are the per-firm ones summed, the
+    # mixture's the responsibility-weighted ones of its components
+    stats = _stats(seed=4)
+    rows = [(0.3, 0.8), (-1.0, 2.5), (2.0, np.exp(-60.0)), (-0.7, np.exp(60.0))]
+    alpha0s, su2s = np.array(rows).T
+    value, d_alpha0, d_eta = _kernels.loglik_unique_total_grad(stats, _col(alpha0s), _col(su2s))
+    np.testing.assert_array_equal(value, _kernels.loglik_unique_total(stats, _col(alpha0s),
+                                                                      _col(su2s)))
+    for r, (alpha0, su2) in enumerate(rows):
+        _, (da,), (de,) = _kernels.loglik_unique_terms_grad(stats, _col(alpha0), _col(su2))
+        assert (d_alpha0[r], d_eta[r]) == (np.sum(da), np.sum(de))
+
+    tau, a1, su2_1, a2, su2_2 = np.array(MIXTURE_ROWS).T
+    value, grad = _kernels.loglik_mixture_total_grad(stats, _col(tau), _col(a1, a2),
+                                                     _col(su2_1, su2_2))
+    assert value.shape == (len(MIXTURE_ROWS),) and grad.shape == (len(MIXTURE_ROWS), 5)
+    np.testing.assert_array_equal(value, _mixture_total(stats, MIXTURE_ROWS))
+    for row, v, g in zip(MIXTURE_ROWS, value, grad):
+        ref_value, ref_grad = _mixture_grad_reference(stats, row)
+        assert v == pytest.approx(ref_value, rel=1e-13)
+        np.testing.assert_allclose(g, ref_grad, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_grad)))
+
+
 # --- log Phi's two branches against the mpmath oracles -----------------------
 
 # log Phi(z) is log(ndtr(z)) from z = -37 up and log_ndtr(z) below: a grid
@@ -228,6 +267,81 @@ def test_log_cdf_switches_branch_below_the_threshold(monkeypatch):
         ref = log_phi_mpmath(point)
         (got,) = _kernels._log_cdf(np.array([point]))
         assert abs(got - ref) <= (5.3e-16 * abs(ref) if point <= 0.0 else 1.2e-16)
+
+
+def test_z_one_is_the_least_double_where_ndtr_rounds_to_one():
+    z_one = _kernels._Z_ONE
+    assert ndtr(z_one) == 1.0 > ndtr(np.nextafter(z_one, -np.inf))
+    assert 8.29 < z_one < 8.3
+    above = np.concatenate([z_one + np.spacing(z_one) * np.arange(1000),
+                            np.linspace(z_one, 1e3, 100_001), [np.inf]])
+    assert np.all(ndtr(above) == 1.0)
+
+
+def test_log_cdf_is_zero_from_z_one_up_without_evaluating_it(monkeypatch):
+    # bit for bit log(ndtr(z)), log_ndtr(z) below the tail threshold, at
+    # z_one and its neighbours, NaN and +-inf; no element from z_one up
+    # reaches ndtr
+    z_one = _kernels._Z_ONE
+    near = z_one + np.spacing(z_one) * np.arange(-3, 4)
+    assert near[3] == z_one and near[2] == np.nextafter(z_one, -np.inf)
+    z = np.concatenate([near, [np.nan, np.inf, -np.inf, -500.0, -40.0,
+                               np.nextafter(TAIL, -np.inf), TAIL, -1.0, 0.0, 5.0, 40.0]])
+    seen, real = [], _kernels.ndtr
+
+    def recording_ndtr(x):
+        seen.append(np.array(x))
+        return real(x)
+
+    monkeypatch.setattr(_kernels, "ndtr", recording_ndtr)
+    with np.errstate(divide="ignore"):
+        want = np.where(z < TAIL, log_ndtr(z), np.log(real(z)))
+    for shape in ((len(z),), (1, len(z)), (len(z), 1)):
+        seen.clear()
+        got = _kernels._log_cdf(z.reshape(shape))
+        assert got.shape == shape
+        np.testing.assert_array_equal(got.ravel(), want)
+        evaluated = np.concatenate(seen)
+        assert not np.any(evaluated >= z_one)
+        assert len(evaluated) == np.sum(~(z >= z_one))
+    assert np.all(want[z >= z_one] == 0.0) and np.isnan(got.ravel()[7])
+    seen.clear()
+    np.testing.assert_array_equal(_kernels._log_cdf(np.array([[z_one, 9.0, np.inf]])), 0.0)
+    assert not seen
+
+
+def test_wide_batched_rows_equal_one_row_calls():
+    # 2,053 firms, past any SIMD width, and rows that put none, some or
+    # all firms at or above z_one, so that each row evaluates log Phi on
+    # its own subset of firms
+    stats = _stats(N=2053, seed=6)
+    rows = [(-1.0, 0.5), (0.5, 0.8), (1.5, 2.0), (2.5, 0.3), (0.2, np.exp(-60.0)), (10.0, 1.0)]
+    alpha0s, su2s = np.array(rows).T
+    sv2 = stats.sigma_v2
+    shares = [np.mean(-np.sqrt(su2 / (sv2 * (sv2 + stats.T * su2))) * (stats.S - stats.T * a)
+                      >= _kernels._Z_ONE) for a, su2 in rows]
+    assert shares[0] == shares[4] == 0.0 < shares[1] < shares[2] < shares[3] < shares[5] == 1.0
+
+    def arrays(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    def row(a, r):  # totals are (R,), per-firm arrays (..., R, N)
+        return a[..., r, :] if a.ndim > 1 else a[r]
+
+    for kernel in (_kernels.loglik_unique_total, _kernels.loglik_unique_total_grad,
+                   _kernels.loglik_unique_terms_grad, _kernels.loglik_unique_terms_hess):
+        batched = arrays(kernel(stats, _col(alpha0s), _col(su2s)))
+        for r, (alpha0, su2) in enumerate(rows):
+            for b, o in zip(batched, arrays(kernel(stats, _col(alpha0), _col(su2)))):
+                np.testing.assert_array_equal(row(b, r), row(o, 0))
+    tau, pairs = _col(0.3, 0.6), [(0, 2), (1, 3)]
+    batched = [_kernels.loglik_mixture_total(stats, tau, _col(alpha0s[:4]), _col(su2s[:4])),
+               *_kernels.loglik_mixture_total_grad(stats, tau, _col(alpha0s[:4]), _col(su2s[:4]))]
+    for r, (i, j) in enumerate(pairs):
+        args = (stats, tau[r:r + 1], _col(alpha0s[[i, j]]), _col(su2s[[i, j]]))
+        one = [_kernels.loglik_mixture_total(*args), *_kernels.loglik_mixture_total_grad(*args)]
+        for b, o in zip(batched, one):
+            np.testing.assert_array_equal(b[r], o[0])
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -344,18 +458,19 @@ def test_parameter_lists_give_the_array_results():
 ])
 def test_malformed_parameter_columns_raise_input_error(alpha0, sigma_u2, name):
     stats = _stats(N=3)
-    for kernel in (_kernels.loglik_unique_total, _kernels.loglik_unique_terms_grad,
-                   _kernels.loglik_unique_terms_hess):
+    for kernel in (_kernels.loglik_unique_total, _kernels.loglik_unique_total_grad,
+                   _kernels.loglik_unique_terms_grad, _kernels.loglik_unique_terms_hess):
         with pytest.raises(InputError, match=name):
             kernel(stats, alpha0, sigma_u2)
 
 
 def test_malformed_mixture_columns_raise_input_error():
     stats = _stats(N=3)
-    with pytest.raises(InputError, match="tau"):
-        _kernels.loglik_mixture_total(stats, [0.3], _col(0.5, -1.0), _col(1.0, 2.0))
-    with pytest.raises(InputError, match="2R = 2 rows"):
-        _kernels.loglik_mixture_total(stats, _col(0.3), _col(0.5), _col(1.0))
+    for kernel in (_kernels.loglik_mixture_total, _kernels.loglik_mixture_total_grad):
+        with pytest.raises(InputError, match="tau"):
+            kernel(stats, [0.3], _col(0.5, -1.0), _col(1.0, 2.0))
+        with pytest.raises(InputError, match="2R = 2 rows"):
+            kernel(stats, _col(0.3), _col(0.5), _col(1.0))
 
 
 # --- properties of the one-stats, column convention ---------------------------
