@@ -53,9 +53,10 @@ stacked as 2R rows, component 1's first, with log tau and log(1 - tau) in
 their level constants, and combines the halves by max + log1p(exp(min -
 max)) in place. Each row's value is bit for bit what a one-row call gives.
 The optimizer's gradients come with the value from the same pass:
-``loglik_unique_total_grad`` and ``loglik_mixture_total_grad`` return the
-totals bit for bit as the value kernels do, with the derivatives summed
-over the firms, the mixture's weighted by the responsibilities.
+``loglik_unique_total_grad`` and ``loglik_mixture_total_grad`` return
+(values (R,), gradient (R, n)), the values bit for bit the value kernels',
+the gradient in the optimizer's coordinates (log variances, logit tau)
+summed over the firms, the mixture's weighted by the responsibilities.
 """
 
 import math
@@ -65,7 +66,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .errors import InputError
+from .errors import InputError, as_integer
 
 LOG2 = math.log(2.0)
 LOG2PI = math.log(2.0 * math.pi)
@@ -89,9 +90,7 @@ class CompositeStats:
     T: int
 
     def __post_init__(self):
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)) or self.T < 1:
-            raise InputError(f"T must be a positive integer, got {self.T!r}")
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "T", as_integer("T", self.T, low=1))
         for name in ("S", "W", "sigma_v2"):
             try:
                 a = np.array(getattr(self, name), dtype=np.float64, order="C")
@@ -235,23 +234,6 @@ def _log_add_exp(x1, x2):
     return np.add(x2, hi, out=x2)
 
 
-def log_mixture_terms(l1, l2, tau):
-    """Per-firm log(tau f_1) and log(tau f_1 + (1 - tau) f_2) of component
-    log densities ``l1`` and ``l2``; their difference is the log
-    responsibility of component 1."""
-    with np.errstate(divide="ignore"):
-        x1 = np.log(tau) + l1
-        return x1, _log_add_exp(x1, np.log1p(-tau) + l2)
-
-
-def loglik_unique_terms_grad(stats, alpha0, sigma_u2):
-    """Per-firm single-law terms and their derivatives in alpha0 and
-    eta = log sigma_u2, each (R, N), of (R, 1) columns."""
-    alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
-    terms, d_alpha0, d_eta = _terms_grad(stats, alpha0, sigma_u2)
-    return stats.prefix + terms, d_alpha0, d_eta
-
-
 def loglik_unique_terms_hess(stats, alpha0, sigma_u2):
     """Per-firm single-law terms, (R, N), with their gradient (2, R, N) and
     Hessian (2, 2, R, N) in (alpha0, sigma_u2), of (R, 1) columns."""
@@ -293,10 +275,11 @@ def loglik_unique_total(stats, alpha0, sigma_u2):
 
 def loglik_unique_total_grad(stats, alpha0, sigma_u2):
     """``loglik_unique_total`` of each (R, 1) row, bit for bit, with its
-    derivatives in alpha0 and eta = log sigma_u2, each (R,), from one pass."""
+    gradient, (R, 2), in (alpha0, eta = log sigma_u2), from one pass."""
     alpha0, sigma_u2 = _column("alpha0", alpha0), _column("sigma_u2", sigma_u2)
     terms, d_alpha0, d_eta = _terms_grad(stats, alpha0, sigma_u2)
-    return terms.sum(axis=1) + stats.prefix_sum, d_alpha0.sum(axis=1), d_eta.sum(axis=1)
+    grad = np.stack([d_alpha0.sum(axis=1), d_eta.sum(axis=1)], axis=1)
+    return terms.sum(axis=1) + stats.prefix_sum, grad
 
 
 def loglik_mixture_total(stats, tau, alpha0, sigma_u2):

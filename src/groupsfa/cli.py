@@ -11,13 +11,8 @@ import os
 import sys
 
 from .dgp import DESIGNS, generate
-from .errors import ConfigError, InputError, NumericalError, as_integer, as_penalty
-from .montecarlo import (
-    McConfig,
-    format_report_text,
-    run_monte_carlo,
-    sensitivity_sweep,
-)
+from .errors import ConfigError, InputError, NumericalError, as_integer
+from .montecarlo import McConfig, format_report_text, sensitivity_sweep
 from .panel import read_panel_csv, write_panel_csv
 from .pipeline import estimate_panel
 
@@ -83,17 +78,6 @@ def _cmd_estimate(args):
     return EXIT_OK
 
 
-def _as_c_list(value, name):
-    """A penalty constant, or a nonempty list of them, as a list of floats."""
-    values = value if isinstance(value, list) else [value]
-    if not values:
-        raise ConfigError(f"{name} must be a number or a nonempty list of numbers, got []")
-    try:
-        return [as_penalty(name, v) for v in values]
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _cmd_montecarlo(args):
     try:
         with open(args.config) as fh:
@@ -102,18 +86,16 @@ def _cmd_montecarlo(args):
         raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: top level must be an object")
-    c_lambdas = _as_c_list(raw.pop("c_lambda", 1.0), "c_lambda")
-    c_tildes = _as_c_list(raw.pop("c_tilde", 1.0), "c_tilde")
-    base = McConfig.from_dict(
-        {**raw, "c_lambda": c_lambdas[0], "c_tilde": c_tildes[0]}
-    )
+    # a penalty constant, or a list of them for a sweep; a one-point grid is a plain run
+    grid = [v if isinstance(v, list) else [v]
+            for v in (raw.pop("c_lambda", 1.0), raw.pop("c_tilde", 1.0))]
+    entries = sensitivity_sweep(McConfig.from_dict(raw), *grid)
     os.makedirs(args.out_dir, exist_ok=True)
-    if len(c_lambdas) == 1 and len(c_tildes) == 1:
-        report = run_monte_carlo(base)
+    if len(entries) == 1:
+        report = entries[0][2]
         payload = report.to_dict()
         text = format_report_text(report)
     else:
-        entries = sensitivity_sweep(base, c_lambdas, c_tildes)
         payload = {
             "sweep": [
                 {"c_lambda": cl, "c_tilde": ct, **rep.to_dict()}

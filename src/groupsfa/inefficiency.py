@@ -41,10 +41,11 @@ Every likelihood value goes through ``loglik_unique_total`` or
 ``loglik_mixture_total``, or their one-pass twins with the gradient
 (``loglik_unique_total_grad``, ``loglik_mixture_total_grad``), with one
 convention: the fit's ``CompositeStats``, bound once, and the parameter
-rows as (R, 1) kernel columns in, an (R,) array of totals out.
-``_unique_columns`` and ``_mixture_columns`` map
-(R, n) unconstrained rows to those columns in one pass, for the
-optimizer's objectives and for the reported fits alike.
+rows as (R, 1) kernel columns in, (R,) totals out, and the gradient as
+(R, n) in the optimizer's coordinates. One objective body
+(``_objectives``) serves both laws, with ``_unique_columns`` or
+``_mixture_columns`` mapping (R, n) unconstrained rows to kernel columns,
+for the reported fits too.
 """
 
 import math
@@ -57,7 +58,6 @@ from scipy.special import expit
 
 from ._kernels import (
     CompositeStats,
-    log_mixture_terms,
     loglik_mixture_total,
     loglik_mixture_total_grad,
     loglik_unique_terms_hess,
@@ -366,41 +366,31 @@ def _mixture_columns(X):
     return expit(X[:, :1]), _components(X, 1), np.exp(_components(X, 2))
 
 
-def _unique_objectives(stats):
-    """Single-law log-likelihood in x = (alpha0, log sigma_u2), clipped.
-
-    Returns (objective, value_and_grad) for ``_maximize``; ``objective``
-    takes an (R, 2) array of points and returns their R values.
-    """
+def _objectives(stats, total, total_grad, columns, bounds):
+    """(objective, value_and_grad) for ``_maximize``: the log-likelihood of
+    (R, n) points by the kernel ``total``, and one point's value, the same
+    bits, with its gradient, (n,), by ``total_grad``. ``columns`` maps the
+    points to kernel columns, clipped at +-``bounds``; a clipped
+    coordinate has derivative 0."""
 
     def objective(X):
-        return loglik_unique_total(stats, *_unique_columns(X))
+        return total(stats, *columns(X))
 
     def value_and_grad(x):
-        (value,), d_alpha0, d_eta = loglik_unique_total_grad(stats, *_unique_columns(x[None]))
-        grad = np.concatenate([d_alpha0, d_eta])
-        return float(value), grad * (np.abs(x) <= _UNIQUE_BOUNDS)
+        (value,), (grad,) = total_grad(stats, *columns(x[None]))
+        return float(value), grad * (np.abs(x) <= bounds)
 
     return objective, value_and_grad
+
+
+def _unique_objectives(stats):
+    return _objectives(stats, loglik_unique_total, loglik_unique_total_grad,
+                       _unique_columns, _UNIQUE_BOUNDS)
 
 
 def _mixture_objectives(stats):
-    """Mixture log-likelihood in x = (logit tau, alpha0_1, log sigma_u2_1,
-    alpha0_2, log sigma_u2_2), clipped.
-
-    Returns (objective, value_and_grad) for ``_maximize``; ``objective``
-    takes an (R, 5) array of points and returns their R values. A clipped
-    coordinate has derivative 0.
-    """
-
-    def objective(X):
-        return loglik_mixture_total(stats, *_mixture_columns(X))
-
-    def value_and_grad(x):
-        (value,), (grad,) = loglik_mixture_total_grad(stats, *_mixture_columns(x[None]))
-        return float(value), grad * (np.abs(x) <= _MIXTURE_BOUNDS)
-
-    return objective, value_and_grad
+    return _objectives(stats, loglik_mixture_total, loglik_mixture_total_grad,
+                       _mixture_columns, _MIXTURE_BOUNDS)
 
 
 def _intercept_spread(stats):
@@ -550,8 +540,8 @@ def _mixture_score_hessian(stats, params):
     X, tau = params[None], params[0]
     # both components in one pass, as (2, 1) parameter columns
     terms, grad, hess = loglik_unique_terms_hess(stats, _components(X, 1), _components(X, 2))
-    x1, lm = log_mixture_terms(terms[0], terms[1], tau)
-    w = np.array([np.exp(x1 - lm), -np.expm1(x1 - lm)])
+    log_odds = terms[0] - terms[1] + _logit(tau)  # the firm prefix cancels
+    w = np.array([expit(log_odds), expit(-log_odds)])
     G = np.zeros((2, 5, len(stats)))
     G[0, 0], G[1, 0] = 1.0 / tau, -1.0 / (1.0 - tau)
     G[0, 1:3], G[1, 3:5] = grad[:, 0], grad[:, 1]

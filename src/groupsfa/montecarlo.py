@@ -52,11 +52,11 @@ class McConfig:
     def __post_init__(self):
         if not isinstance(self.design, str):
             raise ConfigError(f"design must be a string, got {self.design!r}")
-        try:  # the scalars are checked and kept as given
+        try:  # the integers are checked and kept as given, the penalties as floats
             for name, low in (("replications", 1), ("k_max", None), ("seed", 0), ("workers", 1)):
                 as_integer(name, getattr(self, name), low)
             for name in ("c_lambda", "c_tilde"):
-                as_penalty(name, getattr(self, name))
+                setattr(self, name, as_penalty(name, getattr(self, name)))
             self.sizes = [(as_integer("sizes: N", n), as_integer("sizes: T", t, low=2))
                           for n, t in self.sizes]
         except InputError as exc:
@@ -307,19 +307,18 @@ def sensitivity_sweep(config, c_lambda_values, c_tilde_values):
     """Rerun the harness over a grid of penalty constants.
 
     Per-replication seeds depend only on (seed, replication), so results
-    across grid points differ only through the constants. Every grid value,
-    then every grid point's configuration, is checked before the first
-    run; a bad value raises ``ConfigError`` naming its argument.
+    across grid points differ only through the constants. Every grid
+    point's configuration, which checks its values, is built before the
+    first run; an empty grid or a bad value raises ``ConfigError`` naming
+    its argument.
     """
-    try:
-        c_lambdas = [as_penalty("c_lambda", v) for v in c_lambda_values]
-        c_tildes = [as_penalty("c_tilde", v) for v in c_tilde_values]
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
+    for name, values in (("c_lambda", c_lambda_values), ("c_tilde", c_tilde_values)):
+        if len(values) == 0:
+            raise ConfigError(f"{name} must hold at least one value, got {values!r}")
     configs = [
         McConfig.from_dict({**config.to_dict(), "c_lambda": cl, "c_tilde": ct})
-        for cl in c_lambdas
-        for ct in c_tildes
+        for cl in c_lambda_values
+        for ct in c_tilde_values
     ]
     return [(cfg.c_lambda, cfg.c_tilde, run_monte_carlo(cfg)) for cfg in configs]
 

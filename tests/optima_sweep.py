@@ -70,27 +70,32 @@ def _fit_record(fit):
     }
 
 
+def panel_record(design, N, T, rep):
+    """The record of one sweep panel, ``generate(design, N, T, seed=0,
+    rep=rep)``, as ``run`` writes it."""
+    panel, _ = generate(design, N, T, seed=0, rep=rep)
+    try:
+        result = estimate_panel(panel, k_max=4, seed=rep)
+    except GroupSfaError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    membership = np.ascontiguousarray(result.assignment.membership, dtype=np.int64)
+    return {
+        "K": int(result.selected_K),
+        "membership": hashlib.sha256(membership.tobytes()).hexdigest()[:16],
+        "choice": result.choice.chosen,
+        "unique": _fit_record(result.unique_fit),
+        "mixture": _fit_record(result.mixture_fit),
+        "groups": [[{"sigma_v": float(f.sigma_v), "pi": [float(v) for v in f.pi]}
+                    for f in record.fits] for record in result.ic_report.records],
+        "features": fit_all(panel, default_m(T)).features.tolist(),
+    }
+
+
 def run(path):
     warnings.simplefilter("ignore")  # the runs' warnings are not outputs
     records = {}
     for label, design, N, T, rep in _panels():
-        panel, _ = generate(design, N, T, seed=0, rep=rep)
-        try:
-            result = estimate_panel(panel, k_max=4, seed=rep)
-        except GroupSfaError as exc:
-            records[label] = {"error": f"{type(exc).__name__}: {exc}"}
-            continue
-        membership = np.ascontiguousarray(result.assignment.membership, dtype=np.int64)
-        records[label] = {
-            "K": int(result.selected_K),
-            "membership": hashlib.sha256(membership.tobytes()).hexdigest()[:16],
-            "choice": result.choice.chosen,
-            "unique": _fit_record(result.unique_fit),
-            "mixture": _fit_record(result.mixture_fit),
-            "groups": [[{"sigma_v": float(f.sigma_v), "pi": [float(v) for v in f.pi]}
-                        for f in record.fits] for record in result.ic_report.records],
-            "features": fit_all(panel, default_m(T)).features.tolist(),
-        }
+        records[label] = panel_record(design, N, T, rep)
         print(label, flush=True)
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)

@@ -265,7 +265,7 @@ def test_criterion_8_numerical_hygiene():
     S_z = -np.sqrt(5.0) * z
     ones = np.ones_like(z)
     stats_z = CompositeStats(S_z, ones, ones, 4)
-    vals = _kernels.loglik_unique_terms_grad(stats_z, np.array([[0.0]]), np.array([[1.0]]))[0]
+    vals = _kernels.loglik_unique_terms_hess(stats_z, np.array([[0.0]]), np.array([[1.0]]))[0]
     if not np.all(np.isfinite(vals)):
         problems.append("log-CDF not finite on [-40, 40]")
 

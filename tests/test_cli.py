@@ -387,6 +387,8 @@ def test_montecarlo_mistyped_value_is_config_error(tmp_path, capsys, monkeypatch
     ("sizes", [[20, 5]]),
     ("c_lambda", -1.0),
     ("c_tilde", [1.0, -0.5]),
+    ("c_lambda", []),
+    ("c_tilde", []),
 ])
 def test_montecarlo_unrunnable_value_is_config_error(tmp_path, capsys, monkeypatch,
                                                      key, value):

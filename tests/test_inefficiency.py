@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from groupsfa import inefficiency
+from groupsfa import _kernels, inefficiency
 from groupsfa._kernels import (
     loglik_mixture_total,
-    loglik_unique_terms_grad,
+    loglik_mixture_total_grad,
     loglik_unique_total,
 )
 from groupsfa.dgp import generate
@@ -189,13 +189,17 @@ def test_finite_difference_gradients_cross_check():
         z = -math.sqrt(su2) * se / (np.sqrt(sv2) * np.sqrt(sv2 + T * su2))
         assert z.min() < -37 and z.max() > 8
         stats = CompositeStats(S, W, sv2, T)
-        (terms,), (d_alpha0,), (d_eta,) = loglik_unique_terms_grad(
-            stats, np.array([[alpha0]]), np.array([[su2]])
-        )
+
+        def terms_grad(a, e):
+            # the gradient kernels' body, with the prefix added to the terms
+            terms, d_alpha0, d_eta = _kernels._terms_grad(stats, np.array([[a]]),
+                                                          np.array([[math.exp(e)]]))
+            return stats.prefix + terms[0], d_alpha0[0], d_eta[0]
+
+        terms, d_alpha0, d_eta = terms_grad(alpha0, eta)
 
         def ell(a, e):
-            return loglik_unique_terms_grad(stats, np.array([[a]]),
-                                            np.array([[math.exp(e)]]))[0][0]
+            return terms_grad(a, e)[0]
 
         fd_alpha0 = (ell(alpha0 + h, eta) - ell(alpha0 - h, eta)) / (2 * h)
         fd_eta = (ell(alpha0, eta + h) - ell(alpha0, eta - h)) / (2 * h)
@@ -553,6 +557,27 @@ def test_mixture_hessian_matches_differences_of_the_exact_gradient():
             e[j] = 1e-5 * max(1.0, abs(x[j]))
             fd[:, j] = (value_and_grad(x + e)[1] - value_and_grad(x - e)[1]) / (2 * e[j])
         np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+
+
+@pytest.mark.parametrize("params", [
+    [0.6, 0.8, 0.6, -1.0, 2.0],
+    [0.23, 0.3, 1.2, -0.5, 0.22],
+    [0.92, -0.2, 0.14, 0.9, 1.1],
+    [0.5, 0.1, 0.9, 0.2, 0.3],
+    [1e-3, 0.4, 0.5, -0.6, 0.8],
+])
+def test_mixture_gradient_kernel_equals_the_louis_score_mapped(params):
+    # the two mixture derivative paths: the optimizer's gradient, in
+    # (logit tau, alpha0_1, log sigma_u2_1, alpha0_2, log sigma_u2_2), is the
+    # standard errors' score in (tau, alpha0_1, sigma_u2_1, alpha0_2,
+    # sigma_u2_2) times D = diag(tau (1 - tau), 1, sigma_u2_1, 1, sigma_u2_2)
+    stats = _two_level_stats()
+    tau, a1, v1, a2, v2 = params
+    assert not inefficiency._mixture_degenerate(np.array(params))
+    _, (grad,) = loglik_mixture_total_grad(stats, [[tau]], [[a1], [a2]], [[v1], [v2]])
+    score = inefficiency._mixture_score_hessian(stats, np.array(params))[0]
+    mapped = np.array([tau * (1.0 - tau), 1.0, v1, 1.0, v2]) * score
+    np.testing.assert_allclose(grad, mapped, rtol=0, atol=1e-9 * np.abs(mapped).max())
 
 
 @pytest.mark.parametrize("x", [

@@ -31,6 +31,14 @@ def _col(*parts):
     return np.concatenate([np.ravel(p) for p in parts], dtype=float).reshape(-1, 1)
 
 
+def _terms_grad(stats, alpha0, sigma_u2):
+    """Per-firm single-law terms, the prefix added, and their derivatives
+    in alpha0 and eta = log sigma_u2, each (R, N), from ``_terms_grad``,
+    the body of the gradient kernels that the BFGS polish runs."""
+    terms, d_alpha0, d_eta = _kernels._terms_grad(stats, _col(alpha0), _col(sigma_u2))
+    return stats.prefix + terms, d_alpha0, d_eta
+
+
 def test_unique_terms_finite_at_extreme_z():
     # T = 4 and unit variances give z = -S / sqrt(5); these residual sums
     # put z at -1e4, -500, -40, 40 and 500, where log Phi(z) needs its
@@ -40,7 +48,7 @@ def test_unique_terms_finite_at_extreme_z():
     S = -np.sqrt(5.0) * z
     ones = np.ones_like(S)
     stats = CompositeStats(S, ones, ones, T)
-    (terms,) = _kernels.loglik_unique_terms_grad(stats, _col(0.0), _col(1.0))[0]
+    (terms,) = _terms_grad(stats, 0.0, 1.0)[0]
     assert np.all(np.isfinite(terms))
     np.testing.assert_array_equal(
         terms, unique_terms_grad_reference(S, ones, ones, T, 0.0, 1.0)[0]
@@ -155,7 +163,7 @@ def test_batched_unique_rows_equal_scalar_calls():
 def test_gradient_kernel_equals_the_written_out_forms():
     stats = _stats(seed=3)
     for alpha0, su2 in ((0.3, 0.8), (-2.0, 4.5), (1.0, np.exp(-6.0)), (0.2, np.exp(60.0))):
-        got = _kernels.loglik_unique_terms_grad(stats, _col(alpha0), _col(su2))
+        got = _terms_grad(stats, alpha0, su2)
         ref = unique_terms_grad_reference(stats.S, stats.W, stats.sigma_v2, stats.T, alpha0, su2)
         for (g,), r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
@@ -164,14 +172,16 @@ def test_gradient_kernel_equals_the_written_out_forms():
 def _mixture_grad_reference(stats, row):
     """The mixture value and gradient in (logit tau, alpha0_1, eta_1,
     alpha0_2, eta_2) of one (tau, alpha0_1, sigma_u2_1, alpha0_2,
-    sigma_u2_2) row, from the per-firm single-law kernel and the
-    responsibilities of ``log_mixture_terms``."""
+    sigma_u2_2) row, from the per-firm single-law terms and derivatives,
+    with each firm's weighted component densities x_j = log(tau_j f_j)
+    combined by numpy's ``logaddexp`` and the responsibilities
+    w_j = exp(x_j - log(tau f_1 + (1 - tau) f_2))."""
     tau, a1, su2_1, a2, su2_2 = row
-    (l1, l2), (da1, da2), (de1, de2) = _kernels.loglik_unique_terms_grad(
-        stats, _col(a1, a2), _col(su2_1, su2_2))
-    x1, lm = _kernels.log_mixture_terms(l1, l2, tau)
-    w1 = np.exp(x1 - lm)
-    w2 = -np.expm1(x1 - lm)
+    (l1, l2), (da1, da2), (de1, de2) = _terms_grad(stats, [a1, a2], [su2_1, su2_2])
+    with np.errstate(divide="ignore"):
+        x1, x2 = np.log(tau) + l1, np.log1p(-tau) + l2
+    lm = np.logaddexp(x1, x2)
+    w1, w2 = np.exp(x1 - lm), np.exp(x2 - lm)
     return np.sum(lm), np.array([np.sum(w1 - tau), w1 @ da1, w1 @ de1, w2 @ da2, w2 @ de2])
 
 
@@ -182,12 +192,13 @@ def test_one_pass_totals_equal_the_value_kernels():
     stats = _stats(seed=4)
     rows = [(0.3, 0.8), (-1.0, 2.5), (2.0, np.exp(-60.0)), (-0.7, np.exp(60.0))]
     alpha0s, su2s = np.array(rows).T
-    value, d_alpha0, d_eta = _kernels.loglik_unique_total_grad(stats, _col(alpha0s), _col(su2s))
+    value, grad = _kernels.loglik_unique_total_grad(stats, _col(alpha0s), _col(su2s))
+    assert value.shape == (len(rows),) and grad.shape == (len(rows), 2)
     np.testing.assert_array_equal(value, _kernels.loglik_unique_total(stats, _col(alpha0s),
                                                                       _col(su2s)))
     for r, (alpha0, su2) in enumerate(rows):
-        _, (da,), (de,) = _kernels.loglik_unique_terms_grad(stats, _col(alpha0), _col(su2))
-        assert (d_alpha0[r], d_eta[r]) == (np.sum(da), np.sum(de))
+        _, (da,), (de,) = _terms_grad(stats, alpha0, su2)
+        assert tuple(grad[r]) == (np.sum(da), np.sum(de))
 
     tau, a1, su2_1, a2, su2_2 = np.array(MIXTURE_ROWS).T
     value, grad = _kernels.loglik_mixture_total_grad(stats, _col(tau), _col(a1, a2),
@@ -325,11 +336,11 @@ def test_wide_batched_rows_equal_one_row_calls():
     def arrays(out):
         return out if isinstance(out, tuple) else (out,)
 
-    def row(a, r):  # totals are (R,), per-firm arrays (..., R, N)
+    def row(a, r):  # totals are (R,), gradients (R, n), per-firm arrays (..., R, N)
         return a[..., r, :] if a.ndim > 1 else a[r]
 
     for kernel in (_kernels.loglik_unique_total, _kernels.loglik_unique_total_grad,
-                   _kernels.loglik_unique_terms_grad, _kernels.loglik_unique_terms_hess):
+                   _kernels._terms_grad, _kernels.loglik_unique_terms_hess):
         batched = arrays(kernel(stats, _col(alpha0s), _col(su2s)))
         for r, (alpha0, su2) in enumerate(rows):
             for b, o in zip(batched, arrays(kernel(stats, _col(alpha0), _col(su2)))):
@@ -353,7 +364,7 @@ def test_terms_and_gradient_on_the_z_grid_match_mpmath(layout):
     sv2 = LAYOUTS[layout]
     stats = _stats_on_grid(sv2)
     terms, d_alpha0, d_eta = (
-        a[0] for a in _kernels.loglik_unique_terms_grad(stats, _col(GRID_ALPHA0), _col(GRID_SU2))
+        a[0] for a in _terms_grad(stats, GRID_ALPHA0, GRID_SU2)
     )
     for i, z in enumerate(Z_GRID):
         S, W = stats.S[i], stats.W[i]
@@ -372,7 +383,7 @@ def test_grid_rows_equal_one_row_calls_and_the_written_out_forms(layout):
     rows = [(GRID_ALPHA0, GRID_SU2), (-3.0, 0.05), (2.0, np.exp(-60.0)), (0.5, np.exp(60.0))]
     alpha0s, su2s = np.array(rows).T
     unique = _kernels.loglik_unique_total(stats, _col(alpha0s), _col(su2s))
-    grad = _kernels.loglik_unique_terms_grad(stats, _col(alpha0s), _col(su2s))
+    grad = _terms_grad(stats, alpha0s, su2s)
     hess = _kernels.loglik_unique_terms_hess(stats, _col(alpha0s), _col(su2s))
     taus = _col(0.3, 1.0, 0.0, 1e-13)
     mixture = _kernels.loglik_mixture_total(stats, taus, _col(alpha0s, alpha0s[::-1]),
@@ -384,7 +395,7 @@ def test_grid_rows_equal_one_row_calls_and_the_written_out_forms(layout):
         for g, ref in zip(grad, unique_terms_grad_reference(stats.S, stats.W, sv2, GRID_T,
                                                            alpha0, su2)):
             np.testing.assert_array_equal(g[r], ref)
-        for g, o in zip(grad, _kernels.loglik_unique_terms_grad(stats, *one)):
+        for g, o in zip(grad, _terms_grad(stats, alpha0, su2)):
             np.testing.assert_array_equal(g[r:r + 1], o)
         for h, o in zip(hess, _kernels.loglik_unique_terms_hess(stats, *one)):
             np.testing.assert_array_equal(h[..., r:r + 1, :], o)
@@ -421,7 +432,7 @@ def test_hessian_kernel_rows_equal_one_row_calls():
     alpha0s, su2s = np.array([0.3, -2.0, 1.0]), np.array([0.8, 4.5, np.exp(-6.0)])
     terms, grad, hess = _kernels.loglik_unique_terms_hess(stats, _col(alpha0s), _col(su2s))
     np.testing.assert_array_equal(
-        terms, _kernels.loglik_unique_terms_grad(stats, _col(alpha0s), _col(su2s))[0]
+        terms, _terms_grad(stats, alpha0s, su2s)[0]
     )
     for r, (alpha0, su2) in enumerate(zip(alpha0s, su2s)):
         one = _kernels.loglik_unique_terms_hess(stats, _col(alpha0), _col(su2))
@@ -440,7 +451,7 @@ def test_parameter_lists_give_the_array_results():
     (want,) = _kernels.loglik_unique_total(stats, _col(0.5), _col(1.0))
     got = _kernels.loglik_unique_total(stats, [[0.5]], [[1.0]])
     assert got.shape == (1,) and got[0] == want
-    for kernel in (_kernels.loglik_unique_terms_grad, _kernels.loglik_unique_terms_hess):
+    for kernel in (_kernels.loglik_unique_total_grad, _kernels.loglik_unique_terms_hess):
         for g, w in zip(kernel(stats, [[0.5]], [[1.0]]), kernel(stats, _col(0.5), _col(1.0))):
             np.testing.assert_array_equal(g, w)
     np.testing.assert_array_equal(
@@ -459,7 +470,7 @@ def test_parameter_lists_give_the_array_results():
 def test_malformed_parameter_columns_raise_input_error(alpha0, sigma_u2, name):
     stats = _stats(N=3)
     for kernel in (_kernels.loglik_unique_total, _kernels.loglik_unique_total_grad,
-                   _kernels.loglik_unique_terms_grad, _kernels.loglik_unique_terms_hess):
+                   _kernels.loglik_unique_terms_hess):
         with pytest.raises(InputError, match=name):
             kernel(stats, alpha0, sigma_u2)
 
@@ -578,7 +589,7 @@ def test_malformed_arrays_raise_input_error_naming_the_field(field, value):
 
 @pytest.mark.parametrize("T", [0, -3, 2.0, 2.5, True, "4", None])
 def test_non_positive_integer_T_raises_input_error(T):
-    with pytest.raises(InputError, match="T must be a positive integer"):
+    with pytest.raises(InputError, match=r"^T must be (an integer|>= 1), got"):
         CompositeStats(**{**_good(), "T": T})
 
 
@@ -598,7 +609,7 @@ def test_zero_noise_variance_is_valid_stats_but_not_a_likelihood():
     with pytest.raises(InputError, match=r"sigma_v2 must be positive.*firms \[1\]"):
         _kernels.loglik_unique_total(stats, _col(0.0), _col(1.0))
     with pytest.raises(InputError, match="sigma_v2 must be positive"):
-        _kernels.loglik_unique_terms_grad(stats, _col(0.0), _col(1.0))
+        _kernels.loglik_unique_total_grad(stats, _col(0.0), _col(1.0))
 
 
 def test_single_period_and_single_firm_are_valid():

@@ -68,12 +68,27 @@ def test_config_size_bounds_are_the_smallest_runnable_panel():
             _smoke_config(design=design, sizes=[size])
 
 
-def test_sweep_checks_every_point_before_the_first_run(monkeypatch):
+@pytest.mark.parametrize("c_lambdas, c_tildes, message", [
+    ([1.0, float("nan")], [1.0], "c_lambda must be a finite real number"),
+    # an empty grid once returned [] without a run or an error
+    ([], [1.0], "c_lambda must hold at least one value"),
+    ([1.0], [], "c_tilde must hold at least one value"),
+    ((), np.array([]), "c_lambda must hold at least one value"),
+])
+def test_sweep_checks_every_point_before_the_first_run(monkeypatch, c_lambdas, c_tildes,
+                                                       message):
     runs = []
     monkeypatch.setattr(montecarlo, "run_monte_carlo", runs.append)
-    with pytest.raises(ConfigError, match="c_lambda"):
-        sensitivity_sweep(_smoke_config(), [1.0, float("nan")], [1.0])
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        sensitivity_sweep(_smoke_config(), c_lambdas, c_tildes)
     assert runs == []
+
+
+def test_config_keeps_penalties_as_floats():
+    # report.json prints 1.0 for a penalty given as the integer 1
+    cfg = _smoke_config(c_lambda=1, c_tilde=np.int64(0))
+    assert (cfg.c_lambda, cfg.c_tilde) == (1.0, 0.0)
+    assert type(cfg.c_lambda) is float and type(cfg.c_tilde) is float
 
 
 def test_replication_deterministic():
