@@ -30,10 +30,11 @@ The mixture's follows from the components' by the missing-information
 identity (Louis 1982). A boundary optimum gets none: a mixing weight
 within ``_TAU_BOUNDARY`` of 0 or 1, or a variance of
 ``_VARIANCE_BOUNDARY`` or less. Nor does a mixture whose two components
-coincide (``_COINCIDE_RTOL``), where tau is not identified. The same
-Hessian, taken into the optimizer's coordinates (``_mixture_hessian``),
-gives the mixture's BFGS pass its starting inverse Hessian at the simplex's
-point wherever it is negative definite; at a clipped, boundary or
+coincide (``_COINCIDE_RTOL``), where tau is not identified. Elsewhere a
+Hessian the one curvature rule (``_inverse_hessian``) refuses raises
+``HessianError``. The same rule passes the Hessian, in the optimizer's
+coordinates (``_mixture_hessian``), to the mixture's BFGS pass as its
+starting inverse at the simplex's point; at a clipped, boundary or
 coinciding-component point, and always for the single law, BFGS starts
 from scipy's default, the identity.
 
@@ -278,9 +279,10 @@ _MAX_BFGS = 200
 
 
 def _inverse_hessian(H):
-    """BFGS's starting inverse Hessian for minimizing -f, given the Hessian
-    ``H`` of f: the symmetrized inverse of -H. None where ``H`` is None or
-    not finite, or Cholesky fails on -H or on that inverse."""
+    """The one curvature rule: the symmetrized inverse of -H for the Hessian
+    ``H`` of f; None where ``H`` is None, ``H`` or the inverse is not finite,
+    or Cholesky fails on -H or on the inverse. BFGS starts from it when
+    minimizing -f, and ``_standard_errors`` takes its diagonal."""
     if H is None or not np.all(np.isfinite(H)):
         return None
     try:
@@ -290,7 +292,7 @@ def _inverse_hessian(H):
         np.linalg.cholesky(inverse)
     except np.linalg.LinAlgError:
         return None
-    return inverse
+    return inverse if np.all(np.isfinite(inverse)) else None
 
 
 def _maximize(objective, value_and_grad, starts, hessian=None):
@@ -407,7 +409,7 @@ def fit_unique(stats):
 
     x, loglik = _maximize(*_unique_objectives(stats), [x0])
     alpha0, sigma_u2 = (float(v[0, 0]) for v in _unique_columns(x[:1]))
-    if sigma_u2 < 1e-8:
+    if _near_variance_boundary(sigma_u2):
         warnings.warn(
             "inefficiency variance collapsed toward zero", RuntimeWarning
         )
@@ -611,24 +613,22 @@ def _near_variance_boundary(*variances):
 
 def _standard_errors(H):
     """Square roots of the diagonal of (-H)^-1 for the log-likelihood
-    Hessian ``H`` at the optimum.
+    Hessian ``H`` at the optimum, by the one curvature rule of
+    ``_inverse_hessian``.
 
-    ``H`` must be finite and negative definite; otherwise a HessianError,
-    carrying its eigenvalues when they exist, is raised.
+    Where that rule refuses ``H``, a HessianError is raised, carrying
+    ``H``'s eigenvalues when its entries are finite.
     """
+    inverse = _inverse_hessian(H)
+    if inverse is not None:
+        return np.sqrt(np.diag(inverse))
     if not np.all(np.isfinite(H)):
         raise HessianError(
             "Hessian has non-finite entries; the objective is not smooth "
             "in a neighborhood of the optimum", eigenvalues=None,
         )
     eig = np.linalg.eigvalsh(H)
-    if eig[-1] >= 0.0:
-        raise HessianError(
-            f"Hessian not negative definite at the optimum (eigenvalues {eig})",
-            eigenvalues=eig,
-        )
-    try:
-        cov = np.linalg.inv(-H)
-    except np.linalg.LinAlgError as exc:
-        raise HessianError(f"Hessian singular: {exc}", eigenvalues=eig) from exc
-    return np.sqrt(np.diag(cov))
+    raise HessianError(
+        f"Hessian not negative definite at the optimum (eigenvalues {eig})",
+        eigenvalues=eig,
+    )

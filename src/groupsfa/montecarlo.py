@@ -52,6 +52,9 @@ class McConfig:
     def __post_init__(self):
         if not isinstance(self.design, str):
             raise ConfigError(f"design must be a string, got {self.design!r}")
+        sizes, pair = self.sizes, lambda s: isinstance(s, (list, tuple)) and len(s) == 2
+        if not (isinstance(sizes, (list, tuple)) and sizes and all(map(pair, sizes))):
+            raise ConfigError(f"sizes must be a nonempty list of (N, T) pairs, got {sizes!r}")
         try:  # the integers are checked and kept as given, the penalties as floats
             for name, low in (("replications", 1), ("k_max", None), ("seed", 0), ("workers", 1)):
                 as_integer(name, getattr(self, name), low)
@@ -66,8 +69,6 @@ class McConfig:
             raise ConfigError(
                 f"unknown design {self.design!r}; expected one of {DESIGNS}"
             )
-        if not self.sizes:
-            raise ConfigError("sizes must be a nonempty list of (N, T) pairs")
         true_K, p = design_shape(self.design)
         if self.k_max < true_K:
             raise ConfigError(
@@ -91,10 +92,7 @@ class McConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        try:
-            return cls(**d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return cls(**d)
 
     def to_dict(self):
         return {**asdict(self), "sizes": [list(s) for s in self.sizes]}
@@ -277,25 +275,19 @@ class MonteCarloReport:
         }
 
 
-def _replication_task(args):
-    config_dict, size, rep = args
-    return run_replication(McConfig.from_dict(config_dict), size, rep)
-
-
 def run_monte_carlo(config):
     """Run every (N, T) size for the configured replication count."""
-    tasks = [
-        (config.to_dict(), size, rep)
-        for size in config.sizes
-        for rep in range(config.replications)
-    ]
-    # the executor forks all its workers at the first submit
-    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    sizes, reps = zip(*((size, rep) for size in config.sizes
+                        for rep in range(config.replications)))
+    configs = [config] * len(reps)
+    # run_replication is looked up here, so a rebinding of it runs (a pool
+    # must pickle it); the executor forks all its workers at the first submit
+    workers = min(config.workers, len(reps), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=1))
+            results = list(pool.map(run_replication, configs, sizes, reps, chunksize=1))
     else:
-        results = [run_replication(config, size, rep) for _, size, rep in tasks]
+        results = list(map(run_replication, configs, sizes, reps))
     cells = []
     R = config.replications
     for i, _size in enumerate(config.sizes):

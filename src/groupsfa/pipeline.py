@@ -183,11 +183,11 @@ def fit_levels(panel, group_fits, c_tilde, seed):
 def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
     """Run the full estimation pipeline on a balanced panel.
 
-    ``m`` (>= 1 when given), ``k_max`` and ``seed`` (>= 0) must be integers, and
-    ``c_lambda`` and ``c_tilde`` finite real numbers >= 0; anything else
-    raises ``InputError`` naming the argument.
+    ``m`` (>= 1 when given), ``k_max`` (>= 1) and ``seed`` (>= 0) must be
+    integers, and ``c_lambda`` and ``c_tilde`` finite real numbers >= 0;
+    anything else raises ``InputError`` naming the argument.
     """
-    k_max, seed = as_integer("k_max", k_max), as_integer("seed", seed, low=0)
+    k_max, seed = as_integer("k_max", k_max, low=1), as_integer("seed", seed, low=0)
     c_lambda, c_tilde = as_penalty("c_lambda", c_lambda), as_penalty("c_tilde", c_tilde)
     if m is not None:
         m = as_integer("m", m, low=1)
@@ -198,8 +198,9 @@ def estimate_panel(panel, m=None, k_max=4, c_lambda=1.0, c_tilde=1.0, seed=0):
     report = select_K(fit_all(panel, m), k_max, c_lambda)
     group_fits = report.selected.fits
     stats, unique, mixture, choice = fit_levels(panel, group_fits, c_tilde, seed)
-    # the chosen model must deliver standard errors; the runner-up is
-    # best effort (its curvature can be degenerate when it collapses)
+    # a boundary optimum, chosen or not, gets se None; past that, a Hessian
+    # that fails the curvature rule fails the run for the chosen model
+    # only (the runner-up's can be degenerate when it collapses)
     for fit, se_fn in ((unique, unique_standard_errors),
                        (mixture, mixture_standard_errors)):
         chosen = (fit is unique) == (choice.chosen == "unique")

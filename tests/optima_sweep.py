@@ -11,7 +11,9 @@ The sweep is every design at (50, 30), (100, 50) and (250, 100) for reps
 ``generate(design, N, T, seed=0, rep=rep)`` run through
 ``estimate_panel(panel, k_max=4, seed=rep)``. ``run`` writes per panel
 the selected K, a digest of the membership, the chosen model, both fits'
-log-likelihood, parameters and standard errors, the Step-3 group fits of
+log-likelihood, parameters and standard errors, whether each fit warned
+(the single law's "inefficiency variance collapsed toward zero", the
+mixture's ``DegenerateMixtureWarning``), the Step-3 group fits of
 every K (each group's ``sigma_v`` and ``pi``), and the Step-1
 ``features`` of ``fit_all(panel, default_m(T))``, the call
 ``estimate_panel`` makes; a panel whose estimation raises records the
@@ -21,14 +23,15 @@ beyond 1e-12 and 1e-9, how many log-likelihoods are bit-identical, every
 standard error that turned null or stopped being null, the largest relative
 standard-error move on a chosen and on a runner-up fit, the largest
 relative move of a group's ``sigma_v`` and ``pi`` (``pi`` relative to
-its largest entry), and that of a Step-1 feature (relative to the largest
-entry of its column). It exits 1 when the records differ in an error, K,
+its largest entry), that of a Step-1 feature (relative to the largest
+entry of its column), and every fit whose warning came or went, a count
+that does not gate. It exits 1 when the records differ in an error, K,
 membership or choice, in which standard errors are null, by a
 log-likelihood more than 1e-12 relative lower in the new record, or by a
 group ``sigma_v`` or ``pi`` or a feature more than 1e-12 relative, so a
 likelihood, Step-1 or Step-3 change can quote it as its gate. Records
-written before the group fits or the features were recorded are compared
-on the rest. Only public calls are used,
+written before the group fits, the features or the warnings were recorded
+are compared on the rest. Only public calls are used,
 so the script runs on any checkout that has them.
 """
 
@@ -42,6 +45,7 @@ import numpy as np
 from groupsfa.dgp import DESIGNS, generate
 from groupsfa.errors import GroupSfaError
 from groupsfa.estimation import default_m, fit_all
+from groupsfa.inefficiency import DegenerateMixtureWarning
 from groupsfa.pipeline import estimate_panel
 
 SIZES = ((50, 30), (100, 50), (250, 100))
@@ -51,6 +55,17 @@ FALL_TOL = 1e-12
 # the largest relative move of a group's sigma_v or pi, or of a Step-1
 # feature, that ``compare`` accepts
 GROUP_TOL = 1e-12
+# the warning of each fit's boundary verdict
+COLLAPSE = "inefficiency variance collapsed toward zero"
+
+
+def _warned(caught):
+    """Which fits warned, by ``FITS``, among the ``caught`` warnings."""
+    return {
+        "unique": any(w.category is RuntimeWarning and str(w.message) == COLLAPSE
+                      for w in caught),
+        "mixture": any(issubclass(w.category, DegenerateMixtureWarning) for w in caught),
+    }
 
 
 def _panels():
@@ -60,13 +75,14 @@ def _panels():
         yield f"{design} ({N},{T}) rep {rep}", design, N, T, rep
 
 
-def _fit_record(fit):
+def _fit_record(fit, warned):
     names = ("alpha0", "sigma_u2") if not hasattr(fit, "tau") else (
         "tau", "alpha0_1", "sigma_u2_1", "alpha0_2", "sigma_u2_2")
     return {
         "loglik": float(fit.loglik),
         "params": [float(getattr(fit, name)) for name in names],
         "se": None if fit.se is None else [float(v) for v in fit.se],
+        "warned": warned,
     }
 
 
@@ -75,16 +91,19 @@ def panel_record(design, N, T, rep):
     rep=rep)``, as ``run`` writes it."""
     panel, _ = generate(design, N, T, seed=0, rep=rep)
     try:
-        result = estimate_panel(panel, k_max=4, seed=rep)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = estimate_panel(panel, k_max=4, seed=rep)
     except GroupSfaError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
+    warned = _warned(caught)
     membership = np.ascontiguousarray(result.assignment.membership, dtype=np.int64)
     return {
         "K": int(result.selected_K),
         "membership": hashlib.sha256(membership.tobytes()).hexdigest()[:16],
         "choice": result.choice.chosen,
-        "unique": _fit_record(result.unique_fit),
-        "mixture": _fit_record(result.mixture_fit),
+        "unique": _fit_record(result.unique_fit, warned["unique"]),
+        "mixture": _fit_record(result.mixture_fit, warned["mixture"]),
         "groups": [[{"sigma_v": float(f.sigma_v), "pi": [float(v) for v in f.pi]}
                     for f in record.fits] for record in result.ic_report.records],
         "features": fit_all(panel, default_m(T)).features.tolist(),
@@ -143,6 +162,7 @@ def compare(old_path, new_path):
     moves = []  # (relative loglik move, panel, fit)
     identical = 0  # fits whose log-likelihood has the same bits in both
     se_flips = []
+    warning_flips, warning_fits = [], 0  # fits whose warning came or went, of those recorded
     se_moves = {"chosen": (0.0, None), "runner-up": (0.0, None)}
     group_moves = {"sigma_v": (0.0, None), "pi": (0.0, None)}
     group_panels, group_fails = 0, 0  # panels compared, and with a move beyond GROUP_TOL
@@ -173,6 +193,10 @@ def compare(old_path, new_path):
             fa, fb = a[fit], b[fit]
             moves.append((_relative(fb["loglik"], fa["loglik"]), label, fit))
             identical += fb["loglik"] == fa["loglik"]
+            if "warned" in fa and "warned" in fb:
+                warning_fits += 1
+                if fa["warned"] != fb["warned"]:
+                    warning_flips.append(f"{label} {fit}: {fa['warned']} -> {fb['warned']}")
             if (fa["se"] is None) != (fb["se"] is None):
                 se_flips.append(f"{label} {fit}: {fa['se']} -> {fb['se']}")
             elif fa["se"] is not None:
@@ -202,6 +226,9 @@ def compare(old_path, new_path):
     for role, (rel, where) in se_moves.items():
         print(f"largest relative se move, {role} fits: {rel:.3e}"
               + (f", {where}" if where else ""))
+    print(f"warning flips (not gated): {len(warning_flips)} of {warning_fits} fits")
+    for item in warning_flips:
+        print(f"  {item}")
     print(f"group fits compared on {group_panels} panels")
     for name, (rel, where) in group_moves.items():
         print(f"largest relative group {name} move: {rel:.3e}"

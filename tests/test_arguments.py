@@ -90,6 +90,7 @@ def test_bad_argument_raises_the_typed_error_naming_it(entry, name, value, messa
 # (entry point, argument, its lower bound)
 BOUNDS = [
     ("estimate_panel", "m", 1),  # m = 0 once ended in a bare IndexError
+    ("estimate_panel", "k_max", 1),  # once named K_max, select_K's argument
     ("estimate_panel", "seed", 0),
     ("generate", "T", 2),
     ("generate", "seed", 0),
@@ -122,4 +123,28 @@ def test_cli_montecarlo_exits_4_before_any_replication(tmp_path, capsys, monkeyp
     assert cli.main(["montecarlo", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 4
     assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# sizes that are not a nonempty list of (N, T) pairs
+BAD_SIZES = [[(20,)], [(20, 30, 1)], 5, None, ["ab"]]
+
+
+@pytest.mark.parametrize("sizes", BAD_SIZES, ids=repr)
+def test_sizes_not_a_list_of_pairs_is_a_config_error(tmp_path, capsys, monkeypatch, sizes):
+    message = "sizes must be a nonempty list of (N, T) pairs, got "
+    for build in (McConfig, lambda **kw: McConfig.from_dict(kw)):
+        with pytest.raises(ConfigError) as info:
+            build(design="dgp2u", sizes=sizes, replications=1)
+        assert str(info.value) == message + repr(sizes)
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "run_replication", no_replication)
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"design": "dgp2u", "sizes": sizes, "replications": 1}))
+    assert cli.main(["montecarlo", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")]) == 4
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -270,6 +270,78 @@ def test_se_rejects_a_non_finite_hessian():
     assert err.value.eigenvalues is None
 
 
+# the one curvature rule: per Hessian, whether _inverse_hessian accepts
+# it; _standard_errors raises exactly where it refuses
+CURVATURE = {
+    "negative definite": (-np.linalg.inv(
+        np.array([[0.25, 0.3, -0.7], [0.3, 4.0, 5.0], [-0.7, 5.0, 49.0]])), True),
+    "one dimensional": (np.array([[-4.0]]), True),
+    "indefinite": (np.diag([1.0, -1.0]), False),
+    "singular": (np.zeros((2, 2)), False),
+    "singular, negative semidefinite": (-np.ones((2, 2)), False),
+    "nan": (np.array([[-1.0, np.nan], [np.nan, -1.0]]), False),
+    "inf": (np.array([[-np.inf, 0.0], [0.0, -1.0]]), False),
+    # eigvalsh puts both eigenvalues below 0, but the computed inverse is
+    # exactly singular: the old eigenvalue test passed it and reported
+    # SEs of 2**26
+    "near-singular": (-np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]]), False),
+    # the inverse overflows: the old eigenvalue test passed it and
+    # reported SEs of nan and inf
+    "inverse overflows": (-1e-310 * np.eye(2), False),
+}
+
+
+@pytest.mark.parametrize("H, accepted", CURVATURE.values(), ids=CURVATURE)
+def test_standard_errors_follow_the_one_curvature_rule(H, accepted):
+    inverse = inefficiency._inverse_hessian(H)
+    assert (inverse is not None) == accepted
+    if accepted:
+        se = inefficiency._standard_errors(H)
+        assert np.array_equal(se, np.sqrt(np.diag(inverse)))
+        assert np.array_equal(se, np.sqrt(np.diag(np.linalg.inv(-H))))
+        return
+    with pytest.raises(HessianError) as info:
+        inefficiency._standard_errors(H)
+    if np.all(np.isfinite(H)):
+        assert "not negative definite" in str(info.value)
+        np.testing.assert_array_equal(info.value.eigenvalues, np.linalg.eigvalsh(H))
+    else:
+        assert "non-finite" in str(info.value) and info.value.eigenvalues is None
+
+
+def _log_variance_at_most(v):
+    """The largest log variance whose exp, as ``_unique_columns`` takes
+    it, is at most ``v``."""
+    eta = np.log(v)
+    while np.exp(eta) > v:
+        eta = np.nextafter(eta, -np.inf)
+    while np.exp(np.nextafter(eta, np.inf)) <= v:
+        eta = np.nextafter(eta, np.inf)
+    return eta
+
+
+# log variances at which the single-law fit is made to end, and whether it
+# is at the boundary; no log variance maps exactly to 1e-5, so the rule's
+# edge is the largest variance at most 1e-5 that the fit can end at, and
+# the next one above
+_EDGE = _log_variance_at_most(1e-5)
+
+
+@pytest.mark.parametrize("eta, boundary", [
+    (np.log(5e-6), True), (_EDGE, True), (np.nextafter(_EDGE, np.inf), False),
+], ids=["5e-6", "largest at most 1e-5", "smallest above 1e-5"])
+def test_collapse_warning_fires_exactly_where_the_se_is_withheld(monkeypatch, eta, boundary):
+    stats = _unique_data_stats()
+    monkeypatch.setattr(inefficiency, "_maximize",
+                        lambda *args: (np.array([[0.4, eta]]), np.array([-1.0])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_unique(stats)
+    assert (fit.sigma_u2 <= 1e-5) == boundary
+    warned = [str(w.message) for w in caught] == ["inefficiency variance collapsed toward zero"]
+    assert warned == boundary == (unique_standard_errors(stats, fit) is None)
+
+
 @pytest.mark.slow
 def test_mixture_se_matches_the_mpmath_hessian():
     # a runner-up mixture on a unique-law panel, where the central-difference

@@ -322,8 +322,8 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, cpus, sizes, pool):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)

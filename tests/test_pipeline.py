@@ -1,12 +1,16 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupsfa.dgp import generate
-from groupsfa.errors import InputError
+from groupsfa import inefficiency
+from groupsfa.dgp import DESIGNS, generate
+from groupsfa.errors import InputError, NumericalError
 from groupsfa.estimation import default_m, fit_all
 from groupsfa.panel import PanelData
 from groupsfa.pipeline import estimate_panel, fit_levels
@@ -271,3 +275,48 @@ def test_mle_optima_no_worse_than_recorded(design, rep):
     fits = (res.unique_fit, res.mixture_fit)
     for fit, recorded in zip(fits, _RECORDED_LOGLIKS[design, rep]):
         assert fit.loglik >= recorded - 1e-9 * abs(recorded)
+
+
+EDGES = ("none", "no inefficiency", "minority component", "outlier firm")
+
+
+@st.composite
+def _edge_panels(draw):
+    """A small simulated panel with one edge applied: none, y with the
+    inefficiency draws added back, 1-3 firms shifted down by 2-8, or one
+    firm with large noise added."""
+    design = draw(st.sampled_from(DESIGNS))
+    N, T, rep = draw(st.integers(6, 40)), draw(st.integers(12, 30)), draw(st.integers(0, 99))
+    panel, truth = generate(design, N, T, seed=0, rep=rep)
+    y = panel.y.copy()
+    edge = draw(st.sampled_from(EDGES))
+    if edge == "no inefficiency":
+        y += truth.u[:, None]
+    elif edge == "minority component":
+        firms = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=3, unique=True))
+        y[firms] -= draw(st.floats(2.0, 8.0))
+    elif edge == "outlier firm":
+        noise = np.random.default_rng(rep).standard_normal(T)
+        y[draw(st.integers(0, N - 1))] += draw(st.floats(5.0, 20.0)) * noise
+    return PanelData(y=y, x=panel.x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_edge_panels())
+def test_edge_panels_end_in_a_result_or_a_numerical_error(panel):
+    # a returned fit has SEs that are None or finite and positive, the
+    # collapse warning fires exactly at a boundary variance, and a boundary
+    # or degenerate optimum gets no SEs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = estimate_panel(panel, k_max=min(3, panel.N))
+        except NumericalError:
+            return
+    unique, mixture = result.unique_fit, result.mixture_fit
+    for fit in (unique, mixture):
+        assert fit.se is None or (np.all(np.isfinite(fit.se)) and np.all(fit.se > 0))
+    collapsed = "inefficiency variance collapsed toward zero" in [str(w.message) for w in caught]
+    assert collapsed == inefficiency._near_variance_boundary(unique.sigma_u2)
+    assert unique.se is None or not collapsed
+    assert mixture.se is None or not inefficiency._mixture_degenerate(mixture.params)

@@ -58,3 +58,24 @@ def test_optima_sweep_compares_two_records(tmp_path, capsys):
     lower.write_text(json.dumps({label: moved}))
     assert not optima_sweep.compare(str(old), str(lower))
     assert "gate: FAIL (1 log-likelihood falls" in capsys.readouterr().out
+
+
+def test_optima_sweep_counts_warning_flips_without_gating(tmp_path, capsys):
+    label = "dgp2m (50,30) rep 0"
+    record = optima_sweep.panel_record("dgp2m", 50, 30, 0)
+    assert record["unique"]["warned"] is False and record["mixture"]["warned"] is False
+    old, flipped, older = (tmp_path / f"{name}.json" for name in ("old", "flipped", "older"))
+    old.write_text(json.dumps({label: record}))
+    moved = copy.deepcopy(record)
+    moved["mixture"]["warned"] = True
+    flipped.write_text(json.dumps({label: moved}))
+    assert optima_sweep.compare(str(old), str(flipped))
+    out = capsys.readouterr().out
+    assert "warning flips (not gated): 1 of 2 fits" in out and "gate: pass" in out
+    # a record written before warnings were recorded compares on the rest
+    for fit in optima_sweep.FITS:
+        del moved[fit]["warned"]
+    older.write_text(json.dumps({label: moved}))
+    assert optima_sweep.compare(str(older), str(old))
+    out = capsys.readouterr().out
+    assert "warning flips (not gated): 0 of 0 fits" in out and "gate: pass" in out
